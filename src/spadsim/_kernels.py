@@ -28,9 +28,7 @@ import math
 import numpy as np
 
 from ._backend import jit_kernel
-
-# 1 / (2*sqrt(2*ln 2)): converts a Gaussian FWHM to its sigma
-_FWHM_TO_SIGMA = 0.42466090014400953
+from .rng import FWHM_TO_SIGMA
 
 # Placeholder "previous avalanche" gap before any avalanche happened; far
 # right of every calibration curve, so first pulses get the relaxed values.
@@ -90,7 +88,7 @@ def _ema_decay(lam: float, dt_ps: np.int64, tau_ema_ps: float) -> float:
 @jit_kernel
 def _emit_delta(shift_ps: float, fwhm_ps: float, z: float) -> np.int64:
     """Signed output-delay offset: calibrated shift plus sampled jitter."""
-    return _round_ps(shift_ps + z * (fwhm_ps * _FWHM_TO_SIGMA))
+    return _round_ps(shift_ps + z * (fwhm_ps * FWHM_TO_SIGMA))
 
 
 @jit_kernel

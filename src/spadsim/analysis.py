@@ -46,8 +46,10 @@ def estimate_dead_time(h: Histogram) -> float:
     The dead time shows up as an empty gap from zero to the onset of
     detection probability. The onset bin is the first of two consecutive
     bins exceeding 10% of the plateau level (median of the upper half of
-    the range); the two-bin requirement keeps isolated stray counts below
-    the onset from triggering. The estimate is then refined to sub-bin
+    the range), but never fewer than one count; the two-bin requirement
+    keeps isolated stray counts below the onset from triggering, and the
+    one-count floor keeps two adjacent single strays under a thin plateau
+    from passing as the onset. The estimate is then refined to sub-bin
     precision by interpolating where the rising edge crosses half of its
     local maximum.
     """
@@ -58,7 +60,7 @@ def estimate_dead_time(h: Histogram) -> float:
     plateau = float(np.median(counts[n // 2 :]))
     if plateau <= 0:
         raise AnalysisError("no post-onset plateau: upper-half median is zero")
-    thr = 0.1 * plateau
+    thr = max(0.1 * plateau, 1.0)
     above = (counts[:-1] > thr) & (counts[1:] > thr)
     hits = np.nonzero(above)[0]
     if hits.size == 0:

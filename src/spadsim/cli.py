@@ -18,21 +18,11 @@ import argparse
 import json
 import sys
 
-from .analysis import (
-    AnalysisError,
-    KeyRateInputs,
-    distinguishability,
-    secret_key_rate,
-    shift_and_jitter_vs_dt,
-    twilight_curve,
-)
-from .config import ConfigError, load_config
+from .analysis import AnalysisError
+from .config import SCENARIOS, ConfigError, load_config
 from .engine import EngineError
-from .experiments import run_autocorr, run_interarrival, run_pair_scan
 from .instruments import InstrumentError
 from .presets import available_presets, preset
-from .qkd import run_qkd_scenario
-from .sources import EntangledPairConfig, PulsedSourceConfig
 
 __all__ = ["main"]
 
@@ -45,216 +35,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(key: str, value) -> None:
-    print(f"{key}={_fmt(value)}")
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _write_json(path: str, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _points_csv(points) -> str:
-    rows = ["delta_t_ps,n_pairs,n_first,n_both"]
-    for p in points:
-        rows.append(f"{p.delta_t_ps},{p.n_pairs},{p.n_first},{p.n_both}")
-    return "\n".join(rows) + "\n"
-
-
-def _run_interarrival(cfg: dict) -> dict:
-    res = run_interarrival(
-        cfg["detector"],
-        cfg["rate_cps"],
-        cfg["duration_ps"],
-        cfg["seed"],
-        bin_width_ps=cfg["bin_width_ps"],
-        span_ps=cfg["span_ps"],
-        analyze=cfg["analyze"],
-        spectroscopy=cfg["spectroscopy"],
-        tau_trap_guess_ps=cfg["tau_trap_guess_ps"],
-    )
-    summary = {
-        "n_pulses": res.n_pulses,
-        "detected_rate_cps": res.detected_rate_cps,
-        "cause_counts": res.cause_counts,
-    }
-    if res.dead_time_ps is not None:
-        summary["dead_time_ps"] = res.dead_time_ps
-    if res.afterpulse is not None:
-        summary["p_afterpulse"] = res.afterpulse.p_afterpulse
-        summary["tau_trap_ps"] = res.afterpulse.tau_trap_ps
-        summary["fit_residual"] = res.afterpulse.residual
-    for key in ("n_pulses", "detected_rate_cps", "dead_time_ps", "p_afterpulse", "tau_trap_ps"):
-        if key in summary:
-            _emit(key, summary[key])
-    for cause, n in res.cause_counts.items():
-        _emit(f"cause_{cause}", n)
-    out = cfg["outputs"]
-    if "histogram_csv" in out:
-        _write_text(out["histogram_csv"], res.histogram.to_csv())
-    if "summary_json" in out:
-        _write_json(out["summary_json"], summary)
-    return summary
-
-
-def _scan_points(cfg: dict):
-    return run_pair_scan(
-        cfg["detector"],
-        cfg["delta_ts_ps"],
-        cfg["pair_period_ps"],
-        cfg["n_pairs"],
-        cfg["seed"],
-        occupancy=cfg["occupancy"],
-    )
-
-
-def _run_twilight(cfg: dict, *, points_too: bool) -> dict:
-    points = _scan_points(cfg)
-    curve = twilight_curve([(p.delta_t_ps, p.n_pairs, p.n_first, p.n_both) for p in points])
-    summary = {
-        "delta_ts_ps": curve.delta_ts.tolist(),
-        "ratios": curve.ratios.tolist(),
-        "n_pairs": [p.n_pairs for p in points],
-        "n_first": [p.n_first for p in points],
-        "n_both": [p.n_both for p in points],
-    }
-    _emit("n_points", len(points))
-    for dt, r in zip(summary["delta_ts_ps"], summary["ratios"]):
-        _emit(f"ratio_{dt}", r)
-    out = cfg["outputs"]
-    if "curve_csv" in out:
-        _write_text(out["curve_csv"], curve.to_csv())
-    if points_too and "points_csv" in out:
-        _write_text(out["points_csv"], _points_csv(points))
-    if "summary_json" in out:
-        _write_json(out["summary_json"], summary)
-    return summary
-
-
-def _run_jitter_scan(cfg: dict) -> dict:
-    points = _scan_points(cfg)
-    curve = shift_and_jitter_vs_dt(
-        [(p.delta_t_ps, p.intervals) for p in points], min_pairs=cfg["min_pairs"]
-    )
-    summary = {
-        "delta_ts_ps": curve.delta_ts.tolist(),
-        "shift_ps": curve.shifts.tolist(),
-        "fwhm_ps": curve.fwhms.tolist(),
-    }
-    _emit("n_points", len(points))
-    for dt, s, f in zip(summary["delta_ts_ps"], summary["shift_ps"], summary["fwhm_ps"]):
-        _emit(f"shift_{dt}", s)
-        _emit(f"fwhm_{dt}", f)
-    out = cfg["outputs"]
-    if "curve_csv" in out:
-        _write_text(out["curve_csv"], curve.to_csv())
-    if "summary_json" in out:
-        _write_json(out["summary_json"], summary)
-    return summary
-
-
-def _run_autocorr(cfg: dict) -> dict:
-    src = PulsedSourceConfig(
-        period_ps=cfg["period_ps"],
-        mean_photons_per_pulse=cfg["mean_photons_per_pulse"],
-        duration_ps=cfg["duration_ps"],
-        pulse_fwhm_ps=cfg["pulse_fwhm_ps"],
-    )
-    res = run_autocorr(
-        cfg["detector"],
-        src,
-        cfg["seed"],
-        max_lag_ps=cfg["max_lag_ps"],
-        bin_width_ps=cfg["bin_width_ps"],
-    )
-    visibility = distinguishability(res.histogram, float(cfg["period_ps"]))
-    summary = {
-        "n_pulses": res.n_pulses,
-        "detected_rate_cps": res.detected_rate_cps,
-        "visibility": visibility,
-    }
-    for key in ("n_pulses", "detected_rate_cps", "visibility"):
-        _emit(key, summary[key])
-    out = cfg["outputs"]
-    if "histogram_csv" in out:
-        _write_text(out["histogram_csv"], res.histogram.to_csv())
-    if "summary_json" in out:
-        _write_json(out["summary_json"], summary)
-    return summary
-
-
-def _run_qkd(cfg: dict) -> dict:
-    src = EntangledPairConfig(
-        rep_rate_hz=cfg["rep_rate_hz"],
-        mean_pairs_per_pulse=cfg["mean_pairs_per_pulse"],
-        duration_ps=cfg["duration_ps"],
-        eta_alice=cfg["eta_alice"],
-        eta_bob=cfg["eta_bob"],
-        emission_fwhm_ps=cfg["emission_fwhm_ps"],
-    )
-    report = run_qkd_scenario(
-        src, cfg["detector_a"], cfg["detector_b"], cfg["frame"], cfg["seed"], **cfg["instrument"]
-    )
-    summary = report.to_json_dict()
-    for key in sorted(summary):
-        _emit(key, summary[key])
-    out = cfg["outputs"]
-    if "report_json" in out:
-        _write_json(out["report_json"], summary)
-    if "crosscorr_csv" in out:
-        _write_text(out["crosscorr_csv"], report.crosscorr.to_csv())
-    return summary
-
-
-def _run_keyrate_config(cfg: dict) -> dict:
-    inputs = KeyRateInputs(
-        m_channels=cfg["m_channels"],
-        eta=cfg["eta"],
-        n_mean=cfg["n_mean"],
-        xi=cfg["xi"],
-        bin_width_ps=cfg["bin_width_ps"],
-    )
-    rate = secret_key_rate(inputs)
-    summary = {
-        "m_channels": inputs.m_channels,
-        "eta": inputs.eta,
-        "n_mean": inputs.n_mean,
-        "xi": inputs.xi,
-        "bin_width_ps": inputs.bin_width_ps,
-        "key_rate_bits_per_s": rate,
-    }
-    _emit("key_rate_bits_per_s", rate)
-    out = cfg["outputs"]
-    if "summary_json" in out:
-        _write_json(out["summary_json"], summary)
-    return summary
-
-
-_RUNNERS = {
-    "interarrival": _run_interarrival,
-    "jitter-scan": _run_jitter_scan,
-    "twilight": lambda cfg: _run_twilight(cfg, points_too=False),
-    "pair-scan": lambda cfg: _run_twilight(cfg, points_too=True),
-    "autocorr": _run_autocorr,
-    "qkd": _run_qkd,
-    "keyrate": _run_keyrate_config,
-}
+def _emit(lines) -> None:
+    for key, value in lines:
+        print(f"{key}={_fmt(value)}")
 
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    _RUNNERS[cfg["kind"]](cfg)
+    lines, texts = SCENARIOS[cfg["kind"]].run(cfg)
+    _emit(lines)
+    for key, path in cfg["outputs"].items():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(texts[key])
     return 0
 
 
 def _cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    _emit("valid", True)
-    _emit("kind", cfg["kind"])
+    _emit([("valid", True), ("kind", load_config(args.config)["kind"])])
     return 0
 
 
@@ -270,10 +67,9 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_keyrate(args) -> int:
-    inputs = KeyRateInputs(
-        m_channels=args.m, eta=args.eta, n_mean=args.n_mean, xi=args.xi, bin_width_ps=args.bin_ps
-    )
-    _emit("key_rate_bits_per_s", secret_key_rate(inputs))
+    inputs = {"m_channels": args.m, "eta": args.eta, "n_mean": args.n_mean, "xi": args.xi}
+    lines, _ = SCENARIOS["keyrate"].run(dict(inputs, bin_width_ps=args.bin_ps))
+    _emit(lines)
     return 0
 
 

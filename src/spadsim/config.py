@@ -1,26 +1,39 @@
-"""Scenario config files: JSON in, validated and normalized scenarios out.
+"""Scenario kinds and their JSON config files.
 
-A config names exactly one experiment kind, a seed, a detector (preset name
-or inline parameter object), kind-specific source and instrument settings,
-and the output files to write. Validation is strict: unknown keys are
-rejected and every error message names the offending field path, so a typo
-in a parameter name can never silently fall back to a default. Durations
-are integer picoseconds; rates and probabilities are reals.
+A config names one scenario kind, a seed, a detector (preset name or inline
+parameter object) per detector slot, the kind's sections, and the output
+files to write. SCENARIOS declares each kind once; each section takes its
+keys, defaults and types from the dataclass or experiment driver that
+defines those fields. Validation is strict: unknown keys are rejected, no
+bool passes for a number nor a float for an integer, and every error names
+the field path, so a typo can never silently fall back to a default.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import UnionType
+from typing import Callable, get_args, get_origin
 
+from .analysis import (
+    KeyRateInputs, distinguishability, secret_key_rate, shift_and_jitter_vs_dt, twilight_curve
+)
 from .detector import DetectorParams
-from .presets import available_presets, preset
-from .qkd import FrameConfig
+from .experiments import run_autocorr, run_interarrival, run_pair_scan
+from .presets import preset
+from .qkd import FrameConfig, run_qkd_scenario
+from .sources import CwSourceConfig, EntangledPairConfig, PairScanConfig, PulsedSourceConfig
 
-__all__ = ["ConfigError", "KINDS", "load_config", "validate_config"]
-
-KINDS = ("interarrival", "jitter-scan", "pair-scan", "twilight", "autocorr", "qkd", "keyrate")
+__all__ = ["ConfigError", "KINDS", "SCENARIOS", "load_config", "validate_config"]
 
 CONFIG_VERSION = 1
+
+_REQUIRED = inspect.Parameter.empty
+_ACCEPTS = {int: int, float: (int, float), bool: bool, str: str}
+_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
 class ConfigError(Exception):
@@ -40,62 +53,119 @@ def _mapping(v, path: str) -> dict:
 def _known(d: dict, allowed, path: str) -> None:
     unknown = [k for k in d if k not in allowed]
     if unknown:
-        onekey = ", ".join(repr(k) for k in sorted(unknown))
-        _err(path, f"unknown key(s) {onekey}; allowed: {', '.join(sorted(allowed))}")
+        keys = ", ".join(repr(k) for k in sorted(unknown))
+        _err(path, f"unknown key(s) {keys}; allowed: {', '.join(sorted(allowed))}")
 
 
-_MISSING = object()
-
-
-def _field(d: dict, key: str, path: str, default=_MISSING):
-    if key in d:
-        return d[key]
-    if default is _MISSING:
+def _field(d: dict, key: str, path: str):
+    if key not in d:
         _err(path + "." + key, "is required")
-    return default
+    return d[key]
 
 
-def _int(v, path: str, *, minimum=None) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        _err(path, f"must be an integer, got {v!r}")
+def _typed(v, tp, path: str, minimum=None):
+    """v checked against the type hint tp (and a lower bound); floats come out as float."""
+    if isinstance(tp, UnionType):  # `X | None`: null stands for the default
+        if v is None:
+            return None
+        tp = get_args(tp)[0]
+    if get_origin(tp) is not None:  # Sequence[int]
+        if not isinstance(v, list) or not v:
+            _err(path, "must be a non-empty list of integers")
+        return [_typed(x, int, f"{path}[{i}]", minimum) for i, x in enumerate(v)]
+    if isinstance(v, bool) != (tp is bool) or not isinstance(v, _ACCEPTS[tp]):
+        _err(path, f"must be {_NAMES[tp]}, got {v!r}")
+    v = float(v) if tp is float else v
     if minimum is not None and v < minimum:
         _err(path, f"must be >= {minimum}, got {v}")
     return v
 
 
-def _num(v, path: str, *, minimum=None, maximum=None) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _err(path, f"must be a number, got {v!r}")
-    v = float(v)
-    if minimum is not None and v < minimum:
-        _err(path, f"must be >= {minimum}, got {v}")
-    if maximum is not None and v > maximum:
-        _err(path, f"must be <= {maximum}, got {v}")
-    return v
+def _validated(obj, section: str, paths=None) -> None:
+    """obj.validate(); a ValueError becomes a ConfigError at the field it starts with."""
+    try:
+        obj.validate()
+    except ValueError as exc:
+        head, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{(paths or {}).get(head, f'{section}.{head}')} {rest}") from None
 
 
-def _bool(v, path: str) -> bool:
-    if not isinstance(v, bool):
-        _err(path, f"must be true or false, got {v!r}")
-    return v
+@dataclass(frozen=True)
+class Section:
+    """One config section, read off the code that defines its fields.
+
+    `owner` is a dataclass (its fields, checked by its validate()) or a
+    function (its keyword-only parameters, or those named in `only`).
+    `ints` must be integers where the owner takes any number; `minimum`
+    holds bounds the owner does not check; `given` fills owner fields from
+    another section for validate() only. A `nested` section is stored under
+    its name with just the keys given (as the owner, if a dataclass); any
+    other spreads its fields, defaults included, into the flat config.
+    """
+
+    name: str
+    owner: object = None
+    only: tuple = ()
+    ints: tuple = ()
+    minimum: dict = field(default_factory=dict)
+    given: dict = field(default_factory=dict)
+    nested: bool = False
+
+    @cached_property
+    def fields(self) -> dict:
+        """Key -> (type hint, default or _REQUIRED)."""
+        if self.owner is None:
+            return {}
+        params = inspect.signature(self.owner, eval_str=True).parameters.values()
+        is_class = isinstance(self.owner, type)
+        return {
+            p.name: (int if p.name in self.ints else p.annotation, p.default)
+            for p in params
+            if (p.name in self.only if self.only else is_class or p.kind is p.KEYWORD_ONLY)
+            and p.name not in self.given
+        }
+
+    def parse(self, doc: dict, norm: dict) -> None:
+        required = any(d is _REQUIRED for _, d in self.fields.values())
+        d = doc.get(self.name, {}) if not required else _field(doc, self.name, "config")
+        d = _mapping(d, self.name)
+        _known(d, self.fields, self.name)
+        vals = {}
+        for key, (tp, default) in self.fields.items():
+            if key in d:
+                vals[key] = _typed(d[key], tp, f"{self.name}.{key}", self.minimum.get(key))
+            elif default is _REQUIRED:
+                _err(f"{self.name}.{key}", "is required")
+            elif not self.nested:
+                vals[key] = default
+        if isinstance(self.owner, type):
+            given = {k: norm[k] for k in self.given}
+            paths = {k: f"{sec}.{k}" for k, sec in self.given.items()}
+            _validated(self.owner(**vals, **given), self.name, paths)
+        if self.nested:
+            vals = {self.name: self.owner(**vals) if isinstance(self.owner, type) else vals}
+        norm.update(vals)
 
 
-def _str(v, path: str) -> str:
-    if not isinstance(v, str):
-        _err(path, f"must be a string, got {v!r}")
-    return v
+@dataclass(frozen=True)
+class Kind:
+    """A scenario kind; `run` maps its config to (stdout key/value pairs, {output: text})."""
+
+    sections: tuple
+    outputs: tuple
+    run: Callable
+    rule: Callable | None = None
+    detectors: tuple = ("detector",)
 
 
 def _parse_detector(doc: dict, key: str) -> DetectorParams:
     d = _mapping(_field(doc, key, "config"), key)
     _known(d, ("preset", "variant", "params"), key)
-    has_preset = "preset" in d
-    has_params = "params" in d
-    if has_preset == has_params:
+    if ("preset" in d) == ("params" in d):
         _err(key, "needs exactly one of 'preset' or 'params'")
-    if has_preset:
-        name = _str(d["preset"], key + ".preset")
-        variant = _str(d.get("variant", "timing"), key + ".variant")
+    if "preset" in d:
+        name = _typed(d["preset"], str, key + ".preset")
+        variant = _typed(d.get("variant", "timing"), str, key + ".variant")
         try:
             return preset(name, variant=variant).params
         except ValueError as exc:
@@ -108,29 +178,158 @@ def _parse_detector(doc: dict, key: str) -> DetectorParams:
         _err(key + ".params", str(exc))
 
 
-def _parse_outputs(doc: dict, allowed, path: str = "outputs") -> dict:
-    out = _mapping(doc.get("outputs", {}), path)
-    _known(out, allowed, path)
-    return {k: _str(v, f"{path}.{k}") for k, v in out.items()}
+def _span_whole_bins(cfg: dict) -> None:
+    span, bw = cfg["span_ps"], cfg["bin_width_ps"]
+    if span is not None and (span < bw or span % bw):
+        _err("instrument.span_ps", f"must be a positive multiple of bin_width_ps ({bw})")
 
 
-def _parse_pair_scan_source(src: dict) -> dict:
-    _known(src, ("delta_ts_ps", "pair_period_ps", "n_pairs", "occupancy"), "source")
-    dts = _field(src, "delta_ts_ps", "source")
-    if not isinstance(dts, list) or not dts:
-        _err("source.delta_ts_ps", "must be a non-empty list of integers")
-    dts = [_int(v, f"source.delta_ts_ps[{i}]", minimum=1) for i, v in enumerate(dts)]
-    period = _int(_field(src, "pair_period_ps", "source"), "source.pair_period_ps", minimum=1)
-    if any(dt >= period for dt in dts):
-        _err("source.delta_ts_ps", f"every spacing must be < pair_period_ps ({period})")
-    return {
-        "delta_ts_ps": dts,
-        "pair_period_ps": period,
-        "n_pairs": _int(_field(src, "n_pairs", "source"), "source.n_pairs", minimum=1),
-        "occupancy": _num(
-            src.get("occupancy", 1.0), "source.occupancy", minimum=0.0, maximum=1.0
+def _spacings_in_period(cfg: dict) -> None:
+    """Every spacing makes a valid scan point, so lies in (0, pair_period_ps)."""
+    for i, dt in enumerate(cfg["delta_ts_ps"]):
+        point = PairScanConfig(dt, cfg["pair_period_ps"], cfg["n_pairs"], cfg["occupancy"])
+        _validated(point, "source", {"delta_t_ps": f"source.delta_ts_ps[{i}]"})
+
+
+def _lag_covers_bin(cfg: dict) -> None:
+    if cfg["max_lag_ps"] < cfg["bin_width_ps"]:
+        _err("instrument.max_lag_ps", f"must be >= bin_width_ps ({cfg['bin_width_ps']})")
+
+
+def _args(cfg: dict, owner) -> dict:
+    """The entries of cfg that owner (a dataclass or function) takes by name."""
+    return {k: cfg[k] for k in inspect.signature(owner).parameters if k in cfg}
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _run_interarrival(cfg: dict):
+    res = run_interarrival(cfg["detector"], **_args(cfg, run_interarrival))
+    summary = {"n_pulses": res.n_pulses, "detected_rate_cps": res.detected_rate_cps}
+    summary["cause_counts"] = res.cause_counts
+    if res.dead_time_ps is not None:
+        summary["dead_time_ps"] = res.dead_time_ps
+    if (ap := res.afterpulse) is not None:
+        summary.update(p_afterpulse=ap.p_afterpulse, tau_trap_ps=ap.tau_trap_ps)
+        summary["fit_residual"] = ap.residual
+    keys = ("n_pulses", "detected_rate_cps", "dead_time_ps", "p_afterpulse", "tau_trap_ps")
+    lines = [(k, summary[k]) for k in keys if k in summary]
+    lines += [(f"cause_{cause}", n) for cause, n in res.cause_counts.items()]
+    return lines, {"histogram_csv": res.histogram.to_csv(), "summary_json": _json(summary)}
+
+
+def _run_twilight(cfg: dict):
+    points = run_pair_scan(cfg["detector"], **_args(cfg, run_pair_scan))
+    curve = twilight_curve([(p.delta_t_ps, p.n_pairs, p.n_first, p.n_both) for p in points])
+    summary = {"delta_ts_ps": curve.delta_ts.tolist(), "ratios": curve.ratios.tolist()}
+    for key in ("n_pairs", "n_first", "n_both"):
+        summary[key] = [getattr(p, key) for p in points]
+    lines = [("n_points", len(points))]
+    lines += [(f"ratio_{dt}", r) for dt, r in zip(summary["delta_ts_ps"], summary["ratios"])]
+    rows = "".join(f"{p.delta_t_ps},{p.n_pairs},{p.n_first},{p.n_both}\n" for p in points)
+    texts = {"curve_csv": curve.to_csv(), "summary_json": _json(summary)}
+    texts["points_csv"] = "delta_t_ps,n_pairs,n_first,n_both\n" + rows
+    return lines, texts
+
+
+def _run_jitter_scan(cfg: dict):
+    points = run_pair_scan(cfg["detector"], **_args(cfg, run_pair_scan))
+    pairs = [(p.delta_t_ps, p.intervals) for p in points]
+    curve = shift_and_jitter_vs_dt(pairs, **_args(cfg, shift_and_jitter_vs_dt))
+    dts, shifts, fwhms = curve.delta_ts.tolist(), curve.shifts.tolist(), curve.fwhms.tolist()
+    summary = {"delta_ts_ps": dts, "shift_ps": shifts, "fwhm_ps": fwhms}
+    lines = [("n_points", len(points))]
+    for dt, s, f in zip(dts, shifts, fwhms):
+        lines += [(f"shift_{dt}", s), (f"fwhm_{dt}", f)]
+    return lines, {"curve_csv": curve.to_csv(), "summary_json": _json(summary)}
+
+
+def _run_autocorr(cfg: dict):
+    src = PulsedSourceConfig(**_args(cfg, PulsedSourceConfig))
+    res = run_autocorr(cfg["detector"], src, **_args(cfg, run_autocorr))
+    summary = {"n_pulses": res.n_pulses, "detected_rate_cps": res.detected_rate_cps}
+    summary["visibility"] = distinguishability(res.histogram, float(cfg["period_ps"]))
+    texts = {"histogram_csv": res.histogram.to_csv(), "summary_json": _json(summary)}
+    return list(summary.items()), texts
+
+
+def _run_qkd(cfg: dict):
+    src = EntangledPairConfig(**_args(cfg, EntangledPairConfig))
+    report = run_qkd_scenario(
+        src, cfg["detector_a"], cfg["detector_b"], cfg["frame"], cfg["seed"], **cfg["instrument"]
+    )
+    summary = report.to_json_dict()
+    texts = {"report_json": _json(summary), "crosscorr_csv": report.crosscorr.to_csv()}
+    return sorted(summary.items()), texts
+
+
+def _run_keyrate(cfg: dict):
+    inputs = KeyRateInputs(**_args(cfg, KeyRateInputs))
+    rate = secret_key_rate(inputs)
+    summary = {**vars(inputs), "key_rate_bits_per_s": rate}
+    return [("key_rate_bits_per_s", rate)], {"summary_json": _json(summary)}
+
+
+_PAIR_KEYS = ("delta_ts_ps", "pair_period_ps", "n_pairs", "occupancy")
+_PAIR_SOURCE = Section("source", run_pair_scan, _PAIR_KEYS, minimum={"n_pairs": 1})
+_QKD_BOUNDS = dict.fromkeys(("ac_bin_width_ps", "ac_span_ps", "cc_bin_width_ps", "cc_span_ps"), 1)
+
+SCENARIOS = {
+    "interarrival": Kind(
+        (
+            Section("source", CwSourceConfig),
+            Section(
+                "instrument",
+                run_interarrival,
+                minimum={"bin_width_ps": 1, "tau_trap_guess_ps": 1.0},
+            ),
         ),
-    }
+        ("histogram_csv", "summary_json"), _run_interarrival, _span_whole_bins,
+    ),
+    "jitter-scan": Kind(
+        (
+            _PAIR_SOURCE,
+            Section("instrument", shift_and_jitter_vs_dt, ("min_pairs",), minimum={"min_pairs": 1}),
+        ),
+        ("curve_csv", "summary_json"), _run_jitter_scan, _spacings_in_period,
+    ),
+    "pair-scan": Kind(
+        (_PAIR_SOURCE, Section("instrument")),
+        ("curve_csv", "points_csv", "summary_json"), _run_twilight, _spacings_in_period,
+    ),
+    "twilight": Kind(
+        (_PAIR_SOURCE, Section("instrument")),
+        ("curve_csv", "summary_json"), _run_twilight, _spacings_in_period,
+    ),
+    "autocorr": Kind(
+        (
+            Section("source", PulsedSourceConfig, ints=("pulse_fwhm_ps",)),
+            Section("instrument", run_autocorr, minimum={"bin_width_ps": 1}),
+        ),
+        ("histogram_csv", "summary_json"), _run_autocorr, _lag_covers_bin,
+    ),
+    "qkd": Kind(
+        (
+            Section(
+                "source",
+                EntangledPairConfig,
+                ints=("emission_fwhm_ps",),
+                minimum={"rep_rate_hz": 1.0},
+            ),
+            Section("frame", FrameConfig, given={"rep_rate_hz": "source"}, nested=True),
+            Section("instrument", run_qkd_scenario, minimum=_QKD_BOUNDS, nested=True),
+        ),
+        ("report_json", "crosscorr_csv"), _run_qkd, detectors=("detector_a", "detector_b"),
+    ),
+    "keyrate": Kind(
+        (Section("inputs", KeyRateInputs, minimum={"bin_width_ps": 1e-12}),),
+        ("summary_json",), _run_keyrate, detectors=(),
+    ),
+}
+
+KINDS = tuple(SCENARIOS)
 
 
 def validate_config(doc) -> dict:
@@ -141,188 +340,25 @@ def validate_config(doc) -> dict:
     on the first problem found.
     """
     doc = _mapping(doc, "config")
-    version = _int(_field(doc, "version", "config"), "version")
+    version = _typed(_field(doc, "version", "config"), int, "version")
     if version != CONFIG_VERSION:
         _err("version", f"unsupported config version {version}, expected {CONFIG_VERSION}")
-    kind = _str(_field(doc, "kind", "config"), "kind")
-    if kind not in KINDS:
-        _err("kind", f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-    seed = _int(_field(doc, "seed", "config"), "seed", minimum=0)
-
-    top_allowed = {"version", "kind", "seed", "outputs"}
-    norm = {"kind": kind, "seed": seed}
-
-    if kind == "interarrival":
-        _known(doc, top_allowed | {"detector", "source", "instrument"}, "config")
-        src = _mapping(_field(doc, "source", "config"), "source")
-        _known(src, ("rate_cps", "duration_ps"), "source")
-        ins = _mapping(doc.get("instrument", {}), "instrument")
-        _known(
-            ins,
-            ("bin_width_ps", "span_ps", "analyze", "spectroscopy", "tau_trap_guess_ps"),
-            "instrument",
-        )
-        bin_width = _int(ins.get("bin_width_ps", 1000), "instrument.bin_width_ps", minimum=1)
-        span = ins.get("span_ps")
-        if span is not None:
-            span = _int(span, "instrument.span_ps", minimum=bin_width)
-            if span % bin_width != 0:
-                _err("instrument.span_ps", f"must be a multiple of bin_width_ps ({bin_width})")
-        norm.update(
-            detector=_parse_detector(doc, "detector"),
-            rate_cps=_num(_field(src, "rate_cps", "source"), "source.rate_cps", minimum=0.0),
-            duration_ps=_int(
-                _field(src, "duration_ps", "source"), "source.duration_ps", minimum=1
-            ),
-            bin_width_ps=bin_width,
-            span_ps=span,
-            analyze=_bool(ins.get("analyze", True), "instrument.analyze"),
-            spectroscopy=_bool(ins.get("spectroscopy", True), "instrument.spectroscopy"),
-            tau_trap_guess_ps=_num(
-                ins.get("tau_trap_guess_ps", 32000.0),
-                "instrument.tau_trap_guess_ps",
-                minimum=1.0,
-            ),
-            outputs=_parse_outputs(doc, ("histogram_csv", "summary_json")),
-        )
-        return norm
-
-    if kind in ("jitter-scan", "twilight", "pair-scan"):
-        _known(doc, top_allowed | {"detector", "source", "instrument"}, "config")
-        src = _mapping(_field(doc, "source", "config"), "source")
-        norm.update(_parse_pair_scan_source(src))
-        ins = _mapping(doc.get("instrument", {}), "instrument")
-        if kind == "jitter-scan":
-            _known(ins, ("min_pairs",), "instrument")
-            norm["min_pairs"] = _int(ins.get("min_pairs", 1000), "instrument.min_pairs", minimum=1)
-        else:
-            _known(ins, (), "instrument")
-        out_keys = (
-            ("curve_csv", "points_csv", "summary_json")
-            if kind == "pair-scan"
-            else ("curve_csv", "summary_json")
-        )
-        norm["detector"] = _parse_detector(doc, "detector")
-        norm["outputs"] = _parse_outputs(doc, out_keys)
-        return norm
-
-    if kind == "autocorr":
-        _known(doc, top_allowed | {"detector", "source", "instrument"}, "config")
-        src = _mapping(_field(doc, "source", "config"), "source")
-        _known(
-            src, ("period_ps", "mean_photons_per_pulse", "duration_ps", "pulse_fwhm_ps"), "source"
-        )
-        ins = _mapping(_field(doc, "instrument", "config"), "instrument")
-        _known(ins, ("max_lag_ps", "bin_width_ps"), "instrument")
-        bin_width = _int(
-            _field(ins, "bin_width_ps", "instrument"), "instrument.bin_width_ps", minimum=1
-        )
-        norm.update(
-            detector=_parse_detector(doc, "detector"),
-            period_ps=_int(_field(src, "period_ps", "source"), "source.period_ps", minimum=1),
-            mean_photons_per_pulse=_num(
-                _field(src, "mean_photons_per_pulse", "source"),
-                "source.mean_photons_per_pulse",
-                minimum=0.0,
-            ),
-            duration_ps=_int(
-                _field(src, "duration_ps", "source"), "source.duration_ps", minimum=1
-            ),
-            pulse_fwhm_ps=_int(src.get("pulse_fwhm_ps", 0), "source.pulse_fwhm_ps", minimum=0),
-            max_lag_ps=_int(
-                _field(ins, "max_lag_ps", "instrument"),
-                "instrument.max_lag_ps",
-                minimum=bin_width,
-            ),
-            bin_width_ps=bin_width,
-            outputs=_parse_outputs(doc, ("histogram_csv", "summary_json")),
-        )
-        return norm
-
-    if kind == "qkd":
-        _known(
-            doc, top_allowed | {"detector_a", "detector_b", "source", "frame", "instrument"},
-            "config",
-        )
-        src = _mapping(_field(doc, "source", "config"), "source")
-        _known(
-            src,
-            (
-                "rep_rate_hz",
-                "mean_pairs_per_pulse",
-                "duration_ps",
-                "eta_alice",
-                "eta_bob",
-                "emission_fwhm_ps",
-            ),
-            "source",
-        )
-        fr = _mapping(_field(doc, "frame", "config"), "frame")
-        _known(fr, ("bin_width_ps", "bins_per_frame"), "frame")
-        frame = FrameConfig(
-            bin_width_ps=_int(
-                _field(fr, "bin_width_ps", "frame"), "frame.bin_width_ps", minimum=1
-            ),
-            bins_per_frame=_int(fr.get("bins_per_frame", 1024), "frame.bins_per_frame"),
-        )
-        try:
-            frame.validate()
-        except ValueError as exc:
-            _err("frame", str(exc))
-        rep = _num(_field(src, "rep_rate_hz", "source"), "source.rep_rate_hz", minimum=1.0)
-        implied = 1.0e12 / frame.bin_width_ps
-        if abs(rep - implied) > 0.02 * implied:
-            _err(
-                "source.rep_rate_hz",
-                f"{rep:.6g} Hz does not match frame.bin_width_ps "
-                f"{frame.bin_width_ps} ps (implies {implied:.6g} Hz)",
-            )
-        ins = _mapping(doc.get("instrument", {}), "instrument")
-        _known(
-            ins, ("ac_bin_width_ps", "ac_span_ps", "cc_bin_width_ps", "cc_span_ps"), "instrument"
-        )
-        inst = {
-            k: _int(ins[k], f"instrument.{k}", minimum=1)
-            for k in ("ac_bin_width_ps", "ac_span_ps", "cc_bin_width_ps", "cc_span_ps")
-            if k in ins
-        }
-        norm.update(
-            detector_a=_parse_detector(doc, "detector_a"),
-            detector_b=_parse_detector(doc, "detector_b"),
-            rep_rate_hz=rep,
-            mean_pairs_per_pulse=_num(
-                _field(src, "mean_pairs_per_pulse", "source"),
-                "source.mean_pairs_per_pulse",
-                minimum=0.0,
-            ),
-            duration_ps=_int(
-                _field(src, "duration_ps", "source"), "source.duration_ps", minimum=1
-            ),
-            eta_alice=_num(src.get("eta_alice", 1.0), "source.eta_alice", minimum=0.0, maximum=1.0),
-            eta_bob=_num(src.get("eta_bob", 1.0), "source.eta_bob", minimum=0.0, maximum=1.0),
-            emission_fwhm_ps=_int(
-                src.get("emission_fwhm_ps", 0), "source.emission_fwhm_ps", minimum=0
-            ),
-            frame=frame,
-            instrument=inst,
-            outputs=_parse_outputs(doc, ("report_json", "crosscorr_csv")),
-        )
-        return norm
-
-    # keyrate
-    _known(doc, top_allowed | {"inputs"}, "config")
-    inp = _mapping(_field(doc, "inputs", "config"), "inputs")
-    _known(inp, ("m_channels", "eta", "n_mean", "xi", "bin_width_ps"), "inputs")
-    norm.update(
-        m_channels=_int(_field(inp, "m_channels", "inputs"), "inputs.m_channels", minimum=0),
-        eta=_num(_field(inp, "eta", "inputs"), "inputs.eta", minimum=0.0, maximum=1.0),
-        n_mean=_num(_field(inp, "n_mean", "inputs"), "inputs.n_mean", minimum=0.0),
-        xi=_num(_field(inp, "xi", "inputs"), "inputs.xi", minimum=0.0),
-        bin_width_ps=_num(
-            _field(inp, "bin_width_ps", "inputs"), "inputs.bin_width_ps", minimum=1e-12
-        ),
-        outputs=_parse_outputs(doc, ("summary_json",)),
-    )
+    name = _typed(_field(doc, "kind", "config"), str, "kind")
+    if name not in SCENARIOS:
+        _err("kind", f"unknown kind {name!r}; expected one of {', '.join(KINDS)}")
+    kind = SCENARIOS[name]
+    norm = {"kind": name, "seed": _typed(_field(doc, "seed", "config"), int, "seed", 0)}
+    sections = {s.name for s in kind.sections}
+    _known(doc, {"version", "kind", "seed", "outputs", *kind.detectors, *sections}, "config")
+    for slot in kind.detectors:
+        norm[slot] = _parse_detector(doc, slot)
+    for section in kind.sections:
+        section.parse(doc, norm)
+    if kind.rule is not None:
+        kind.rule(norm)
+    outputs = _mapping(doc.get("outputs", {}), "outputs")
+    _known(outputs, kind.outputs, "outputs")
+    norm["outputs"] = {k: _typed(v, str, f"outputs.{k}") for k, v in outputs.items()}
     return norm
 
 

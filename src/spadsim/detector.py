@@ -26,7 +26,6 @@ from .sources import poisson_times
 __all__ = [
     "TAU_EMA_PS",
     "Cause",
-    "CircuitTiming",
     "QuenchTimes",
     "AfterpulseModel",
     "BlankingConfig",
@@ -52,27 +51,6 @@ class Cause(IntEnum):
     DARK = 1
     AFTERPULSE = 2
     TWILIGHT = 3
-
-
-@dataclass(frozen=True)
-class CircuitTiming:
-    """Propagation delays of the quenching loop, integer picoseconds.
-
-    Defaults are the measured values of the quenching circuit this model is
-    calibrated to. t_dly2 sets the blanking window via t_b = 2 * t_dly2.
-    """
-
-    t_dly1_ps: int = 6000
-    t_comp_ps: int = 4500
-    t_q_ps: int = 500
-    t_dly2_ps: int = 12000
-
-    @property
-    def t_b_ps(self) -> int:
-        return 2 * self.t_dly2_ps
-
-    def quench_times(self) -> "QuenchTimes":
-        return circuit_timing(self.t_dly1_ps, self.t_comp_ps, self.t_q_ps)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,13 @@
 Each driver wires a photon source, one detector, and the virtual
 instruments into a complete measurement: interarrival spectroscopy, pair
 scans (twilight/shift/jitter curves), and pulsed autocorrelation runs. Scan
-points get independent derived rng streams, so results are deterministic
-regardless of worker scheduling; SPADSIM_THREADS caps the worker pool.
+points get independent derived rng streams, so each point's result depends
+only on the seed and its own index.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,30 +42,6 @@ __all__ = [
     "run_autocorr",
     "run_visibility_sweep",
 ]
-
-
-def _max_workers(n_points: int) -> int:
-    cap = os.cpu_count() or 1
-    env = os.environ.get("SPADSIM_THREADS")
-    if env is not None:
-        try:
-            cap = min(cap, int(env))
-        except ValueError as exc:
-            raise ValueError(f"SPADSIM_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ValueError(f"SPADSIM_THREADS must be >= 1, got {env!r}")
-    return max(1, min(n_points, cap))
-
-
-def _parallel_map(fn, args_list):
-    n = len(args_list)
-    if n == 0:
-        return []
-    workers = _max_workers(n)
-    if workers == 1:
-        return [fn(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
 
 
 @dataclass(frozen=True)
@@ -148,8 +123,7 @@ class PairScanPoint:
     records: PulseRecords
 
 
-def _run_pair_point(args) -> PairScanPoint:
-    i, delta_t, params, pair_period, n_pairs, seed, occupancy = args
+def _run_pair_point(i, delta_t, params, pair_period, n_pairs, seed, occupancy) -> PairScanPoint:
     cfg = PairScanConfig(
         delta_t_ps=delta_t, pair_period_ps=pair_period, n_pairs=n_pairs, occupancy=occupancy
     )
@@ -190,7 +164,7 @@ def _run_pair_point(args) -> PairScanPoint:
 
 def run_pair_scan(
     params: DetectorParams,
-    delta_ts_ps,
+    delta_ts_ps: Sequence[int],
     pair_period_ps: int,
     n_pairs: int,
     seed: int,
@@ -204,11 +178,10 @@ def run_pair_scan(
     Occupancy below 1 thins the emitted photons for rate control; the
     count-ratio fields assume occupancy 1 when read as efficiencies.
     """
-    args = [
-        (i, int(dt), params, int(pair_period_ps), int(n_pairs), seed, occupancy)
+    return [
+        _run_pair_point(i, int(dt), params, int(pair_period_ps), int(n_pairs), seed, occupancy)
         for i, dt in enumerate(delta_ts_ps)
     ]
-    return _parallel_map(_run_pair_point, args)
 
 
 @dataclass(frozen=True)
@@ -237,8 +210,7 @@ def run_autocorr(
     )
 
 
-def _run_visibility_point(args):
-    i, period, params, photon_rate_cps, duration, seed, n_periods_lag = args
+def _run_visibility_point(i, period, params, photon_rate_cps, duration, seed, n_periods_lag):
     bw = max(int(period) // 8, 1)
     cfg = PulsedSourceConfig(
         period_ps=int(period),
@@ -270,8 +242,9 @@ def run_visibility_sweep(
     n_periods_lag pulse periods; long spans dilute the renewal ripple that
     follows the dead-time notch.
     """
-    args = [
-        (i, int(p), params, photon_rate_cps, int(duration_ps), seed, int(n_periods_lag))
+    return [
+        _run_visibility_point(
+            i, int(p), params, photon_rate_cps, int(duration_ps), seed, int(n_periods_lag)
+        )
         for i, p in enumerate(periods_ps)
     ]
-    return _parallel_map(_run_visibility_point, args)

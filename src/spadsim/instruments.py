@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from . import _kernels
+from .rng import FWHM_TO_SIGMA
 
 __all__ = [
     "InstrumentError",
@@ -30,7 +31,7 @@ __all__ = [
     "gaussian_fit",
 ]
 
-FWHM_PER_SIGMA = 2.3548200450309493
+FWHM_PER_SIGMA = 1.0 / FWHM_TO_SIGMA
 
 
 class InstrumentError(Exception):

@@ -9,19 +9,10 @@ well-known ids below keep scenario wiring stable across runs and processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "FWHM_TO_SIGMA",
-    "STREAM_IDS",
-    "RngStream",
-    "make_generator",
-    "sample_exponential",
-    "sample_gaussian_fwhm",
-    "sample_poisson",
-]
+__all__ = ["FWHM_TO_SIGMA", "STREAM_IDS", "make_generator"]
 
 # FWHM of a Gaussian = 2*sqrt(2*ln 2) * sigma
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -45,51 +36,3 @@ def make_generator(seed: int, stream_id) -> np.random.Generator:
         stream_id = STREAM_IDS[stream_id]
     ss = np.random.SeedSequence(entropy=(int(seed), int(stream_id)))
     return np.random.Generator(np.random.Philox(ss))
-
-
-@dataclass
-class RngStream:
-    """A named, independently seeded random stream.
-
-    Attributes
-    ----------
-    seed : scenario seed shared by all streams of a run
-    stream_id : substream selector (int, or a name from STREAM_IDS)
-    """
-
-    seed: int
-    stream_id: int | str
-    generator: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.generator = make_generator(self.seed, self.stream_id)
-
-
-def _gen(rng) -> np.random.Generator:
-    return rng.generator if isinstance(rng, RngStream) else rng
-
-
-def sample_exponential(rng, mean: float) -> float:
-    """One exponential variate with the given mean (mean > 0)."""
-    if not mean > 0:
-        raise ValueError(f"exponential mean must be > 0, got {mean}")
-    return float(_gen(rng).exponential(mean))
-
-
-def sample_gaussian_fwhm(rng, center: float, fwhm: float) -> float:
-    """One Gaussian variate parameterized by FWHM (fwhm >= 0).
-
-    fwhm = 0 degenerates to exactly `center` (a draw is still consumed so the
-    stream position does not depend on parameter values).
-    """
-    if fwhm < 0:
-        raise ValueError(f"fwhm must be >= 0, got {fwhm}")
-    z = _gen(rng).standard_normal()
-    return float(center + z * (fwhm * FWHM_TO_SIGMA))
-
-
-def sample_poisson(rng, mean: float) -> int:
-    """One Poisson variate (mean >= 0)."""
-    if mean < 0:
-        raise ValueError(f"poisson mean must be >= 0, got {mean}")
-    return int(_gen(rng).poisson(mean))

@@ -322,7 +322,7 @@ def test_criterion_08_key_rate_formula():
     )
 
 
-def test_criterion_09_qkd_orderings(qkd_custom, qkd_spd, monkeypatch):
+def test_criterion_09_qkd_orderings(qkd_custom, qkd_spd):
     t0 = time.monotonic()
     src = PulsedSourceConfig(
         period_ps=521, mean_photons_per_pulse=0.002, duration_ps=20_000_000_000
@@ -335,7 +335,6 @@ def test_criterion_09_qkd_orderings(qkd_custom, qkd_spd, monkeypatch):
     d_spcm = distinguishability(v_spcm.histogram, 521.0)
     margin = d_custom - d_spcm
 
-    monkeypatch.setenv("SPADSIM_THREADS", "1")
     sweep = run_visibility_sweep(
         SPCM, (496, 448, 400), 8, photon_rate_cps=2.0e6,
         duration_ps=18_000_000_000, n_periods_lag=30_000,

@@ -42,6 +42,15 @@ class TestDeadTime:
         h2 = Histogram(bin_width_ps=1000, origin_ps=0, counts=counts)
         assert estimate_dead_time(h2) == 24000.0
 
+    def test_adjacent_single_strays_under_thin_plateau_ignored(self):
+        # A plateau of about 5 counts puts 10% of it below one count; two
+        # adjacent single strays must not pass for the onset.
+        counts = np.zeros(4096, dtype=np.int64)
+        counts[28:] = 5
+        counts[19:21] = 1
+        h = Histogram(bin_width_ps=1000, origin_ps=0, counts=counts)
+        assert estimate_dead_time(h) == 28000.0
+
     def test_degenerate_inputs_raise(self):
         with pytest.raises(AnalysisError):
             estimate_dead_time(

@@ -1,8 +1,12 @@
+import copy
+import inspect
 import json
+import re
 
 import pytest
 
-from spadsim import ConfigError, DetectorParams, load_config, preset, validate_config
+from spadsim import KINDS, ConfigError, DetectorParams, load_config, preset, validate_config
+from spadsim.config import SCENARIOS
 
 
 def base(kind, **extra):
@@ -191,3 +195,93 @@ class TestLoadConfig:
         p.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(str(p))
+
+
+# Every kind of the registry, each with only its required keys.
+MINIMAL = {
+    "interarrival": base(
+        "interarrival",
+        detector={"preset": "spcm-aqrh"},
+        source={"rate_cps": 50_000.0, "duration_ps": 1_000_000_000},
+    ),
+    "jitter-scan": base("jitter-scan", detector={"preset": "spcm-aqrh"}, source=PAIR_SOURCE),
+    "pair-scan": base("pair-scan", detector={"preset": "spcm-aqrh"}, source=PAIR_SOURCE),
+    "twilight": base("twilight", detector={"preset": "spcm-aqrh"}, source=PAIR_SOURCE),
+    "autocorr": base(
+        "autocorr",
+        detector={"preset": "spcm-aqrh"},
+        source={"period_ps": 521, "mean_photons_per_pulse": 0.01, "duration_ps": 10_000_000},
+        instrument={"max_lag_ps": 60_000, "bin_width_ps": 100},
+    ),
+    "qkd": base(
+        "qkd",
+        detector_a={"preset": "custom-aq"},
+        detector_b={"preset": "spcm-aqrh"},
+        source={"rep_rate_hz": 1.92e9, "mean_pairs_per_pulse": 0.01, "duration_ps": 1_000_000},
+        frame={"bin_width_ps": 521},
+    ),
+    "keyrate": base(
+        "keyrate",
+        inputs={"m_channels": 8, "eta": 0.1, "n_mean": 1.0, "xi": 0.001, "bin_width_ps": 260},
+    ),
+}
+
+# The required keys of every section that has any, as the config format documents them.
+REQUIRED = {
+    "interarrival": {"source": ("rate_cps", "duration_ps")},
+    "jitter-scan": {"source": ("delta_ts_ps", "pair_period_ps", "n_pairs")},
+    "pair-scan": {"source": ("delta_ts_ps", "pair_period_ps", "n_pairs")},
+    "twilight": {"source": ("delta_ts_ps", "pair_period_ps", "n_pairs")},
+    "autocorr": {
+        "source": ("period_ps", "mean_photons_per_pulse", "duration_ps"),
+        "instrument": ("max_lag_ps", "bin_width_ps"),
+    },
+    "qkd": {
+        "source": ("rep_rate_hz", "mean_pairs_per_pulse", "duration_ps"),
+        "frame": ("bin_width_ps",),
+    },
+    "keyrate": {"inputs": ("m_channels", "eta", "n_mean", "xi", "bin_width_ps")},
+}
+
+SECTIONS = [(k, s.name) for k, spec in SCENARIOS.items() for s in spec.sections]
+DETECTORS = [(k, slot) for k, spec in SCENARIOS.items() for slot in spec.detectors]
+REQUIRED_SECTIONS = [(k, sec) for k, secs in REQUIRED.items() for sec in secs] + DETECTORS
+MISSING = [(k, sec, key) for k, secs in REQUIRED.items() for sec, ks in secs.items() for key in ks]
+
+
+class TestRegistry:
+    def test_tables_cover_every_kind(self):
+        assert tuple(SCENARIOS) == KINDS
+        assert set(MINIMAL) == set(REQUIRED) == set(KINDS)
+
+    @pytest.mark.parametrize("kind,section", SECTIONS)
+    def test_registry_requires_documented_keys(self, kind, section):
+        (spec,) = [s for s in SCENARIOS[kind].sections if s.name == section]
+        required = [k for k, (_, d) in spec.fields.items() if d is inspect.Parameter.empty]
+        assert tuple(required) == REQUIRED[kind].get(section, ())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_minimal_document_validates(self, kind):
+        norm = validate_config(MINIMAL[kind])
+        assert norm["kind"] == kind and norm["seed"] == 7 and norm["outputs"] == {}
+
+    @pytest.mark.parametrize("kind,section", SECTIONS + DETECTORS + [(k, "outputs") for k in KINDS])
+    def test_unknown_key_names_section_and_key(self, kind, section):
+        doc = copy.deepcopy(MINIMAL[kind])
+        doc.setdefault(section, {})["bogus_key"] = 1
+        with pytest.raises(ConfigError, match=rf"^{section}: unknown key\(s\) 'bogus_key'"):
+            validate_config(doc)
+
+    @pytest.mark.parametrize("kind,section,key", MISSING)
+    def test_missing_required_key_is_named(self, kind, section, key):
+        doc = copy.deepcopy(MINIMAL[kind])
+        del doc[section][key]
+        with pytest.raises(ConfigError, match=rf"^{re.escape(section)}\.{key}: is required"):
+            validate_config(doc)
+
+    @pytest.mark.parametrize("kind,section", REQUIRED_SECTIONS)
+    def test_missing_required_section_is_named(self, kind, section):
+        doc = copy.deepcopy(MINIMAL[kind])
+        del doc[section]
+        with pytest.raises(ConfigError, match=rf"^config\.{section}: is required"):
+            validate_config(doc)

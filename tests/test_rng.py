@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
-from spadsim import STREAM_IDS, RngStream, make_generator
-from spadsim.rng import sample_exponential, sample_gaussian_fwhm, sample_poisson
+from spadsim import STREAM_IDS, make_generator
 
 
 def test_named_and_numbered_streams_agree():
@@ -15,29 +13,3 @@ def test_streams_are_reproducible_and_independent():
     assert np.array_equal(make_generator(3, 1).random(16), make_generator(3, 1).random(16))
     assert not np.array_equal(make_generator(3, 1).random(16), make_generator(3, 2).random(16))
     assert not np.array_equal(make_generator(3, 1).random(16), make_generator(4, 1).random(16))
-
-
-def test_rng_stream_wraps_generator():
-    s = RngStream(seed=5, stream_id="detector")
-    direct = make_generator(5, "detector")
-    assert s.generator.random() == direct.random()
-
-
-def test_sample_helpers_validate():
-    g = make_generator(1, 1)
-    with pytest.raises(ValueError):
-        sample_exponential(g, 0.0)
-    with pytest.raises(ValueError):
-        sample_gaussian_fwhm(g, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        sample_poisson(g, -0.5)
-
-
-def test_zero_fwhm_is_exact_but_still_draws():
-    g1 = make_generator(9, 1)
-    g2 = make_generator(9, 1)
-    v = sample_gaussian_fwhm(g1, 42.0, 0.0)
-    assert v == 42.0
-    # The stream advanced exactly one normal draw.
-    g2.standard_normal()
-    assert g1.random() == g2.random()
