@@ -1,42 +1,8 @@
-"""Kernel backend selection.
+"""Kernel backend marker.
 
-Hot loops are compiled with numba when available. Setting the environment
-variable SPADSIM_NUMBA=0 (or "false"/"off"/"no") before import selects a pure
-Python fallback that executes the identical source, so results are bit-equal
-between backends. A missing numba selects the same fallback. The flag is read
-once at import time.
-
-`BACKEND` names the backend in use ("numba" or "python") and `BACKEND_REASON`
-says why it was chosen: "numba compiled", "disabled by SPADSIM_NUMBA" or
-"numba not importable".
+The kernels in `_kernels` are plain Python; there is no compiled backend to
+select. `NUMBA_ENABLED` stays, always false, because the benchmark's run
+metadata (`perfbench/run.py`) reads it to label each run's backend.
 """
 
-import os
-
-__all__ = ["BACKEND", "BACKEND_REASON", "NUMBA_ENABLED", "jit_kernel"]
-
-_flag = os.environ.get("SPADSIM_NUMBA", "1").strip().lower()
-NUMBA_ENABLED = _flag not in ("0", "false", "off", "no")
-BACKEND_REASON = "numba compiled" if NUMBA_ENABLED else "disabled by SPADSIM_NUMBA"
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # numba is optional (the "fast" extra)
-        NUMBA_ENABLED = False
-        BACKEND_REASON = "numba not importable"
-
-BACKEND = "numba" if NUMBA_ENABLED else "python"
-
-if NUMBA_ENABLED:
-
-    def jit_kernel(func):
-        """Compile a kernel; the original stays reachable as .py_func."""
-        return _njit(cache=True, nogil=True)(func)
-
-else:
-
-    def jit_kernel(func):
-        """Identity decorator; exposes .py_func for a uniform benchmark API."""
-        func.py_func = func
-        return func
+NUMBA_ENABLED = False

@@ -325,46 +325,25 @@ class PulseRecords:
 
 @dataclass(frozen=True)
 class _CompiledParams:
-    """DetectorParams lowered to the arrays and scalars the kernel takes."""
+    """DetectorParams lowered to the scalars and curve tables the kernel reads."""
 
     efficiency: float
-    base_delay: np.int64
-    tau_quench: np.int64
-    dead_x: np.ndarray
-    dead_y: np.ndarray
-    tw_x: np.ndarray
-    tw_y: np.ndarray
-    jit_x: np.ndarray
-    jit_y: np.ndarray
-    sh_x: np.ndarray
-    sh_y: np.ndarray
+    base_delay: int
+    tau_quench: int
+    dead_x: list[float]
+    dead_y: list[float]
+    tw_x: list[float]
+    tw_y: list[float]
+    jit_x: list[float]
+    jit_y: list[float]
+    sh_x: list[float]
+    sh_y: list[float]
     ap_mu: float
     ap_mode: int
     ap_tau: float
     ap_tmin: float
     ap_alpha: float
     tau_ema: float
-
-    def as_kernel_args(self) -> tuple:
-        return (
-            self.efficiency,
-            self.base_delay,
-            self.tau_quench,
-            self.dead_x,
-            self.dead_y,
-            self.tw_x,
-            self.tw_y,
-            self.jit_x,
-            self.jit_y,
-            self.sh_x,
-            self.sh_y,
-            self.ap_mu,
-            self.ap_mode,
-            self.ap_tau,
-            self.ap_tmin,
-            self.ap_alpha,
-            self.tau_ema,
-        )
 
 
 def _compile_params(params: DetectorParams) -> _CompiledParams:
@@ -384,16 +363,16 @@ def _compile_params(params: DetectorParams) -> _CompiledParams:
     sh_x, sh_y = _curve_arrays(params.shift_curve, "shift_curve")
     return _CompiledParams(
         efficiency=float(params.efficiency),
-        base_delay=np.int64(params.base_delay_ps),
-        tau_quench=np.int64(params.tau_quench_ps),
-        dead_x=dead_x,
-        dead_y=dead_y,
-        tw_x=tw_x,
-        tw_y=tw_y,
-        jit_x=jit_x,
-        jit_y=jit_y,
-        sh_x=sh_x,
-        sh_y=sh_y,
+        base_delay=int(params.base_delay_ps),
+        tau_quench=int(params.tau_quench_ps),
+        dead_x=dead_x.tolist(),
+        dead_y=dead_y.tolist(),
+        tw_x=tw_x.tolist(),
+        tw_y=tw_y.tolist(),
+        jit_x=jit_x.tolist(),
+        jit_y=jit_y.tolist(),
+        sh_x=sh_x.tolist(),
+        sh_y=sh_y.tolist(),
         ap_mu=float(params.afterpulse.mu),
         ap_mode=_kernels.AP_EXPONENTIAL
         if params.afterpulse.mode == "exponential"
@@ -532,6 +511,5 @@ def detect(
     """
     params.validate()
     times, kinds = _prepare_stimuli(arrivals, params, rng, duration_ps)
-    c = _compile_params(params)
-    out, origin, cause = _kernels._detect_kernel(times, kinds, *c.as_kernel_args(), rng)
+    out, origin, cause = _kernels._detect_kernel(times, kinds, _compile_params(params), rng)
     return _finalize_records(out, origin, cause, params)

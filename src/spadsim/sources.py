@@ -206,14 +206,13 @@ class PairStreams:
 
     pair_ids tag each arrival with the pair it came from; an id present in
     both arms marks a genuinely correlated pair (the coincidence ground
-    truth). pulse_times is the emission comb.
+    truth).
     """
 
     alice_times: np.ndarray
     alice_pair_ids: np.ndarray
     bob_times: np.ndarray
     bob_pair_ids: np.ndarray
-    pulse_times: np.ndarray
 
 
 def correlated_pair_stream(cfg: EntangledPairConfig, rng: np.random.Generator) -> PairStreams:
@@ -247,10 +246,4 @@ def correlated_pair_stream(cfg: EntangledPairConfig, rng: np.random.Generator) -
 
     ta, ia = _arm(keep_a)
     tb, ib = _arm(keep_b)
-    return PairStreams(
-        alice_times=ta,
-        alice_pair_ids=ia,
-        bob_times=tb,
-        bob_pair_ids=ib,
-        pulse_times=pulse_times,
-    )
+    return PairStreams(alice_times=ta, alice_pair_ids=ia, bob_times=tb, bob_pair_ids=ib)

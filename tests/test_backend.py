@@ -1,19 +1,21 @@
-"""The compiled detector kernel, its pure-Python twin, and the event-queue
-reference implementation must produce byte-identical pulse streams."""
+"""The array kernel behind `detect` and the event-queue reference
+implementation `detect_reference` must produce byte-identical pulse streams,
+on fixed cases and on generated detector parameters and stimuli."""
 
-import hashlib
-import os
-import subprocess
-import sys
-import textwrap
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spadsim import AfterpulseModel, DetectorParams, detect, detect_reference, make_generator
-from spadsim import _backend, _kernels
-from spadsim._backend import NUMBA_ENABLED
-from spadsim.detector import _compile_params, _prepare_stimuli, _finalize_records
+from spadsim import (
+    AfterpulseModel,
+    BlankingConfig,
+    DetectorParams,
+    detect,
+    detect_reference,
+    make_generator,
+)
 
 DURATION = 60_000_000
 
@@ -42,20 +44,15 @@ def arrivals_for(seed: int) -> np.ndarray:
     return np.cumsum(gaps).astype(np.int64) + 1
 
 
-def detect_via_py_func(arrivals, params, rng, duration_ps):
-    times, kinds = _prepare_stimuli(arrivals, params, rng, duration_ps)
-    c = _compile_params(params)
-    out, origin, cause = _kernels._detect_kernel.py_func(times, kinds, *c.as_kernel_args(), rng)
-    return _finalize_records(out, origin, cause, params)
-
-
 def records_equal(a, b) -> bool:
-    return (
-        np.array_equal(a.out_times, b.out_times)
-        and np.array_equal(a.origin_times, b.origin_times)
-        and np.array_equal(a.causes, b.causes)
-        and a.out_width_ps == b.out_width_ps
+    """Byte-for-byte equality of two PulseRecords, dtypes included."""
+    arrays_equal = all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in zip(
+            (a.out_times, a.origin_times, a.causes), (b.out_times, b.origin_times, b.causes)
+        )
     )
+    return arrays_equal and a.out_width_ps == b.out_width_ps
 
 
 CASES = [
@@ -67,15 +64,6 @@ CASES = [
 
 
 @pytest.mark.parametrize("params", CASES)
-def test_kernel_matches_py_func(params):
-    arrivals = arrivals_for(7)
-    a = detect(arrivals, params, make_generator(11, 2), DURATION)
-    b = detect_via_py_func(arrivals, params, make_generator(11, 2), DURATION)
-    assert len(a) > 400
-    assert records_equal(a, b)
-
-
-@pytest.mark.parametrize("params", CASES)
 def test_kernel_matches_event_queue_reference(params):
     arrivals = arrivals_for(7)
     a = detect(arrivals, params, make_generator(11, 2), DURATION)
@@ -83,60 +71,97 @@ def test_kernel_matches_event_queue_reference(params):
     assert records_equal(a, c)
 
 
-def digest(records) -> str:
-    h = hashlib.sha256()
-    h.update(records.out_times.tobytes())
-    h.update(records.origin_times.tobytes())
-    h.update(records.causes.tobytes())
-    return h.hexdigest()
+@st.composite
+def generated_params(draw) -> tuple[DetectorParams, int]:
+    """Detector parameters over the corners of the state machine.
 
-
-def test_numpy_fallback_subprocess_is_bit_equal():
-    """SPADSIM_NUMBA=0 re-imports with the identity decorator; same bytes out."""
-    params = rich_params(0.06)
-    here = detect(arrivals_for(7), params, make_generator(11, 2), DURATION)
-    script = textwrap.dedent(
-        """
-        import hashlib
-        import numpy as np
-        from spadsim import detect, make_generator
-        from spadsim import _backend
-        import test_backend as tb
-
-        assert not _backend.NUMBA_ENABLED
-        rec = detect(tb.arrivals_for(7), tb.rich_params(0.06), make_generator(11, 2), tb.DURATION)
-        print(tb.digest(rec))
-        """
+    Twilight is either off or a ramp across the whole twilight zone (and off
+    whenever tau_quench equals tau_dead0). With alpha = 1e6 a power-law
+    delay is t_min to the picosecond, and t_min sits on the photon grid just
+    past tau_dead0, so releases tie with photons while the detector is armed.
+    """
+    step = draw(st.sampled_from([250, 1000]))
+    tau_dead0 = draw(st.integers(2_000, 30_000))
+    tau_quench = draw(st.one_of(st.just(tau_dead0), st.integers(0, tau_dead0)))
+    twilight = ()
+    if tau_quench < tau_dead0 and draw(st.booleans()):
+        mid = draw(st.floats(0.0, 1.0))
+        twilight = (
+            (float(tau_quench), 0.0),
+            ((tau_quench + tau_dead0) / 2.0, mid),
+            (float(tau_dead0), 1.0),
+        )
+    elongation = draw(
+        st.sampled_from([(), ((0.0, 0.0), (30.0e6, 2000.0)), ((1.0e6, 0.0), (2.0e8, 9000.0))])
     )
-    env = dict(os.environ, SPADSIM_NUMBA="0")
-    # Prepend the tests directory so an inherited path to spadsim (e.g. src) survives.
-    inherited = env.get("PYTHONPATH", "")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.dirname(__file__), inherited) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    jitter = draw(st.sampled_from([((0.0, 0.0),), ((30_000.0, 600.0), (120_000.0, 335.0))]))
+    shift = draw(
+        st.sampled_from([((0.0, 0.0),), ((30_000.0, 855.0), (50_000.0, 100.0), (120_000.0, 0.0))])
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == digest(here)
-
-
-def test_backend_flag_reflects_environment():
-    # The compiled backend runs when the flag allows it and numba imports;
-    # otherwise the Python fallback runs and the reason names the cause.
-    flag_on = os.environ.get("SPADSIM_NUMBA", "1").strip().lower() not in ("0", "false", "off", "no")
-    try:
-        import numba  # noqa: F401
-
-        numba_importable = True
-    except ImportError:
-        numba_importable = False
-
-    expected = flag_on and numba_importable
-    assert NUMBA_ENABLED is expected
-    assert _backend.BACKEND == ("numba" if expected else "python")
-    if not flag_on:
-        assert _backend.BACKEND_REASON == "disabled by SPADSIM_NUMBA"
-    elif not numba_importable:
-        assert _backend.BACKEND_REASON == "numba not importable"
+    mu = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    if draw(st.booleans()):
+        afterpulse = AfterpulseModel(mu=mu, tau_trap_ps=draw(st.floats(1.0, 50_000.0)))
     else:
-        assert _backend.BACKEND_REASON == "numba compiled"
-    assert hasattr(_kernels._detect_kernel, "py_func")
+        afterpulse = AfterpulseModel(
+            mu=mu,
+            mode="power-law",
+            t_min_ps=float(step * (math.ceil(tau_dead0 / step) + draw(st.integers(0, 3)))),
+            alpha=draw(st.one_of(st.floats(1.05, 4.0), st.just(1.0e6))),
+        )
+    blanking = None
+    if draw(st.booleans()):
+        blanking = BlankingConfig(
+            t_b_ps=draw(st.integers(1, 40_000)), out_width_ps=draw(st.integers(0, 20_000))
+        )
+    params = DetectorParams(
+        efficiency=draw(st.floats(0.3, 1.0)),
+        tau_dead0_ps=tau_dead0,
+        tau_quench_ps=tau_quench,
+        base_delay_ps=draw(st.integers(0, 10_000)),
+        dark_rate_cps=draw(st.sampled_from([0.0, 1.0e7, 1.0e9, 5.0e9])),
+        dead_elongation=elongation,
+        twilight_profile=twilight,
+        jitter_curve=jitter,
+        shift_curve=shift,
+        afterpulse=afterpulse,
+        blanking=blanking,
+    )
+    return params, step
+
+
+@st.composite
+def dense_arrivals(draw, step: int) -> tuple[np.ndarray, int]:
+    """Photon arrivals inside a window of at most 200 ns.
+
+    Photons sit on a `step` grid: either on every point of the full 200 ns
+    window, or on up to 300 random points (coarse next to the window, so
+    timestamps repeat). A burst fills up to 2000 consecutive picoseconds,
+    so the dark stream drawn over the same window lands on photons too.
+    """
+    if draw(st.booleans()):
+        window = 200_000
+        grid = np.arange(0, window + 1, step)
+    else:
+        window = draw(st.integers(1_000, 200_000))
+        layout = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        grid = layout.integers(0, window // step + 1, size=draw(st.integers(0, 300))) * step
+    burst_start = draw(st.integers(0, window))
+    burst = np.arange(burst_start, min(burst_start + draw(st.integers(0, 2000)), window + 1))
+    arrivals = np.sort(np.concatenate([grid, burst]).astype(np.int64))
+    return arrivals, window + 1
+
+
+@st.composite
+def detector_cases(draw):
+    params, step = draw(generated_params())
+    arrivals, duration = draw(dense_arrivals(step))
+    return params, arrivals, duration, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=detector_cases())
+def test_kernel_matches_reference_on_generated_params(case):
+    params, arrivals, duration, seed = case
+    a = detect(arrivals, params, make_generator(seed, 2), duration)
+    b = detect_reference(arrivals, params, make_generator(seed, 2), duration)
+    assert records_equal(a, b)
