@@ -208,16 +208,15 @@ def _blanking_keep(out_times, t_b):
     least t_b after the previous *transmitted* pulse. Withheld pulses do not
     extend the window.
     """
-    n = out_times.shape[0]
-    keep = np.zeros(n, dtype=np.bool_)
-    if n == 0:
-        return keep
-    keep[0] = True
-    last = out_times[0]
-    for i in range(1, n):
-        if out_times[i] - last >= t_b:
-            keep[i] = True
-            last = out_times[i]
+    t_b = int(t_b)
+    kept: list[int] = []
+    last = 0
+    for i, t in enumerate(out_times.tolist()):
+        if not kept or t - last >= t_b:
+            kept.append(i)
+            last = t
+    keep = np.zeros(out_times.shape[0], dtype=np.bool_)
+    keep[kept] = True
     return keep
 
 
@@ -251,32 +250,39 @@ def _match_pairs(a, b, window):
 
 
 def _autocorr_counts(times, bin_width, n_bins):
-    """Counts of pairwise forward differences t_j - t_i in [0, n_bins*bin_width)."""
+    """Counts of pairwise forward differences t_j - t_i in [0, n_bins*bin_width).
+
+    One numpy pass per index offset k = j - i. `times` is sorted, so the
+    smallest difference at offset k never decreases with k: the first offset
+    with no difference inside the span ends the scan without missing a pair.
+    """
     counts = np.zeros(n_bins, dtype=np.int64)
     span = bin_width * n_bins
-    n = times.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = times[j] - times[i]
-            if d >= span:
-                break
-            counts[d // bin_width] += 1
+    for k in range(1, times.shape[0]):
+        d = times[k:] - times[:-k]
+        d = d[d < span]
+        if d.size == 0:
+            break
+        counts += np.bincount(d // bin_width, minlength=n_bins)
     return counts
 
 
 def _crosscorr_counts(a, b, bin_width, n_bins, origin):
-    """Counts of differences (b_j - a_i) in [origin, origin + n_bins*bin_width)."""
+    """Counts of differences (b_j - a_i) in [origin, origin + n_bins*bin_width).
+
+    Each a_i's window of b is found by binary search. Pass k bins the k-th
+    member of every window that has one, so there are as many passes as the
+    longest window has members.
+    """
     counts = np.zeros(n_bins, dtype=np.int64)
-    span = bin_width * n_bins
-    na = a.shape[0]
-    nb = b.shape[0]
-    j_lo = 0
-    for i in range(na):
-        lo = a[i] + origin
-        while j_lo < nb and b[j_lo] < lo:
-            j_lo += 1
-        j = j_lo
-        while j < nb and b[j] < lo + span:
-            counts[(b[j] - lo) // bin_width] += 1
-            j += 1
+    lo = a + origin
+    first = np.searchsorted(b, lo, side="left")
+    end = np.searchsorted(b, lo + bin_width * n_bins, side="left")
+    while True:
+        live = first < end
+        if not live.any():
+            break
+        lo, first, end = lo[live], first[live], end[live]
+        counts += np.bincount((b[first] - lo) // bin_width, minlength=n_bins)
+        first = first + 1
     return counts

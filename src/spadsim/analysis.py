@@ -322,22 +322,20 @@ def distinguishability(
         above = np.nonzero(counts >= 0.2 * counts.max())[0]
         min_lag_ps = float(ac.origin_ps + int(above[0]) * ac.bin_width_ps)
     span_end = ac.origin_ps + ac.n_bins * ac.bin_width_ps
-    m = max(1, math.ceil(min_lag_ps / period_ps))
-    peaks = []
-    valleys = []
-    while True:
-        valley_lag = (m + 0.5) * period_ps
-        if valley_lag >= span_end:
-            break
-        peak_bin = int((m * period_ps - ac.origin_ps) // ac.bin_width_ps)
-        valley_bin = int((valley_lag - ac.origin_ps) // ac.bin_width_ps)
-        peaks.append(counts[peak_bin])
-        valleys.append(counts[valley_bin])
-        m += 1
-    if not peaks:
+    # Periods m = m0, m0 + 1, ... while the valley lag (m + 0.5) * period
+    # stays below the span end; the lag grows with m, so the kept m form a
+    # prefix of a range that runs safely past the last one.
+    m0 = max(1, math.ceil(min_lag_ps / period_ps))
+    ms = np.arange(m0, max(m0, math.ceil(span_end / period_ps) + 1))
+    valley_lags = (ms + 0.5) * period_ps
+    inside = valley_lags < span_end
+    ms, valley_lags = ms[inside], valley_lags[inside]
+    if not ms.size:
         raise AnalysisError(
             f"autocorrelation span leaves no full period beyond lag {min_lag_ps:.0f} ps"
         )
+    peaks = counts[((ms * period_ps - ac.origin_ps) // ac.bin_width_ps).astype(np.int64)]
+    valleys = counts[((valley_lags - ac.origin_ps) // ac.bin_width_ps).astype(np.int64)]
     p_mean = float(np.mean(peaks))
     v_mean = float(np.mean(valleys))
     if p_mean + v_mean == 0.0:

@@ -8,7 +8,6 @@ parallelizable and bit-reproducible.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +69,16 @@ class Histogram:
         return self.bin_starts.astype(np.float64) + 0.5 * self.bin_width_ps
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("bin_start_ps,count\n")
-        for start, count in zip(self.bin_starts.tolist(), self.counts.tolist()):
-            buf.write(f"{start},{count}\n")
-        buf.write(f"#underflow={self.underflow},#overflow={self.overflow}\n")
-        return buf.getvalue()
+        # One %-format over a repeated row template costs less than formatting
+        # row by row; "%s" prints each value exactly as "{}" would.
+        cells: list = [None] * (2 * self.n_bins)
+        cells[::2] = self.bin_starts.tolist()
+        cells[1::2] = self.counts.tolist()
+        rows = ("%s,%s\n" * self.n_bins) % tuple(cells)
+        return (
+            f"bin_start_ps,count\n{rows}"
+            f"#underflow={self.underflow},#overflow={self.overflow}\n"
+        )
 
 
 def build_histogram(values, bin_width_ps: int, span_ps: int, origin_ps: int = 0) -> Histogram:

@@ -149,9 +149,19 @@ def cw_poisson_stream(cfg: CwSourceConfig, rng: np.random.Generator) -> np.ndarr
     return poisson_times(rng, cfg.rate_cps, cfg.duration_ps)
 
 
-def _comb(rep_period_ps: float, duration_ps: int) -> np.ndarray:
-    n_pulses = int(duration_ps / rep_period_ps) + 1
-    return np.rint(np.arange(n_pulses) * rep_period_ps).astype(np.int64)
+def _draw_pulse_times(
+    rng: np.random.Generator, period_ps: float, duration_ps: int, mean_per_pulse: float
+) -> np.ndarray:
+    """Sorted pulse centers round(i * period), one per emission.
+
+    The emission count is drawn once and placed uniformly over the pulses,
+    so a pulse drawn k times appears k times. Only the drawn pulse indices
+    become times: memory scales with emissions, not with laser pulses.
+    """
+    n_pulses = int(duration_ps / period_ps) + 1
+    k = int(rng.poisson(mean_per_pulse * n_pulses))
+    idx = np.sort(rng.integers(0, n_pulses, size=k))
+    return np.rint(idx * period_ps).astype(np.int64)
 
 
 def pulsed_train(cfg: PulsedSourceConfig, rng: np.random.Generator) -> np.ndarray:
@@ -163,11 +173,8 @@ def pulsed_train(cfg: PulsedSourceConfig, rng: np.random.Generator) -> np.ndarra
     outside [0, duration) are dropped.
     """
     cfg.validate()
-    centers = _comb(cfg.period_ps, cfg.duration_ps)
-    n_pulses = centers.shape[0]
-    k = int(rng.poisson(cfg.mean_photons_per_pulse * n_pulses))
-    idx = np.sort(rng.integers(0, n_pulses, size=k))
-    times = centers[idx]
+    times = _draw_pulse_times(rng, cfg.period_ps, cfg.duration_ps, cfg.mean_photons_per_pulse)
+    k = times.shape[0]
     if cfg.pulse_fwhm_ps > 0:
         times = times + np.rint(
             rng.standard_normal(k) * (cfg.pulse_fwhm_ps * FWHM_TO_SIGMA)
@@ -223,11 +230,10 @@ def correlated_pair_stream(cfg: EntangledPairConfig, rng: np.random.Generator) -
     each member independently survives its channel with probability eta.
     """
     cfg.validate()
-    pulse_times = _comb(PS_PER_S / cfg.rep_rate_hz, cfg.duration_ps)
-    n_pulses = pulse_times.shape[0]
-    k = int(rng.poisson(cfg.mean_pairs_per_pulse * n_pulses))
-    pair_pulse = np.sort(rng.integers(0, n_pulses, size=k))
-    emit = pulse_times[pair_pulse]
+    emit = _draw_pulse_times(
+        rng, PS_PER_S / cfg.rep_rate_hz, cfg.duration_ps, cfg.mean_pairs_per_pulse
+    )
+    k = emit.shape[0]
     if cfg.emission_fwhm_ps > 0:
         emit = emit + np.rint(
             rng.standard_normal(k) * (cfg.emission_fwhm_ps * FWHM_TO_SIGMA)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spadsim import (
     AnalysisError,
@@ -168,6 +171,97 @@ class TestDistinguishability:
         h = Histogram(bin_width_ps=100, origin_ps=0, counts=np.zeros(500, dtype=np.int64))
         with pytest.raises(AnalysisError):
             distinguishability(h, 1000.0)
+
+
+def _distinguishability_loop(ac, period_ps, min_lag_ps=None):
+    """Oracle: distinguishability as a loop over periods on numpy scalars."""
+    if period_ps < 2 * ac.bin_width_ps:
+        raise AnalysisError("period too short")
+    counts = ac.counts.astype(np.float64)
+    if counts.max() <= 0:
+        raise AnalysisError("autocorrelation is empty")
+    if min_lag_ps is None:
+        above = np.nonzero(counts >= 0.2 * counts.max())[0]
+        min_lag_ps = float(ac.origin_ps + int(above[0]) * ac.bin_width_ps)
+    span_end = ac.origin_ps + ac.n_bins * ac.bin_width_ps
+    m = max(1, math.ceil(min_lag_ps / period_ps))
+    peaks = []
+    valleys = []
+    while True:
+        valley_lag = (m + 0.5) * period_ps
+        if valley_lag >= span_end:
+            break
+        peak_bin = int((m * period_ps - ac.origin_ps) // ac.bin_width_ps)
+        valley_bin = int((valley_lag - ac.origin_ps) // ac.bin_width_ps)
+        peaks.append(counts[peak_bin])
+        valleys.append(counts[valley_bin])
+        m += 1
+    if not peaks:
+        raise AnalysisError("no full period")
+    p_mean = float(np.mean(peaks))
+    v_mean = float(np.mean(valleys))
+    if p_mean + v_mean == 0.0:
+        raise AnalysisError("peak and valley bins are all empty")
+    return (p_mean - v_mean) / (p_mean + v_mean)
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except (AnalysisError, IndexError) as exc:
+        return type(exc)
+
+
+@st.composite
+def periodic_histograms(draw):
+    """A histogram, a period and a min lag. Half the draws put the span end
+    exactly on a valley lag, (m + 0.5) * period == span_end."""
+    bw = draw(st.integers(min_value=1, max_value=200))
+    if draw(st.booleans()):
+        half = draw(st.integers(min_value=bw, max_value=20 * bw))
+        odd = 2 * draw(st.integers(min_value=1, max_value=30)) + 1
+        n_bins = draw(st.integers(min_value=1, max_value=600))
+        origin = odd * half - n_bins * bw
+        period = 2 * half if draw(st.booleans()) else float(2 * half)
+    else:
+        n_bins = draw(st.integers(min_value=1, max_value=600))
+        origin = draw(st.integers(min_value=-20 * bw, max_value=20 * bw))
+        period = draw(
+            st.one_of(
+                st.integers(min_value=2 * bw, max_value=100 * bw),
+                st.floats(min_value=2.0 * bw, max_value=100.0 * bw, allow_nan=False),
+            )
+        )
+    counts = draw(
+        st.lists(st.integers(min_value=0, max_value=1000), min_size=n_bins, max_size=n_bins)
+    )
+    min_lag = draw(
+        st.one_of(
+            st.none(),
+            st.floats(min_value=-1e4, max_value=float(origin + n_bins * bw), allow_nan=False),
+        )
+    )
+    h = Histogram(bin_width_ps=bw, origin_ps=origin, counts=np.array(counts, dtype=np.int64))
+    return h, period, min_lag
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=periodic_histograms())
+@example(
+    case=(
+        Histogram(bin_width_ps=100, origin_ps=0, counts=np.arange(35, dtype=np.int64)),
+        1000.0,
+        None,
+    )
+)
+def test_distinguishability_matches_period_loop(case):
+    h, period, min_lag = case
+    got = _outcome(distinguishability, h, period, min_lag_ps=min_lag)
+    want = _outcome(_distinguishability_loop, h, period, min_lag)
+    if isinstance(want, float):
+        assert isinstance(got, float) and got == want
+    else:
+        assert got is want
 
 
 class TestKeyRate:

@@ -48,6 +48,21 @@ class TestHistogram:
         assert lines[2] == "1000,0"
         assert lines[3] == "#underflow=0,#overflow=1"
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.array([0], dtype=np.int64),
+            np.array([7, 0, 12345678901, 3], dtype=np.int64),
+            np.array([0.5, 2.0, 1e-7], dtype=np.float64),
+        ],
+    )
+    def test_csv_matches_row_by_row_text(self, counts):
+        h = Histogram(bin_width_ps=250, origin_ps=-500, counts=counts, underflow=4, overflow=9)
+        rows = "".join(
+            f"{s},{c}\n" for s, c in zip(h.bin_starts.tolist(), h.counts.tolist())
+        )
+        assert h.to_csv() == f"bin_start_ps,count\n{rows}#underflow=4,#overflow=9\n"
+
 
 class TestTac:
     def test_single_stop_matching(self):

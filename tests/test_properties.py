@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spadsim import (
     FrameConfig,
     KeyRateInputs,
+    autocorrelation,
     bin_assign,
     blanking_filter,
     build_histogram,
     coincidence,
+    cross_correlation,
     poisson_times,
     secret_key_rate,
 )
@@ -22,6 +24,7 @@ sorted_times = st.lists(st.integers(min_value=0, max_value=500_000), min_size=0,
 
 @settings(deadline=None)
 @given(times=sorted_times, t_b=st.integers(min_value=1, max_value=120_000))
+@example(times=np.array([0, 100, 150, 250, 349], dtype=np.int64), t_b=100)
 def test_blanking_matches_quadratic_oracle(times, t_b):
     kept = blanking_filter(times, t_b).tolist()
     expect = []
@@ -119,3 +122,85 @@ def test_poisson_stream_is_deterministic(seed):
     assert np.array_equal(a, b)
     assert np.all(np.diff(a) >= 0)
     assert a.size == 0 or (a[0] >= 0 and a[-1] <= 10_000_000)
+
+
+def _all_pairs_oracle(diffs, origin, bin_width, n_bins):
+    """Bin every pair difference one at a time: (counts, underflow, overflow)."""
+    counts = [0] * n_bins
+    under = over = 0
+    for d in diffs.tolist():
+        if d < origin:
+            under += 1
+        elif d >= origin + n_bins * bin_width:
+            over += 1
+        else:
+            counts[(d - origin) // bin_width] += 1
+    return counts, under, over
+
+
+@st.composite
+def correlator_times(draw, bin_width, n_bins, max_size=40):
+    """Sorted times, repeats allowed, around a random (possibly negative) base.
+
+    Half the draws sit on a lattice of the bin width, so pair differences
+    land exactly on bin edges and exactly at the ends of the span.
+    """
+    reach = 4 * n_bins * bin_width
+    lattice = st.integers(-4 * n_bins, 4 * n_bins).map(lambda k: k * bin_width)
+    free = st.integers(-reach, reach)
+    values = draw(st.lists(st.one_of(lattice, free), max_size=max_size))
+    base = draw(st.integers(-(10**12), 10**12))
+    return np.array(sorted(values), dtype=np.int64) + base
+
+
+@st.composite
+def autocorr_case(draw):
+    bin_width = draw(st.integers(min_value=1, max_value=40))
+    n_bins = draw(st.integers(min_value=1, max_value=6))
+    max_lag = n_bins * bin_width + draw(st.integers(min_value=0, max_value=bin_width - 1))
+    return draw(correlator_times(bin_width, n_bins)), max_lag, bin_width
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=autocorr_case())
+@example(case=(np.array([], dtype=np.int64), 30, 10))
+@example(case=(np.array([-7], dtype=np.int64), 30, 10))
+@example(case=(np.array([-5, -5, -5, 5, 25, 25], dtype=np.int64), 35, 10))
+def test_autocorrelation_matches_all_pairs(case):
+    t, max_lag, bin_width = case
+    h = autocorrelation(t, max_lag, bin_width)
+    n_bins = max_lag // bin_width
+    diffs = np.subtract.outer(t, t)[np.tril_indices(t.size, k=-1)]  # t[j] - t[i], j > i
+    counts, under, over = _all_pairs_oracle(diffs, 0, bin_width, n_bins)
+    assert h.counts.dtype == np.int64
+    assert h.counts.tolist() == counts
+    assert (h.underflow, h.overflow) == (under, over)
+    assert h.origin_ps == 0 and h.bin_width_ps == bin_width
+
+
+@st.composite
+def crosscorr_case(draw):
+    bin_width = draw(st.integers(min_value=1, max_value=40))
+    half_bins = draw(st.integers(min_value=1, max_value=4))
+    a = draw(correlator_times(bin_width, 2 * half_bins, max_size=25))
+    b = draw(correlator_times(bin_width, 2 * half_bins, max_size=25))
+    if draw(st.booleans()):
+        b = b - b[:1].sum() + a[:1].sum()  # share the base, so the lattices line up
+    return a, b, half_bins * bin_width, bin_width
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=crosscorr_case())
+@example(case=(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 20, 10))
+@example(case=(np.array([3], dtype=np.int64), np.array([], dtype=np.int64), 20, 10))
+@example(case=(np.array([], dtype=np.int64), np.array([3], dtype=np.int64), 20, 10))
+@example(case=(np.array([0], dtype=np.int64), np.array([-20, -10, 0, 0, 19, 20], dtype=np.int64), 20, 10))
+def test_cross_correlation_matches_all_pairs(case):
+    a, b, span, bin_width = case
+    h = cross_correlation(a, b, span, bin_width)
+    diffs = np.subtract.outer(b, a).ravel()  # b[j] - a[i]
+    counts, under, over = _all_pairs_oracle(diffs, -span, bin_width, 2 * span // bin_width)
+    assert h.counts.dtype == np.int64
+    assert h.counts.tolist() == counts
+    assert (h.underflow, h.overflow) == (under, over)
+    assert h.origin_ps == -span and h.bin_width_ps == bin_width

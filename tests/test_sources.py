@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from spadsim import (
     pulse_pair_sequence,
     pulsed_train,
 )
+from spadsim.rng import FWHM_TO_SIGMA
 
 SECOND_PS = 1_000_000_000_000
 
@@ -108,3 +111,97 @@ def test_correlated_pair_stream_is_reproducible():
     b = correlated_pair_stream(cfg, make_generator(5, "source"))
     assert np.array_equal(a.alice_times, b.alice_times)
     assert np.array_equal(a.bob_pair_ids, b.bob_pair_ids)
+
+
+def _comb_pulsed_train(cfg, rng):
+    """Oracle: pulsed_train built on the materialised comb round(i * period)."""
+    n_pulses = int(cfg.duration_ps / cfg.period_ps) + 1
+    centers = np.rint(np.arange(n_pulses) * cfg.period_ps).astype(np.int64)
+    k = int(rng.poisson(cfg.mean_photons_per_pulse * n_pulses))
+    times = centers[np.sort(rng.integers(0, n_pulses, size=k))]
+    if cfg.pulse_fwhm_ps > 0:
+        times = times + np.rint(
+            rng.standard_normal(k) * (cfg.pulse_fwhm_ps * FWHM_TO_SIGMA)
+        ).astype(np.int64)
+    return np.sort(times[(times >= 0) & (times < cfg.duration_ps)])
+
+
+def _comb_pair_stream(cfg, rng):
+    """Oracle: correlated_pair_stream built on the materialised comb."""
+    period = SECOND_PS / cfg.rep_rate_hz
+    n_pulses = int(cfg.duration_ps / period) + 1
+    pulse_times = np.rint(np.arange(n_pulses) * period).astype(np.int64)
+    k = int(rng.poisson(cfg.mean_pairs_per_pulse * n_pulses))
+    emit = pulse_times[np.sort(rng.integers(0, n_pulses, size=k))]
+    if cfg.emission_fwhm_ps > 0:
+        emit = emit + np.rint(
+            rng.standard_normal(k) * (cfg.emission_fwhm_ps * FWHM_TO_SIGMA)
+        ).astype(np.int64)
+    ids = np.arange(k, dtype=np.int64)
+    keep_a = rng.random(k) < cfg.eta_alice if cfg.eta_alice < 1.0 else np.ones(k, dtype=bool)
+    keep_b = rng.random(k) < cfg.eta_bob if cfg.eta_bob < 1.0 else np.ones(k, dtype=bool)
+    in_window = (emit >= 0) & (emit < cfg.duration_ps)
+    arms = []
+    for keep in (keep_a & in_window, keep_b & in_window):
+        order = np.argsort(emit[keep], kind="stable")
+        arms.append((emit[keep][order], ids[keep][order]))
+    return arms
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+FRACTIONAL_PERIODS = [SECOND_PS / 1.92e9, SECOND_PS / 3e9]
+
+
+@pytest.mark.parametrize("period", [400, 1000, 7] + FRACTIONAL_PERIODS)
+@pytest.mark.parametrize("fwhm", [0.0, 150.0])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_pulsed_train_matches_comb_oracle(period, fwhm, seed):
+    cfg = PulsedSourceConfig(
+        period_ps=period, mean_photons_per_pulse=0.3, duration_ps=20_000_001, pulse_fwhm_ps=fwhm
+    )
+    got = pulsed_train(cfg, make_generator(seed, "source"))
+    want = _comb_pulsed_train(cfg, make_generator(seed, "source"))
+    assert got.size > 1000
+    assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("rep_rate", [1.92e9, 3e9, 1e9, 76e6])
+@pytest.mark.parametrize("fwhm", [0.0, 40.0])
+@pytest.mark.parametrize("etas", [(1.0, 1.0), (0.8, 0.35)])
+def test_correlated_pair_stream_matches_comb_oracle(rep_rate, fwhm, etas):
+    cfg = EntangledPairConfig(
+        rep_rate_hz=rep_rate,
+        mean_pairs_per_pulse=0.05,
+        duration_ps=30_000_000,
+        eta_alice=etas[0],
+        eta_bob=etas[1],
+        emission_fwhm_ps=fwhm,
+    )
+    s = correlated_pair_stream(cfg, make_generator(9, "source"))
+    (ta, ia), (tb, ib) = _comb_pair_stream(cfg, make_generator(9, "source"))
+    assert s.alice_times.size > 50
+    assert_same_bytes(s.alice_times, ta)
+    assert_same_bytes(s.alice_pair_ids, ia)
+    assert_same_bytes(s.bob_times, tb)
+    assert_same_bytes(s.bob_pair_ids, ib)
+
+
+def test_pulsed_train_memory_scales_with_photons():
+    # A 4M-pulse comb at 1e-4 photons per pulse: about 400 photons. A
+    # materialised comb alone would take 32 MB.
+    cfg = PulsedSourceConfig(
+        period_ps=1000, mean_photons_per_pulse=1e-4, duration_ps=4_000_000_000
+    )
+    rng = make_generator(7, "source")
+    tracemalloc.start()
+    try:
+        t = pulsed_train(cfg, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 200 < t.size < 600
+    assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
