@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .instruments import FWHM_PER_SIGMA, Histogram, gaussian_fit, InstrumentError
+from .instruments import FWHM_PER_SIGMA, Histogram, InstrumentError, build_histogram, gaussian_fit
 
 __all__ = [
     "AnalysisError",
@@ -282,7 +282,7 @@ def shift_and_jitter_vs_dt(
         lo = int(iv.min())
         hi = int(iv.max())
         span = (hi - lo) // fit_bin_ps + 1
-        hist = _histogram_around(iv, lo, span, fit_bin_ps)
+        hist = build_histogram(iv, fit_bin_ps, span * fit_bin_ps, lo)
         try:
             fwhms.append(gaussian_fit(hist).fwhm_ps)
         except InstrumentError:
@@ -292,12 +292,6 @@ def shift_and_jitter_vs_dt(
         shifts=np.asarray(shifts, dtype=np.float64),
         fwhms=np.asarray(fwhms, dtype=np.float64),
     )
-
-
-def _histogram_around(values: np.ndarray, origin: int, n_bins: int, bin_width: int) -> Histogram:
-    idx = (values - origin) // bin_width
-    counts = np.bincount(idx, minlength=n_bins).astype(np.int64)
-    return Histogram(bin_width_ps=bin_width, origin_ps=origin, counts=counts)
 
 
 def distinguishability(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .analysis import AnalysisError
 from .config import SCENARIOS, ConfigError, load_config
@@ -61,7 +62,7 @@ def _cmd_preset(args) -> int:
             print(name)
         return 0
     p = preset(args.name, variant=args.variant)
-    doc = {"name": p.name, "params": p.params.to_dict(), "notes": p.notes}
+    doc = {"name": p.name, "params": asdict(p.params), "notes": p.notes}
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 

@@ -4,7 +4,8 @@ A config names one scenario kind, a seed, a detector (preset name or inline
 parameter object) per detector slot, the kind's sections, and the output
 files to write. SCENARIOS declares each kind once; each section takes its
 keys, defaults and types from the dataclass or experiment driver that
-defines those fields. Validation is strict: unknown keys are rejected, no
+defines those fields, and an inline detector from DetectorParams and the
+dataclasses it nests. Validation is strict: unknown keys are rejected, no
 bool passes for a number nor a float for an integer, and every error names
 the field path, so a typo can never silently fall back to a default.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from functools import cached_property
 from types import UnionType
 from typing import Callable, get_args, get_origin
@@ -63,12 +64,34 @@ def _field(d: dict, key: str, path: str):
     return d[key]
 
 
+def _values(d, fields: dict, path: str, minimum=None) -> dict:
+    """The keys d gives, each checked against its field; a required field must be given."""
+    d = _mapping(d, path)
+    _known(d, fields, path)
+    vals = {}
+    for key, (tp, default) in fields.items():
+        if key in d:
+            vals[key] = _typed(d[key], tp, f"{path}.{key}", (minimum or {}).get(key))
+        elif default is _REQUIRED:
+            _err(f"{path}.{key}", "is required")
+    return vals
+
+
 def _typed(v, tp, path: str, minimum=None):
     """v checked against the type hint tp (and a lower bound); floats come out as float."""
     if isinstance(tp, UnionType):  # `X | None`: null stands for the default
         if v is None:
             return None
         tp = get_args(tp)[0]
+    if is_dataclass(tp):  # an object with the dataclass's keys; omitted keys take its defaults
+        return tp(**_values(v, Section(path, tp).fields, path))
+    if get_origin(tp) is tuple:  # a Curve: [[x, y], ...]
+        if not isinstance(v, list) or not all(isinstance(p, list) and len(p) == 2 for p in v):
+            _err(path, f"must be a list of [x, y] number pairs, got {v!r}")
+        return tuple(
+            tuple(_typed(x, float, f"{path}[{i}][{j}]") for j, x in enumerate(p))
+            for i, p in enumerate(v)
+        )
     if get_origin(tp) is not None:  # Sequence[int]
         if not isinstance(v, list) or not v:
             _err(path, "must be a non-empty list of integers")
@@ -128,16 +151,9 @@ class Section:
     def parse(self, doc: dict, norm: dict) -> None:
         required = any(d is _REQUIRED for _, d in self.fields.values())
         d = doc.get(self.name, {}) if not required else _field(doc, self.name, "config")
-        d = _mapping(d, self.name)
-        _known(d, self.fields, self.name)
-        vals = {}
-        for key, (tp, default) in self.fields.items():
-            if key in d:
-                vals[key] = _typed(d[key], tp, f"{self.name}.{key}", self.minimum.get(key))
-            elif default is _REQUIRED:
-                _err(f"{self.name}.{key}", "is required")
-            elif not self.nested:
-                vals[key] = default
+        vals = _values(d, self.fields, self.name, self.minimum)
+        if not self.nested:
+            vals = {key: vals.get(key, default) for key, (_, default) in self.fields.items()}
         if isinstance(self.owner, type):
             given = {k: norm[k] for k in self.given}
             paths = {k: f"{sec}.{k}" for k, sec in self.given.items()}
@@ -170,12 +186,9 @@ def _parse_detector(doc: dict, key: str) -> DetectorParams:
             return preset(name, variant=variant).params
         except ValueError as exc:
             _err(key + ".preset", str(exc))
-    try:
-        return DetectorParams.from_dict(_mapping(d["params"], key + ".params"))
-    except (KeyError, TypeError) as exc:
-        _err(key + ".params", f"missing or malformed field: {exc}")
-    except ValueError as exc:
-        _err(key + ".params", str(exc))
+    params = _typed(d["params"], DetectorParams, key + ".params")
+    _validated(params, key + ".params")
+    return params
 
 
 def _span_whole_bins(cfg: dict) -> None:

@@ -220,81 +220,6 @@ class DetectorParams:
         if self.blanking is not None:
             self.blanking.validate()
 
-    def to_dict(self) -> dict:
-        d = {
-            "efficiency": self.efficiency,
-            "tau_dead0_ps": self.tau_dead0_ps,
-            "tau_quench_ps": self.tau_quench_ps,
-            "base_delay_ps": self.base_delay_ps,
-            "dark_rate_cps": self.dark_rate_cps,
-            "dead_elongation": [list(p) for p in self.dead_elongation],
-            "twilight_profile": [list(p) for p in self.twilight_profile],
-            "jitter_curve": [list(p) for p in self.jitter_curve],
-            "shift_curve": [list(p) for p in self.shift_curve],
-            "afterpulse": {
-                "mu": self.afterpulse.mu,
-                "tau_trap_ps": self.afterpulse.tau_trap_ps,
-                "mode": self.afterpulse.mode,
-                "t_min_ps": self.afterpulse.t_min_ps,
-                "alpha": self.afterpulse.alpha,
-            },
-            "blanking": None
-            if self.blanking is None
-            else {"t_b_ps": self.blanking.t_b_ps, "out_width_ps": self.blanking.out_width_ps},
-        }
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "DetectorParams":
-        known = {
-            "efficiency",
-            "tau_dead0_ps",
-            "tau_quench_ps",
-            "base_delay_ps",
-            "dark_rate_cps",
-            "dead_elongation",
-            "twilight_profile",
-            "jitter_curve",
-            "shift_curve",
-            "afterpulse",
-            "blanking",
-        }
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ValueError(f"unknown detector parameter(s): {', '.join(unknown)}")
-        ap = d.get("afterpulse", {})
-        unknown = sorted(set(ap) - {"mu", "tau_trap_ps", "mode", "t_min_ps", "alpha"})
-        if unknown:
-            raise ValueError(f"unknown afterpulse parameter(s): {', '.join(unknown)}")
-        bl = d.get("blanking")
-        if bl is not None:
-            unknown = sorted(set(bl) - {"t_b_ps", "out_width_ps"})
-            if unknown:
-                raise ValueError(f"unknown blanking parameter(s): {', '.join(unknown)}")
-        params = DetectorParams(
-            efficiency=d["efficiency"],
-            tau_dead0_ps=d["tau_dead0_ps"],
-            tau_quench_ps=d["tau_quench_ps"],
-            base_delay_ps=d.get("base_delay_ps", 0),
-            dark_rate_cps=d.get("dark_rate_cps", 0.0),
-            dead_elongation=tuple(tuple(p) for p in d.get("dead_elongation", [])),
-            twilight_profile=tuple(tuple(p) for p in d.get("twilight_profile", [])),
-            jitter_curve=tuple(tuple(p) for p in d.get("jitter_curve", [[0.0, 0.0]])),
-            shift_curve=tuple(tuple(p) for p in d.get("shift_curve", [[0.0, 0.0]])),
-            afterpulse=AfterpulseModel(
-                mu=ap.get("mu", 0.0),
-                tau_trap_ps=ap.get("tau_trap_ps", 32000.0),
-                mode=ap.get("mode", "exponential"),
-                t_min_ps=ap.get("t_min_ps", 1000.0),
-                alpha=ap.get("alpha", 2.0),
-            ),
-            blanking=None
-            if bl is None
-            else BlankingConfig(t_b_ps=bl["t_b_ps"], out_width_ps=bl.get("out_width_ps", 0)),
-        )
-        params.validate()
-        return params
-
     def with_blanking(self, blanking: BlankingConfig | None) -> "DetectorParams":
         return replace(self, blanking=blanking)
 

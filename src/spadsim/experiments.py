@@ -21,7 +21,7 @@ from .analysis import (
     distinguishability,
     estimate_dead_time,
 )
-from .detector import Cause, DetectorParams, PulseRecords, detect
+from .detector import Cause, DetectorParams, detect
 from .instruments import Histogram, autocorrelation, build_histogram
 from .rng import DETECTOR_SCAN_BASE, SCAN_BASE, make_generator
 from .sources import (
@@ -105,9 +105,8 @@ class PairScanPoint:
 
     n_pairs counts pair slots whose first photon was emitted; n_first those
     whose first photon was detected; n_both those with both photons
-    detected. Arrays out1/out2/cause1/cause2/pair_idx/intervals are aligned
-    per both-detected pair; records is the full output pulse stream of the
-    point.
+    detected. Arrays out1/out2/cause2/pair_idx/intervals are aligned per
+    both-detected pair.
     """
 
     delta_t_ps: int
@@ -118,9 +117,7 @@ class PairScanPoint:
     pair_idx: np.ndarray
     out1: np.ndarray
     out2: np.ndarray
-    cause1: np.ndarray
     cause2: np.ndarray
-    records: PulseRecords
 
 
 def _run_pair_point(i, delta_t, params, pair_period, n_pairs, seed, occupancy) -> PairScanPoint:
@@ -156,9 +153,7 @@ def _run_pair_point(i, delta_t, params, pair_period, n_pairs, seed, occupancy) -
         pair_idx=common,
         out1=out1,
         out2=out2,
-        cause1=rec.causes[in1][o1][ia],
         cause2=rec.causes[in2][o2][ib],
-        records=rec,
     )
 
 

@@ -175,7 +175,6 @@ class Coincidences:
     """Matched pair pulses: times of the later member of each pair."""
 
     times: np.ndarray
-    out_width_ps: int
     idx_a: np.ndarray
     idx_b: np.ndarray
 
@@ -183,7 +182,7 @@ class Coincidences:
         return int(self.times.shape[0])
 
 
-def coincidence(a, b, window_ps: int, out_width_ps: int = 0) -> Coincidences:
+def coincidence(a, b, window_ps: int) -> Coincidences:
     """Greedy earliest-pair coincidence matching with a strict window.
 
     Emits one pulse per pair with |t_a - t_b| < window; each input pulse is
@@ -199,7 +198,7 @@ def coincidence(a, b, window_ps: int, out_width_ps: int = 0) -> Coincidences:
         raise ValueError("input b must be sorted")
     ia, ib = _kernels._match_pairs(ta, tb, np.int64(window_ps))
     times = np.maximum(ta[ia], tb[ib])
-    return Coincidences(times=times, out_width_ps=out_width_ps, idx_a=ia, idx_b=ib)
+    return Coincidences(times=times, idx_a=ia, idx_b=ib)
 
 
 def autocorrelation(pulses, max_lag_ps: int, bin_width_ps: int) -> Histogram:

@@ -1,7 +1,12 @@
 """Shared test helpers and the acceptance-criteria summary block."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+
+from spadsim import validate_config
 
 N_CRITERIA = 11
 _RESULTS: dict[int, tuple[bool, str]] = {}
@@ -24,6 +29,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(f"[criterion {i:02d}] {verdict} - {detail}")
         else:
             terminalreporter.write_line(f"[criterion {i:02d}] NOT RUN")
+
+
+def as_json(params) -> dict:
+    """A DetectorParams as the JSON object an inline config detector takes."""
+    return json.loads(json.dumps(asdict(params)))
+
+
+def inline_detector(params: dict):
+    """The DetectorParams validate_config reads from an inline `params` object."""
+    doc = {"version": 1, "kind": "interarrival", "seed": 1, "detector": {"params": params}}
+    doc["source"] = {"rate_cps": 1.0, "duration_ps": 1}
+    return validate_config(doc)["detector"]
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from conftest import inline_detector
 
-from spadsim import DetectorParams, preset
+from spadsim import preset
 from spadsim.cli import main
 
 
@@ -58,7 +59,7 @@ class TestPreset:
         assert main(["preset", "show", "spd-050", "--variant", "ttl"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["name"] == "spd-050"
-        assert DetectorParams.from_dict(doc["params"]) == preset("spd-050", variant="ttl").params
+        assert inline_detector(doc["params"]) == preset("spd-050", variant="ttl").params
         assert isinstance(doc["notes"], dict) and doc["notes"]
 
     def test_unknown_name_fails_cleanly(self, capsys):

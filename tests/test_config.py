@@ -4,8 +4,18 @@ import json
 import re
 
 import pytest
+from conftest import as_json, inline_detector
 
-from spadsim import KINDS, ConfigError, DetectorParams, load_config, preset, validate_config
+from spadsim import (
+    KINDS,
+    AfterpulseModel,
+    BlankingConfig,
+    ConfigError,
+    DetectorParams,
+    load_config,
+    preset,
+    validate_config,
+)
 from spadsim.config import SCENARIOS
 
 
@@ -34,6 +44,17 @@ QKD = base(
 )
 
 
+PRESET_VARIANTS = [
+    ("spcm-aqrh", "timing"), ("spd-050", "timing"), ("spd-050", "ttl"), ("custom-aq", "timing")
+]
+
+
+def with_params(**changes):
+    """INTERARRIVAL with custom-aq's inline params, top-level keys replaced by changes."""
+    params = dict(as_json(preset("custom-aq").params), **changes)
+    return dict(INTERARRIVAL, detector={"params": params})
+
+
 class TestValidDocuments:
     def test_interarrival_defaults(self):
         norm = validate_config(INTERARRIVAL)
@@ -47,9 +68,18 @@ class TestValidDocuments:
         assert norm["outputs"] == {"histogram_csv": "h.csv", "summary_json": "s.json"}
 
     def test_detector_inline_params(self):
-        doc = dict(INTERARRIVAL, detector={"params": preset("custom-aq").params.to_dict()})
-        norm = validate_config(doc)
-        assert norm["detector"] == preset("custom-aq").params
+        for name, variant in PRESET_VARIANTS:
+            p = preset(name, variant=variant).params
+            assert inline_detector(as_json(p)) == p
+
+    def test_inline_params_defaults(self):
+        required = {"efficiency": 0.5, "tau_dead0_ps": 24000, "tau_quench_ps": 10000}
+        norm = validate_config(dict(INTERARRIVAL, detector={"params": required}))
+        assert norm["detector"] == DetectorParams(**required)
+        doc = dict(INTERARRIVAL, detector={"params": dict(required, afterpulse={}, blanking={})})
+        params = validate_config(doc)["detector"]
+        assert params.afterpulse == AfterpulseModel()
+        assert params.blanking == BlankingConfig(t_b_ps=24000, out_width_ps=12000)
 
     @pytest.mark.parametrize("kind", ["twilight", "pair-scan", "jitter-scan"])
     def test_pair_scan_family(self, kind):
@@ -126,12 +156,45 @@ class TestRejections:
 
     def test_detector_exactly_one_spec(self):
         self.check(dict(INTERARRIVAL, detector={}), "exactly one")
-        both = {"preset": "spcm-aqrh", "params": preset("spcm-aqrh").params.to_dict()}
+        both = {"preset": "spcm-aqrh", "params": as_json(preset("spcm-aqrh").params)}
         self.check(dict(INTERARRIVAL, detector=both), "exactly one")
         self.check(dict(INTERARRIVAL, detector={"preset": "nope"}), "detector.preset")
-        bad = preset("spcm-aqrh").params.to_dict()
-        bad["efficency"] = 0.5
-        self.check(dict(INTERARRIVAL, detector={"params": bad}), "detector.params")
+
+    def test_params_bool_for_number(self):
+        self.check(with_params(efficiency=True), r"^detector\.params\.efficiency: must be a number")
+        mu = with_params(afterpulse={"mu": True})
+        self.check(mu, r"^detector\.params\.afterpulse\.mu: must be a number, got True")
+
+    def test_params_float_for_integer(self):
+        self.check(with_params(tau_dead0_ps=29100.7), r"^detector\.params\.tau_dead0_ps: must be an")
+        t_b = with_params(blanking={"t_b_ps": 24000.5})
+        self.check(t_b, r"^detector\.params\.blanking\.t_b_ps: must be an integer")
+
+    def test_params_string_for_number(self):
+        self.check(with_params(base_delay_ps="9000"), r"^detector\.params\.base_delay_ps: must be")
+
+    def test_detector_params_unknown_keys(self):
+        self.check(with_params(efficency=0.5), r"^detector\.params: unknown key\(s\) 'efficency'")
+        ap = with_params(afterpulse={"lifetime": 1.0})
+        self.check(ap, r"^detector\.params\.afterpulse: unknown key\(s\) 'lifetime'")
+        blanking = with_params(blanking={"t_b_ps": 24000, "width_ps": 1})
+        self.check(blanking, r"^detector\.params\.blanking: unknown key\(s\) 'width_ps'")
+
+    def test_params_curve_points_are_number_pairs(self):
+        triple = with_params(jitter_curve=[[30000.0, 600.0, 1.0]])
+        self.check(triple, r"^detector\.params\.jitter_curve: must be a list of \[x, y\] number")
+        self.check(with_params(shift_curve=[0.0, 0.0]), r"^detector\.params\.shift_curve: must be")
+        text = with_params(jitter_curve=[[30000.0, "600"]])
+        self.check(text, r"^detector\.params\.jitter_curve\[0\]\[1\]: must be a number")
+
+    def test_params_afterpulse_not_null(self):
+        self.check(with_params(afterpulse=None), r"^detector\.params\.afterpulse: must be an object")
+
+    def test_params_validate_names_full_path(self):
+        bad_b = dict(QKD, detector_b=with_params(efficiency=1.5)["detector"])
+        self.check(bad_b, r"^detector_b\.params\.efficiency must lie in \[0, 1\], got 1\.5")
+        mu = with_params(afterpulse={"mu": -1.0})
+        self.check(mu, r"^detector\.params\.afterpulse\.mu must be >= 0")
 
     def test_float_duration_rejected(self):
         doc = dict(INTERARRIVAL, source={"rate_cps": 1.0, "duration_ps": 1e9})

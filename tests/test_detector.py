@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import as_json, inline_detector
 from scipy import stats
 
 from spadsim import (
@@ -54,17 +55,7 @@ class TestParamValidation:
             afterpulse=AfterpulseModel(mu=0.02, tau_trap_ps=32000.0),
             blanking=BlankingConfig(t_b_ps=24000, out_width_ps=12000),
         )
-        assert DetectorParams.from_dict(p.to_dict()) == p
-
-    def test_from_dict_rejects_unknown_keys(self):
-        d = plain_params().to_dict()
-        d["efficency"] = 0.5
-        with pytest.raises(ValueError, match="efficency"):
-            DetectorParams.from_dict(d)
-        d = plain_params().to_dict()
-        d["afterpulse"]["lifetime"] = 1.0
-        with pytest.raises(ValueError, match="lifetime"):
-            DetectorParams.from_dict(d)
+        assert inline_detector(as_json(p)) == p
 
     @pytest.mark.parametrize(
         "kw",

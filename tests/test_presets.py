@@ -3,9 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import as_json, inline_detector
 
 from spadsim import (
-    DetectorParams,
     available_presets,
     circuit_timing,
     fit_preset_from_curves,
@@ -35,7 +35,7 @@ def test_all_presets_validate_and_round_trip():
     for name in available_presets():
         p = preset(name).params
         p.validate()
-        assert DetectorParams.from_dict(p.to_dict()) == p
+        assert inline_detector(as_json(p)) == p
 
 
 class TestSpcm:
