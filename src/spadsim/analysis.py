@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .instruments import FWHM_PER_SIGMA, Histogram, InstrumentError, build_histogram, gaussian_fit
 
@@ -114,6 +113,9 @@ def afterpulse_spectroscopy(
     do not bias the fit. p_afterpulse integrates the fitted excess and
     normalizes by the total event count.
     """
+    # Imported on use: scipy.optimize would dominate `import spadsim`.
+    from scipy.optimize import curve_fit
+
     if tau_dead_ps <= 0:
         raise ValueError(f"tau_dead_ps must be > 0, got {tau_dead_ps}")
     if tau_trap_guess_ps <= 0:

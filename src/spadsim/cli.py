@@ -21,7 +21,6 @@ from dataclasses import asdict
 
 from .analysis import AnalysisError
 from .config import SCENARIOS, ConfigError, load_config
-from .engine import EngineError
 from .instruments import InstrumentError
 from .presets import available_presets, preset
 
@@ -120,7 +119,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid value: {exc}", file=sys.stderr)
         return 1
-    except (AnalysisError, InstrumentError, EngineError, RuntimeError) as exc:
+    except (AnalysisError, InstrumentError, RuntimeError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -15,12 +15,14 @@ post-filters the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from enum import IntEnum
+from heapq import heappop, heappush
 
 import numpy as np
 
-from . import _kernels
+from .rng import FWHM_TO_SIGMA
 from .sources import poisson_times
 
 __all__ = [
@@ -42,6 +44,19 @@ __all__ = [
 
 # Time constant of the output-rate estimator driving dead-time elongation
 TAU_EMA_PS = 1.0e6
+
+# Stimulus kind codes of the merged stimulus stream; at equal timestamps the
+# lower code is processed first.
+KIND_TRAP_RELEASE = 1
+KIND_DARK = 2
+KIND_PHOTON = 3
+
+# Placeholder "previous avalanche" gap before any avalanche happened; far
+# right of every calibration curve, so first pulses get the relaxed values.
+_HUGE_DT = 2.0**62
+
+# Upper clamp for trap release delays
+_MAX_TRAP_DELAY = 1.0e15
 
 
 class Cause(IntEnum):
@@ -220,9 +235,6 @@ class DetectorParams:
         if self.blanking is not None:
             self.blanking.validate()
 
-    def with_blanking(self, blanking: BlankingConfig | None) -> "DetectorParams":
-        return replace(self, blanking=blanking)
-
 
 @dataclass(frozen=True)
 class PulseRecords:
@@ -264,7 +276,7 @@ class _CompiledParams:
     sh_x: list[float]
     sh_y: list[float]
     ap_mu: float
-    ap_mode: int
+    ap_exponential: bool
     ap_tau: float
     ap_tmin: float
     ap_alpha: float
@@ -299,13 +311,180 @@ def _compile_params(params: DetectorParams) -> _CompiledParams:
         sh_x=sh_x.tolist(),
         sh_y=sh_y.tolist(),
         ap_mu=float(params.afterpulse.mu),
-        ap_mode=_kernels.AP_EXPONENTIAL
-        if params.afterpulse.mode == "exponential"
-        else _kernels.AP_POWER_LAW,
+        ap_exponential=params.afterpulse.mode == "exponential",
         ap_tau=float(params.afterpulse.tau_trap_ps),
         ap_tmin=float(params.afterpulse.t_min_ps),
         ap_alpha=float(params.afterpulse.alpha),
         tau_ema=TAU_EMA_PS,
+    )
+
+
+def _interp_clamped(x: float, xs: list[float], ys: list[float]) -> float:
+    """Piecewise-linear interpolation clamped at both table ends."""
+    if x <= xs[0]:
+        return ys[0]
+    if x >= xs[-1]:
+        return ys[-1]
+    hi = bisect_right(xs, x)
+    lo = hi - 1
+    t = (x - xs[lo]) / (xs[hi] - xs[lo])
+    return ys[lo] + t * (ys[hi] - ys[lo])
+
+
+def _round_ps(x: float) -> int:
+    """Round to the integer picosecond grid, halves up."""
+    return math.floor(x + 0.5)
+
+
+def _ema_decay(lam: float, dt_ps: int, tau_ema_ps: float) -> float:
+    """Exponential-moving-average rate estimate decayed over a quiet gap."""
+    return lam * math.exp(-float(dt_ps) / tau_ema_ps)
+
+
+def _emit_delta(shift_ps: float, fwhm_ps: float, z: float) -> int:
+    """Signed output-delay offset: calibrated shift plus sampled jitter."""
+    return _round_ps(shift_ps + z * (fwhm_ps * FWHM_TO_SIGMA))
+
+
+def _trap_delay_power_law(u: float, t_min_ps: float, alpha: float) -> float:
+    """Power-law release delay >= t_min for alpha > 1, clamped."""
+    d = t_min_ps * u ** (1.0 / (1.0 - alpha))
+    if d > _MAX_TRAP_DELAY:
+        d = _MAX_TRAP_DELAY
+    return d
+
+
+def _detect_kernel(
+    times: np.ndarray, kinds: np.ndarray, c: _CompiledParams, rng: np.random.Generator
+):
+    """Actively-quenched SPAD state machine over a merged stimulus stream.
+
+    `times`/`kinds` are the merged stimuli sorted by (time, kind), and `c`
+    is the detector's `_CompiledParams`. Returns int64 arrays (out_times,
+    origin_times, causes) in avalanche order. Trap releases are generated
+    internally and interleaved by (time, creation order); a release ties
+    with an external stimulus at the same picosecond by processing first.
+
+    Draw-order contract of the detection state machine (the reference mirrors it
+    exactly; changing it breaks stream compatibility):
+
+      ARMED photon:        uniform(efficiency) -> [if detected] normal
+                           -> [if mu>0] poisson -> one delay draw per trap
+      ARMED dark/release:  normal -> [if mu>0] poisson -> trap delay draws
+      TWILIGHT photon/dark: uniform (always) -> [if triggered, mu>0] poisson
+                           -> trap delay draws (no normal: held pulses carry no
+                           sampled jitter)
+      TWILIGHT release, QUENCH anything: no draws.
+
+    Trap delay draws are exponential(tau_trap) in exponential mode and one
+    uniform transformed to t_min * u**(1/(1-alpha)) in power-law mode.
+    """
+    cause_photon = int(Cause.PHOTON)
+    cause_dark = int(Cause.DARK)
+    cause_afterpulse = int(Cause.AFTERPULSE)
+    cause_twilight = int(Cause.TWILIGHT)
+
+    out_t: list[int] = []
+    out_o: list[int] = []
+    out_c: list[int] = []
+    traps: list[tuple[int, int]] = []  # min-heap of (release time, creation order)
+    trap_seq = 0
+
+    dead_start = -(2**62)  # avalanche instant of the current dead period
+    dead_end = 0  # armed iff t >= dead_end
+    last_avalanche = -(2**62)
+    lam = 0.0  # EMA detection-rate estimate, events per ps
+    t_lam = 0
+
+    times = times.tolist()
+    kinds = kinds.tolist()
+    n_in = len(times)
+    i = 0
+    while i < n_in or traps:
+        if traps and (i >= n_in or traps[0][0] <= times[i]):
+            t = heappop(traps)[0]
+            kind = KIND_TRAP_RELEASE
+        else:
+            t = times[i]
+            kind = kinds[i]
+            i += 1
+
+        triggered = False
+        held = False
+        cause = cause_photon
+
+        if t >= dead_end:
+            # ARMED: photons face the efficiency draw; dark counts are
+            # post-efficiency by definition and trap releases fire with
+            # probability 1.
+            if kind == KIND_PHOTON:
+                if rng.random() < c.efficiency:
+                    triggered = True
+            elif kind == KIND_DARK:
+                triggered = True
+                cause = cause_dark
+            else:
+                triggered = True
+                cause = cause_afterpulse
+        else:
+            dt = t - dead_start
+            if dt >= c.tau_quench:
+                # TWILIGHT: partially re-armed, sensing electronics off.
+                # Releases are discarded; photons and darks can avalanche.
+                if kind != KIND_TRAP_RELEASE:
+                    u = rng.random()
+                    prof = _interp_clamped(float(dt), c.tw_x, c.tw_y)
+                    thr = c.efficiency * prof if kind == KIND_PHOTON else prof
+                    if u < thr:
+                        triggered = True
+                        held = True
+                        cause = cause_twilight
+            # QUENCH: below breakdown; everything is lost without a draw.
+
+        if triggered:
+            # Emit the output pulse before drawing traps.
+            if held:
+                # Held to the end of the dead period active at arrival;
+                # deterministic, no sampled jitter or shift.
+                ot = dead_end + c.base_delay
+            else:
+                gap = t - last_avalanche
+                dt_prev = _HUGE_DT if gap > 2**61 else float(gap)
+                shift = _interp_clamped(dt_prev, c.sh_x, c.sh_y)
+                fwhm = _interp_clamped(dt_prev, c.jit_x, c.jit_y)
+                ot = t + c.base_delay + _emit_delta(shift, fwhm, rng.standard_normal())
+                if ot < t:
+                    ot = t
+            out_t.append(ot)
+            out_o.append(t)
+            out_c.append(cause)
+
+            # Avalanche bookkeeping: the dead-time length comes from the
+            # rate estimate just before this avalanche is counted.
+            lam = _ema_decay(lam, t - t_lam, c.tau_ema)
+            t_lam = t
+            dlen = _round_ps(_interp_clamped(lam * 1.0e12, c.dead_x, c.dead_y))
+            lam += 1.0 / c.tau_ema
+            dead_start = t
+            dead_end = t + dlen
+            last_avalanche = t
+
+            # Trap filling: every avalanche fills k ~ Poisson(mu) traps.
+            if c.ap_mu > 0.0:
+                for _ in range(rng.poisson(c.ap_mu)):
+                    if c.ap_exponential:
+                        d = rng.exponential(c.ap_tau)
+                        if d > _MAX_TRAP_DELAY:
+                            d = _MAX_TRAP_DELAY
+                    else:
+                        d = _trap_delay_power_law(rng.random(), c.ap_tmin, c.ap_alpha)
+                    heappush(traps, (t + _round_ps(d), trap_seq))
+                    trap_seq += 1
+
+    return (
+        np.array(out_t, dtype=np.int64),
+        np.array(out_o, dtype=np.int64),
+        np.array(out_c, dtype=np.int64),
     )
 
 
@@ -318,7 +497,7 @@ def effective_dead_time(rate_cps: float, params: DetectorParams) -> float:
     if rate_cps < 0:
         raise ValueError(f"rate_cps must be >= 0, got {rate_cps}")
     c = _compile_params(params)
-    return float(_kernels._interp_clamped(float(rate_cps), c.dead_x, c.dead_y))
+    return float(_interp_clamped(float(rate_cps), c.dead_x, c.dead_y))
 
 
 def twilight_sensitivity(dt_since_avalanche_ps: float, params: DetectorParams) -> float:
@@ -332,7 +511,7 @@ def twilight_sensitivity(dt_since_avalanche_ps: float, params: DetectorParams) -
     if dt_since_avalanche_ps < params.tau_quench_ps or not params.twilight_profile:
         return 0.0
     c = _compile_params(params)
-    return float(_kernels._interp_clamped(float(dt_since_avalanche_ps), c.tw_x, c.tw_y))
+    return float(_interp_clamped(float(dt_since_avalanche_ps), c.tw_x, c.tw_y))
 
 
 def calibrate_afterpulse_mu(p_target: float, tau_trap_ps: float, tau_dead_ps: float) -> float:
@@ -366,6 +545,24 @@ def afterpulse_prob_vs_rs(r_s_ohm: float) -> float:
     return 0.027 + (0.032 - 0.027) * math.exp(-(r_s_ohm - 3300.0) / 3300.0)
 
 
+def _blanking_keep(out_times: np.ndarray, t_b: int) -> np.ndarray:
+    """Non-retriggerable blanking mask over time-sorted pulses.
+
+    The first pulse is transmitted; a pulse is transmitted iff it falls at
+    least t_b after the previous *transmitted* pulse. Withheld pulses do not
+    extend the window.
+    """
+    kept: list[int] = []
+    last = 0
+    for i, t in enumerate(out_times.tolist()):
+        if not kept or t - last >= t_b:
+            kept.append(i)
+            last = t
+    keep = np.zeros(out_times.shape[0], dtype=np.bool_)
+    keep[kept] = True
+    return keep
+
+
 def blanking_filter(pulse_times, t_b_ps: int) -> np.ndarray:
     """Times transmitted by a non-retriggerable blanking stage.
 
@@ -378,7 +575,7 @@ def blanking_filter(pulse_times, t_b_ps: int) -> np.ndarray:
         raise ValueError("pulse_times must be sorted")
     if t_b_ps <= 0:
         raise ValueError(f"t_b_ps must be > 0, got {t_b_ps}")
-    return t[_kernels._blanking_keep(t, np.int64(t_b_ps))]
+    return t[_blanking_keep(t, t_b_ps)]
 
 
 def _prepare_stimuli(
@@ -403,8 +600,8 @@ def _prepare_stimuli(
     times = np.concatenate([arrivals, darks])
     kinds = np.concatenate(
         [
-            np.full(arrivals.size, _kernels.KIND_PHOTON, dtype=np.int64),
-            np.full(darks.size, _kernels.KIND_DARK, dtype=np.int64),
+            np.full(arrivals.size, KIND_PHOTON, dtype=np.int64),
+            np.full(darks.size, KIND_DARK, dtype=np.int64),
         ]
     )
     order = np.lexsort((kinds, times))
@@ -419,7 +616,7 @@ def _finalize_records(
     out, origin, cause = out[order], origin[order], cause[order]
     width = 0
     if params.blanking is not None:
-        keep = _kernels._blanking_keep(out, np.int64(params.blanking.t_b_ps))
+        keep = _blanking_keep(out, params.blanking.t_b_ps)
         out, origin, cause = out[keep], origin[keep], cause[keep]
         width = params.blanking.out_width_ps
     return PulseRecords(out_times=out, origin_times=origin, causes=cause, out_width_ps=width)
@@ -436,5 +633,5 @@ def detect(
     """
     params.validate()
     times, kinds = _prepare_stimuli(arrivals, params, rng, duration_ps)
-    out, origin, cause = _kernels._detect_kernel(times, kinds, _compile_params(params), rng)
+    out, origin, cause = _detect_kernel(times, kinds, _compile_params(params), rng)
     return _finalize_records(out, origin, cause, params)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import CAUSE_PHOTON, CAUSE_TWILIGHT
 from .analysis import (
     AfterpulseResult,
     afterpulse_spectroscopy,
@@ -105,8 +104,9 @@ class PairScanPoint:
 
     n_pairs counts pair slots whose first photon was emitted; n_first those
     whose first photon was detected; n_both those with both photons
-    detected. Arrays out1/out2/cause2/pair_idx/intervals are aligned per
-    both-detected pair.
+    detected. Arrays intervals/pair_idx/out2/cause2 are aligned per
+    both-detected pair; intervals holds the second pulse's output time minus
+    the first's.
     """
 
     delta_t_ps: int
@@ -115,7 +115,6 @@ class PairScanPoint:
     n_both: int
     intervals: np.ndarray
     pair_idx: np.ndarray
-    out1: np.ndarray
     out2: np.ndarray
     cause2: np.ndarray
 
@@ -130,7 +129,7 @@ def _run_pair_point(i, delta_t, params, pair_period, n_pairs, seed, occupancy) -
 
     first_times = times[~is_second]
     second_times = times[is_second]
-    photonish = (rec.causes == CAUSE_PHOTON) | (rec.causes == CAUSE_TWILIGHT)
+    photonish = (rec.causes == Cause.PHOTON) | (rec.causes == Cause.TWILIGHT)
     orig = rec.origin_times
     in1 = photonish & np.isin(orig, first_times)
     in2 = photonish & np.isin(orig, second_times)
@@ -151,7 +150,6 @@ def _run_pair_point(i, delta_t, params, pair_period, n_pairs, seed, occupancy) -
         n_both=int(common.size),
         intervals=out2 - out1,
         pair_idx=common,
-        out1=out1,
         out2=out2,
         cause2=rec.causes[in2][o2][ib],
     )

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
-from . import _kernels
 from .rng import FWHM_TO_SIGMA
 
 __all__ = [
@@ -196,7 +194,27 @@ def coincidence(a, b, window_ps: int) -> Coincidences:
         raise ValueError("input a must be sorted")
     if tb.size and np.any(np.diff(tb) < 0):
         raise ValueError("input b must be sorted")
-    ia, ib = _kernels._match_pairs(ta, tb, np.int64(window_ps))
+    a_list = ta.tolist()
+    b_list = tb.tolist()
+    na = len(a_list)
+    nb = len(b_list)
+    ia_out: list[int] = []
+    ib_out: list[int] = []
+    i = 0
+    j = 0
+    while i < na and j < nb:
+        d = b_list[j] - a_list[i]
+        if d >= window_ps:
+            i += 1
+        elif d <= -window_ps:
+            j += 1
+        else:
+            ia_out.append(i)
+            ib_out.append(j)
+            i += 1
+            j += 1
+    ia = np.array(ia_out, dtype=np.int64)
+    ib = np.array(ib_out, dtype=np.int64)
     times = np.maximum(ta[ia], tb[ib])
     return Coincidences(times=times, idx_a=ia, idx_b=ib)
 
@@ -215,7 +233,18 @@ def autocorrelation(pulses, max_lag_ps: int, bin_width_ps: int) -> Histogram:
     if t.size and np.any(np.diff(t) < 0):
         raise ValueError("pulses must be sorted")
     n_bins = max_lag_ps // bin_width_ps
-    counts = _kernels._autocorr_counts(t, np.int64(bin_width_ps), np.int64(n_bins))
+    # One numpy pass per index offset k = j - i. `t` is sorted, so the
+    # smallest difference at offset k never decreases with k: the first
+    # offset with no difference inside the span ends the scan without
+    # missing a pair.
+    counts = np.zeros(n_bins, dtype=np.int64)
+    span = bin_width_ps * n_bins
+    for k in range(1, t.shape[0]):
+        d = t[k:] - t[:-k]
+        d = d[d < span]
+        if d.size == 0:
+            break
+        counts += np.bincount(d // bin_width_ps, minlength=n_bins)
     n = int(t.shape[0])
     overflow = n * (n - 1) // 2 - int(counts.sum())
     return Histogram(
@@ -242,10 +271,21 @@ def cross_correlation(a, b, span_ps: int, bin_width_ps: int) -> Histogram:
     if tb.size and np.any(np.diff(tb) < 0):
         raise ValueError("input b must be sorted")
     n_bins = 2 * (span_ps // bin_width_ps)
-    counts = _kernels._crosscorr_counts(
-        ta, tb, np.int64(bin_width_ps), np.int64(n_bins), np.int64(-span_ps)
-    )
-    under = int(np.searchsorted(tb, ta - span_ps, side="left").sum())
+    # Each a_i's window of b is found by binary search. Pass k bins the k-th
+    # member of every window that has one, so there are as many passes as
+    # the longest window has members.
+    counts = np.zeros(n_bins, dtype=np.int64)
+    lo = ta - span_ps
+    first = np.searchsorted(tb, lo, side="left")
+    end = np.searchsorted(tb, ta + span_ps, side="left")
+    under = int(first.sum())
+    while True:
+        live = first < end
+        if not live.any():
+            break
+        lo, first, end = lo[live], first[live], end[live]
+        counts += np.bincount((tb[first] - lo) // bin_width_ps, minlength=n_bins)
+        first = first + 1
     over = int(ta.shape[0]) * int(tb.shape[0]) - under - int(counts.sum())
     return Histogram(
         bin_width_ps=bin_width_ps,
@@ -277,6 +317,9 @@ def gaussian_fit(h: Histogram) -> GaussianFit:
     Weights are Poisson (sigma_i = sqrt(count_i)). residual is the reduced
     chi-square of the windowed fit.
     """
+    # Imported on use: scipy.optimize would dominate `import spadsim`.
+    from scipy.optimize import curve_fit
+
     counts = h.counts.astype(np.float64)
     if counts.size == 0 or counts.max() <= 0:
         raise InstrumentError("histogram is empty, nothing to fit")

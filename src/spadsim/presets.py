@@ -26,8 +26,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from scipy.optimize import isotonic_regression
-
 from .detector import (
     AfterpulseModel,
     BlankingConfig,
@@ -240,6 +238,9 @@ def fit_preset_from_curves(
     requires. Shift points get their last value pinned to zero, warning if
     the measured tail had not fully relaxed.
     """
+    # Imported on use: scipy.optimize would dominate `import spadsim`.
+    from scipy.optimize import isotonic_regression
+
     params = base
     if jitter_points is not None:
         pts = _check_points(jitter_points, "jitter_points")

@@ -11,13 +11,12 @@ Alice-Bob cross-correlation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._kernels import CAUSE_PHOTON, CAUSE_TWILIGHT
 from .analysis import distinguishability, heralding_efficiency
-from .detector import DetectorParams, PulseRecords, detect
+from .detector import Cause, DetectorParams, PulseRecords, detect
 from .instruments import Histogram, autocorrelation, coincidence, cross_correlation
 from .rng import make_generator
 from .sources import EntangledPairConfig, correlated_pair_stream
@@ -98,21 +97,7 @@ class QkdReport:
     crosscorr: Histogram
 
     def to_json_dict(self) -> dict:
-        return {
-            "duration_ps": self.duration_ps,
-            "singles_a": self.singles_a,
-            "singles_b": self.singles_b,
-            "singles_rate_a_cps": self.singles_rate_a_cps,
-            "singles_rate_b_cps": self.singles_rate_b_cps,
-            "n_coincidences": self.n_coincidences,
-            "coincidence_rate_cps": self.coincidence_rate_cps,
-            "n_truth_coincidences": self.n_truth_coincidences,
-            "ber": self.ber,
-            "raw_key_rate_bits_per_s": self.raw_key_rate_bits_per_s,
-            "heralding": self.heralding,
-            "distinguishability_a": self.distinguishability_a,
-            "distinguishability_b": self.distinguishability_b,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "crosscorr"}
 
 
 def _pair_id_of_records(rec: PulseRecords, arrivals: np.ndarray, pair_ids: np.ndarray):
@@ -125,7 +110,7 @@ def _pair_id_of_records(rec: PulseRecords, arrivals: np.ndarray, pair_ids: np.nd
     out = np.full(len(rec), -1, dtype=np.int64)
     if arrivals.size == 0:
         return out
-    photonish = (rec.causes == CAUSE_PHOTON) | (rec.causes == CAUSE_TWILIGHT)
+    photonish = (rec.causes == Cause.PHOTON) | (rec.causes == Cause.TWILIGHT)
     idx = np.searchsorted(arrivals, rec.origin_times)
     valid = photonish & (idx < arrivals.size)
     valid &= arrivals[np.minimum(idx, arrivals.size - 1)] == rec.origin_times

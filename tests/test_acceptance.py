@@ -9,6 +9,7 @@ terminal summary prints as `[criterion NN]`.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,7 +186,7 @@ def test_criterion_05_twilight_placement_and_windows():
         total += len(p.out2)
     sharp_frac = exact / total if total else 0.0
 
-    custom_open = CUSTOM.with_blanking(None)
+    custom_open = replace(CUSTOM, blanking=None)
     for p in run_pair_scan(custom_open, [17_000, 19_000, 21_000], period, 4000, 3):
         if not np.all(p.cause2 == int(Cause.TWILIGHT)):
             placement_ok = False

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from conftest import inline_detector
 
+import spadsim
 from spadsim import preset
 from spadsim.cli import main
 
@@ -148,3 +152,15 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert main([]) == 1
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """scipy.optimize is imported by the fits that use it, not by the package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spadsim.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, spadsim; print(spadsim.__file__); print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out == [spadsim.__file__, "False"]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import as_json, inline_detector
@@ -245,7 +247,7 @@ class TestDetect:
         rec = detect(arr, p, make_generator(17, "detector"), SECOND_PS // 20)
         assert np.diff(rec.out_times).min() >= 24000
         assert rec.out_width_ps == 12000
-        un = detect(arr, p.with_blanking(None), make_generator(17, "detector"), SECOND_PS // 20)
+        un = detect(arr, replace(p, blanking=None), make_generator(17, "detector"), SECOND_PS // 20)
         assert len(un) > len(rec)
         assert np.diff(un.out_times).min() < 24000
 
