@@ -45,8 +45,9 @@ __all__ = [
 # Time constant of the output-rate estimator driving dead-time elongation
 TAU_EMA_PS = 1.0e6
 
-# Stimulus kind codes of the merged stimulus stream; at equal timestamps the
-# lower code is processed first.
+# Stimulus kind codes. Photons are the caller's sorted arrivals; darks and
+# trap releases wait in one event heap keyed (time, kind, order). At equal
+# timestamps the lower code is processed first.
 KIND_TRAP_RELEASE = 1
 KIND_DARK = 2
 KIND_PHOTON = 3
@@ -255,10 +256,6 @@ class PulseRecords:
     def __len__(self) -> int:
         return int(self.out_times.shape[0])
 
-    def of_cause(self, cause: Cause) -> np.ndarray:
-        """Output times of pulses with the given cause."""
-        return self.out_times[self.causes == int(cause)]
-
 
 @dataclass(frozen=True)
 class _CompiledParams:
@@ -280,7 +277,6 @@ class _CompiledParams:
     ap_tau: float
     ap_tmin: float
     ap_alpha: float
-    tau_ema: float
 
 
 def _compile_params(params: DetectorParams) -> _CompiledParams:
@@ -315,7 +311,6 @@ def _compile_params(params: DetectorParams) -> _CompiledParams:
         ap_tau=float(params.afterpulse.tau_trap_ps),
         ap_tmin=float(params.afterpulse.t_min_ps),
         ap_alpha=float(params.afterpulse.alpha),
-        tau_ema=TAU_EMA_PS,
     )
 
 
@@ -355,15 +350,16 @@ def _trap_delay_power_law(u: float, t_min_ps: float, alpha: float) -> float:
 
 
 def _detect_kernel(
-    times: np.ndarray, kinds: np.ndarray, c: _CompiledParams, rng: np.random.Generator
+    arrivals: np.ndarray, darks: np.ndarray, c: _CompiledParams, rng: np.random.Generator
 ):
-    """Actively-quenched SPAD state machine over a merged stimulus stream.
+    """Actively-quenched SPAD state machine over two sorted stimulus streams.
 
-    `times`/`kinds` are the merged stimuli sorted by (time, kind), and `c`
-    is the detector's `_CompiledParams`. Returns int64 arrays (out_times,
-    origin_times, causes) in avalanche order. Trap releases are generated
-    internally and interleaved by (time, creation order); a release ties
-    with an external stimulus at the same picosecond by processing first.
+    `arrivals` are the photon times and `darks` the dark-count times, both
+    sorted, and `c` is the detector's `_CompiledParams`. Returns int64
+    arrays (out_times, origin_times, causes) in avalanche order. Trap
+    releases are generated internally; one heap orders them with the next
+    dark by (time, kind, order), so at the same picosecond releases go
+    before darks, and both go before a photon.
 
     Draw-order contract of the detection state machine (the reference mirrors it
     exactly; changing it breaks stream compatibility):
@@ -387,7 +383,9 @@ def _detect_kernel(
     out_t: list[int] = []
     out_o: list[int] = []
     out_c: list[int] = []
-    traps: list[tuple[int, int]] = []  # min-heap of (release time, creation order)
+    # Min-heap of (time, kind, order) over every pending trap release and
+    # the next dark; popping dark j pushes dark j + 1.
+    events: list[tuple[int, int, int]] = []
     trap_seq = 0
 
     dead_start = -(2**62)  # avalanche instant of the current dead period
@@ -396,17 +394,21 @@ def _detect_kernel(
     lam = 0.0  # EMA detection-rate estimate, events per ps
     t_lam = 0
 
-    times = times.tolist()
-    kinds = kinds.tolist()
-    n_in = len(times)
+    photons = arrivals.tolist()
+    darks = darks.tolist()
+    n_photons = len(photons)
+    n_darks = len(darks)
+    if n_darks:
+        events.append((darks[0], KIND_DARK, 0))
     i = 0
-    while i < n_in or traps:
-        if traps and (i >= n_in or traps[0][0] <= times[i]):
-            t = heappop(traps)[0]
-            kind = KIND_TRAP_RELEASE
+    while i < n_photons or events:
+        if events and (i >= n_photons or events[0][0] <= photons[i]):
+            t, kind, j = heappop(events)
+            if kind == KIND_DARK and j + 1 < n_darks:
+                heappush(events, (darks[j + 1], KIND_DARK, j + 1))
         else:
-            t = times[i]
-            kind = kinds[i]
+            t = photons[i]
+            kind = KIND_PHOTON
             i += 1
 
         triggered = False
@@ -461,10 +463,10 @@ def _detect_kernel(
 
             # Avalanche bookkeeping: the dead-time length comes from the
             # rate estimate just before this avalanche is counted.
-            lam = _ema_decay(lam, t - t_lam, c.tau_ema)
+            lam = _ema_decay(lam, t - t_lam, TAU_EMA_PS)
             t_lam = t
             dlen = _round_ps(_interp_clamped(lam * 1.0e12, c.dead_x, c.dead_y))
-            lam += 1.0 / c.tau_ema
+            lam += 1.0 / TAU_EMA_PS
             dead_start = t
             dead_end = t + dlen
             last_avalanche = t
@@ -478,7 +480,7 @@ def _detect_kernel(
                             d = _MAX_TRAP_DELAY
                     else:
                         d = _trap_delay_power_law(rng.random(), c.ap_tmin, c.ap_alpha)
-                    heappush(traps, (t + _round_ps(d), trap_seq))
+                    heappush(events, (t + _round_ps(d), KIND_TRAP_RELEASE, trap_seq))
                     trap_seq += 1
 
     return (
@@ -581,14 +583,13 @@ def blanking_filter(pulse_times, t_b_ps: int) -> np.ndarray:
 def _prepare_stimuli(
     arrivals, params: DetectorParams, rng: np.random.Generator, duration_ps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validate inputs and merge photon arrivals with a drawn dark stream.
+    """Validate inputs and draw the dark stream; returns (arrivals, darks).
 
     Dark counts are drawn from `rng` up front, before the state machine
     consumes it, so the per-event draw sequence is independent of the dark
-    stream's length. The merge is time-ordered with darks ahead of photons
-    at equal timestamps.
+    stream's length.
     """
-    arrivals = np.ascontiguousarray(np.asarray(arrivals, dtype=np.int64))
+    arrivals = np.asarray(arrivals, dtype=np.int64)
     if arrivals.size:
         if np.any(np.diff(arrivals) < 0):
             raise ValueError("arrivals must be sorted non-decreasing")
@@ -596,23 +597,19 @@ def _prepare_stimuli(
             raise ValueError("arrivals must be non-negative")
     if duration_ps <= 0:
         raise ValueError(f"duration_ps must be > 0, got {duration_ps}")
-    darks = poisson_times(rng, params.dark_rate_cps, duration_ps)
-    times = np.concatenate([arrivals, darks])
-    kinds = np.concatenate(
-        [
-            np.full(arrivals.size, KIND_PHOTON, dtype=np.int64),
-            np.full(darks.size, KIND_DARK, dtype=np.int64),
-        ]
-    )
-    order = np.lexsort((kinds, times))
-    return times[order], kinds[order]
+    return arrivals, poisson_times(rng, params.dark_rate_cps, duration_ps)
 
 
 def _finalize_records(
     out: np.ndarray, origin: np.ndarray, cause: np.ndarray, params: DetectorParams
 ) -> PulseRecords:
     """Sort avalanche-ordered pulses by output time and apply blanking."""
-    order = np.lexsort((cause, origin, out))
+    # A stable sort on out alone keeps equal output times in avalanche
+    # order, which is ascending origin order: every avalanche starts a dead
+    # period of at least 1 ps, and an event at dt = 0 can neither find the
+    # detector armed nor trigger in twilight (the profile is 0 at its first
+    # knot). So origin and cause never decide a tie.
+    order = np.argsort(out, kind="stable")
     out, origin, cause = out[order], origin[order], cause[order]
     width = 0
     if params.blanking is not None:
@@ -632,6 +629,6 @@ def detect(
     blanking is configured the output is the transmitted subset.
     """
     params.validate()
-    times, kinds = _prepare_stimuli(arrivals, params, rng, duration_ps)
-    out, origin, cause = _detect_kernel(times, kinds, _compile_params(params), rng)
+    arrivals, darks = _prepare_stimuli(arrivals, params, rng, duration_ps)
+    out, origin, cause = _detect_kernel(arrivals, darks, _compile_params(params), rng)
     return _finalize_records(out, origin, cause, params)

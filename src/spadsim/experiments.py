@@ -136,13 +136,9 @@ def _run_pair_point(i, delta_t, params, pair_period, n_pairs, seed, occupancy) -
 
     pairs1 = orig[in1] // pair_period
     pairs2 = (orig[in2] - delta_t) // pair_period
-    o1 = np.argsort(pairs1)
-    o2 = np.argsort(pairs2)
-    common, ia, ib = np.intersect1d(
-        pairs1[o1], pairs2[o2], assume_unique=True, return_indices=True
-    )
-    out1 = rec.out_times[in1][o1][ia]
-    out2 = rec.out_times[in2][o2][ib]
+    common, ia, ib = np.intersect1d(pairs1, pairs2, assume_unique=True, return_indices=True)
+    out1 = rec.out_times[in1][ia]
+    out2 = rec.out_times[in2][ib]
     return PairScanPoint(
         delta_t_ps=delta_t,
         n_pairs=int(first_times.size),
@@ -151,7 +147,7 @@ def _run_pair_point(i, delta_t, params, pair_period, n_pairs, seed, occupancy) -
         intervals=out2 - out1,
         pair_idx=common,
         out2=out2,
-        cause2=rec.causes[in2][o2][ib],
+        cause2=rec.causes[in2][ib],
     )
 
 

@@ -118,7 +118,6 @@ class TacConfig:
 
     range_ps: int
     instrument_fwhm_ps: float = 0.0
-    mode: str = "single-stop"
 
     def validate(self) -> None:
         if self.range_ps <= 0:
@@ -127,8 +126,6 @@ class TacConfig:
             raise ValueError(
                 f"instrument_fwhm_ps must be >= 0, got {self.instrument_fwhm_ps}"
             )
-        if self.mode != "single-stop":
-            raise ValueError(f"unsupported TAC mode {self.mode!r}")
 
 
 def tac_measure(starts, stops, cfg: TacConfig, rng: np.random.Generator) -> np.ndarray:
@@ -170,21 +167,20 @@ def tac_measure(starts, stops, cfg: TacConfig, rng: np.random.Generator) -> np.n
 
 @dataclass(frozen=True)
 class Coincidences:
-    """Matched pair pulses: times of the later member of each pair."""
+    """Matched pair pulses: indices of each pair's members in the two inputs."""
 
-    times: np.ndarray
     idx_a: np.ndarray
     idx_b: np.ndarray
 
     def __len__(self) -> int:
-        return int(self.times.shape[0])
+        return int(self.idx_a.shape[0])
 
 
 def coincidence(a, b, window_ps: int) -> Coincidences:
     """Greedy earliest-pair coincidence matching with a strict window.
 
-    Emits one pulse per pair with |t_a - t_b| < window; each input pulse is
-    consumed by at most one pair.
+    Matches pairs with |t_a - t_b| < window; each input pulse is consumed
+    by at most one pair.
     """
     if window_ps <= 0:
         raise ValueError(f"window_ps must be > 0, got {window_ps}")
@@ -215,8 +211,7 @@ def coincidence(a, b, window_ps: int) -> Coincidences:
             j += 1
     ia = np.array(ia_out, dtype=np.int64)
     ib = np.array(ib_out, dtype=np.int64)
-    times = np.maximum(ta[ia], tb[ib])
-    return Coincidences(times=times, idx_a=ia, idx_b=ib)
+    return Coincidences(idx_a=ia, idx_b=ib)
 
 
 def autocorrelation(pulses, max_lag_ps: int, bin_width_ps: int) -> Histogram:

@@ -1,16 +1,17 @@
 """Event-queue reference implementation of the detector.
 
 detect_reference() produces byte-identical output to detector.detect() from
-the same rng state. Where the production kernel sweeps a merged stimulus
-array, this version schedules every stimulus, trap release, and re-arm timer
-as a discrete event on its own priority queue and lets the queue order them.
+the same rng state. Where the production kernel walks the sorted photon
+arrivals and keeps only darks and trap releases on a heap, this version
+schedules every photon, dark count, trap release, and re-arm timer as a
+discrete event on its own priority queue and lets the queue order them.
 It exists as an executable statement of the detector semantics and as the
 oracle the kernel is tested against; it is not built for speed.
 
 Events pop in (time, kind, insertion) order. At equal timestamps re-arm
 timers (kind 0) fire first, then trap releases, then dark counts, then
 photon arrivals (the stimulus kind codes of `detector`), matching the
-tie-break rules of the array kernel.
+tie-break rules of the kernel.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .detector import (
     KIND_DARK,
     KIND_PHOTON,
     KIND_TRAP_RELEASE,
+    TAU_EMA_PS,
     Cause,
     DetectorParams,
     PulseRecords,
@@ -47,7 +49,7 @@ _KIND_TIMER = 0
 class _DetectorState:
     """Mutable detector state driven by its own event queue.
 
-    Mirrors the array kernel's draw-order contract exactly; see the
+    Mirrors the kernel's draw-order contract exactly; see the
     `detector._detect_kernel` docstring. The armed flag is maintained by
     generation-tagged re-arm timers instead of timestamp comparison: a fresh
     avalanche invalidates any pending timer by bumping the generation.
@@ -134,10 +136,10 @@ class _DetectorState:
         self.origin_times.append(int(t))
         self.causes.append(int(cause))
 
-        self.lam = _ema_decay(self.lam, t - self.t_lam, c.tau_ema)
+        self.lam = _ema_decay(self.lam, t - self.t_lam, TAU_EMA_PS)
         self.t_lam = t
         dlen = _round_ps(_interp_clamped(self.lam * 1.0e12, c.dead_x, c.dead_y))
-        self.lam += 1.0 / c.tau_ema
+        self.lam += 1.0 / TAU_EMA_PS
         self.dead_start = t
         self.dead_end = t + dlen
         self.last_avalanche = t
@@ -165,10 +167,12 @@ def detect_reference(
     Same contract and output as detector.detect(); see the module docstring.
     """
     params.validate()
-    times, kinds = _prepare_stimuli(arrivals, params, rng, duration_ps)
+    arrivals, darks = _prepare_stimuli(arrivals, params, rng, duration_ps)
     state = _DetectorState(_compile_params(params), rng)
-    for t, k in zip(times.tolist(), kinds.tolist()):
-        state.schedule(t, k)
+    for t in darks.tolist():
+        state.schedule(t, KIND_DARK)
+    for t in arrivals.tolist():
+        state.schedule(t, KIND_PHOTON)
     state.run()
     out = np.asarray(state.out_times, dtype=np.int64)
     origin = np.asarray(state.origin_times, dtype=np.int64)

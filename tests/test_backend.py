@@ -178,3 +178,6 @@ def test_kernel_matches_reference_on_generated_params(case):
     a = detect(arrivals, params, make_generator(seed, 2), duration)
     b = detect_reference(arrivals, params, make_generator(seed, 2), duration)
     assert records_equal(a, b)
+    # `detect` sorts by output time alone; origin and cause never break a tie.
+    order = np.lexsort((a.causes, a.origin_times, a.out_times))
+    assert np.array_equal(order, np.arange(len(a)))

@@ -207,7 +207,7 @@ class TestDetect:
         seen = 0
         for seed in range(40):
             rec = detect(arr, p, make_generator(seed, "detector"), 200000)
-            tw = rec.of_cause(Cause.TWILIGHT)
+            tw = rec.out_times[rec.causes == Cause.TWILIGHT]
             if len(tw):
                 seen += 1
                 assert tw.tolist() == [24000 + 9000]
@@ -221,8 +221,8 @@ class TestDetect:
         p = plain_params(afterpulse=AfterpulseModel(mu=mu, tau_trap_ps=32000.0))
         arr = poisson_times(make_generator(15, "source"), 2e4, 5 * SECOND_PS)
         rec = detect(arr, p, make_generator(15, "detector"), 5 * SECOND_PS)
-        n_ap = len(rec.of_cause(Cause.AFTERPULSE))
-        n_ph = len(rec.of_cause(Cause.PHOTON))
+        n_ap = len(rec.out_times[rec.causes == Cause.AFTERPULSE])
+        n_ph = len(rec.out_times[rec.causes == Cause.PHOTON])
         # Each photon pulse spawns afterpulses (and afterpulses of those).
         chain = target / (1.0 - target)
         assert n_ap / n_ph == pytest.approx(chain, rel=0.15)
@@ -235,7 +235,7 @@ class TestDetect:
         )
         arr = poisson_times(make_generator(16, "source"), 1e5, SECOND_PS // 2)
         rec = detect(arr, p, make_generator(16, "detector"), SECOND_PS // 2)
-        assert len(rec.of_cause(Cause.AFTERPULSE)) > 50
+        assert len(rec.out_times[rec.causes == Cause.AFTERPULSE]) > 50
 
     def test_blanking_applied_to_output(self):
         p = plain_params(

@@ -125,7 +125,6 @@ class TestCoincidence:
         assert len(c) == 2
         assert c.idx_a.tolist() == [0, 1]
         assert c.idx_b.tolist() == [0, 1]
-        assert c.times.tolist() == [60, 140]
 
     def test_window_is_strict(self):
         a = np.array([0], dtype=np.int64)

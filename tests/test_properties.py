@@ -78,7 +78,6 @@ def test_coincidence_greedy_invariants(a, b, window):
     assert ia == sorted(set(ia)) and ib == sorted(set(ib))
     for i, j in zip(ia, ib):
         assert abs(int(a[i]) - int(b[j])) < window
-    assert np.array_equal(m.times, np.maximum(a[m.idx_a], b[m.idx_b]))
     # Greedy earliest-first matching: walk both streams once and pair
     # whatever fits the strict window; the instrument must produce exactly that.
     expect = []
