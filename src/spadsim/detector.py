@@ -244,14 +244,15 @@ class PulseRecords:
     out_times is when the pulse appears at the connector; origin_times is
     the physical event that caused it (photon arrival, dark event, trap
     release, or the arrival of a twilight-detected photon); causes holds
-    Cause codes. out_width_ps is pulse-shape metadata from the blanking
-    stage (0 when not reshaped).
+    Cause codes. arrival_index is the index into the caller's `arrivals` of
+    the photon that triggered the pulse, armed or in twilight; it is -1 for
+    darks, for twilight pulses triggered by a dark, and for afterpulses.
     """
 
     out_times: np.ndarray
     origin_times: np.ndarray
     causes: np.ndarray
-    out_width_ps: int = 0
+    arrival_index: np.ndarray
 
     def __len__(self) -> int:
         return int(self.out_times.shape[0])
@@ -355,11 +356,11 @@ def _detect_kernel(
     """Actively-quenched SPAD state machine over two sorted stimulus streams.
 
     `arrivals` are the photon times and `darks` the dark-count times, both
-    sorted, and `c` is the detector's `_CompiledParams`. Returns int64
-    arrays (out_times, origin_times, causes) in avalanche order. Trap
-    releases are generated internally; one heap orders them with the next
-    dark by (time, kind, order), so at the same picosecond releases go
-    before darks, and both go before a photon.
+    sorted, and `c` is the detector's `_CompiledParams`. Returns the four
+    int64 `PulseRecords` columns in avalanche order. Trap releases are
+    generated internally; one heap orders them with the next dark by
+    (time, kind, order), so at the same picosecond releases go before
+    darks, and both go before a photon.
 
     Draw-order contract of the detection state machine (the reference mirrors it
     exactly; changing it breaks stream compatibility):
@@ -383,6 +384,7 @@ def _detect_kernel(
     out_t: list[int] = []
     out_o: list[int] = []
     out_c: list[int] = []
+    out_a: list[int] = []
     # Min-heap of (time, kind, order) over every pending trap release and
     # the next dark; popping dark j pushes dark j + 1.
     events: list[tuple[int, int, int]] = []
@@ -406,9 +408,11 @@ def _detect_kernel(
             t, kind, j = heappop(events)
             if kind == KIND_DARK and j + 1 < n_darks:
                 heappush(events, (darks[j + 1], KIND_DARK, j + 1))
+            src = -1
         else:
             t = photons[i]
             kind = KIND_PHOTON
+            src = i
             i += 1
 
         triggered = False
@@ -460,6 +464,7 @@ def _detect_kernel(
             out_t.append(ot)
             out_o.append(t)
             out_c.append(cause)
+            out_a.append(src)
 
             # Avalanche bookkeeping: the dead-time length comes from the
             # rate estimate just before this avalanche is counted.
@@ -487,6 +492,7 @@ def _detect_kernel(
         np.array(out_t, dtype=np.int64),
         np.array(out_o, dtype=np.int64),
         np.array(out_c, dtype=np.int64),
+        np.array(out_a, dtype=np.int64),
     )
 
 
@@ -600,23 +606,19 @@ def _prepare_stimuli(
     return arrivals, poisson_times(rng, params.dark_rate_cps, duration_ps)
 
 
-def _finalize_records(
-    out: np.ndarray, origin: np.ndarray, cause: np.ndarray, params: DetectorParams
-) -> PulseRecords:
-    """Sort avalanche-ordered pulses by output time and apply blanking."""
+def _finalize_records(columns: tuple[np.ndarray, ...], params: DetectorParams) -> PulseRecords:
+    """Sort the kernel's pulse columns by output time and apply blanking."""
     # A stable sort on out alone keeps equal output times in avalanche
     # order, which is ascending origin order: every avalanche starts a dead
     # period of at least 1 ps, and an event at dt = 0 can neither find the
     # detector armed nor trigger in twilight (the profile is 0 at its first
     # knot). So origin and cause never decide a tie.
-    order = np.argsort(out, kind="stable")
-    out, origin, cause = out[order], origin[order], cause[order]
-    width = 0
+    order = np.argsort(columns[0], kind="stable")
+    columns = [a[order] for a in columns]
     if params.blanking is not None:
-        keep = _blanking_keep(out, params.blanking.t_b_ps)
-        out, origin, cause = out[keep], origin[keep], cause[keep]
-        width = params.blanking.out_width_ps
-    return PulseRecords(out_times=out, origin_times=origin, causes=cause, out_width_ps=width)
+        keep = _blanking_keep(columns[0], params.blanking.t_b_ps)
+        columns = [a[keep] for a in columns]
+    return PulseRecords(*columns)
 
 
 def detect(
@@ -630,5 +632,5 @@ def detect(
     """
     params.validate()
     arrivals, darks = _prepare_stimuli(arrivals, params, rng, duration_ps)
-    out, origin, cause = _detect_kernel(arrivals, darks, _compile_params(params), rng)
-    return _finalize_records(out, origin, cause, params)
+    columns = _detect_kernel(arrivals, darks, _compile_params(params), rng)
+    return _finalize_records(columns, params)

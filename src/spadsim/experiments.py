@@ -104,9 +104,10 @@ class PairScanPoint:
 
     n_pairs counts pair slots whose first photon was emitted; n_first those
     whose first photon was detected; n_both those with both photons
-    detected. Arrays intervals/pair_idx/out2/cause2 are aligned per
-    both-detected pair; intervals holds the second pulse's output time minus
-    the first's.
+    detected. A pulse is credited to the photon its arrival_index names, so
+    darks and afterpulses never count. Arrays intervals/pair_idx/out2/cause2
+    are aligned per both-detected pair; intervals holds the second pulse's
+    output time minus the first's.
     """
 
     delta_t_ps: int
@@ -127,13 +128,12 @@ def _run_pair_point(i, delta_t, params, pair_period, n_pairs, seed, occupancy) -
     duration = n_pairs * pair_period
     rec = detect(times, params, make_generator(seed, DETECTOR_SCAN_BASE + i), duration)
 
-    first_times = times[~is_second]
-    second_times = times[is_second]
-    photonish = (rec.causes == Cause.PHOTON) | (rec.causes == Cause.TWILIGHT)
+    hit = rec.arrival_index >= 0
+    second = np.zeros(len(rec), dtype=bool)
+    second[hit] = is_second[rec.arrival_index[hit]]
+    in1 = hit & ~second
+    in2 = hit & second
     orig = rec.origin_times
-    in1 = photonish & np.isin(orig, first_times)
-    in2 = photonish & np.isin(orig, second_times)
-
     pairs1 = orig[in1] // pair_period
     pairs2 = (orig[in2] - delta_t) // pair_period
     common, ia, ib = np.intersect1d(pairs1, pairs2, assume_unique=True, return_indices=True)
@@ -141,7 +141,7 @@ def _run_pair_point(i, delta_t, params, pair_period, n_pairs, seed, occupancy) -
     out2 = rec.out_times[in2][ib]
     return PairScanPoint(
         delta_t_ps=delta_t,
-        n_pairs=int(first_times.size),
+        n_pairs=int(np.count_nonzero(~is_second)),
         n_first=int(np.count_nonzero(in1)),
         n_both=int(common.size),
         intervals=out2 - out1,

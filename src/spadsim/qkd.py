@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .analysis import distinguishability, heralding_efficiency
-from .detector import Cause, DetectorParams, PulseRecords, detect
+from .detector import DetectorParams, PulseRecords, detect
 from .instruments import Histogram, autocorrelation, coincidence, cross_correlation
 from .rng import make_generator
 from .sources import EntangledPairConfig, correlated_pair_stream
@@ -100,21 +100,12 @@ class QkdReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "crosscorr"}
 
 
-def _pair_id_of_records(rec: PulseRecords, arrivals: np.ndarray, pair_ids: np.ndarray):
-    """Ground-truth pair tag per output pulse; -1 for darks and afterpulses.
-
-    Photon-caused pulses (normal or twilight) carry the arrival instant as
-    origin_time; match it back to the source stream. Twilight pulses whose
-    trigger was a dark count have no matching arrival and stay -1.
-    """
+def _pair_ids(rec: PulseRecords, pair_ids: np.ndarray) -> np.ndarray:
+    """Ground-truth pair tag per output pulse: the tag of the arrival that
+    triggered it, -1 for pulses no photon triggered."""
     out = np.full(len(rec), -1, dtype=np.int64)
-    if arrivals.size == 0:
-        return out
-    photonish = (rec.causes == Cause.PHOTON) | (rec.causes == Cause.TWILIGHT)
-    idx = np.searchsorted(arrivals, rec.origin_times)
-    valid = photonish & (idx < arrivals.size)
-    valid &= arrivals[np.minimum(idx, arrivals.size - 1)] == rec.origin_times
-    out[valid] = pair_ids[idx[valid]]
+    hit = rec.arrival_index >= 0
+    out[hit] = pair_ids[rec.arrival_index[hit]]
     return out
 
 
@@ -162,8 +153,8 @@ def run_qkd_scenario(
 
     comp_a = rec_a.out_times - det_a.base_delay_ps
     comp_b = rec_b.out_times - det_b.base_delay_ps
-    pid_a = _pair_id_of_records(rec_a, streams.alice_times, streams.alice_pair_ids)
-    pid_b = _pair_id_of_records(rec_b, streams.bob_times, streams.bob_pair_ids)
+    pid_a = _pair_ids(rec_a, streams.alice_pair_ids)
+    pid_b = _pair_ids(rec_b, streams.bob_pair_ids)
 
     matches = coincidence(comp_a, comp_b, frame.bin_width_ps)
     n_c = len(matches)

@@ -11,7 +11,8 @@ oracle the kernel is tested against; it is not built for speed.
 Events pop in (time, kind, insertion) order. At equal timestamps re-arm
 timers (kind 0) fire first, then trap releases, then dark counts, then
 photon arrivals (the stimulus kind codes of `detector`), matching the
-tie-break rules of the kernel.
+tie-break rules of the kernel. A photon's event carries its index into the
+caller's arrivals, which becomes the arrival_index of a pulse it triggers.
 """
 
 from __future__ import annotations
@@ -68,11 +69,14 @@ class _DetectorState:
         self.out_times: list[int] = []
         self.origin_times: list[int] = []
         self.causes: list[int] = []
+        self.arrival_index: list[int] = []
         self.now = 0
-        self.queue: list[tuple[int, int, int, object]] = []  # (time, kind, insertion, payload)
+        # (time, kind, insertion, payload); the payload is a timer's
+        # generation, a photon's arrival index, and -1 otherwise.
+        self.queue: list[tuple[int, int, int, int]] = []
         self.inserted = 0
 
-    def schedule(self, time: int, kind: int, payload: object = None) -> None:
+    def schedule(self, time: int, kind: int, payload: int = -1) -> None:
         if time < self.now:
             raise RuntimeError(
                 f"cannot schedule event kind {kind} at t={time} ps: current time is {self.now} ps"
@@ -91,20 +95,20 @@ class _DetectorState:
                 continue
             t = np.int64(time)
             if self.armed:
-                self._handle_armed(t, kind)
+                self._handle_armed(t, kind, payload)
             else:
-                self._handle_dead(t, kind)
+                self._handle_dead(t, kind, payload)
 
-    def _handle_armed(self, t: np.int64, kind: int) -> None:
+    def _handle_armed(self, t: np.int64, kind: int, src: int) -> None:
         if kind == KIND_PHOTON:
             if self.rng.random() < self.c.efficiency:
-                self._avalanche(t, Cause.PHOTON)
+                self._avalanche(t, Cause.PHOTON, src)
         elif kind == KIND_DARK:
-            self._avalanche(t, Cause.DARK)
+            self._avalanche(t, Cause.DARK, src)
         else:
-            self._avalanche(t, Cause.AFTERPULSE)
+            self._avalanche(t, Cause.AFTERPULSE, src)
 
-    def _handle_dead(self, t: np.int64, kind: int) -> None:
+    def _handle_dead(self, t: np.int64, kind: int, src: int) -> None:
         dt = t - self.dead_start
         if dt < self.c.tau_quench or kind == KIND_TRAP_RELEASE:
             # Quench phase swallows everything; the twilight zone swallows
@@ -114,9 +118,9 @@ class _DetectorState:
         prof = _interp_clamped(float(dt), self.c.tw_x, self.c.tw_y)
         thr = self.c.efficiency * prof if kind == KIND_PHOTON else prof
         if u < thr:
-            self._avalanche(t, Cause.TWILIGHT, held=True)
+            self._avalanche(t, Cause.TWILIGHT, src, held=True)
 
-    def _avalanche(self, t: np.int64, cause: Cause, held: bool = False) -> None:
+    def _avalanche(self, t: np.int64, cause: Cause, src: int, held: bool = False) -> None:
         c = self.c
         if held:
             # Sensing is off during the dead period: the pulse appears when
@@ -135,6 +139,7 @@ class _DetectorState:
         self.out_times.append(int(ot))
         self.origin_times.append(int(t))
         self.causes.append(int(cause))
+        self.arrival_index.append(src)
 
         self.lam = _ema_decay(self.lam, t - self.t_lam, TAU_EMA_PS)
         self.t_lam = t
@@ -171,10 +176,8 @@ def detect_reference(
     state = _DetectorState(_compile_params(params), rng)
     for t in darks.tolist():
         state.schedule(t, KIND_DARK)
-    for t in arrivals.tolist():
-        state.schedule(t, KIND_PHOTON)
+    for idx, t in enumerate(arrivals.tolist()):
+        state.schedule(t, KIND_PHOTON, idx)
     state.run()
-    out = np.asarray(state.out_times, dtype=np.int64)
-    origin = np.asarray(state.origin_times, dtype=np.int64)
-    cause = np.asarray(state.causes, dtype=np.int64)
-    return _finalize_records(out, origin, cause, params)
+    columns = (state.out_times, state.origin_times, state.causes, state.arrival_index)
+    return _finalize_records(tuple(np.asarray(c, dtype=np.int64) for c in columns), params)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from spadsim import (
     AfterpulseModel,
     BlankingConfig,
+    Cause,
     DetectorParams,
     detect,
     detect_reference,
@@ -46,13 +47,13 @@ def arrivals_for(seed: int) -> np.ndarray:
 
 def records_equal(a, b) -> bool:
     """Byte-for-byte equality of two PulseRecords, dtypes included."""
-    arrays_equal = all(
+    return all(
         x.dtype == y.dtype and x.tobytes() == y.tobytes()
         for x, y in zip(
-            (a.out_times, a.origin_times, a.causes), (b.out_times, b.origin_times, b.causes)
+            (a.out_times, a.origin_times, a.causes, a.arrival_index),
+            (b.out_times, b.origin_times, b.causes, b.arrival_index),
         )
     )
-    return arrays_equal and a.out_width_ps == b.out_width_ps
 
 
 CASES = [
@@ -181,3 +182,12 @@ def test_kernel_matches_reference_on_generated_params(case):
     # `detect` sorts by output time alone; origin and cause never break a tie.
     order = np.lexsort((a.causes, a.origin_times, a.out_times))
     assert np.array_equal(order, np.arange(len(a)))
+    # Provenance: a photon pulse names its arrival, darks and afterpulses
+    # name none, and a named arrival is distinct and sits at the origin.
+    idx = a.arrival_index
+    assert np.all(idx[a.causes == Cause.PHOTON] >= 0)
+    assert np.all(idx[(a.causes == Cause.DARK) | (a.causes == Cause.AFTERPULSE)] == -1)
+    named = idx >= 0
+    assert np.unique(idx[named]).size == np.count_nonzero(named)
+    assert np.array_equal(arrivals[idx[named]], a.origin_times[named])
+    assert np.all((a.causes[named] == Cause.PHOTON) | (a.causes[named] == Cause.TWILIGHT))

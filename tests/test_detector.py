@@ -183,6 +183,17 @@ class TestDetect:
         assert rec.out_times.tolist() == [9000, 109000, 209000]
         assert rec.origin_times.tolist() == [0, 100000, 200000]
 
+    def test_arrival_index_names_the_triggering_photon(self):
+        # Photons sharing a picosecond: the first triggers, the rest fall in
+        # the quench phase; the index names the photon, not the timestamp.
+        p = plain_params()
+        arr = np.array([0, 0, 0, 100000, 100000], dtype=np.int64)
+        rec = detect(arr, p, make_generator(1, "detector"), 200000)
+        assert rec.arrival_index.tolist() == [0, 3]
+        p = plain_params(dark_rate_cps=1e8)
+        darks = detect(arr[:0], p, make_generator(1, "detector"), 200000)
+        assert len(darks) > 0 and np.all(darks.arrival_index == -1)
+
     def test_efficiency_thins_detections(self):
         p = plain_params(efficiency=0.25, tau_dead0_ps=100, tau_quench_ps=50)
         arr = poisson_times(make_generator(13, "source"), 1e6, SECOND_PS // 10)
@@ -246,7 +257,6 @@ class TestDetect:
         arr = poisson_times(make_generator(17, "source"), 5e6, SECOND_PS // 20)
         rec = detect(arr, p, make_generator(17, "detector"), SECOND_PS // 20)
         assert np.diff(rec.out_times).min() >= 24000
-        assert rec.out_width_ps == 12000
         un = detect(arr, replace(p, blanking=None), make_generator(17, "detector"), SECOND_PS // 20)
         assert len(un) > len(rec)
         assert np.diff(un.out_times).min() < 24000

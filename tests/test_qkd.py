@@ -3,6 +3,7 @@ import pytest
 
 from spadsim import (
     AfterpulseModel,
+    AnalysisError,
     DetectorParams,
     EntangledPairConfig,
     FrameConfig,
@@ -125,6 +126,29 @@ class TestScenario:
         a, b = go(), go()
         assert a.to_json_dict() == b.to_json_dict()
         assert np.array_equal(a.crosscorr.counts, b.crosscorr.counts)
+
+    def test_multi_pair_pulses_score_pair_mismatches(self):
+        # Half a pair per pulse on the 1 ns comb puts several photons on one
+        # picosecond; a pulse's pair is the one of the photon that fired it,
+        # not the first arrival at its timestamp, so Alice and Bob often
+        # click on members of different pairs of the same pulse.
+        det = DetectorParams(efficiency=0.5, tau_dead0_ps=1000, tau_quench_ps=1000)
+        rep = run_qkd_scenario(source(0.5, 20_000_000), det, det, FRAME, seed=3)
+        assert rep.n_coincidences > 1000
+        assert rep.ber > 0.0
+        assert rep.n_truth_coincidences < rep.n_coincidences
+
+    def test_dark_only_arm_raises_analysis_error(self):
+        # Alice sees only a few darks: every pulse has arrival_index -1 over
+        # an empty pair-id array, and her empty autocorrelation is reported.
+        det = DetectorParams(
+            efficiency=0.5, tau_dead0_ps=1000, tau_quench_ps=1000, dark_rate_cps=1e5
+        )
+        src = EntangledPairConfig(
+            rep_rate_hz=1.0e9, mean_pairs_per_pulse=0.01, duration_ps=100_000_000, eta_alice=0.0
+        )
+        with pytest.raises(AnalysisError, match="autocorrelation is empty"):
+            run_qkd_scenario(src, det, det, FRAME, seed=1)
 
     def test_ber_grows_with_timing_jitter(self):
         bers = []
