@@ -25,7 +25,7 @@ from .analysis import (
 from .detector import DetectorParams
 from .experiments import run_autocorr, run_interarrival, run_pair_scan
 from .presets import preset
-from .qkd import FrameConfig, run_qkd_scenario
+from .qkd import FrameConfig, check_rep_rate, run_qkd_scenario
 from .sources import CwSourceConfig, EntangledPairConfig, PairScanConfig, PulsedSourceConfig
 
 __all__ = ["ConfigError", "KINDS", "SCENARIOS", "load_config", "validate_config"]
@@ -119,20 +119,14 @@ class Section:
 
     `owner` is a dataclass (its fields, checked by its validate()) or a
     function (its keyword-only parameters, or those named in `only`).
-    `ints` must be integers where the owner takes any number; `minimum`
-    holds bounds the owner does not check; `given` fills owner fields from
-    another section for validate() only. A `nested` section is stored under
-    its name with just the keys given (as the owner, if a dataclass); any
-    other spreads its fields, defaults included, into the flat config.
+    `minimum` holds bounds the owner does not check. The section's fields,
+    defaults included, spread into the flat config.
     """
 
     name: str
     owner: object = None
     only: tuple = ()
-    ints: tuple = ()
     minimum: dict = field(default_factory=dict)
-    given: dict = field(default_factory=dict)
-    nested: bool = False
 
     @cached_property
     def fields(self) -> dict:
@@ -142,24 +136,18 @@ class Section:
         params = inspect.signature(self.owner, eval_str=True).parameters.values()
         is_class = isinstance(self.owner, type)
         return {
-            p.name: (int if p.name in self.ints else p.annotation, p.default)
+            p.name: (p.annotation, p.default)
             for p in params
             if (p.name in self.only if self.only else is_class or p.kind is p.KEYWORD_ONLY)
-            and p.name not in self.given
         }
 
     def parse(self, doc: dict, norm: dict) -> None:
         required = any(d is _REQUIRED for _, d in self.fields.values())
         d = doc.get(self.name, {}) if not required else _field(doc, self.name, "config")
         vals = _values(d, self.fields, self.name, self.minimum)
-        if not self.nested:
-            vals = {key: vals.get(key, default) for key, (_, default) in self.fields.items()}
+        vals = {key: vals.get(key, default) for key, (_, default) in self.fields.items()}
         if isinstance(self.owner, type):
-            given = {k: norm[k] for k in self.given}
-            paths = {k: f"{sec}.{k}" for k, sec in self.given.items()}
-            _validated(self.owner(**vals, **given), self.name, paths)
-        if self.nested:
-            vals = {self.name: self.owner(**vals) if isinstance(self.owner, type) else vals}
+            _validated(self.owner(**vals), self.name)
         norm.update(vals)
 
 
@@ -202,6 +190,14 @@ def _spacings_in_period(cfg: dict) -> None:
     for i, dt in enumerate(cfg["delta_ts_ps"]):
         point = PairScanConfig(dt, cfg["pair_period_ps"], cfg["n_pairs"], cfg["occupancy"])
         _validated(point, "source", {"delta_t_ps": f"source.delta_ts_ps[{i}]"})
+
+
+def _rep_rate_matches_bins(cfg: dict) -> None:
+    """The source's rep rate is the one the frame's bin width implies, to 2%."""
+    try:
+        check_rep_rate(cfg["rep_rate_hz"], cfg["bin_width_ps"])
+    except ValueError as exc:
+        raise ConfigError(f"source.{exc}") from None
 
 
 def _lag_covers_bin(cfg: dict) -> None:
@@ -270,9 +266,9 @@ def _run_autocorr(cfg: dict):
 
 def _run_qkd(cfg: dict):
     src = EntangledPairConfig(**_args(cfg, EntangledPairConfig))
-    report = run_qkd_scenario(
-        src, cfg["detector_a"], cfg["detector_b"], cfg["frame"], cfg["seed"], **cfg["instrument"]
-    )
+    frame = FrameConfig(**_args(cfg, FrameConfig))
+    args = _args(cfg, run_qkd_scenario)
+    report = run_qkd_scenario(src, cfg["detector_a"], cfg["detector_b"], frame, **args)
     summary = report.to_json_dict()
     texts = {"report_json": _json(summary), "crosscorr_csv": report.crosscorr.to_csv()}
     return sorted(summary.items()), texts
@@ -318,23 +314,19 @@ SCENARIOS = {
     ),
     "autocorr": Kind(
         (
-            Section("source", PulsedSourceConfig, ints=("pulse_fwhm_ps",)),
+            Section("source", PulsedSourceConfig),
             Section("instrument", run_autocorr, minimum={"bin_width_ps": 1}),
         ),
         ("histogram_csv", "summary_json"), _run_autocorr, _lag_covers_bin,
     ),
     "qkd": Kind(
         (
-            Section(
-                "source",
-                EntangledPairConfig,
-                ints=("emission_fwhm_ps",),
-                minimum={"rep_rate_hz": 1.0},
-            ),
-            Section("frame", FrameConfig, given={"rep_rate_hz": "source"}, nested=True),
-            Section("instrument", run_qkd_scenario, minimum=_QKD_BOUNDS, nested=True),
+            Section("source", EntangledPairConfig, minimum={"rep_rate_hz": 1.0}),
+            Section("frame", FrameConfig),
+            Section("instrument", run_qkd_scenario, minimum=_QKD_BOUNDS),
         ),
-        ("report_json", "crosscorr_csv"), _run_qkd, detectors=("detector_a", "detector_b"),
+        ("report_json", "crosscorr_csv"), _run_qkd, _rep_rate_matches_bins,
+        detectors=("detector_a", "detector_b"),
     ),
     "keyrate": Kind(
         (Section("inputs", KeyRateInputs, minimum={"bin_width_ps": 1e-12}),),

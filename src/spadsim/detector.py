@@ -258,61 +258,22 @@ class PulseRecords:
         return int(self.out_times.shape[0])
 
 
-@dataclass(frozen=True)
-class _CompiledParams:
-    """DetectorParams lowered to the scalars and curve tables the kernel reads."""
+def _curves(params: DetectorParams) -> tuple:
+    """The dead-time, twilight, jitter and shift tables as (xs, ys) float lists.
 
-    efficiency: float
-    base_delay: int
-    tau_quench: int
-    dead_x: list[float]
-    dead_y: list[float]
-    tw_x: list[float]
-    tw_y: list[float]
-    jit_x: list[float]
-    jit_y: list[float]
-    sh_x: list[float]
-    sh_y: list[float]
-    ap_mu: float
-    ap_exponential: bool
-    ap_tau: float
-    ap_tmin: float
-    ap_alpha: float
-
-
-def _compile_params(params: DetectorParams) -> _CompiledParams:
-    if params.dead_elongation:
-        ex, ey = _curve_arrays(params.dead_elongation, "dead_elongation")
-        dead_x = ex
-        dead_y = params.tau_dead0_ps + ey
-    else:
-        dead_x = np.array([0.0])
-        dead_y = np.array([float(params.tau_dead0_ps)])
-    if params.twilight_profile:
-        tw_x, tw_y = _curve_arrays(params.twilight_profile, "twilight_profile")
-    else:
-        tw_x = np.array([0.0])
-        tw_y = np.array([0.0])
-    jit_x, jit_y = _curve_arrays(params.jitter_curve, "jitter_curve")
-    sh_x, sh_y = _curve_arrays(params.shift_curve, "shift_curve")
-    return _CompiledParams(
-        efficiency=float(params.efficiency),
-        base_delay=int(params.base_delay_ps),
-        tau_quench=int(params.tau_quench_ps),
-        dead_x=dead_x.tolist(),
-        dead_y=dead_y.tolist(),
-        tw_x=tw_x.tolist(),
-        tw_y=tw_y.tolist(),
-        jit_x=jit_x.tolist(),
-        jit_y=jit_y.tolist(),
-        sh_x=sh_x.tolist(),
-        sh_y=sh_y.tolist(),
-        ap_mu=float(params.afterpulse.mu),
-        ap_exponential=params.afterpulse.mode == "exponential",
-        ap_tau=float(params.afterpulse.tau_trap_ps),
-        ap_tmin=float(params.afterpulse.t_min_ps),
-        ap_alpha=float(params.afterpulse.alpha),
+    The dead-time table maps output rate to the full dead time, tau_dead0
+    plus the elongation. An empty elongation or twilight table is the
+    all-zero table.
+    """
+    zero = ((0.0, 0.0),)
+    rates, added = _curve_arrays(params.dead_elongation or zero, "dead_elongation")
+    tables = (
+        (rates, params.tau_dead0_ps + added),
+        _curve_arrays(params.twilight_profile or zero, "twilight_profile"),
+        _curve_arrays(params.jitter_curve, "jitter_curve"),
+        _curve_arrays(params.shift_curve, "shift_curve"),
     )
+    return tuple((xs.tolist(), ys.tolist()) for xs, ys in tables)
 
 
 def _interp_clamped(x: float, xs: list[float], ys: list[float]) -> float:
@@ -351,12 +312,12 @@ def _trap_delay_power_law(u: float, t_min_ps: float, alpha: float) -> float:
 
 
 def _detect_kernel(
-    arrivals: np.ndarray, darks: np.ndarray, c: _CompiledParams, rng: np.random.Generator
+    arrivals: np.ndarray, darks: np.ndarray, params: DetectorParams, rng: np.random.Generator
 ):
     """Actively-quenched SPAD state machine over two sorted stimulus streams.
 
     `arrivals` are the photon times and `darks` the dark-count times, both
-    sorted, and `c` is the detector's `_CompiledParams`. Returns the four
+    sorted, and `params` is the validated detector. Returns the four
     int64 `PulseRecords` columns in avalanche order. Trap releases are
     generated internally; one heap orders them with the next dark by
     (time, kind, order), so at the same picosecond releases go before
@@ -380,6 +341,17 @@ def _detect_kernel(
     cause_dark = int(Cause.DARK)
     cause_afterpulse = int(Cause.AFTERPULSE)
     cause_twilight = int(Cause.TWILIGHT)
+
+    efficiency = float(params.efficiency)
+    base_delay = int(params.base_delay_ps)
+    tau_quench = int(params.tau_quench_ps)
+    ap = params.afterpulse
+    ap_mu = float(ap.mu)
+    ap_exponential = ap.mode == "exponential"
+    ap_tau = float(ap.tau_trap_ps)
+    ap_tmin = float(ap.t_min_ps)
+    ap_alpha = float(ap.alpha)
+    (dead_x, dead_y), (tw_x, tw_y), (jit_x, jit_y), (sh_x, sh_y) = _curves(params)
 
     out_t: list[int] = []
     out_o: list[int] = []
@@ -424,7 +396,7 @@ def _detect_kernel(
             # post-efficiency by definition and trap releases fire with
             # probability 1.
             if kind == KIND_PHOTON:
-                if rng.random() < c.efficiency:
+                if rng.random() < efficiency:
                     triggered = True
             elif kind == KIND_DARK:
                 triggered = True
@@ -434,13 +406,13 @@ def _detect_kernel(
                 cause = cause_afterpulse
         else:
             dt = t - dead_start
-            if dt >= c.tau_quench:
+            if dt >= tau_quench:
                 # TWILIGHT: partially re-armed, sensing electronics off.
                 # Releases are discarded; photons and darks can avalanche.
                 if kind != KIND_TRAP_RELEASE:
                     u = rng.random()
-                    prof = _interp_clamped(float(dt), c.tw_x, c.tw_y)
-                    thr = c.efficiency * prof if kind == KIND_PHOTON else prof
+                    prof = _interp_clamped(float(dt), tw_x, tw_y)
+                    thr = efficiency * prof if kind == KIND_PHOTON else prof
                     if u < thr:
                         triggered = True
                         held = True
@@ -452,13 +424,13 @@ def _detect_kernel(
             if held:
                 # Held to the end of the dead period active at arrival;
                 # deterministic, no sampled jitter or shift.
-                ot = dead_end + c.base_delay
+                ot = dead_end + base_delay
             else:
                 gap = t - last_avalanche
                 dt_prev = _HUGE_DT if gap > 2**61 else float(gap)
-                shift = _interp_clamped(dt_prev, c.sh_x, c.sh_y)
-                fwhm = _interp_clamped(dt_prev, c.jit_x, c.jit_y)
-                ot = t + c.base_delay + _emit_delta(shift, fwhm, rng.standard_normal())
+                shift = _interp_clamped(dt_prev, sh_x, sh_y)
+                fwhm = _interp_clamped(dt_prev, jit_x, jit_y)
+                ot = t + base_delay + _emit_delta(shift, fwhm, rng.standard_normal())
                 if ot < t:
                     ot = t
             out_t.append(ot)
@@ -470,21 +442,21 @@ def _detect_kernel(
             # rate estimate just before this avalanche is counted.
             lam = _ema_decay(lam, t - t_lam, TAU_EMA_PS)
             t_lam = t
-            dlen = _round_ps(_interp_clamped(lam * 1.0e12, c.dead_x, c.dead_y))
+            dlen = _round_ps(_interp_clamped(lam * 1.0e12, dead_x, dead_y))
             lam += 1.0 / TAU_EMA_PS
             dead_start = t
             dead_end = t + dlen
             last_avalanche = t
 
             # Trap filling: every avalanche fills k ~ Poisson(mu) traps.
-            if c.ap_mu > 0.0:
-                for _ in range(rng.poisson(c.ap_mu)):
-                    if c.ap_exponential:
-                        d = rng.exponential(c.ap_tau)
+            if ap_mu > 0.0:
+                for _ in range(rng.poisson(ap_mu)):
+                    if ap_exponential:
+                        d = rng.exponential(ap_tau)
                         if d > _MAX_TRAP_DELAY:
                             d = _MAX_TRAP_DELAY
                     else:
-                        d = _trap_delay_power_law(rng.random(), c.ap_tmin, c.ap_alpha)
+                        d = _trap_delay_power_law(rng.random(), ap_tmin, ap_alpha)
                     heappush(events, (t + _round_ps(d), KIND_TRAP_RELEASE, trap_seq))
                     trap_seq += 1
 
@@ -504,8 +476,8 @@ def effective_dead_time(rate_cps: float, params: DetectorParams) -> float:
     """
     if rate_cps < 0:
         raise ValueError(f"rate_cps must be >= 0, got {rate_cps}")
-    c = _compile_params(params)
-    return float(_interp_clamped(float(rate_cps), c.dead_x, c.dead_y))
+    xs, ys = _curves(params)[0]
+    return float(_interp_clamped(float(rate_cps), xs, ys))
 
 
 def twilight_sensitivity(dt_since_avalanche_ps: float, params: DetectorParams) -> float:
@@ -518,8 +490,8 @@ def twilight_sensitivity(dt_since_avalanche_ps: float, params: DetectorParams) -
         return 1.0
     if dt_since_avalanche_ps < params.tau_quench_ps or not params.twilight_profile:
         return 0.0
-    c = _compile_params(params)
-    return float(_interp_clamped(float(dt_since_avalanche_ps), c.tw_x, c.tw_y))
+    xs, ys = _curves(params)[1]
+    return float(_interp_clamped(float(dt_since_avalanche_ps), xs, ys))
 
 
 def calibrate_afterpulse_mu(p_target: float, tau_trap_ps: float, tau_dead_ps: float) -> float:
@@ -632,5 +604,5 @@ def detect(
     """
     params.validate()
     arrivals, darks = _prepare_stimuli(arrivals, params, rng, duration_ps)
-    columns = _detect_kernel(arrivals, darks, _compile_params(params), rng)
+    columns = _detect_kernel(arrivals, darks, params, rng)
     return _finalize_records(columns, params)

@@ -21,7 +21,9 @@ from .instruments import Histogram, autocorrelation, coincidence, cross_correlat
 from .rng import make_generator
 from .sources import EntangledPairConfig, correlated_pair_stream
 
-__all__ = ["FrameConfig", "QkdReport", "bin_assign", "raw_key_rate", "run_qkd_scenario"]
+__all__ = [
+    "FrameConfig", "QkdReport", "bin_assign", "check_rep_rate", "raw_key_rate", "run_qkd_scenario"
+]
 
 
 @dataclass(frozen=True)
@@ -29,13 +31,11 @@ class FrameConfig:
     """Time-bin framing: frames of bins_per_frame bins, each bin_width wide.
 
     The bin width is the inverse pulse repetition rate on the integer-ps
-    grid; when rep_rate_hz is given it is cross-checked against the bin
-    width (2% tolerance) rather than trusted.
+    grid; check_rep_rate holds a source to it.
     """
 
     bin_width_ps: int
     bins_per_frame: int = 1024
-    rep_rate_hz: float | None = None
 
     def validate(self) -> None:
         if self.bin_width_ps <= 0:
@@ -43,21 +43,20 @@ class FrameConfig:
         n = self.bins_per_frame
         if n < 2 or n & (n - 1) != 0:
             raise ValueError(f"bins_per_frame must be a power of two >= 2, got {n}")
-        if self.rep_rate_hz is not None:
-            implied = 1.0e12 / self.bin_width_ps
-            if abs(self.rep_rate_hz - implied) > 0.02 * implied:
-                raise ValueError(
-                    f"rep_rate_hz {self.rep_rate_hz:.6g} does not match the "
-                    f"{self.bin_width_ps} ps bin width (implies {implied:.6g} Hz)"
-                )
-
-    @property
-    def rep_rate(self) -> float:
-        return self.rep_rate_hz if self.rep_rate_hz is not None else 1.0e12 / self.bin_width_ps
 
     @property
     def frame_length_ps(self) -> int:
         return self.bins_per_frame * self.bin_width_ps
+
+
+def check_rep_rate(rep_rate_hz: float, bin_width_ps: int) -> None:
+    """Raise ValueError unless rep_rate_hz lies within 2% of the rate the bin width implies."""
+    implied = 1.0e12 / bin_width_ps
+    if abs(rep_rate_hz - implied) > 0.02 * implied:
+        raise ValueError(
+            f"rep_rate_hz {rep_rate_hz:.6g} does not match the "
+            f"{bin_width_ps} ps bin width (implies {implied:.6g} Hz)"
+        )
 
 
 def bin_assign(t, f: FrameConfig):
@@ -79,7 +78,12 @@ def raw_key_rate(coincidence_rate_cps: float, n_bins: int) -> float:
 @dataclass(frozen=True)
 class QkdReport:
     """Scenario scorecard. crosscorr is kept out of the JSON dict; serialize
-    it separately as histogram CSV."""
+    it separately as histogram CSV.
+
+    n_truth_coincidences counts the matched coincidences whose two pulses
+    were triggered by the two photons of one pair, so it never exceeds
+    n_coincidences.
+    """
 
     duration_ps: int
     singles_a: int
@@ -141,12 +145,7 @@ def run_qkd_scenario(
     """
     source.validate()
     frame.validate()
-    src_rate = frame.rep_rate
-    if abs(source.rep_rate_hz - src_rate) > 0.02 * src_rate:
-        raise ValueError(
-            f"source rep rate {source.rep_rate_hz:.6g} Hz does not match the frame "
-            f"bin width (implies {src_rate:.6g} Hz)"
-        )
+    check_rep_rate(source.rep_rate_hz, frame.bin_width_ps)
     streams = correlated_pair_stream(source, make_generator(seed, "source"))
     rec_a = detect(streams.alice_times, det_a, make_generator(seed, "detector_a"), source.duration_ps)
     rec_b = detect(streams.bob_times, det_b, make_generator(seed, "detector_b"), source.duration_ps)
@@ -159,24 +158,18 @@ def run_qkd_scenario(
     matches = coincidence(comp_a, comp_b, frame.bin_width_ps)
     n_c = len(matches)
     half = frame.bin_width_ps // 2
-    if n_c:
-        ma, mb = matches.idx_a, matches.idx_b
-        fa, ba = bin_assign(comp_a[ma] + half, frame)
-        fb, bb = bin_assign(comp_b[mb] + half, frame)
-        ta_f, ta_b = bin_assign(rec_a.origin_times[ma] + half, frame)
-        tb_f, tb_b = bin_assign(rec_b.origin_times[mb] + half, frame)
-        bad = (pid_a[ma] < 0) | (pid_b[mb] < 0) | (pid_a[ma] != pid_b[mb])
-        bad |= (fa != ta_f) | (ba != ta_b)
-        bad |= (fb != tb_f) | (bb != tb_b)
-        ber = float(np.count_nonzero(bad)) / n_c
-    else:
-        ber = 0.0
+    ma, mb = matches.idx_a, matches.idx_b
+    fa, ba = bin_assign(comp_a[ma] + half, frame)
+    fb, bb = bin_assign(comp_b[mb] + half, frame)
+    ta_f, ta_b = bin_assign(rec_a.origin_times[ma] + half, frame)
+    tb_f, tb_b = bin_assign(rec_b.origin_times[mb] + half, frame)
+    true_pair = (pid_a[ma] >= 0) & (pid_a[ma] == pid_b[mb])
+    bad = ~true_pair | (fa != ta_f) | (ba != ta_b) | (fb != tb_f) | (bb != tb_b)
+    n_truth = int(np.count_nonzero(true_pair))
+    ber = float(np.count_nonzero(bad)) / n_c if n_c else 0.0
 
     duration_s = source.duration_ps * 1e-12
     c_rate = n_c / duration_s
-    n_truth = int(
-        np.intersect1d(pid_a[pid_a >= 0], pid_b[pid_b >= 0], assume_unique=False).size
-    )
 
     ac_bw = ac_bin_width_ps if ac_bin_width_ps is not None else max(frame.bin_width_ps // 8, 1)
     cc_bw = cc_bin_width_ps if cc_bin_width_ps is not None else max(frame.bin_width_ps // 4, 1)

@@ -31,7 +31,7 @@ from .detector import (
     Cause,
     DetectorParams,
     PulseRecords,
-    _compile_params,
+    _curves,
     _ema_decay,
     _emit_delta,
     _finalize_records,
@@ -56,8 +56,17 @@ class _DetectorState:
     avalanche invalidates any pending timer by bumping the generation.
     """
 
-    def __init__(self, compiled, rng: np.random.Generator):
-        self.c = compiled
+    def __init__(self, params: DetectorParams, rng: np.random.Generator):
+        ap = params.afterpulse
+        self.efficiency = float(params.efficiency)
+        self.base_delay = int(params.base_delay_ps)
+        self.tau_quench = int(params.tau_quench_ps)
+        self.ap_mu = float(ap.mu)
+        self.ap_exponential = ap.mode == "exponential"
+        self.ap_tau = float(ap.tau_trap_ps)
+        self.ap_tmin = float(ap.t_min_ps)
+        self.ap_alpha = float(ap.alpha)
+        self.dead, self.twilight, self.jitter, self.shift = _curves(params)
         self.rng = rng
         self.armed = True
         self.generation = 0
@@ -101,7 +110,7 @@ class _DetectorState:
 
     def _handle_armed(self, t: np.int64, kind: int, src: int) -> None:
         if kind == KIND_PHOTON:
-            if self.rng.random() < self.c.efficiency:
+            if self.rng.random() < self.efficiency:
                 self._avalanche(t, Cause.PHOTON, src)
         elif kind == KIND_DARK:
             self._avalanche(t, Cause.DARK, src)
@@ -110,30 +119,29 @@ class _DetectorState:
 
     def _handle_dead(self, t: np.int64, kind: int, src: int) -> None:
         dt = t - self.dead_start
-        if dt < self.c.tau_quench or kind == KIND_TRAP_RELEASE:
+        if dt < self.tau_quench or kind == KIND_TRAP_RELEASE:
             # Quench phase swallows everything; the twilight zone swallows
             # trap releases. No draws are consumed either way.
             return
         u = self.rng.random()
-        prof = _interp_clamped(float(dt), self.c.tw_x, self.c.tw_y)
-        thr = self.c.efficiency * prof if kind == KIND_PHOTON else prof
+        prof = _interp_clamped(float(dt), *self.twilight)
+        thr = self.efficiency * prof if kind == KIND_PHOTON else prof
         if u < thr:
             self._avalanche(t, Cause.TWILIGHT, src, held=True)
 
     def _avalanche(self, t: np.int64, cause: Cause, src: int, held: bool = False) -> None:
-        c = self.c
         if held:
             # Sensing is off during the dead period: the pulse appears when
             # the interrupted dead period would have ended, with no sampled
             # timing spread.
-            ot = self.dead_end + c.base_delay
+            ot = self.dead_end + self.base_delay
         else:
             gap = t - self.last_avalanche
             dt_prev = _HUGE_DT if gap > np.int64(2**61) else float(gap)
-            shift = _interp_clamped(dt_prev, c.sh_x, c.sh_y)
-            fwhm = _interp_clamped(dt_prev, c.jit_x, c.jit_y)
+            shift = _interp_clamped(dt_prev, *self.shift)
+            fwhm = _interp_clamped(dt_prev, *self.jitter)
             z = self.rng.standard_normal()
-            ot = t + c.base_delay + _emit_delta(shift, fwhm, z)
+            ot = t + self.base_delay + _emit_delta(shift, fwhm, z)
             if ot < t:
                 ot = t
         self.out_times.append(int(ot))
@@ -143,7 +151,7 @@ class _DetectorState:
 
         self.lam = _ema_decay(self.lam, t - self.t_lam, TAU_EMA_PS)
         self.t_lam = t
-        dlen = _round_ps(_interp_clamped(self.lam * 1.0e12, c.dead_x, c.dead_y))
+        dlen = _round_ps(_interp_clamped(self.lam * 1.0e12, *self.dead))
         self.lam += 1.0 / TAU_EMA_PS
         self.dead_start = t
         self.dead_end = t + dlen
@@ -152,15 +160,15 @@ class _DetectorState:
         self.generation += 1
         self.schedule(int(self.dead_end), _KIND_TIMER, self.generation)
 
-        if c.ap_mu > 0.0:
-            k = self.rng.poisson(c.ap_mu)
+        if self.ap_mu > 0.0:
+            k = self.rng.poisson(self.ap_mu)
             for _ in range(k):
-                if c.ap_exponential:
-                    d = self.rng.exponential(c.ap_tau)
+                if self.ap_exponential:
+                    d = self.rng.exponential(self.ap_tau)
                     if d > _MAX_TRAP_DELAY:
                         d = _MAX_TRAP_DELAY
                 else:
-                    d = _trap_delay_power_law(self.rng.random(), c.ap_tmin, c.ap_alpha)
+                    d = _trap_delay_power_law(self.rng.random(), self.ap_tmin, self.ap_alpha)
                 self.schedule(int(t + _round_ps(d)), KIND_TRAP_RELEASE)
 
 
@@ -173,7 +181,7 @@ def detect_reference(
     """
     params.validate()
     arrivals, darks = _prepare_stimuli(arrivals, params, rng, duration_ps)
-    state = _DetectorState(_compile_params(params), rng)
+    state = _DetectorState(params, rng)
     for t in darks.tolist():
         state.schedule(t, KIND_DARK)
     for idx, t in enumerate(arrivals.tolist()):

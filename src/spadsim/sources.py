@@ -55,7 +55,7 @@ class PulsedSourceConfig:
     period_ps: int
     mean_photons_per_pulse: float
     duration_ps: int
-    pulse_fwhm_ps: float = 0.0
+    pulse_fwhm_ps: int = 0
 
     def validate(self) -> None:
         _require(self.period_ps > 0, f"period_ps must be > 0, got {self.period_ps}")
@@ -97,7 +97,7 @@ class EntangledPairConfig:
     duration_ps: int
     eta_alice: float = 1.0
     eta_bob: float = 1.0
-    emission_fwhm_ps: float = 0.0
+    emission_fwhm_ps: int = 0
 
     def validate(self) -> None:
         _require(self.rep_rate_hz > 0, f"rep_rate_hz must be > 0, got {self.rep_rate_hz}")

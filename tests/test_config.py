@@ -107,10 +107,11 @@ class TestValidDocuments:
 
     def test_qkd_defaults(self):
         norm = validate_config(QKD)
-        assert norm["frame"].bins_per_frame == 1024
+        assert norm["bins_per_frame"] == 1024
         assert norm["eta_alice"] == 1.0 and norm["eta_bob"] == 1.0
         assert norm["emission_fwhm_ps"] == 0
-        assert norm["instrument"] == {}
+        for key in ("ac_bin_width_ps", "ac_span_ps", "cc_bin_width_ps", "cc_span_ps"):
+            assert norm[key] is None
         assert norm["detector_b"].tau_dead0_ps == 78_000
 
     def test_keyrate(self):
@@ -227,7 +228,7 @@ class TestRejections:
 
     def test_qkd_rep_rate_must_match_frame(self):
         doc = dict(QKD, source=dict(QKD["source"], rep_rate_hz=1.0e9))
-        self.check(doc, "rep_rate_hz")
+        self.check(doc, r"^source\.rep_rate_hz 1e\+09 does not match the 521 ps bin width")
 
     def test_qkd_frame_validated(self):
         doc = dict(QKD, frame={"bin_width_ps": 521, "bins_per_frame": 1000})
@@ -327,6 +328,15 @@ class TestRegistry:
     def test_minimal_document_validates(self, kind):
         norm = validate_config(MINIMAL[kind])
         assert norm["kind"] == kind and norm["seed"] == 7 and norm["outputs"] == {}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sections_spread_into_disjoint_keys(self, kind):
+        # Every section lands in one flat dict, so no key may be declared twice.
+        spec = SCENARIOS[kind]
+        keys = ["kind", "seed", "outputs", *spec.detectors]
+        keys += [key for section in spec.sections for key in section.fields]
+        assert len(keys) == len(set(keys))
+        assert not set(validate_config(MINIMAL[kind])) & {s.name for s in spec.sections}
 
     @pytest.mark.parametrize("kind,section", SECTIONS + DETECTORS + [(k, "outputs") for k in KINDS])
     def test_unknown_key_names_section_and_key(self, kind, section):
