@@ -6,152 +6,20 @@ inside the quench cycle, count-rate dependent delay shift and jitter,
 optional output blanking), provides virtual lab instruments and
 characterization analyses to measure those effects back out of simulated
 pulse streams, and scores time-bin QKD links built from two such detectors.
+
+The package namespace is the union of the library submodules' `__all__`.
 """
 
-from .analysis import (
-    AfterpulseResult,
-    AnalysisError,
-    KeyRateInputs,
-    ShiftJitterCurve,
-    TwilightCurve,
-    afterpulse_spectroscopy,
-    distinguishability,
-    estimate_dead_time,
-    heralding_efficiency,
-    secret_key_rate,
-    shift_and_jitter_vs_dt,
-    twilight_curve,
-)
-from .config import KINDS, ConfigError, load_config, validate_config
-from .detector import (
-    TAU_EMA_PS,
-    AfterpulseModel,
-    BlankingConfig,
-    Cause,
-    DetectorParams,
-    PulseRecords,
-    QuenchTimes,
-    afterpulse_prob_vs_rs,
-    blanking_filter,
-    calibrate_afterpulse_mu,
-    circuit_timing,
-    detect,
-    effective_dead_time,
-    twilight_sensitivity,
-)
-from .experiments import (
-    AutocorrResult,
-    InterarrivalResult,
-    PairScanPoint,
-    run_autocorr,
-    run_interarrival,
-    run_pair_scan,
-    run_visibility_sweep,
-)
-from .instruments import (
-    Coincidences,
-    GaussianFit,
-    Histogram,
-    InstrumentError,
-    TacConfig,
-    autocorrelation,
-    build_histogram,
-    coincidence,
-    cross_correlation,
-    gaussian_fit,
-    tac_measure,
-)
-from .presets import DetectorPreset, available_presets, fit_preset_from_curves, preset
-from .qkd import FrameConfig, QkdReport, bin_assign, raw_key_rate, run_qkd_scenario
-from .reference import detect_reference
-from .rng import STREAM_IDS, make_generator
-from .sources import (
-    PS_PER_S,
-    CwSourceConfig,
-    EntangledPairConfig,
-    PairScanConfig,
-    PairStreams,
-    PulsedSourceConfig,
-    correlated_pair_stream,
-    cw_poisson_stream,
-    poisson_times,
-    pulse_pair_sequence,
-    pulsed_train,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "AfterpulseModel",
-    "AfterpulseResult",
-    "AnalysisError",
-    "AutocorrResult",
-    "BlankingConfig",
-    "Cause",
-    "Coincidences",
-    "ConfigError",
-    "CwSourceConfig",
-    "DetectorParams",
-    "DetectorPreset",
-    "EntangledPairConfig",
-    "FrameConfig",
-    "GaussianFit",
-    "Histogram",
-    "InstrumentError",
-    "InterarrivalResult",
-    "KINDS",
-    "KeyRateInputs",
-    "PS_PER_S",
-    "PairScanConfig",
-    "PairScanPoint",
-    "PairStreams",
-    "PulseRecords",
-    "PulsedSourceConfig",
-    "QkdReport",
-    "QuenchTimes",
-    "STREAM_IDS",
-    "ShiftJitterCurve",
-    "TAU_EMA_PS",
-    "TacConfig",
-    "TwilightCurve",
-    "afterpulse_prob_vs_rs",
-    "afterpulse_spectroscopy",
-    "autocorrelation",
-    "available_presets",
-    "bin_assign",
-    "blanking_filter",
-    "build_histogram",
-    "calibrate_afterpulse_mu",
-    "circuit_timing",
-    "coincidence",
-    "correlated_pair_stream",
-    "cross_correlation",
-    "cw_poisson_stream",
-    "detect",
-    "detect_reference",
-    "distinguishability",
-    "effective_dead_time",
-    "estimate_dead_time",
-    "fit_preset_from_curves",
-    "gaussian_fit",
-    "heralding_efficiency",
-    "load_config",
-    "make_generator",
-    "poisson_times",
-    "preset",
-    "pulse_pair_sequence",
-    "pulsed_train",
-    "raw_key_rate",
-    "run_autocorr",
-    "run_interarrival",
-    "run_pair_scan",
-    "run_qkd_scenario",
-    "run_visibility_sweep",
-    "secret_key_rate",
-    "shift_and_jitter_vs_dt",
-    "tac_measure",
-    "twilight_curve",
-    "twilight_sensitivity",
-    "validate_config",
-]
+__all__ = ["__version__"]
+for _name in (
+    "analysis", "config", "detector", "experiments", "instruments",
+    "presets", "qkd", "reference", "rng", "sources",
+):
+    _module = import_module(f".{_name}", __name__)
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+    __all__ += _module.__all__
+del import_module, _name, _module

@@ -1,9 +1,8 @@
-"""Virtual measurement chain: histogrammer, TAC, coincidence unit, Gaussian
-fitter, auto/cross correlators.
+"""Virtual measurement chain: histogrammer, coincidence unit, Gaussian fitter,
+auto/cross correlators.
 
 Everything operates on integer-picosecond time arrays and is a pure function
-of its inputs (plus an rng where physics demands one), so runs are freely
-parallelizable and bit-reproducible.
+of its inputs, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -17,11 +16,9 @@ from .rng import FWHM_TO_SIGMA
 __all__ = [
     "InstrumentError",
     "Histogram",
-    "TacConfig",
     "Coincidences",
     "GaussianFit",
     "build_histogram",
-    "tac_measure",
     "coincidence",
     "autocorrelation",
     "cross_correlation",
@@ -105,64 +102,6 @@ def build_histogram(values, bin_width_ps: int, span_ps: int, origin_ps: int = 0)
         underflow=under,
         overflow=over,
     )
-
-
-@dataclass(frozen=True)
-class TacConfig:
-    """Start-stop time converter settings.
-
-    Single-stop: each accepted start opens one conversion; the conversion
-    occupies the converter for the full range whether or not a stop arrives,
-    and starts during a conversion are ignored.
-    """
-
-    range_ps: int
-    instrument_fwhm_ps: float = 0.0
-
-    def validate(self) -> None:
-        if self.range_ps <= 0:
-            raise ValueError(f"range_ps must be > 0, got {self.range_ps}")
-        if self.instrument_fwhm_ps < 0:
-            raise ValueError(
-                f"instrument_fwhm_ps must be >= 0, got {self.instrument_fwhm_ps}"
-            )
-
-
-def tac_measure(starts, stops, cfg: TacConfig, rng: np.random.Generator) -> np.ndarray:
-    """Measured start-stop intervals (ps), in start order.
-
-    For each accepted start, the first stop strictly after it within range
-    yields one interval; a start with no stop in range produces no record
-    but still holds the converter busy. With instrument_fwhm = 0 no random
-    draws happen at all.
-    """
-    cfg.validate()
-    s = np.asarray(starts, dtype=np.int64)
-    p = np.asarray(stops, dtype=np.int64)
-    if s.size and np.any(np.diff(s) < 0):
-        raise ValueError("starts must be sorted")
-    if p.size and np.any(np.diff(p) < 0):
-        raise ValueError("stops must be sorted")
-    first_stop = np.searchsorted(p, s, side="right")
-    intervals = []
-    busy_until = np.int64(-(2**62))
-    for i in range(s.shape[0]):
-        t = s[i]
-        if t < busy_until:
-            continue
-        busy_until = t + cfg.range_ps
-        j = first_stop[i]
-        if j < p.shape[0]:
-            d = p[j] - t
-            if d <= cfg.range_ps:
-                intervals.append(int(d))
-    out = np.asarray(intervals, dtype=np.int64)
-    if cfg.instrument_fwhm_ps > 0.0 and out.size:
-        sigma = cfg.instrument_fwhm_ps / FWHM_PER_SIGMA
-        noise = rng.standard_normal(out.size) * sigma
-        out = out + np.floor(noise + 0.5).astype(np.int64)
-        out = np.maximum(out, 0)
-    return out
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ STREAM_IDS = {
     "detector": 2,
     "detector_a": 3,
     "detector_b": 4,
-    "instrument": 5,
 }
 SCAN_BASE = 1000
 DETECTOR_SCAN_BASE = 500000

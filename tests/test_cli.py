@@ -155,12 +155,15 @@ class TestUsage:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    """scipy.optimize is imported by the fits that use it, not by the package."""
+    """scipy.optimize and the CLI are imported by their users, not by the package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(spadsim.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, spadsim; print(spadsim.__file__); print('scipy.optimize' in sys.modules)"
+    probe = (
+        "import sys, spadsim; print(spadsim.__file__); print('scipy.optimize' in sys.modules); "
+        "print('spadsim.cli' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
-    assert out == [spadsim.__file__, "False"]
+    assert out == [spadsim.__file__, "False", "False"]

@@ -4,14 +4,11 @@ import pytest
 from spadsim import (
     Histogram,
     InstrumentError,
-    TacConfig,
     autocorrelation,
     build_histogram,
     coincidence,
     cross_correlation,
     gaussian_fit,
-    make_generator,
-    tac_measure,
 )
 from spadsim.instruments import FWHM_PER_SIGMA
 
@@ -62,59 +59,6 @@ class TestHistogram:
             f"{s},{c}\n" for s, c in zip(h.bin_starts.tolist(), h.counts.tolist())
         )
         assert h.to_csv() == f"bin_start_ps,count\n{rows}#underflow=4,#overflow=9\n"
-
-
-class TestTac:
-    def test_single_stop_matching(self):
-        starts = np.array([0, 100_000, 200_000], dtype=np.int64)
-        stops = np.array([30_000, 130_000, 230_000], dtype=np.int64)
-        cfg = TacConfig(range_ps=50_000)
-        d = tac_measure(starts, stops, cfg, make_generator(1, "instrument"))
-        assert d.tolist() == [30_000, 30_000, 30_000]
-
-    def test_busy_start_rejected(self):
-        # Second start falls inside the conversion window of the first.
-        starts = np.array([0, 20_000, 200_000], dtype=np.int64)
-        stops = np.array([90_000, 230_000], dtype=np.int64)
-        cfg = TacConfig(range_ps=100_000)
-        d = tac_measure(starts, stops, cfg, make_generator(1, "instrument"))
-        assert d.tolist() == [90_000, 30_000]
-
-    def test_overrange_busy_but_unrecorded(self):
-        # A start with no stop inside the range still occupies the TAC.
-        starts = np.array([0, 60_000], dtype=np.int64)
-        stops = np.array([150_000], dtype=np.int64)
-        cfg = TacConfig(range_ps=100_000)
-        d = tac_measure(starts, stops, cfg, make_generator(1, "instrument"))
-        assert d.tolist() == []
-
-    def test_zero_fwhm_consumes_no_randomness(self):
-        starts = np.array([0], dtype=np.int64)
-        stops = np.array([10_000], dtype=np.int64)
-        g = make_generator(2, "instrument")
-        twin = make_generator(2, "instrument")
-        tac_measure(starts, stops, TacConfig(range_ps=50_000), g)
-        assert g.random() == twin.random()
-
-    def test_instrument_jitter_width(self):
-        n = 40_000
-        starts = (np.arange(n, dtype=np.int64)) * 1_000_000
-        stops = starts + 20_000
-        cfg = TacConfig(range_ps=50_000, instrument_fwhm_ps=17.7)
-        d = tac_measure(starts, stops, cfg, make_generator(3, "instrument"))
-        assert d.size == n
-        sigma = np.std(d.astype(np.float64))
-        assert sigma == pytest.approx(17.7 / FWHM_PER_SIGMA, abs=0.35)
-
-    def test_rejects_unsorted(self):
-        g = make_generator(1, "instrument")
-        with pytest.raises(ValueError):
-            tac_measure(
-                np.array([5, 1], dtype=np.int64),
-                np.array([7], dtype=np.int64),
-                TacConfig(range_ps=100),
-                g,
-            )
 
 
 class TestCoincidence:
