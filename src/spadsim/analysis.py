@@ -89,6 +89,11 @@ class AfterpulseResult:
     residual: float
 
 
+# Interval past the dead time left out of the afterpulse excess fit, so
+# held twilight pulses do not bias it.
+_AFTERPULSE_SKIP_PS = 2000.0
+
+
 def _exp_bg(t, a, tau):
     return a * np.exp(-t / tau)
 
@@ -98,19 +103,16 @@ def afterpulse_spectroscopy(
     tau_dead_ps: float,
     *,
     tau_trap_guess_ps: float = 32000.0,
-    bg_cut_ps: float | None = None,
-    skip_ps: float = 2000.0,
 ) -> AfterpulseResult:
     """Extract afterpulse probability and trap lifetime from an interarrival
     histogram.
 
     The interval distribution just past the dead time is the Poisson
     background plus an excess of trap-release events. The background
-    exponential is fitted beyond bg_cut (default tau_dead + 5 guessed
-    lifetimes, where the excess has decayed away) and extrapolated under the
-    peak; the excess is then fitted with B*exp(-(t - tau_dead)/tau_trap).
-    The first skip_ps past the dead time is excluded so held twilight pulses
-    do not bias the fit. p_afterpulse integrates the fitted excess and
+    exponential is fitted beyond tau_dead + 5 guessed lifetimes, where the
+    excess has decayed away, and extrapolated under the peak; the excess is
+    then fitted with B*exp(-(t - tau_dead)/tau_trap), leaving out the first
+    2 ns past the dead time. p_afterpulse integrates the fitted excess and
     normalizes by the total event count.
     """
     # Imported on use: scipy.optimize would dominate `import spadsim`.
@@ -120,8 +122,7 @@ def afterpulse_spectroscopy(
         raise ValueError(f"tau_dead_ps must be > 0, got {tau_dead_ps}")
     if tau_trap_guess_ps <= 0:
         raise ValueError(f"tau_trap_guess_ps must be > 0, got {tau_trap_guess_ps}")
-    if bg_cut_ps is None:
-        bg_cut_ps = tau_dead_ps + 5.0 * tau_trap_guess_ps
+    bg_cut_ps = tau_dead_ps + 5.0 * tau_trap_guess_ps
     t = h.bin_centers
     c = h.counts.astype(np.float64)
     bw = float(h.bin_width_ps)
@@ -131,7 +132,7 @@ def afterpulse_spectroscopy(
     if n_bg < 5:
         raise AnalysisError(
             f"only {n_bg} bins beyond the background cut at {bg_cut_ps:.0f} ps; "
-            "widen the histogram or lower bg_cut_ps"
+            "widen the histogram or lower tau_trap_guess_ps"
         )
     t_bg = t[bg_mask]
     c_bg = c[bg_mask]
@@ -155,7 +156,7 @@ def afterpulse_spectroscopy(
     except (RuntimeError, ValueError) as exc:
         raise AnalysisError(f"background tail fit failed: {exc}") from exc
 
-    ex_mask = (t >= tau_dead_ps + skip_ps) & (t < bg_cut_ps)
+    ex_mask = (t >= tau_dead_ps + _AFTERPULSE_SKIP_PS) & (t < bg_cut_ps)
     n_ex = int(np.count_nonzero(ex_mask))
     if n_ex < 3:
         raise AnalysisError(
@@ -254,9 +255,11 @@ class ShiftJitterCurve:
         return buf.getvalue()
 
 
-def shift_and_jitter_vs_dt(
-    points, *, min_pairs: int = 1000, fit_bin_ps: int = 25
-) -> ShiftJitterCurve:
+# Bin width of the interval histogram behind each pair spacing's jitter fit.
+_JITTER_FIT_BIN_PS = 25
+
+
+def shift_and_jitter_vs_dt(points, *, min_pairs: int = 1000) -> ShiftJitterCurve:
     """Per pair spacing: mean(measured interval - delta_t) and interval FWHM.
 
     Each point supplies (delta_t_ps, intervals) with intervals the measured
@@ -283,8 +286,8 @@ def shift_and_jitter_vs_dt(
             continue
         lo = int(iv.min())
         hi = int(iv.max())
-        span = (hi - lo) // fit_bin_ps + 1
-        hist = build_histogram(iv, fit_bin_ps, span * fit_bin_ps, lo)
+        span = (hi - lo) // _JITTER_FIT_BIN_PS + 1
+        hist = build_histogram(iv, _JITTER_FIT_BIN_PS, span * _JITTER_FIT_BIN_PS, lo)
         try:
             fwhms.append(gaussian_fit(hist).fwhm_ps)
         except InstrumentError:

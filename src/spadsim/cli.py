@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pre_sub.add_parser("list", help="list preset names")
     p_show = pre_sub.add_parser("show", help="print one preset as JSON")
     p_show.add_argument("name", help="preset name")
-    p_show.add_argument("--variant", default="timing", help="preset variant where applicable")
+    p_show.add_argument("--variant", help="preset variant where applicable")
     p_pre.set_defaults(func=_cmd_preset)
 
     p_key = sub.add_parser("keyrate", help="evaluate the multi-channel key-rate formula")

@@ -24,7 +24,7 @@ from .analysis import (
 )
 from .detector import DetectorParams
 from .experiments import run_autocorr, run_interarrival, run_pair_scan
-from .presets import preset
+from .presets import available_presets, preset
 from .qkd import FrameConfig, check_rep_rate, run_qkd_scenario
 from .sources import CwSourceConfig, EntangledPairConfig, PairScanConfig, PulsedSourceConfig
 
@@ -169,11 +169,11 @@ def _parse_detector(doc: dict, key: str) -> DetectorParams:
         _err(key, "needs exactly one of 'preset' or 'params'")
     if "preset" in d:
         name = _typed(d["preset"], str, key + ".preset")
-        variant = _typed(d.get("variant", "timing"), str, key + ".variant")
+        variant = _typed(d["variant"], str, key + ".variant") if "variant" in d else None
         try:
             return preset(name, variant=variant).params
         except ValueError as exc:
-            _err(key + ".preset", str(exc))
+            _err(key + (".variant" if name in available_presets() else ".preset"), str(exc))
     params = _typed(d["params"], DetectorParams, key + ".params")
     _validated(params, key + ".params")
     return params
@@ -186,7 +186,7 @@ def _span_whole_bins(cfg: dict) -> None:
 
 
 def _spacings_in_period(cfg: dict) -> None:
-    """Every spacing makes a valid scan point, so lies in (0, pair_period_ps)."""
+    """Every spacing makes a valid scan point: in (0, pair_period_ps), n_pairs >= 1."""
     for i, dt in enumerate(cfg["delta_ts_ps"]):
         point = PairScanConfig(dt, cfg["pair_period_ps"], cfg["n_pairs"], cfg["occupancy"])
         _validated(point, "source", {"delta_t_ps": f"source.delta_ts_ps[{i}]"})
@@ -229,7 +229,7 @@ def _run_interarrival(cfg: dict):
     return lines, {"histogram_csv": res.histogram.to_csv(), "summary_json": _json(summary)}
 
 
-def _run_twilight(cfg: dict):
+def _run_pair_scan(cfg: dict):
     points = run_pair_scan(cfg["detector"], **_args(cfg, run_pair_scan))
     curve = twilight_curve([(p.delta_t_ps, p.n_pairs, p.n_first, p.n_both) for p in points])
     summary = {"delta_ts_ps": curve.delta_ts.tolist(), "ratios": curve.ratios.tolist()}
@@ -282,7 +282,7 @@ def _run_keyrate(cfg: dict):
 
 
 _PAIR_KEYS = ("delta_ts_ps", "pair_period_ps", "n_pairs", "occupancy")
-_PAIR_SOURCE = Section("source", run_pair_scan, _PAIR_KEYS, minimum={"n_pairs": 1})
+_PAIR_SOURCE = Section("source", run_pair_scan, _PAIR_KEYS)
 _QKD_BOUNDS = dict.fromkeys(("ac_bin_width_ps", "ac_span_ps", "cc_bin_width_ps", "cc_span_ps"), 1)
 
 SCENARIOS = {
@@ -300,17 +300,13 @@ SCENARIOS = {
     "jitter-scan": Kind(
         (
             _PAIR_SOURCE,
-            Section("instrument", shift_and_jitter_vs_dt, ("min_pairs",), minimum={"min_pairs": 1}),
+            Section("instrument", shift_and_jitter_vs_dt, minimum={"min_pairs": 1}),
         ),
         ("curve_csv", "summary_json"), _run_jitter_scan, _spacings_in_period,
     ),
     "pair-scan": Kind(
         (_PAIR_SOURCE, Section("instrument")),
-        ("curve_csv", "points_csv", "summary_json"), _run_twilight, _spacings_in_period,
-    ),
-    "twilight": Kind(
-        (_PAIR_SOURCE, Section("instrument")),
-        ("curve_csv", "summary_json"), _run_twilight, _spacings_in_period,
+        ("curve_csv", "points_csv", "summary_json"), _run_pair_scan, _spacings_in_period,
     ),
     "autocorr": Kind(
         (

@@ -120,31 +120,18 @@ def circuit_timing(t_dly1_ps: int, t_comp_ps: int, t_q_ps: int) -> QuenchTimes:
 class AfterpulseModel:
     """Trap filling and release statistics.
 
-    mu traps are filled per avalanche on average. Release delays are
-    exponential(tau_trap) by default; the power-law mode draws
-    t_min * u**(1/(1-alpha)) instead, for trap populations with a broad
-    lifetime spectrum.
+    mu traps are filled per avalanche on average; each releases after an
+    exponential(tau_trap) delay.
     """
 
     mu: float = 0.0
     tau_trap_ps: float = 32000.0
-    mode: str = "exponential"
-    t_min_ps: float = 1000.0
-    alpha: float = 2.0
 
     def validate(self) -> None:
         if self.mu < 0:
             raise ValueError(f"afterpulse.mu must be >= 0, got {self.mu}")
         if self.tau_trap_ps <= 0:
             raise ValueError(f"afterpulse.tau_trap_ps must be > 0, got {self.tau_trap_ps}")
-        if self.mode not in ("exponential", "power-law"):
-            raise ValueError(
-                f"afterpulse.mode must be 'exponential' or 'power-law', got {self.mode!r}"
-            )
-        if self.t_min_ps <= 0:
-            raise ValueError(f"afterpulse.t_min_ps must be > 0, got {self.t_min_ps}")
-        if self.alpha <= 1:
-            raise ValueError(f"afterpulse.alpha must be > 1, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -152,13 +139,10 @@ class BlankingConfig:
     """Non-retriggerable output blanking stage."""
 
     t_b_ps: int = 24000
-    out_width_ps: int = 12000
 
     def validate(self) -> None:
         if self.t_b_ps <= 0:
             raise ValueError(f"blanking.t_b_ps must be > 0, got {self.t_b_ps}")
-        if self.out_width_ps < 0:
-            raise ValueError(f"blanking.out_width_ps must be >= 0, got {self.out_width_ps}")
 
 
 Curve = tuple[tuple[float, float], ...]
@@ -303,14 +287,6 @@ def _emit_delta(shift_ps: float, fwhm_ps: float, z: float) -> int:
     return _round_ps(shift_ps + z * (fwhm_ps * FWHM_TO_SIGMA))
 
 
-def _trap_delay_power_law(u: float, t_min_ps: float, alpha: float) -> float:
-    """Power-law release delay >= t_min for alpha > 1, clamped."""
-    d = t_min_ps * u ** (1.0 / (1.0 - alpha))
-    if d > _MAX_TRAP_DELAY:
-        d = _MAX_TRAP_DELAY
-    return d
-
-
 def _detect_kernel(
     arrivals: np.ndarray, darks: np.ndarray, params: DetectorParams, rng: np.random.Generator
 ):
@@ -334,8 +310,7 @@ def _detect_kernel(
                            sampled jitter)
       TWILIGHT release, QUENCH anything: no draws.
 
-    Trap delay draws are exponential(tau_trap) in exponential mode and one
-    uniform transformed to t_min * u**(1/(1-alpha)) in power-law mode.
+    Each trap delay is one exponential(tau_trap) draw.
     """
     cause_photon = int(Cause.PHOTON)
     cause_dark = int(Cause.DARK)
@@ -345,12 +320,8 @@ def _detect_kernel(
     efficiency = float(params.efficiency)
     base_delay = int(params.base_delay_ps)
     tau_quench = int(params.tau_quench_ps)
-    ap = params.afterpulse
-    ap_mu = float(ap.mu)
-    ap_exponential = ap.mode == "exponential"
-    ap_tau = float(ap.tau_trap_ps)
-    ap_tmin = float(ap.t_min_ps)
-    ap_alpha = float(ap.alpha)
+    ap_mu = float(params.afterpulse.mu)
+    ap_tau = float(params.afterpulse.tau_trap_ps)
     (dead_x, dead_y), (tw_x, tw_y), (jit_x, jit_y), (sh_x, sh_y) = _curves(params)
 
     out_t: list[int] = []
@@ -451,12 +422,9 @@ def _detect_kernel(
             # Trap filling: every avalanche fills k ~ Poisson(mu) traps.
             if ap_mu > 0.0:
                 for _ in range(rng.poisson(ap_mu)):
-                    if ap_exponential:
-                        d = rng.exponential(ap_tau)
-                        if d > _MAX_TRAP_DELAY:
-                            d = _MAX_TRAP_DELAY
-                    else:
-                        d = _trap_delay_power_law(rng.random(), ap_tmin, ap_alpha)
+                    d = rng.exponential(ap_tau)
+                    if d > _MAX_TRAP_DELAY:
+                        d = _MAX_TRAP_DELAY
                     heappush(events, (t + _round_ps(d), KIND_TRAP_RELEASE, trap_seq))
                     trap_seq += 1
 

@@ -64,7 +64,6 @@ def run_interarrival(
     bin_width_ps: int = 1000,
     span_ps: int | None = None,
     analyze: bool = True,
-    spectroscopy: bool = True,
     tau_trap_guess_ps: float = 32000.0,
 ) -> InterarrivalResult:
     """Illuminate with CW light, histogram the output interarrival times,
@@ -85,8 +84,7 @@ def run_interarrival(
     ap = None
     if analyze:
         dead = estimate_dead_time(h)
-        if spectroscopy:
-            ap = afterpulse_spectroscopy(h, dead, tau_trap_guess_ps=tau_trap_guess_ps)
+        ap = afterpulse_spectroscopy(h, dead, tau_trap_guess_ps=tau_trap_guess_ps)
     counts = {c.name.lower(): int(np.count_nonzero(rec.causes == int(c))) for c in Cause}
     return InterarrivalResult(
         histogram=h,

@@ -22,6 +22,7 @@ entries are measured values and which are representative fill-ins.
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -109,7 +110,7 @@ def _spcm_aqrh() -> DetectorPreset:
     return DetectorPreset(name="spcm-aqrh", params=params, notes=notes)
 
 
-def _spd_050(variant: str) -> DetectorPreset:
+def _spd_050(variant: str = "timing") -> DetectorPreset:
     if variant == "timing":
         tau_dead = 74500
         tw = ((72500.0, 0.0), (74500.0, 1.0))
@@ -171,7 +172,7 @@ def _custom_aq() -> DetectorPreset:
             mu=calibrate_afterpulse_mu(afterpulse_prob_vs_rs(3300.0), 32000.0, tau_dead),
             tau_trap_ps=32000.0,
         ),
-        blanking=BlankingConfig(t_b_ps=24000, out_width_ps=12000),
+        blanking=BlankingConfig(t_b_ps=24000),
     )
     notes = {
         "tau_dead0_ps": "derived from measured loop propagation delays",
@@ -189,25 +190,30 @@ def _custom_aq() -> DetectorPreset:
     return DetectorPreset(name="custom-aq", params=params, notes=notes)
 
 
+_PRESETS = {"spcm-aqrh": _spcm_aqrh, "spd-050": _spd_050, "custom-aq": _custom_aq}
+
+
 def available_presets() -> tuple:
-    return ("spcm-aqrh", "spd-050", "custom-aq")
+    return tuple(_PRESETS)
 
 
-def preset(name: str, *, variant: str = "timing") -> DetectorPreset:
+def preset(name: str, *, variant: str | None = None) -> DetectorPreset:
     """Look up a calibrated detector preset by name.
 
     spd-050 has two output stages with different timing; pick one with
-    variant="timing" (default) or variant="ttl".
+    variant="timing" (the default) or variant="ttl". The other presets have
+    no variants and reject one.
     """
-    if name == "spcm-aqrh":
-        p = _spcm_aqrh()
-    elif name == "spd-050":
-        p = _spd_050(variant)
-    elif name == "custom-aq":
-        p = _custom_aq()
-    else:
-        names = ", ".join(available_presets())
+    if name not in _PRESETS:
+        names = ", ".join(_PRESETS)
         raise ValueError(f"unknown preset {name!r}: available presets are {names}")
+    build = _PRESETS[name]
+    if variant is None:
+        p = build()
+    elif "variant" in inspect.signature(build).parameters:
+        p = build(variant)
+    else:
+        raise ValueError(f"preset {name!r} has no variants, got {variant!r}")
     p.params.validate()
     return p
 

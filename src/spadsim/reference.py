@@ -5,7 +5,9 @@ the same rng state. Where the production kernel walks the sorted photon
 arrivals and keeps only darks and trap releases on a heap, this version
 schedules every photon, dark count, trap release, and re-arm timer as a
 discrete event on its own priority queue and lets the queue order them.
-It exists as an executable statement of the detector semantics and as the
+Each avalanche fills Poisson(mu) traps, and each trap's release is
+scheduled one exponential(tau_trap) draw later, as in the kernel. It
+exists as an executable statement of the detector semantics and as the
 oracle the kernel is tested against; it is not built for speed.
 
 Events pop in (time, kind, insertion) order. At equal timestamps re-arm
@@ -38,7 +40,6 @@ from .detector import (
     _interp_clamped,
     _prepare_stimuli,
     _round_ps,
-    _trap_delay_power_law,
 )
 
 __all__ = ["detect_reference"]
@@ -57,15 +58,11 @@ class _DetectorState:
     """
 
     def __init__(self, params: DetectorParams, rng: np.random.Generator):
-        ap = params.afterpulse
         self.efficiency = float(params.efficiency)
         self.base_delay = int(params.base_delay_ps)
         self.tau_quench = int(params.tau_quench_ps)
-        self.ap_mu = float(ap.mu)
-        self.ap_exponential = ap.mode == "exponential"
-        self.ap_tau = float(ap.tau_trap_ps)
-        self.ap_tmin = float(ap.t_min_ps)
-        self.ap_alpha = float(ap.alpha)
+        self.ap_mu = float(params.afterpulse.mu)
+        self.ap_tau = float(params.afterpulse.tau_trap_ps)
         self.dead, self.twilight, self.jitter, self.shift = _curves(params)
         self.rng = rng
         self.armed = True
@@ -163,12 +160,9 @@ class _DetectorState:
         if self.ap_mu > 0.0:
             k = self.rng.poisson(self.ap_mu)
             for _ in range(k):
-                if self.ap_exponential:
-                    d = self.rng.exponential(self.ap_tau)
-                    if d > _MAX_TRAP_DELAY:
-                        d = _MAX_TRAP_DELAY
-                else:
-                    d = _trap_delay_power_law(self.rng.random(), self.ap_tmin, self.ap_alpha)
+                d = self.rng.exponential(self.ap_tau)
+                if d > _MAX_TRAP_DELAY:
+                    d = _MAX_TRAP_DELAY
                 self.schedule(int(t + _round_ps(d)), KIND_TRAP_RELEASE)
 
 

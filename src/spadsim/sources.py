@@ -82,7 +82,7 @@ class PairScanConfig:
             0 < self.delta_t_ps < self.pair_period_ps,
             f"delta_t_ps must lie in (0, pair_period_ps), got {self.delta_t_ps}",
         )
-        _require(self.n_pairs >= 0, f"n_pairs must be >= 0, got {self.n_pairs}")
+        _require(self.n_pairs >= 1, f"n_pairs must be >= 1, got {self.n_pairs}")
         _require(
             0.0 <= self.occupancy <= 1.0, f"occupancy must lie in [0, 1], got {self.occupancy}"
         )

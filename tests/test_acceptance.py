@@ -92,9 +92,7 @@ def test_criterion_02_interarrival_round_trip():
     res = run_interarrival(
         SPCM, 76_923.0, 8_000_000_000_000, 12345, bin_width_ps=500, span_ps=2_048_000
     )
-    dark = run_interarrival(
-        SPCM, 0.0, 2_000_000_000_000, 12345, analyze=False, spectroscopy=False
-    )
+    dark = run_interarrival(SPCM, 0.0, 2_000_000_000_000, 12345, analyze=False)
     elapsed = time.monotonic() - t0
 
     dead = res.dead_time_ps
@@ -135,7 +133,7 @@ def test_criterion_03_pair_jitter_root_two():
 
 
 def test_criterion_04_blanking_invariant_and_oracle():
-    res = run_interarrival(CUSTOM, 40.0e6, 70_000_000_000, 2, analyze=False, spectroscopy=False)
+    res = run_interarrival(CUSTOM, 40.0e6, 70_000_000_000, 2, analyze=False)
     rec_gap_ok = res.n_pulses >= 1_000_000
     # The interarrival histogram has 1000 ps bins from 0 and 24000 is a bin
     # edge, so an empty underflow and empty first 24 bins mean exactly that
@@ -402,7 +400,7 @@ def test_criterion_11_byte_identical_reruns(tmp_path, capsys):
             "version": 1, "kind": "interarrival", "seed": 9,
             "detector": {"preset": "spcm-aqrh"},
             "source": {"rate_cps": 76_923.0, "duration_ps": 50_000_000_000},
-            "instrument": {"analyze": False, "spectroscopy": False},
+            "instrument": {"analyze": False},
             "outputs": {"histogram_csv": "hist.csv", "summary_json": "summary.json"},
         },
         "pair-scan": {

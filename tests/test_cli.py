@@ -24,7 +24,7 @@ def interarrival_doc(outdir, *, analyze=False, rate_cps=100_000.0, duration_ps=2
         "seed": 3,
         "detector": {"preset": "spcm-aqrh"},
         "source": {"rate_cps": rate_cps, "duration_ps": duration_ps},
-        "instrument": {"analyze": analyze, "spectroscopy": analyze},
+        "instrument": {"analyze": analyze},
         "outputs": {
             "histogram_csv": str(outdir / "hist.csv"),
             "summary_json": str(outdir / "summary.json"),
@@ -69,6 +69,10 @@ class TestPreset:
     def test_unknown_name_fails_cleanly(self, capsys):
         assert main(["preset", "show", "sqcm"]) == 1
         assert "invalid value" in capsys.readouterr().err
+
+    def test_variant_of_a_preset_without_variants_fails(self, capsys):
+        assert main(["preset", "show", "custom-aq", "--variant", "ttl"]) == 1
+        assert "has no variants" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -45,7 +45,7 @@ QKD = base(
 
 
 PRESET_VARIANTS = [
-    ("spcm-aqrh", "timing"), ("spd-050", "timing"), ("spd-050", "ttl"), ("custom-aq", "timing")
+    ("spcm-aqrh", None), ("spd-050", "timing"), ("spd-050", "ttl"), ("custom-aq", None)
 ]
 
 
@@ -62,7 +62,7 @@ class TestValidDocuments:
         assert norm["seed"] == 7
         assert norm["bin_width_ps"] == 1000
         assert norm["span_ps"] is None
-        assert norm["analyze"] is True and norm["spectroscopy"] is True
+        assert norm["analyze"] is True
         assert norm["tau_trap_guess_ps"] == 32000.0
         assert isinstance(norm["detector"], DetectorParams)
         assert norm["outputs"] == {"histogram_csv": "h.csv", "summary_json": "s.json"}
@@ -79,9 +79,9 @@ class TestValidDocuments:
         doc = dict(INTERARRIVAL, detector={"params": dict(required, afterpulse={}, blanking={})})
         params = validate_config(doc)["detector"]
         assert params.afterpulse == AfterpulseModel()
-        assert params.blanking == BlankingConfig(t_b_ps=24000, out_width_ps=12000)
+        assert params.blanking == BlankingConfig(t_b_ps=24000)
 
-    @pytest.mark.parametrize("kind", ["twilight", "pair-scan", "jitter-scan"])
+    @pytest.mark.parametrize("kind", ["pair-scan", "jitter-scan"])
     def test_pair_scan_family(self, kind):
         outputs = {"curve_csv": "c.csv"}
         if kind == "pair-scan":
@@ -161,6 +161,12 @@ class TestRejections:
         self.check(dict(INTERARRIVAL, detector=both), "exactly one")
         self.check(dict(INTERARRIVAL, detector={"preset": "nope"}), "detector.preset")
 
+    def test_preset_variant_is_checked(self):
+        spcm = dict(INTERARRIVAL, detector={"preset": "spcm-aqrh", "variant": "bogus"})
+        self.check(spcm, r"^detector\.variant: preset 'spcm-aqrh' has no variants, got 'bogus'")
+        spd = dict(INTERARRIVAL, detector={"preset": "spd-050", "variant": "bogus"})
+        self.check(spd, r"^detector\.variant: unknown spd-050 variant 'bogus'")
+
     def test_params_bool_for_number(self):
         self.check(with_params(efficiency=True), r"^detector\.params\.efficiency: must be a number")
         mu = with_params(afterpulse={"mu": True})
@@ -211,15 +217,18 @@ class TestRejections:
 
     def test_pair_scan_spacings(self):
         src = dict(PAIR_SOURCE, delta_ts_ps=[])
-        doc = base("twilight", detector={"preset": "spcm-aqrh"}, source=src)
+        doc = base("pair-scan", detector={"preset": "spcm-aqrh"}, source=src)
         self.check(doc, "delta_ts_ps")
         src = dict(PAIR_SOURCE, delta_ts_ps=[20_000, 2_000_000])
-        doc = base("twilight", detector={"preset": "spcm-aqrh"}, source=src)
+        doc = base("pair-scan", detector={"preset": "spcm-aqrh"}, source=src)
         self.check(doc, "pair_period_ps")
+        src = dict(PAIR_SOURCE, n_pairs=0)
+        doc = base("pair-scan", detector={"preset": "spcm-aqrh"}, source=src)
+        self.check(doc, r"^source\.n_pairs must be >= 1, got 0$")
 
     def test_jitter_scan_instrument_scoping(self):
         doc = base(
-            "twilight",
+            "pair-scan",
             detector={"preset": "spcm-aqrh"},
             source=dict(PAIR_SOURCE),
             instrument={"min_pairs": 10},
@@ -270,7 +279,6 @@ MINIMAL = {
     ),
     "jitter-scan": base("jitter-scan", detector={"preset": "spcm-aqrh"}, source=PAIR_SOURCE),
     "pair-scan": base("pair-scan", detector={"preset": "spcm-aqrh"}, source=PAIR_SOURCE),
-    "twilight": base("twilight", detector={"preset": "spcm-aqrh"}, source=PAIR_SOURCE),
     "autocorr": base(
         "autocorr",
         detector={"preset": "spcm-aqrh"},
@@ -295,7 +303,6 @@ REQUIRED = {
     "interarrival": {"source": ("rate_cps", "duration_ps")},
     "jitter-scan": {"source": ("delta_ts_ps", "pair_period_ps", "n_pairs")},
     "pair-scan": {"source": ("delta_ts_ps", "pair_period_ps", "n_pairs")},
-    "twilight": {"source": ("delta_ts_ps", "pair_period_ps", "n_pairs")},
     "autocorr": {
         "source": ("period_ps", "mean_photons_per_pulse", "duration_ps"),
         "instrument": ("max_lag_ps", "bin_width_ps"),

@@ -55,7 +55,7 @@ class TestParamValidation:
             jitter_curve=((30000.0, 600.0), (120000.0, 300.0)),
             shift_curve=((30000.0, 800.0), (120000.0, 0.0)),
             afterpulse=AfterpulseModel(mu=0.02, tau_trap_ps=32000.0),
-            blanking=BlankingConfig(t_b_ps=24000, out_width_ps=12000),
+            blanking=BlankingConfig(t_b_ps=24000),
         )
         assert inline_detector(as_json(p)) == p
 
@@ -238,21 +238,11 @@ class TestDetect:
         chain = target / (1.0 - target)
         assert n_ap / n_ph == pytest.approx(chain, rel=0.15)
 
-    def test_power_law_afterpulses_run(self):
-        p = plain_params(
-            afterpulse=AfterpulseModel(
-                mu=0.2, mode="power-law", t_min_ps=25000.0, alpha=2.5
-            )
-        )
-        arr = poisson_times(make_generator(16, "source"), 1e5, SECOND_PS // 2)
-        rec = detect(arr, p, make_generator(16, "detector"), SECOND_PS // 2)
-        assert len(rec.out_times[rec.causes == Cause.AFTERPULSE]) > 50
-
     def test_blanking_applied_to_output(self):
         p = plain_params(
             tau_dead0_ps=21500,
             tau_quench_ps=10000,
-            blanking=BlankingConfig(t_b_ps=24000, out_width_ps=12000),
+            blanking=BlankingConfig(t_b_ps=24000),
         )
         arr = poisson_times(make_generator(17, "source"), 5e6, SECOND_PS // 20)
         rec = detect(arr, p, make_generator(17, "detector"), SECOND_PS // 20)

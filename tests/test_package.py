@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import importlib.util
+import json
 import pathlib
 import re
 
@@ -47,3 +49,26 @@ def test_namespace_is_the_union_of_the_library_modules_all():
     assert {"detect", "run_qkd_scenario", "_backend"} <= used
     for name in used:
         assert hasattr(spadsim, name) or importlib.util.find_spec(f"spadsim.{name}"), name
+
+
+def markdown_rows(text, header):
+    """The cells of each row of the README table that starts with `header`."""
+    table = text.split(header + "\n", 1)[1].split("\n\n", 1)[0]
+    return [[c.strip() for c in row.strip("|").split("|")] for row in table.splitlines()[1:]]
+
+
+def test_readme_config_reference_matches_the_code():
+    readme = (ROOT / "README.md").read_text()
+
+    kinds = markdown_rows(readme, "| kind | detectors | sections | outputs |")
+    assert [re.fullmatch(r"`([\w-]+)`", row[0]).group(1) for row in kinds] == list(spadsim.KINDS)
+
+    # Each nested detector object lists exactly its dataclass's fields.
+    objects = markdown_rows(readme, "| object | keys (required in bold) |")
+    documented = {re.search(r"\(`(\w+)`\)", obj).group(1): keys for obj, keys in objects}
+    for owner in (spadsim.AfterpulseModel, spadsim.BlankingConfig):
+        names = re.findall(r"`(\w+)`=", documented[owner.__name__])
+        assert names == [f.name for f in dataclasses.fields(owner)], owner.__name__
+
+    example = re.search(r"Example:\n\n```json\n(.*?)```", readme, re.S).group(1)
+    assert spadsim.validate_config(json.loads(example))["kind"] == "interarrival"

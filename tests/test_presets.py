@@ -29,6 +29,8 @@ def test_unknown_preset_rejected():
         preset("nope")
     with pytest.raises(ValueError):
         preset("spd-050", variant="fancy")
+    with pytest.raises(ValueError, match="^preset 'custom-aq' has no variants, got 'ttl'$"):
+        preset("custom-aq", variant="ttl")
 
 
 def test_all_presets_validate_and_round_trip():
@@ -96,7 +98,6 @@ class TestCustom:
         p = preset("custom-aq").params
         assert p.blanking is not None
         assert p.blanking.t_b_ps == 24_000
-        assert p.blanking.out_width_ps == 12_000
         assert p.dead_elongation[-1] == (30_000_000.0, 2000.0)
 
     def test_afterpulse_from_series_resistance(self):

@@ -12,8 +12,10 @@ from spadsim import (
     cw_poisson_stream,
     make_generator,
     poisson_times,
+    preset,
     pulse_pair_sequence,
     pulsed_train,
+    run_pair_scan,
 )
 from spadsim.rng import FWHM_TO_SIGMA
 
@@ -81,6 +83,12 @@ def test_pulse_pair_sequence_occupancy_thins():
     assert abs(n1 - 1000) < 5 * np.sqrt(1000)
     assert abs(n2 - 1000) < 5 * np.sqrt(1000)
     assert np.all(np.diff(t) >= 0)
+
+
+def test_pair_scan_needs_at_least_one_pair():
+    # Rejected by the scan's own config, before the detector sees an empty run.
+    with pytest.raises(ValueError, match=r"^n_pairs must be >= 1, got 0$"):
+        run_pair_scan(preset("spcm-aqrh").params, [20_000], 1_000_000, 0, seed=1)
 
 
 def test_correlated_pair_stream_tags_and_losses():
