@@ -22,7 +22,7 @@ from typing import Callable, get_args, get_origin
 from .analysis import (
     KeyRateInputs, distinguishability, secret_key_rate, shift_and_jitter_vs_dt, twilight_curve
 )
-from .detector import DetectorParams
+from .detector import DRAW_CONTRACT, DetectorParams
 from .experiments import run_autocorr, run_interarrival, run_pair_scan
 from .presets import available_presets, preset
 from .qkd import FrameConfig, check_rep_rate, run_qkd_scenario
@@ -214,6 +214,11 @@ def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _detector_json(summary: dict) -> str:
+    """The summary of a kind that runs a detector, stamped with its draw contract."""
+    return _json({**summary, "draw_contract": DRAW_CONTRACT})
+
+
 def _run_interarrival(cfg: dict):
     res = run_interarrival(cfg["detector"], **_args(cfg, run_interarrival))
     summary = {"n_pulses": res.n_pulses, "detected_rate_cps": res.detected_rate_cps}
@@ -226,7 +231,7 @@ def _run_interarrival(cfg: dict):
     keys = ("n_pulses", "detected_rate_cps", "dead_time_ps", "p_afterpulse", "tau_trap_ps")
     lines = [(k, summary[k]) for k in keys if k in summary]
     lines += [(f"cause_{cause}", n) for cause, n in res.cause_counts.items()]
-    return lines, {"histogram_csv": res.histogram.to_csv(), "summary_json": _json(summary)}
+    return lines, {"histogram_csv": res.histogram.to_csv(), "summary_json": _detector_json(summary)}
 
 
 def _run_pair_scan(cfg: dict):
@@ -238,7 +243,7 @@ def _run_pair_scan(cfg: dict):
     lines = [("n_points", len(points))]
     lines += [(f"ratio_{dt}", r) for dt, r in zip(summary["delta_ts_ps"], summary["ratios"])]
     rows = "".join(f"{p.delta_t_ps},{p.n_pairs},{p.n_first},{p.n_both}\n" for p in points)
-    texts = {"curve_csv": curve.to_csv(), "summary_json": _json(summary)}
+    texts = {"curve_csv": curve.to_csv(), "summary_json": _detector_json(summary)}
     texts["points_csv"] = "delta_t_ps,n_pairs,n_first,n_both\n" + rows
     return lines, texts
 
@@ -252,7 +257,7 @@ def _run_jitter_scan(cfg: dict):
     lines = [("n_points", len(points))]
     for dt, s, f in zip(dts, shifts, fwhms):
         lines += [(f"shift_{dt}", s), (f"fwhm_{dt}", f)]
-    return lines, {"curve_csv": curve.to_csv(), "summary_json": _json(summary)}
+    return lines, {"curve_csv": curve.to_csv(), "summary_json": _detector_json(summary)}
 
 
 def _run_autocorr(cfg: dict):
@@ -260,7 +265,7 @@ def _run_autocorr(cfg: dict):
     res = run_autocorr(cfg["detector"], src, **_args(cfg, run_autocorr))
     summary = {"n_pulses": res.n_pulses, "detected_rate_cps": res.detected_rate_cps}
     summary["visibility"] = distinguishability(res.histogram, float(cfg["period_ps"]))
-    texts = {"histogram_csv": res.histogram.to_csv(), "summary_json": _json(summary)}
+    texts = {"histogram_csv": res.histogram.to_csv(), "summary_json": _detector_json(summary)}
     return list(summary.items()), texts
 
 
@@ -270,7 +275,7 @@ def _run_qkd(cfg: dict):
     args = _args(cfg, run_qkd_scenario)
     report = run_qkd_scenario(src, cfg["detector_a"], cfg["detector_b"], frame, **args)
     summary = report.to_json_dict()
-    texts = {"report_json": _json(summary), "crosscorr_csv": report.crosscorr.to_csv()}
+    texts = {"report_json": _detector_json(summary), "crosscorr_csv": report.crosscorr.to_csv()}
     return sorted(summary.items()), texts
 
 

@@ -19,6 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .rng import FWHM_TO_SIGMA
 from .sources import poisson_times
 
 __all__ = [
+    "DRAW_CONTRACT",
     "TAU_EMA_PS",
     "Cause",
     "QuenchTimes",
@@ -41,6 +43,10 @@ __all__ = [
     "blanking_filter",
     "detect",
 ]
+
+# Version of the random-draw contract (see `_detect_kernel`). Within one
+# contract a detector design and a seed give exactly one pulse stream.
+DRAW_CONTRACT = 2
 
 # Time constant of the output-rate estimator driving dead-time elongation
 TAU_EMA_PS = 1.0e6
@@ -272,45 +278,94 @@ def _interp_clamped(x: float, xs: list[float], ys: list[float]) -> float:
     return ys[lo] + t * (ys[hi] - ys[lo])
 
 
-def _round_ps(x: float) -> int:
-    """Round to the integer picosecond grid, halves up."""
-    return math.floor(x + 0.5)
+def _interp_clamped_array(x: np.ndarray, xs: list[float], ys: list[float]) -> np.ndarray:
+    """`_interp_clamped` over an array, with the same float operations per element."""
+    y = np.full(x.shape, ys[-1])
+    y[x <= xs[0]] = ys[0]
+    inner = (x > xs[0]) & (x < xs[-1])
+    if inner.any():
+        xi = x[inner]
+        knots, values = np.asarray(xs), np.asarray(ys)
+        hi = np.searchsorted(knots, xi, side="right")
+        lo = hi - 1
+        t = (xi - knots[lo]) / (knots[hi] - knots[lo])
+        y[inner] = values[lo] + t * (values[hi] - values[lo])
+    return y
 
 
-def _ema_decay(lam: float, dt_ps: int, tau_ema_ps: float) -> float:
-    """Exponential-moving-average rate estimate decayed over a quiet gap."""
-    return lam * math.exp(-float(dt_ps) / tau_ema_ps)
+class _Draws(NamedTuple):
+    """The per-purpose random substreams of one detection run."""
+
+    photon: np.random.Generator  # one uniform per photon, keyed by arrival index
+    dark_times: np.random.Generator  # the dark-count times
+    dark_twilight: np.random.Generator  # one uniform per dark, keyed by dark index
+    jitter: np.random.Generator  # one normal per unheld pulse, in avalanche order
+    trap_counts: np.random.Generator  # one Poisson(mu) count per avalanche
+    trap_delays: np.random.Generator  # one exponential(tau_trap) delay per trap
 
 
-def _emit_delta(shift_ps: float, fwhm_ps: float, z: float) -> int:
-    """Signed output-delay offset: calibrated shift plus sampled jitter."""
-    return _round_ps(shift_ps + z * (fwhm_ps * FWHM_TO_SIGMA))
+def _draw_streams(rng: np.random.Generator) -> _Draws:
+    """Spawn the six Philox substreams of one run from `rng`'s seed sequence.
+
+    Spawning advances the seed sequence, so a generator passed to two runs
+    gives each its own substreams.
+    """
+    children = rng.bit_generator.seed_seq.spawn(len(_Draws._fields))
+    return _Draws(*(np.random.Generator(np.random.Philox(seq)) for seq in children))
+
+
+# Trap counts and delays are read from blocks of this many draws.
+_TRAP_BLOCK = 4096
+
+# Time of the end-of-stream sentinels, later than every stimulus.
+_NEVER = 2**63 - 1
+_KIND_END = 4
+
+
+def _trap_delay_block(draws: _Draws, tau_trap: float) -> list[int]:
+    """The next block of trap delays: exponential(tau_trap), clamped, rounded to ps."""
+    d = np.minimum(draws.trap_delays.exponential(tau_trap, _TRAP_BLOCK), _MAX_TRAP_DELAY)
+    return np.floor(d + 0.5).astype(np.int64).tolist()
 
 
 def _detect_kernel(
-    arrivals: np.ndarray, darks: np.ndarray, params: DetectorParams, rng: np.random.Generator
+    arrivals: np.ndarray,
+    u_photon: np.ndarray,
+    darks: np.ndarray,
+    u_dark: np.ndarray,
+    draws: _Draws,
+    params: DetectorParams,
 ):
     """Actively-quenched SPAD state machine over two sorted stimulus streams.
 
     `arrivals` are the photon times and `darks` the dark-count times, both
-    sorted, and `params` is the validated detector. Returns the four
+    sorted, with their keyed uniforms `u_photon` and `u_dark`; `draws` are
+    the run's substreams and `params` the validated detector. Returns the four
     int64 `PulseRecords` columns in avalanche order. Trap releases are
     generated internally; one heap orders them with the next dark by
     (time, kind, order), so at the same picosecond releases go before
     darks, and both go before a photon.
 
-    Draw-order contract of the detection state machine (the reference mirrors it
-    exactly; changing it breaks stream compatibility):
+    Draw contract 2 (`DRAW_CONTRACT`; the reference draws the same values
+    one scalar at a time). Every purpose has its own substream:
 
-      ARMED photon:        uniform(efficiency) -> [if detected] normal
-                           -> [if mu>0] poisson -> one delay draw per trap
-      ARMED dark/release:  normal -> [if mu>0] poisson -> trap delay draws
-      TWILIGHT photon/dark: uniform (always) -> [if triggered, mu>0] poisson
-                           -> trap delay draws (no normal: held pulses carry no
-                           sampled jitter)
-      TWILIGHT release, QUENCH anything: no draws.
+      photon uniforms      photon i triggers armed iff u_photon[i] < efficiency,
+                           in twilight iff u_photon[i] < efficiency * profile
+      dark times           the dark stream, drawn before the state machine runs
+      dark uniforms        dark j triggers in twilight iff u_dark[j] < profile;
+                           armed darks and trap releases always trigger
+      trap counts          one Poisson(mu) count per avalanche, in avalanche
+                           order (only when mu > 0)
+      trap delays          one exponential(tau_trap) delay per trap, in
+                           filling order, clamped at _MAX_TRAP_DELAY
+      jitter normals       one normal per unheld pulse, in avalanche order;
+                           held twilight pulses take none
 
-    Each trap delay is one exponential(tau_trap) draw.
+    Uniforms are keyed, so a stimulus draws the same value whatever state it
+    meets. The profile never exceeds 1, so a photon with u >= efficiency can
+    never trigger: such photons are dropped before the loop. The loop records
+    each avalanche's time, cause and arrival; output times never feed back
+    into the state machine and are computed after it (`_emit_times`).
     """
     cause_photon = int(Cause.PHOTON)
     cause_dark = int(Cause.DARK)
@@ -318,122 +373,162 @@ def _detect_kernel(
     cause_twilight = int(Cause.TWILIGHT)
 
     efficiency = float(params.efficiency)
-    base_delay = int(params.base_delay_ps)
-    tau_quench = int(params.tau_quench_ps)
     ap_mu = float(params.afterpulse.mu)
     ap_tau = float(params.afterpulse.tau_trap_ps)
-    (dead_x, dead_y), (tw_x, tw_y), (jit_x, jit_y), (sh_x, sh_y) = _curves(params)
+    (dead_x, dead_y), (tw_x, tw_y), _, _ = _curves(params)
+    # Without a profile nothing triggers in twilight: the zone starts never.
+    twilight_from = int(params.tau_quench_ps) if params.twilight_profile else _NEVER
+    const_dead = not params.dead_elongation
+    tau_dead = int(params.tau_dead0_ps)
+    inv_tau_ema = 1.0 / TAU_EMA_PS
+    exp = math.exp
+    floor = math.floor
 
-    out_t: list[int] = []
-    out_o: list[int] = []
-    out_c: list[int] = []
-    out_a: list[int] = []
-    # Min-heap of (time, kind, order) over every pending trap release and
-    # the next dark; popping dark j pushes dark j + 1.
-    events: list[tuple[int, int, int]] = []
+    # The photons that can trigger: twilight thresholds never exceed efficiency.
+    kept = np.flatnonzero(u_photon < efficiency)
+    u_photon = u_photon[kept]
+    photons = arrivals[kept].tolist()
+    photons.append(_NEVER)
+    dark_list = darks.tolist()
+    n_darks = len(dark_list)
+
+    av_t: list[int] = []
+    av_c: list[int] = []
+    av_a: list[int] = []
+    held_ends: list[int] = []  # the dead_end each twilight pulse is held to
+    # Min-heap of (time, kind, order) over every pending trap release, the
+    # next dark and the end sentinel; popping dark j pushes dark j + 1.
+    events: list[tuple[int, int, int]] = [(_NEVER, _KIND_END, 0)]
+    if n_darks:
+        heappush(events, (dark_list[0], KIND_DARK, 0))
     trap_seq = 0
+    block = _TRAP_BLOCK
+    counts: list[int] = []
+    delays: list[int] = []
+    ci = di = block  # read positions in the trap blocks; both start used up
 
     dead_start = -(2**62)  # avalanche instant of the current dead period
     dead_end = 0  # armed iff t >= dead_end
-    last_avalanche = -(2**62)
     lam = 0.0  # EMA detection-rate estimate, events per ps
     t_lam = 0
 
-    photons = arrivals.tolist()
-    darks = darks.tolist()
-    n_photons = len(photons)
-    n_darks = len(darks)
-    if n_darks:
-        events.append((darks[0], KIND_DARK, 0))
     i = 0
-    while i < n_photons or events:
-        if events and (i >= n_photons or events[0][0] <= photons[i]):
+    while True:
+        t = photons[i]
+        if events[0][0] <= t:
             t, kind, j = heappop(events)
-            if kind == KIND_DARK and j + 1 < n_darks:
-                heappush(events, (darks[j + 1], KIND_DARK, j + 1))
+            if kind == KIND_DARK:
+                if j + 1 < n_darks:
+                    heappush(events, (dark_list[j + 1], KIND_DARK, j + 1))
+                if t >= dead_end:
+                    cause = cause_dark
+                else:
+                    dt = t - dead_start
+                    if dt < twilight_from or u_dark[j] >= _interp_clamped(float(dt), tw_x, tw_y):
+                        continue
+                    cause = cause_twilight
+                    held_ends.append(dead_end)
+            elif kind == KIND_TRAP_RELEASE:
+                # Releases fire when armed and are discarded otherwise.
+                if t < dead_end:
+                    continue
+                cause = cause_afterpulse
+            else:
+                break
             src = -1
         else:
-            t = photons[i]
-            kind = KIND_PHOTON
             src = i
             i += 1
-
-        triggered = False
-        held = False
-        cause = cause_photon
-
-        if t >= dead_end:
-            # ARMED: photons face the efficiency draw; dark counts are
-            # post-efficiency by definition and trap releases fire with
-            # probability 1.
-            if kind == KIND_PHOTON:
-                if rng.random() < efficiency:
-                    triggered = True
-            elif kind == KIND_DARK:
-                triggered = True
-                cause = cause_dark
+            if t >= dead_end:
+                cause = cause_photon
             else:
-                triggered = True
-                cause = cause_afterpulse
+                dt = t - dead_start
+                if dt < twilight_from or u_photon[src] >= efficiency * _interp_clamped(
+                    float(dt), tw_x, tw_y
+                ):
+                    continue
+                cause = cause_twilight
+                held_ends.append(dead_end)
+
+        av_t.append(t)
+        av_c.append(cause)
+        av_a.append(src)
+
+        # Avalanche bookkeeping: the dead-time length comes from the rate
+        # estimate just before this avalanche is counted.
+        dead_start = t
+        if const_dead:
+            dead_end = t + tau_dead
         else:
-            dt = t - dead_start
-            if dt >= tau_quench:
-                # TWILIGHT: partially re-armed, sensing electronics off.
-                # Releases are discarded; photons and darks can avalanche.
-                if kind != KIND_TRAP_RELEASE:
-                    u = rng.random()
-                    prof = _interp_clamped(float(dt), tw_x, tw_y)
-                    thr = efficiency * prof if kind == KIND_PHOTON else prof
-                    if u < thr:
-                        triggered = True
-                        held = True
-                        cause = cause_twilight
-            # QUENCH: below breakdown; everything is lost without a draw.
-
-        if triggered:
-            # Emit the output pulse before drawing traps.
-            if held:
-                # Held to the end of the dead period active at arrival;
-                # deterministic, no sampled jitter or shift.
-                ot = dead_end + base_delay
-            else:
-                gap = t - last_avalanche
-                dt_prev = _HUGE_DT if gap > 2**61 else float(gap)
-                shift = _interp_clamped(dt_prev, sh_x, sh_y)
-                fwhm = _interp_clamped(dt_prev, jit_x, jit_y)
-                ot = t + base_delay + _emit_delta(shift, fwhm, rng.standard_normal())
-                if ot < t:
-                    ot = t
-            out_t.append(ot)
-            out_o.append(t)
-            out_c.append(cause)
-            out_a.append(src)
-
-            # Avalanche bookkeeping: the dead-time length comes from the
-            # rate estimate just before this avalanche is counted.
-            lam = _ema_decay(lam, t - t_lam, TAU_EMA_PS)
+            lam *= exp((t_lam - t) / TAU_EMA_PS)
             t_lam = t
-            dlen = _round_ps(_interp_clamped(lam * 1.0e12, dead_x, dead_y))
-            lam += 1.0 / TAU_EMA_PS
-            dead_start = t
-            dead_end = t + dlen
-            last_avalanche = t
+            dead_end = t + floor(_interp_clamped(lam * 1.0e12, dead_x, dead_y) + 0.5)
+            lam += inv_tau_ema
 
-            # Trap filling: every avalanche fills k ~ Poisson(mu) traps.
-            if ap_mu > 0.0:
-                for _ in range(rng.poisson(ap_mu)):
-                    d = rng.exponential(ap_tau)
-                    if d > _MAX_TRAP_DELAY:
-                        d = _MAX_TRAP_DELAY
-                    heappush(events, (t + _round_ps(d), KIND_TRAP_RELEASE, trap_seq))
-                    trap_seq += 1
+        # Trap filling: every avalanche fills k ~ Poisson(mu) traps.
+        if ap_mu > 0.0:
+            if ci == block:
+                counts = draws.trap_counts.poisson(ap_mu, block).tolist()
+                ci = 0
+            k = counts[ci]
+            ci += 1
+            while k:
+                if di == block:
+                    delays = _trap_delay_block(draws, ap_tau)
+                    di = 0
+                heappush(events, (t + delays[di], KIND_TRAP_RELEASE, trap_seq))
+                di += 1
+                trap_seq += 1
+                k -= 1
 
-    return (
-        np.array(out_t, dtype=np.int64),
-        np.array(out_o, dtype=np.int64),
-        np.array(out_c, dtype=np.int64),
-        np.array(out_a, dtype=np.int64),
-    )
+    del photons, dark_list, events, counts, delays
+    times = np.array(av_t, dtype=np.int64)
+    del av_t
+    causes = np.array(av_c, dtype=np.int64)
+    del av_c
+    src = np.array(av_a, dtype=np.int64)
+    del av_a
+    arrival_index = np.full(src.shape, -1, dtype=np.int64)
+    named = src >= 0
+    arrival_index[named] = kept[src[named]]
+    del src, kept
+    held = np.array(held_ends, dtype=np.int64)
+    del held_ends
+    return _emit_times(times, causes, held, params, draws.jitter), times, causes, arrival_index
+
+
+def _emit_times(
+    times: np.ndarray,
+    causes: np.ndarray,
+    held_ends: np.ndarray,
+    params: DetectorParams,
+    normals: np.random.Generator,
+) -> np.ndarray:
+    """Output times of the avalanches `times` (in avalanche order).
+
+    A twilight pulse is held to the end of the dead period active at its
+    arrival, `held_ends` in order, plus the base delay, with no sampled
+    timing spread. Every other pulse comes out base_delay + shift + jitter
+    after its avalanche, both read off the gap since the previous avalanche
+    (the relaxed far end of the curves for the first), never before it.
+    """
+    base_delay = int(params.base_delay_ps)
+    _, _, (jit_x, jit_y), (sh_x, sh_y) = _curves(params)
+    out = np.empty_like(times)
+    held = causes == int(Cause.TWILIGHT)
+    out[held] = held_ends + base_delay
+    free = ~held
+    gaps = np.diff(times)
+    dt_prev = np.full(times.shape, _HUGE_DT)
+    dt_prev[1:] = np.where(gaps > 2**61, _HUGE_DT, gaps)
+    dt_prev = dt_prev[free]
+    shift = _interp_clamped_array(dt_prev, sh_x, sh_y)
+    fwhm = _interp_clamped_array(dt_prev, jit_x, jit_y)
+    z = normals.standard_normal(dt_prev.size)
+    t_free = times[free]
+    delta = np.floor(shift + z * (fwhm * FWHM_TO_SIGMA) + 0.5).astype(np.int64)
+    out[free] = np.maximum(t_free + base_delay + delta, t_free)
+    return out
 
 
 def effective_dead_time(rate_cps: float, params: DetectorParams) -> float:
@@ -526,14 +621,12 @@ def blanking_filter(pulse_times, t_b_ps: int) -> np.ndarray:
     return t[_blanking_keep(t, t_b_ps)]
 
 
-def _prepare_stimuli(
-    arrivals, params: DetectorParams, rng: np.random.Generator, duration_ps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Validate inputs and draw the dark stream; returns (arrivals, darks).
+def _prepare_stimuli(arrivals, params: DetectorParams, rng: np.random.Generator, duration_ps: int):
+    """Validate inputs and draw the keyed stimulus randomness.
 
-    Dark counts are drawn from `rng` up front, before the state machine
-    consumes it, so the per-event draw sequence is independent of the dark
-    stream's length.
+    Returns (arrivals, u_photon, darks, u_dark, draws): the photon times and
+    their uniforms, the dark times and theirs, and the substreams of `rng`
+    that the state machine draws from.
     """
     arrivals = np.asarray(arrivals, dtype=np.int64)
     if arrivals.size:
@@ -543,7 +636,10 @@ def _prepare_stimuli(
             raise ValueError("arrivals must be non-negative")
     if duration_ps <= 0:
         raise ValueError(f"duration_ps must be > 0, got {duration_ps}")
-    return arrivals, poisson_times(rng, params.dark_rate_cps, duration_ps)
+    draws = _draw_streams(rng)
+    darks = poisson_times(draws.dark_times, params.dark_rate_cps, duration_ps)
+    u_photon = draws.photon.random(arrivals.size)
+    return arrivals, u_photon, darks, draws.dark_twilight.random(darks.size), draws
 
 
 def _finalize_records(columns: tuple[np.ndarray, ...], params: DetectorParams) -> PulseRecords:
@@ -567,10 +663,12 @@ def detect(
     """Run the detector over a photon arrival stream.
 
     `duration_ps` bounds the dark-count stream (arrivals are consumed in
-    full either way). Pulses are returned sorted by output time; when
-    blanking is configured the output is the transmitted subset.
+    full either way). Every draw comes from substreams spawned from `rng`'s
+    seed sequence (draw contract `DRAW_CONTRACT`), so `rng` needs one, as a
+    generator from `make_generator` or `np.random.default_rng` has. Pulses
+    are returned sorted by output time; when blanking is configured the
+    output is the transmitted subset.
     """
     params.validate()
-    arrivals, darks = _prepare_stimuli(arrivals, params, rng, duration_ps)
-    columns = _detect_kernel(arrivals, darks, params, rng)
+    columns = _detect_kernel(*_prepare_stimuli(arrivals, params, rng, duration_ps), params)
     return _finalize_records(columns, params)

@@ -242,18 +242,35 @@ def _gauss(x, amp, mu, sigma):
     return amp * np.exp(-0.5 * ((x - mu) / sigma) ** 2)
 
 
-def gaussian_fit(h: Histogram) -> GaussianFit:
-    """Weighted least-squares Gaussian over the bins at or above half maximum.
+# Half-width of the second fit window, in sigmas of the first fit.
+_FIT_WINDOW_SIGMAS = 2.5
 
-    The fit window is the contiguous run of bins around the mode whose
-    counts reach half the mode count; restricting to the half-max region
-    keeps exponential backgrounds and secondary peaks out of the fit.
-    Weights are Poisson (sigma_i = sqrt(count_i)). residual is the reduced
-    chi-square of the windowed fit.
-    """
+
+def _curve_fit(x, y, p0, sigma_y) -> np.ndarray:
     # Imported on use: scipy.optimize would dominate `import spadsim`.
     from scipy.optimize import curve_fit
 
+    try:
+        popt, _ = curve_fit(
+            _gauss, x, y, p0=p0, sigma=sigma_y, absolute_sigma=True, maxfev=10000
+        )
+    except RuntimeError as exc:
+        raise InstrumentError(f"Gaussian fit did not converge: {exc}") from exc
+    return popt
+
+
+def gaussian_fit(h: Histogram) -> GaussianFit:
+    """Weighted least-squares Gaussian, fitted in two passes.
+
+    The first pass fits the contiguous run of bins around the mode whose
+    counts reach half the mode count, with Poisson weights from the counts
+    (sigma_i = sqrt(count_i)). Its window is narrow and its edges follow the
+    noise of the mode, so its width alone scatters by several percent; it
+    only places the second pass. That one fits the bins within 2.5 sigma of
+    the first fit's peak, weighted by the first fit's model counts. Both
+    windows keep exponential backgrounds and secondary peaks out of the fit.
+    residual is the root of the reduced chi-square of the second fit.
+    """
     counts = h.counts.astype(np.float64)
     if counts.size == 0 or counts.max() <= 0:
         raise InstrumentError("histogram is empty, nothing to fit")
@@ -270,17 +287,21 @@ def gaussian_fit(h: Histogram) -> GaussianFit:
         raise InstrumentError(
             f"too few bins at half maximum: need >= 5, got {n_win}"
         )
-    x = h.bin_centers[lo : hi + 1]
+    centers = h.bin_centers
+    x = centers[lo : hi + 1]
     y = counts[lo : hi + 1]
-    sigma_y = np.sqrt(y)
     width0 = n_win * h.bin_width_ps
     p0 = (counts[m], x[m - lo], width0 / FWHM_PER_SIGMA)
-    try:
-        popt, _ = curve_fit(
-            _gauss, x, y, p0=p0, sigma=sigma_y, absolute_sigma=True, maxfev=10000
-        )
-    except RuntimeError as exc:
-        raise InstrumentError(f"Gaussian fit did not converge: {exc}") from exc
+    first = _curve_fit(x, y, p0, np.sqrt(y))
+
+    window = np.abs(centers - first[1]) <= _FIT_WINDOW_SIGMAS * abs(first[2])
+    n_win = int(np.count_nonzero(window))
+    if n_win < 5:
+        raise InstrumentError(f"too few bins in the second fit window: need >= 5, got {n_win}")
+    x = centers[window]
+    y = counts[window]
+    sigma_y = np.sqrt(np.maximum(_gauss(x, *first), 1.0))
+    popt = _curve_fit(x, y, first, sigma_y)
     amp, mu, sig = popt
     chi2 = float(np.sum(((y - _gauss(x, *popt)) / sigma_y) ** 2))
     residual = float(np.sqrt(chi2 / max(n_win - 3, 1)))

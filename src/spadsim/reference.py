@@ -5,10 +5,23 @@ the same rng state. Where the production kernel walks the sorted photon
 arrivals and keeps only darks and trap releases on a heap, this version
 schedules every photon, dark count, trap release, and re-arm timer as a
 discrete event on its own priority queue and lets the queue order them.
-Each avalanche fills Poisson(mu) traps, and each trap's release is
-scheduled one exponential(tau_trap) draw later, as in the kernel. It
-exists as an executable statement of the detector semantics and as the
+It exists as an executable statement of the detector semantics and as the
 oracle the kernel is tested against; it is not built for speed.
+
+It follows draw contract 2 (`detector.DRAW_CONTRACT`) from the same
+substreams as the kernel (`detector._draw_streams`), but one scalar at a
+time and in the order the events happen:
+
+- every photon meets its keyed uniform from one block, whatever the
+  detector state; the kernel drops the photons with u >= efficiency before
+  its loop, and this version keeps them all, so agreement shows that the
+  thinning changes nothing;
+- a dark in the twilight zone meets its keyed uniform;
+- each avalanche draws one Poisson(mu) trap count, and each trap one
+  exponential(tau_trap) delay, clamped at `_MAX_TRAP_DELAY`;
+- each unheld pulse draws one normal as it is emitted, and its output time
+  is computed there and then; the kernel computes every output time after
+  its loop in one numpy stage.
 
 Events pop in (time, kind, insertion) order. At equal timestamps re-arm
 timers (kind 0) fire first, then trap releases, then dark counts, then
@@ -20,6 +33,7 @@ caller's arrivals, which becomes the arrival_index of a pulse it triggers.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -34,13 +48,12 @@ from .detector import (
     DetectorParams,
     PulseRecords,
     _curves,
-    _ema_decay,
-    _emit_delta,
+    _Draws,
     _finalize_records,
     _interp_clamped,
     _prepare_stimuli,
-    _round_ps,
 )
+from .rng import FWHM_TO_SIGMA
 
 __all__ = ["detect_reference"]
 
@@ -48,23 +61,40 @@ __all__ = ["detect_reference"]
 _KIND_TIMER = 0
 
 
+def _round_ps(x: float) -> int:
+    """Round to the integer picosecond grid, halves up."""
+    return math.floor(x + 0.5)
+
+
+def _ema_decay(lam: float, dt_ps: int, tau_ema_ps: float) -> float:
+    """Exponential-moving-average rate estimate decayed over a quiet gap."""
+    return lam * math.exp(-float(dt_ps) / tau_ema_ps)
+
+
+def _emit_delta(shift_ps: float, fwhm_ps: float, z: float) -> int:
+    """Signed output-delay offset: calibrated shift plus sampled jitter."""
+    return _round_ps(shift_ps + z * (fwhm_ps * FWHM_TO_SIGMA))
+
+
 class _DetectorState:
     """Mutable detector state driven by its own event queue.
 
-    Mirrors the kernel's draw-order contract exactly; see the
-    `detector._detect_kernel` docstring. The armed flag is maintained by
+    Draws as draw contract 2 says, one scalar at a time; see the module
+    docstring and `detector._detect_kernel`. The armed flag is maintained by
     generation-tagged re-arm timers instead of timestamp comparison: a fresh
     avalanche invalidates any pending timer by bumping the generation.
     """
 
-    def __init__(self, params: DetectorParams, rng: np.random.Generator):
+    def __init__(self, params: DetectorParams, draws: _Draws, u_photon, u_dark):
         self.efficiency = float(params.efficiency)
         self.base_delay = int(params.base_delay_ps)
         self.tau_quench = int(params.tau_quench_ps)
         self.ap_mu = float(params.afterpulse.mu)
         self.ap_tau = float(params.afterpulse.tau_trap_ps)
         self.dead, self.twilight, self.jitter, self.shift = _curves(params)
-        self.rng = rng
+        self.draws = draws
+        self.u_photon = u_photon.tolist()
+        self.u_dark = u_dark.tolist()
         self.armed = True
         self.generation = 0
         self.dead_start = np.int64(-(2**62))
@@ -78,7 +108,8 @@ class _DetectorState:
         self.arrival_index: list[int] = []
         self.now = 0
         # (time, kind, insertion, payload); the payload is a timer's
-        # generation, a photon's arrival index, and -1 otherwise.
+        # generation, a photon's arrival index or a dark's index, and -1
+        # for a trap release.
         self.queue: list[tuple[int, int, int, int]] = []
         self.inserted = 0
 
@@ -105,26 +136,27 @@ class _DetectorState:
             else:
                 self._handle_dead(t, kind, payload)
 
-    def _handle_armed(self, t: np.int64, kind: int, src: int) -> None:
+    def _handle_armed(self, t: np.int64, kind: int, payload: int) -> None:
         if kind == KIND_PHOTON:
-            if self.rng.random() < self.efficiency:
-                self._avalanche(t, Cause.PHOTON, src)
+            if self.u_photon[payload] < self.efficiency:
+                self._avalanche(t, Cause.PHOTON, payload)
         elif kind == KIND_DARK:
-            self._avalanche(t, Cause.DARK, src)
+            self._avalanche(t, Cause.DARK, -1)
         else:
-            self._avalanche(t, Cause.AFTERPULSE, src)
+            self._avalanche(t, Cause.AFTERPULSE, -1)
 
-    def _handle_dead(self, t: np.int64, kind: int, src: int) -> None:
+    def _handle_dead(self, t: np.int64, kind: int, payload: int) -> None:
         dt = t - self.dead_start
         if dt < self.tau_quench or kind == KIND_TRAP_RELEASE:
             # Quench phase swallows everything; the twilight zone swallows
-            # trap releases. No draws are consumed either way.
+            # trap releases.
             return
-        u = self.rng.random()
         prof = _interp_clamped(float(dt), *self.twilight)
-        thr = self.efficiency * prof if kind == KIND_PHOTON else prof
-        if u < thr:
-            self._avalanche(t, Cause.TWILIGHT, src, held=True)
+        if kind == KIND_PHOTON:
+            if self.u_photon[payload] < self.efficiency * prof:
+                self._avalanche(t, Cause.TWILIGHT, payload, held=True)
+        elif self.u_dark[payload] < prof:
+            self._avalanche(t, Cause.TWILIGHT, -1, held=True)
 
     def _avalanche(self, t: np.int64, cause: Cause, src: int, held: bool = False) -> None:
         if held:
@@ -137,7 +169,7 @@ class _DetectorState:
             dt_prev = _HUGE_DT if gap > np.int64(2**61) else float(gap)
             shift = _interp_clamped(dt_prev, *self.shift)
             fwhm = _interp_clamped(dt_prev, *self.jitter)
-            z = self.rng.standard_normal()
+            z = self.draws.jitter.standard_normal()
             ot = t + self.base_delay + _emit_delta(shift, fwhm, z)
             if ot < t:
                 ot = t
@@ -158,9 +190,9 @@ class _DetectorState:
         self.schedule(int(self.dead_end), _KIND_TIMER, self.generation)
 
         if self.ap_mu > 0.0:
-            k = self.rng.poisson(self.ap_mu)
+            k = self.draws.trap_counts.poisson(self.ap_mu)
             for _ in range(k):
-                d = self.rng.exponential(self.ap_tau)
+                d = self.draws.trap_delays.exponential(self.ap_tau)
                 if d > _MAX_TRAP_DELAY:
                     d = _MAX_TRAP_DELAY
                 self.schedule(int(t + _round_ps(d)), KIND_TRAP_RELEASE)
@@ -174,10 +206,10 @@ def detect_reference(
     Same contract and output as detector.detect(); see the module docstring.
     """
     params.validate()
-    arrivals, darks = _prepare_stimuli(arrivals, params, rng, duration_ps)
-    state = _DetectorState(params, rng)
-    for t in darks.tolist():
-        state.schedule(t, KIND_DARK)
+    arrivals, u_photon, darks, u_dark, draws = _prepare_stimuli(arrivals, params, rng, duration_ps)
+    state = _DetectorState(params, draws, u_photon, u_dark)
+    for j, t in enumerate(darks.tolist()):
+        state.schedule(t, KIND_DARK, j)
     for idx, t in enumerate(arrivals.tolist()):
         state.schedule(t, KIND_PHOTON, idx)
     state.run()

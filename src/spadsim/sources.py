@@ -84,7 +84,7 @@ class PairScanConfig:
         )
         _require(self.n_pairs >= 1, f"n_pairs must be >= 1, got {self.n_pairs}")
         _require(
-            0.0 <= self.occupancy <= 1.0, f"occupancy must lie in [0, 1], got {self.occupancy}"
+            0.0 < self.occupancy <= 1.0, f"occupancy must lie in (0, 1], got {self.occupancy}"
         )
 
 

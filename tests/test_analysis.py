@@ -133,6 +133,16 @@ class TestShiftJitter:
         assert curve.shifts[0] == pytest.approx(300.0, abs=10.0)
         assert curve.fwhms[0] == pytest.approx(470.0, abs=15.0)
 
+    def test_width_is_stable_across_samples(self):
+        # Criterion 3's sample size: 8,450 intervals of a 473.8 ps FWHM pair
+        # jitter. A fit on the half-maximum bins alone scatters by 17 ps.
+        fwhms = []
+        for seed in range(10):
+            g = np.random.default_rng(seed)
+            iv = np.round(g.normal(200_000.0, 473.8 / 2.3548200450309493, 8450)).astype(np.int64)
+            fwhms.append(shift_and_jitter_vs_dt([(200_000, iv)]).fwhms[0])
+        assert np.all(np.abs(np.array(fwhms) - 473.8) <= 15.0), fwhms
+
     def test_small_points_are_nan(self):
         curve = shift_and_jitter_vs_dt([(40_000, np.array([40_100] * 10, dtype=np.int64))])
         assert np.isnan(curve.shifts[0]) and np.isnan(curve.fwhms[0])

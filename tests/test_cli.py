@@ -89,6 +89,25 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "config error" in err and "source.duration_ps" in err
 
+    @pytest.mark.parametrize("kind", ["pair-scan", "jitter-scan"])
+    def test_zero_occupancy_is_a_config_error(self, tmp_path, capsys, kind):
+        # An empty source emits no first photons, so no scan point can be read.
+        doc = {
+            "version": 1,
+            "kind": kind,
+            "seed": 1,
+            "detector": {"preset": "spcm-aqrh"},
+            "source": {
+                "delta_ts_ps": [200_000],
+                "pair_period_ps": 1_000_000,
+                "n_pairs": 10,
+                "occupancy": 0.0,
+            },
+        }
+        assert main(["validate", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "source.occupancy" in err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "none.json")]) == 1
         assert "config error" in capsys.readouterr().err
@@ -120,6 +139,40 @@ class TestSimulate:
         lines = (out / "hist.csv").read_text().splitlines()
         assert lines[0] == "bin_start_ps,count"
         assert lines[-1].startswith("#underflow=")
+
+    def test_detector_summaries_carry_the_draw_contract(self, tmp_path, capsys):
+        pair_source = {"delta_ts_ps": [200_000], "pair_period_ps": 1_000_000, "n_pairs": 200}
+        docs = {
+            "interarrival": interarrival_doc(tmp_path),
+            "pair-scan": {"detector": {"preset": "spcm-aqrh"}, "source": pair_source},
+            "jitter-scan": {
+                "detector": {"preset": "spcm-aqrh"},
+                "source": pair_source,
+                "instrument": {"min_pairs": 10},
+            },
+            "autocorr": {
+                "detector": {"preset": "spcm-aqrh"},
+                "source": {
+                    "period_ps": 1000, "mean_photons_per_pulse": 0.01, "duration_ps": 10**8
+                },
+                "instrument": {"max_lag_ps": 100_000, "bin_width_ps": 100},
+            },
+            "qkd": {
+                "detector_a": {"preset": "custom-aq"},
+                "detector_b": {"preset": "custom-aq"},
+                "source": {
+                    "rep_rate_hz": 1.92e9, "mean_pairs_per_pulse": 0.008, "duration_ps": 10**8
+                },
+                "frame": {"bin_width_ps": 521, "bins_per_frame": 1024},
+            },
+        }
+        for kind, doc in docs.items():
+            key = "report_json" if kind == "qkd" else "summary_json"
+            out = tmp_path / f"{kind}.json"
+            doc.update(version=1, kind=kind, seed=2, outputs={key: str(out)})
+            assert main(["simulate", write_config(tmp_path, doc)]) == 0, kind
+            assert json.loads(out.read_text())["draw_contract"] == spadsim.DRAW_CONTRACT == 2
+        assert "draw_contract" not in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         out1, _ = self.run_into(tmp_path, "a", capsys)

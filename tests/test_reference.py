@@ -58,6 +58,33 @@ CASES = [
 ]
 
 
+@pytest.mark.parametrize(
+    "block, scalar",
+    [
+        pytest.param(lambda g, n: g.random(n), lambda g: g.random(), id="random"),
+        pytest.param(
+            lambda g, n: g.standard_normal(n), lambda g: g.standard_normal(), id="standard_normal"
+        ),
+        pytest.param(lambda g, n: g.poisson(0.06, n), lambda g: g.poisson(0.06), id="poisson"),
+        pytest.param(lambda g, n: g.poisson(25.0, n), lambda g: g.poisson(25.0), id="poisson-25"),
+        pytest.param(
+            lambda g, n: g.exponential(32_000.0, n),
+            lambda g: g.exponential(32_000.0),
+            id="exponential",
+        ),
+    ],
+)
+def test_block_draws_equal_successive_scalar_draws(block, scalar):
+    """The kernel reads its draws from blocks where the reference draws them
+    one at a time; a Philox generator gives the same values either way, also
+    across the boundary between two blocks."""
+    blocks = make_generator(5, 2)
+    drawn = np.concatenate([block(blocks, 700), block(blocks, 1300)])
+    one_by_one = make_generator(5, 2)
+    expected = np.array([scalar(one_by_one) for _ in range(2000)], dtype=drawn.dtype)
+    assert drawn.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("params", CASES)
 def test_kernel_matches_event_queue_reference(params):
     arrivals = arrivals_for(7)
@@ -169,10 +196,41 @@ RELEASE_TIE_CASE = (
 )
 
 
+def corner_params(efficiency: float, dark_rate_cps: float) -> DetectorParams:
+    """A detector with every feature on."""
+    return DetectorParams(
+        efficiency=efficiency,
+        tau_dead0_ps=20_000,
+        tau_quench_ps=8_000,
+        base_delay_ps=3_000,
+        dark_rate_cps=dark_rate_cps,
+        dead_elongation=((0.0, 0.0), (30.0e6, 2000.0)),
+        twilight_profile=((8_000.0, 0.0), (14_000.0, 0.5), (20_000.0, 1.0)),
+        jitter_curve=((30_000.0, 600.0), (120_000.0, 335.0)),
+        shift_curve=((30_000.0, 855.0), (50_000.0, 100.0), (120_000.0, 0.0)),
+        afterpulse=AfterpulseModel(mu=0.5, tau_trap_ps=30_000.0),
+    )
+
+
+# Efficiency 0 thins every photon away before the kernel's loop, and
+# efficiency 1 none; the reference keeps them all either way.
+EVERY_50_PS = np.arange(0, 200_001, 50, dtype=np.int64)
+EFFICIENCY_ZERO_CASE = (corner_params(0.0, 2.0e8), EVERY_50_PS, 200_001, 3)
+EFFICIENCY_ONE_CASE = (corner_params(1.0, 2.0e8), EVERY_50_PS, 200_001, 4)
+
+# A photon every 3 ps and darks at 5 per ns: every twilight zone is crossed
+# by thousands of trials, photons (thinned at efficiency 0.3) and darks alike.
+EVERY_3_PS = np.arange(0, 60_001, 3, dtype=np.int64)
+TWILIGHT_DENSE_CASE = (corner_params(0.3, 5.0e9), EVERY_3_PS, 60_001, 5)
+
+
 @settings(deadline=None, max_examples=150)
 @given(case=detector_cases())
 @example(case=TIE_CASE)
 @example(case=RELEASE_TIE_CASE)
+@example(case=EFFICIENCY_ZERO_CASE)
+@example(case=EFFICIENCY_ONE_CASE)
+@example(case=TWILIGHT_DENSE_CASE)
 def test_kernel_matches_reference_on_generated_params(case):
     params, arrivals, duration, seed = case
     a = detect(arrivals, params, make_generator(seed, 2), duration)
