@@ -361,7 +361,7 @@ class KeyRateInputs:
     xi: float
     bin_width_ps: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.m_channels < 0:
             raise ValueError(f"m_channels must be >= 0, got {self.m_channels}")
         if not 0.0 <= self.eta <= 1.0:
@@ -380,5 +380,4 @@ def secret_key_rate(k: KeyRateInputs) -> float:
     Multilinear in every factor; the squared eta charges the channel
     efficiency once per photon of the pair.
     """
-    k.validate()
     return k.m_channels * k.eta**2 * k.n_mean * k.xi / (k.bin_width_ps * 1e-12)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 from dataclasses import dataclass, field, is_dataclass
 from functools import cached_property
 from types import UnionType
@@ -84,7 +85,7 @@ def _typed(v, tp, path: str, minimum=None):
             return None
         tp = get_args(tp)[0]
     if is_dataclass(tp):  # an object with the dataclass's keys; omitted keys take its defaults
-        return tp(**_values(v, Section(path, tp).fields, path))
+        return _built(tp, _values(v, Section(path, tp).fields, path), path)
     if get_origin(tp) is tuple:  # a Curve: [[x, y], ...]
         if not isinstance(v, list) or not all(isinstance(p, list) and len(p) == 2 for p in v):
             _err(path, f"must be a list of [x, y] number pairs, got {v!r}")
@@ -99,25 +100,27 @@ def _typed(v, tp, path: str, minimum=None):
     if isinstance(v, bool) != (tp is bool) or not isinstance(v, _ACCEPTS[tp]):
         _err(path, f"must be {_NAMES[tp]}, got {v!r}")
     v = float(v) if tp is float else v
+    if tp is float and not math.isfinite(v):  # json.load reads NaN and Infinity
+        _err(path, f"must be a finite number, got {v}")
     if minimum is not None and v < minimum:
         _err(path, f"must be >= {minimum}, got {v}")
     return v
 
 
-def _validated(obj, section: str, paths=None) -> None:
-    """obj.validate(); a ValueError becomes a ConfigError at the field it starts with."""
+def _built(owner, vals: dict, path: str, paths=None):
+    """owner(**vals); a ValueError becomes a ConfigError at the field it starts with."""
     try:
-        obj.validate()
+        return owner(**vals)
     except ValueError as exc:
         head, _, rest = str(exc).partition(" ")
-        raise ConfigError(f"{(paths or {}).get(head, f'{section}.{head}')} {rest}") from None
+        raise ConfigError(f"{(paths or {}).get(head, f'{path}.{head}')} {rest}") from None
 
 
 @dataclass(frozen=True)
 class Section:
     """One config section, read off the code that defines its fields.
 
-    `owner` is a dataclass (its fields, checked by its validate()) or a
+    `owner` is a dataclass (its fields, checked when it is built) or a
     function (its keyword-only parameters, or those named in `only`).
     `minimum` holds bounds the owner does not check. The section's fields,
     defaults included, spread into the flat config.
@@ -147,7 +150,7 @@ class Section:
         vals = _values(d, self.fields, self.name, self.minimum)
         vals = {key: vals.get(key, default) for key, (_, default) in self.fields.items()}
         if isinstance(self.owner, type):
-            _validated(self.owner(**vals), self.name)
+            _built(self.owner, vals, self.name)
         norm.update(vals)
 
 
@@ -174,9 +177,7 @@ def _parse_detector(doc: dict, key: str) -> DetectorParams:
             return preset(name, variant=variant).params
         except ValueError as exc:
             _err(key + (".variant" if name in available_presets() else ".preset"), str(exc))
-    params = _typed(d["params"], DetectorParams, key + ".params")
-    _validated(params, key + ".params")
-    return params
+    return _typed(d["params"], DetectorParams, key + ".params")
 
 
 def _span_whole_bins(cfg: dict) -> None:
@@ -188,8 +189,8 @@ def _span_whole_bins(cfg: dict) -> None:
 def _spacings_in_period(cfg: dict) -> None:
     """Every spacing makes a valid scan point: in (0, pair_period_ps), n_pairs >= 1."""
     for i, dt in enumerate(cfg["delta_ts_ps"]):
-        point = PairScanConfig(dt, cfg["pair_period_ps"], cfg["n_pairs"], cfg["occupancy"])
-        _validated(point, "source", {"delta_t_ps": f"source.delta_ts_ps[{i}]"})
+        vals = dict(_args(cfg, PairScanConfig), delta_t_ps=dt)
+        _built(PairScanConfig, vals, "source", {"delta_t_ps": f"source.delta_ts_ps[{i}]"})
 
 
 def _rep_rate_matches_bins(cfg: dict) -> None:
@@ -201,8 +202,11 @@ def _rep_rate_matches_bins(cfg: dict) -> None:
 
 
 def _lag_covers_bin(cfg: dict) -> None:
+    """The lag span holds a bin, and the pulse period at least two for the visibility."""
     if cfg["max_lag_ps"] < cfg["bin_width_ps"]:
         _err("instrument.max_lag_ps", f"must be >= bin_width_ps ({cfg['bin_width_ps']})")
+    if cfg["period_ps"] < 2 * cfg["bin_width_ps"]:
+        _err("instrument.bin_width_ps", f"must be at most half of period_ps ({cfg['period_ps']})")
 
 
 def _args(cfg: dict, owner) -> dict:
@@ -211,7 +215,12 @@ def _args(cfg: dict, owner) -> dict:
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _or_null(values: list) -> list:
+    """values with each NaN, a point without enough data, written as JSON null."""
+    return [None if math.isnan(v) else v for v in values]
 
 
 def _detector_json(summary: dict) -> str:
@@ -237,11 +246,12 @@ def _run_interarrival(cfg: dict):
 def _run_pair_scan(cfg: dict):
     points = run_pair_scan(cfg["detector"], **_args(cfg, run_pair_scan))
     curve = twilight_curve([(p.delta_t_ps, p.n_pairs, p.n_first, p.n_both) for p in points])
-    summary = {"delta_ts_ps": curve.delta_ts.tolist(), "ratios": curve.ratios.tolist()}
+    dts, ratios = curve.delta_ts.tolist(), curve.ratios.tolist()
+    summary = {"delta_ts_ps": dts, "ratios": _or_null(ratios)}
     for key in ("n_pairs", "n_first", "n_both"):
         summary[key] = [getattr(p, key) for p in points]
     lines = [("n_points", len(points))]
-    lines += [(f"ratio_{dt}", r) for dt, r in zip(summary["delta_ts_ps"], summary["ratios"])]
+    lines += [(f"ratio_{dt}", r) for dt, r in zip(dts, ratios)]
     rows = "".join(f"{p.delta_t_ps},{p.n_pairs},{p.n_first},{p.n_both}\n" for p in points)
     texts = {"curve_csv": curve.to_csv(), "summary_json": _detector_json(summary)}
     texts["points_csv"] = "delta_t_ps,n_pairs,n_first,n_both\n" + rows
@@ -253,7 +263,7 @@ def _run_jitter_scan(cfg: dict):
     pairs = [(p.delta_t_ps, p.intervals) for p in points]
     curve = shift_and_jitter_vs_dt(pairs, **_args(cfg, shift_and_jitter_vs_dt))
     dts, shifts, fwhms = curve.delta_ts.tolist(), curve.shifts.tolist(), curve.fwhms.tolist()
-    summary = {"delta_ts_ps": dts, "shift_ps": shifts, "fwhm_ps": fwhms}
+    summary = {"delta_ts_ps": dts, "shift_ps": _or_null(shifts), "fwhm_ps": _or_null(fwhms)}
     lines = [("n_points", len(points))]
     for dt, s, f in zip(dts, shifts, fwhms):
         lines += [(f"shift_{dt}", s), (f"fwhm_{dt}", f)]
@@ -322,7 +332,7 @@ SCENARIOS = {
     ),
     "qkd": Kind(
         (
-            Section("source", EntangledPairConfig, minimum={"rep_rate_hz": 1.0}),
+            Section("source", EntangledPairConfig),
             Section("frame", FrameConfig),
             Section("instrument", run_qkd_scenario, minimum=_QKD_BOUNDS),
         ),
@@ -330,7 +340,7 @@ SCENARIOS = {
         detectors=("detector_a", "detector_b"),
     ),
     "keyrate": Kind(
-        (Section("inputs", KeyRateInputs, minimum={"bin_width_ps": 1e-12}),),
+        (Section("inputs", KeyRateInputs),),
         ("summary_json",), _run_keyrate, detectors=(),
     ),
 }

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .instruments import _sorted_times
 from .rng import FWHM_TO_SIGMA
 from .sources import poisson_times
 
@@ -133,11 +134,11 @@ class AfterpulseModel:
     mu: float = 0.0
     tau_trap_ps: float = 32000.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mu < 0:
-            raise ValueError(f"afterpulse.mu must be >= 0, got {self.mu}")
+            raise ValueError(f"mu must be >= 0, got {self.mu}")
         if self.tau_trap_ps <= 0:
-            raise ValueError(f"afterpulse.tau_trap_ps must be > 0, got {self.tau_trap_ps}")
+            raise ValueError(f"tau_trap_ps must be > 0, got {self.tau_trap_ps}")
 
 
 @dataclass(frozen=True)
@@ -146,9 +147,9 @@ class BlankingConfig:
 
     t_b_ps: int = 24000
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.t_b_ps <= 0:
-            raise ValueError(f"blanking.t_b_ps must be > 0, got {self.t_b_ps}")
+            raise ValueError(f"t_b_ps must be > 0, got {self.t_b_ps}")
 
 
 Curve = tuple[tuple[float, float], ...]
@@ -187,7 +188,7 @@ class DetectorParams:
     afterpulse: AfterpulseModel = field(default_factory=AfterpulseModel)
     blanking: BlankingConfig | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
         if self.tau_dead0_ps <= 0:
@@ -222,9 +223,6 @@ class DetectorParams:
         _, sy = _curve_arrays(self.shift_curve, "shift_curve")
         if sy[-1] != 0.0:
             raise ValueError("shift_curve must decay to 0 at its last knot")
-        self.afterpulse.validate()
-        if self.blanking is not None:
-            self.blanking.validate()
 
 
 @dataclass(frozen=True)
@@ -340,7 +338,7 @@ def _detect_kernel(
 
     `arrivals` are the photon times and `darks` the dark-count times, both
     sorted, with their keyed uniforms `u_photon` and `u_dark`; `draws` are
-    the run's substreams and `params` the validated detector. Returns the four
+    the run's substreams and `params` the detector. Returns the four
     int64 `PulseRecords` columns in avalanche order. Trap releases are
     generated internally; one heap orders them with the next dark by
     (time, kind, order), so at the same picosecond releases go before
@@ -613,9 +611,7 @@ def blanking_filter(pulse_times, t_b_ps: int) -> np.ndarray:
     after the previous transmitted pulse. Withheld pulses do not restart the
     window.
     """
-    t = np.asarray(pulse_times, dtype=np.int64)
-    if t.size and np.any(np.diff(t) < 0):
-        raise ValueError("pulse_times must be sorted")
+    t = _sorted_times(pulse_times, "pulse_times")
     if t_b_ps <= 0:
         raise ValueError(f"t_b_ps must be > 0, got {t_b_ps}")
     return t[_blanking_keep(t, t_b_ps)]
@@ -628,12 +624,9 @@ def _prepare_stimuli(arrivals, params: DetectorParams, rng: np.random.Generator,
     their uniforms, the dark times and theirs, and the substreams of `rng`
     that the state machine draws from.
     """
-    arrivals = np.asarray(arrivals, dtype=np.int64)
-    if arrivals.size:
-        if np.any(np.diff(arrivals) < 0):
-            raise ValueError("arrivals must be sorted non-decreasing")
-        if arrivals[0] < 0:
-            raise ValueError("arrivals must be non-negative")
+    arrivals = _sorted_times(arrivals, "arrivals")
+    if arrivals.size and arrivals[0] < 0:
+        raise ValueError("arrivals must be non-negative")
     if duration_ps <= 0:
         raise ValueError(f"duration_ps must be > 0, got {duration_ps}")
     draws = _draw_streams(rng)
@@ -669,6 +662,5 @@ def detect(
     are returned sorted by output time; when blanking is configured the
     output is the transmitted subset.
     """
-    params.validate()
     columns = _detect_kernel(*_prepare_stimuli(arrivals, params, rng, duration_ps), params)
     return _finalize_records(columns, params)

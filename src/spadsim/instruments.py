@@ -76,18 +76,31 @@ class Histogram:
         )
 
 
-def build_histogram(values, bin_width_ps: int, span_ps: int, origin_ps: int = 0) -> Histogram:
-    """Histogram integer-ps values over [origin, origin + span).
+def _sorted_times(values, name: str) -> np.ndarray:
+    """values as an int64 time array; raises unless it is sorted non-decreasing."""
+    t = np.asarray(values, dtype=np.int64)
+    if t.size and np.any(np.diff(t) < 0):
+        raise ValueError(f"{name} must be sorted")
+    return t
 
-    span must be a whole number of bins. Out-of-range values land in the
-    underflow/overflow tallies, never get dropped.
-    """
+
+def _check_bins(bin_width_ps: int, span_ps: int) -> None:
+    """Raise unless span_ps is a positive whole number of bin_width_ps bins."""
     if bin_width_ps <= 0:
         raise ValueError(f"bin_width_ps must be > 0, got {bin_width_ps}")
     if span_ps <= 0 or span_ps % bin_width_ps != 0:
         raise ValueError(
             f"span_ps must be a positive multiple of bin_width_ps, got {span_ps}"
         )
+
+
+def build_histogram(values, bin_width_ps: int, span_ps: int, origin_ps: int = 0) -> Histogram:
+    """Histogram integer-ps values over [origin, origin + span).
+
+    span must be a whole number of bins. Out-of-range values land in the
+    underflow/overflow tallies, never get dropped.
+    """
+    _check_bins(bin_width_ps, span_ps)
     n_bins = span_ps // bin_width_ps
     v = np.asarray(values, dtype=np.int64)
     idx = (v - origin_ps) // bin_width_ps
@@ -123,12 +136,7 @@ def coincidence(a, b, window_ps: int) -> Coincidences:
     """
     if window_ps <= 0:
         raise ValueError(f"window_ps must be > 0, got {window_ps}")
-    ta = np.asarray(a, dtype=np.int64)
-    tb = np.asarray(b, dtype=np.int64)
-    if ta.size and np.any(np.diff(ta) < 0):
-        raise ValueError("input a must be sorted")
-    if tb.size and np.any(np.diff(tb) < 0):
-        raise ValueError("input b must be sorted")
+    ta, tb = _sorted_times(a, "a"), _sorted_times(b, "b")
     a_list = ta.tolist()
     b_list = tb.tolist()
     na = len(a_list)
@@ -163,9 +171,7 @@ def autocorrelation(pulses, max_lag_ps: int, bin_width_ps: int) -> Histogram:
         raise ValueError(f"bin_width_ps must be > 0, got {bin_width_ps}")
     if max_lag_ps < bin_width_ps:
         raise ValueError(f"max_lag_ps must be >= bin_width_ps, got {max_lag_ps}")
-    t = np.asarray(pulses, dtype=np.int64)
-    if t.size and np.any(np.diff(t) < 0):
-        raise ValueError("pulses must be sorted")
+    t = _sorted_times(pulses, "pulses")
     n_bins = max_lag_ps // bin_width_ps
     # One numpy pass per index offset k = j - i. `t` is sorted, so the
     # smallest difference at offset k never decreases with k: the first
@@ -192,18 +198,8 @@ def cross_correlation(a, b, span_ps: int, bin_width_ps: int) -> Histogram:
     span must be a whole number of bins. Pair differences outside the window
     go to underflow (below -span) and overflow (at or above +span).
     """
-    if bin_width_ps <= 0:
-        raise ValueError(f"bin_width_ps must be > 0, got {bin_width_ps}")
-    if span_ps <= 0 or span_ps % bin_width_ps != 0:
-        raise ValueError(
-            f"span_ps must be a positive multiple of bin_width_ps, got {span_ps}"
-        )
-    ta = np.asarray(a, dtype=np.int64)
-    tb = np.asarray(b, dtype=np.int64)
-    if ta.size and np.any(np.diff(ta) < 0):
-        raise ValueError("input a must be sorted")
-    if tb.size and np.any(np.diff(tb) < 0):
-        raise ValueError("input b must be sorted")
+    _check_bins(bin_width_ps, span_ps)
+    ta, tb = _sorted_times(a, "a"), _sorted_times(b, "b")
     n_bins = 2 * (span_ps // bin_width_ps)
     # Each a_i's window of b is found by binary search. Pass k bins the k-th
     # member of every window that has one, so there are as many passes as

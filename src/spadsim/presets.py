@@ -209,13 +209,10 @@ def preset(name: str, *, variant: str | None = None) -> DetectorPreset:
         raise ValueError(f"unknown preset {name!r}: available presets are {names}")
     build = _PRESETS[name]
     if variant is None:
-        p = build()
-    elif "variant" in inspect.signature(build).parameters:
-        p = build(variant)
-    else:
-        raise ValueError(f"preset {name!r} has no variants, got {variant!r}")
-    p.params.validate()
-    return p
+        return build()
+    if "variant" in inspect.signature(build).parameters:
+        return build(variant)
+    raise ValueError(f"preset {name!r} has no variants, got {variant!r}")
 
 
 def _check_points(points, name: str) -> list:
@@ -274,5 +271,4 @@ def fit_preset_from_curves(
         params = replace(
             params, twilight_profile=tuple((x, y) for (x, _), y in zip(pts, adj))
         )
-    params.validate()
     return params

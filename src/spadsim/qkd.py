@@ -37,7 +37,7 @@ class FrameConfig:
     bin_width_ps: int
     bins_per_frame: int = 1024
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.bin_width_ps <= 0:
             raise ValueError(f"bin_width_ps must be > 0, got {self.bin_width_ps}")
         n = self.bins_per_frame
@@ -61,7 +61,6 @@ def check_rep_rate(rep_rate_hz: float, bin_width_ps: int) -> None:
 
 def bin_assign(t, f: FrameConfig):
     """(frame index, bin index) of time(s) t; floor semantics on both."""
-    f.validate()
     tt = np.asarray(t, dtype=np.int64)
     frame = tt // f.frame_length_ps
     b = (tt % f.frame_length_ps) // f.bin_width_ps
@@ -143,8 +142,6 @@ def run_qkd_scenario(
     when either member's assigned (frame, bin) differs from that of its true
     emission time.
     """
-    source.validate()
-    frame.validate()
     check_rep_rate(source.rep_rate_hz, frame.bin_width_ps)
     streams = correlated_pair_stream(source, make_generator(seed, "source"))
     rec_a = detect(streams.alice_times, det_a, make_generator(seed, "detector_a"), source.duration_ps)

@@ -205,7 +205,6 @@ def detect_reference(
 
     Same contract and output as detector.detect(); see the module docstring.
     """
-    params.validate()
     arrivals, u_photon, darks, u_dark, draws = _prepare_stimuli(arrivals, params, rng, duration_ps)
     state = _DetectorState(params, draws, u_photon, u_dark)
     for j, t in enumerate(darks.tolist()):

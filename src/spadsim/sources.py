@@ -43,7 +43,7 @@ class CwSourceConfig:
     rate_cps: float
     duration_ps: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _require(self.rate_cps >= 0, f"rate_cps must be >= 0, got {self.rate_cps}")
         _require(self.duration_ps > 0, f"duration_ps must be > 0, got {self.duration_ps}")
 
@@ -57,7 +57,7 @@ class PulsedSourceConfig:
     duration_ps: int
     pulse_fwhm_ps: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _require(self.period_ps > 0, f"period_ps must be > 0, got {self.period_ps}")
         _require(
             self.mean_photons_per_pulse >= 0,
@@ -76,7 +76,7 @@ class PairScanConfig:
     n_pairs: int
     occupancy: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _require(self.pair_period_ps > 0, f"pair_period_ps must be > 0, got {self.pair_period_ps}")
         _require(
             0 < self.delta_t_ps < self.pair_period_ps,
@@ -99,7 +99,7 @@ class EntangledPairConfig:
     eta_bob: float = 1.0
     emission_fwhm_ps: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _require(self.rep_rate_hz > 0, f"rep_rate_hz must be > 0, got {self.rep_rate_hz}")
         _require(
             self.mean_pairs_per_pulse >= 0,
@@ -145,7 +145,6 @@ def poisson_times(rng: np.random.Generator, rate_cps: float, duration_ps: int) -
 
 def cw_poisson_stream(cfg: CwSourceConfig, rng: np.random.Generator) -> np.ndarray:
     """Arrival times of a constant-power coherent source."""
-    cfg.validate()
     return poisson_times(rng, cfg.rate_cps, cfg.duration_ps)
 
 
@@ -172,7 +171,6 @@ def pulsed_train(cfg: PulsedSourceConfig, rng: np.random.Generator) -> np.ndarra
     is distribution-identical to per-pulse Poisson draws. Arrivals smeared
     outside [0, duration) are dropped.
     """
-    cfg.validate()
     times = _draw_pulse_times(rng, cfg.period_ps, cfg.duration_ps, cfg.mean_photons_per_pulse)
     k = times.shape[0]
     if cfg.pulse_fwhm_ps > 0:
@@ -191,7 +189,6 @@ def pulse_pair_sequence(
     Each slot independently holds a photon with probability `occupancy`.
     Returns (times, is_second_slot) sorted by time.
     """
-    cfg.validate()
     base = np.arange(cfg.n_pairs, dtype=np.int64) * cfg.pair_period_ps
     if cfg.occupancy < 1.0:
         keep1 = rng.random(cfg.n_pairs) < cfg.occupancy
@@ -229,7 +226,6 @@ def correlated_pair_stream(cfg: EntangledPairConfig, rng: np.random.Generator) -
     emission time (pulse center plus optional Gaussian emission spread), and
     each member independently survives its channel with probability eta.
     """
-    cfg.validate()
     emit = _draw_pulse_times(
         rng, PS_PER_S / cfg.rep_rate_hz, cfg.duration_ps, cfg.mean_pairs_per_pulse
     )

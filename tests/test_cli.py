@@ -174,6 +174,26 @@ class TestSimulate:
             assert json.loads(out.read_text())["draw_contract"] == spadsim.DRAW_CONTRACT == 2
         assert "draw_contract" not in capsys.readouterr().out
 
+    def test_missing_points_are_json_null(self, tmp_path, capsys):
+        # A blind detector sees no first slot; 10 pairs are below min_pairs' default.
+        source = {"delta_ts_ps": [200_000], "pair_period_ps": 1_000_000, "n_pairs": 10}
+        blind = {"params": {"efficiency": 0.0, "tau_dead0_ps": 24000, "tau_quench_ps": 10000}}
+        docs = {
+            "pair-scan": ({"detector": blind, "source": source}, "ratios"),
+            "jitter-scan": ({"detector": {"preset": "spcm-aqrh"}, "source": source}, "shift_ps"),
+        }
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        for kind, (doc, key) in docs.items():
+            out = tmp_path / f"{kind}.json"
+            doc.update(version=1, kind=kind, seed=1, outputs={"summary_json": str(out)})
+            assert main(["simulate", write_config(tmp_path, doc)]) == 0, kind
+            assert json.loads(out.read_text(), parse_constant=reject)[key] == [None], kind
+        stdout = capsys.readouterr().out
+        assert "ratio_200000=nan" in stdout and "shift_200000=nan" in stdout
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         out1, _ = self.run_into(tmp_path, "a", capsys)
         out2, _ = self.run_into(tmp_path, "b", capsys)

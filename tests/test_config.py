@@ -2,6 +2,7 @@ import copy
 import inspect
 import json
 import re
+from dataclasses import replace
 
 import pytest
 from conftest import as_json, inline_detector
@@ -11,7 +12,13 @@ from spadsim import (
     AfterpulseModel,
     BlankingConfig,
     ConfigError,
+    CwSourceConfig,
     DetectorParams,
+    EntangledPairConfig,
+    FrameConfig,
+    KeyRateInputs,
+    PairScanConfig,
+    PulsedSourceConfig,
     load_config,
     preset,
     validate_config,
@@ -124,6 +131,11 @@ class TestValidDocuments:
         assert norm["m_channels"] == 8
         assert norm["bin_width_ps"] == 260.0
 
+    def test_keyrate_bin_width_only_needs_to_be_positive(self):
+        # The config takes every bin width that `spadsim keyrate --bin-ps` takes.
+        inputs = {"m_channels": 8, "eta": 0.1, "n_mean": 1.0, "xi": 0.001, "bin_width_ps": 1e-13}
+        assert validate_config(base("keyrate", inputs=inputs))["bin_width_ps"] == 1e-13
+
 
 class TestRejections:
     def check(self, doc, fragment):
@@ -203,6 +215,12 @@ class TestRejections:
         mu = with_params(afterpulse={"mu": -1.0})
         self.check(mu, r"^detector\.params\.afterpulse\.mu must be >= 0")
 
+    def test_non_finite_numbers_rejected(self):
+        # NaN passes every bound check, and no summary JSON may carry it.
+        for bad in (float("nan"), float("inf")):
+            doc = dict(INTERARRIVAL, source={"rate_cps": bad, "duration_ps": 1000})
+            self.check(doc, rf"^source\.rate_cps: must be a finite number, got {bad}")
+
     def test_float_duration_rejected(self):
         doc = dict(INTERARRIVAL, source={"rate_cps": 1.0, "duration_ps": 1e9})
         self.check(doc, "duration_ps")
@@ -214,6 +232,12 @@ class TestRejections:
     def test_span_multiple_of_bin(self):
         doc = dict(INTERARRIVAL, instrument={"bin_width_ps": 1000, "span_ps": 2500})
         self.check(doc, "span_ps")
+
+    def test_autocorr_period_holds_two_bins(self):
+        doc = copy.deepcopy(MINIMAL["autocorr"])
+        doc["source"]["period_ps"] = 1500
+        doc["instrument"]["bin_width_ps"] = 1000
+        self.check(doc, r"^instrument\.bin_width_ps: must be at most half of period_ps \(1500\)")
 
     def test_pair_scan_spacings(self):
         src = dict(PAIR_SOURCE, delta_ts_ps=[])
@@ -251,6 +275,30 @@ class TestRejections:
             inputs={"m_channels": 8, "eta": 1.5, "n_mean": 1.0, "xi": 0.001, "bin_width_ps": 1},
         )
         self.check(doc, "eta")
+
+
+# One bad field per parameter dataclass: a valid instance, the field, a bad value.
+BAD_FIELDS = [
+    (AfterpulseModel(), "tau_trap_ps", 0.0),
+    (BlankingConfig(), "t_b_ps", 0),
+    (preset("spcm-aqrh").params, "dark_rate_cps", -1.0),
+    (CwSourceConfig(rate_cps=1.0, duration_ps=1), "duration_ps", 0),
+    (PulsedSourceConfig(period_ps=521, mean_photons_per_pulse=0.1, duration_ps=1), "period_ps", 0),
+    (PairScanConfig(delta_t_ps=1, pair_period_ps=2, n_pairs=1), "occupancy", 0.0),
+    (EntangledPairConfig(rep_rate_hz=1e9, mean_pairs_per_pulse=0.1, duration_ps=1), "eta_bob", 2.0),
+    (FrameConfig(bin_width_ps=521), "bins_per_frame", 1000),
+    (KeyRateInputs(m_channels=1, eta=1.0, n_mean=1.0, xi=1.0, bin_width_ps=1.0), "xi", -1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "obj,name,bad", BAD_FIELDS, ids=[type(obj).__name__ for obj, _, _ in BAD_FIELDS]
+)
+def test_parameters_are_checked_when_built(obj, name, bad):
+    # The config maps the message's first word to the field path.
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        replace(obj, **{name: bad})
+    assert not hasattr(obj, "validate")
 
 
 class TestLoadConfig:

@@ -79,7 +79,7 @@ class TestParamValidation:
     )
     def test_validate_rejects(self, kw):
         with pytest.raises(ValueError):
-            plain_params(**kw).validate()
+            plain_params(**kw)
 
 
 class TestHelpers:

@@ -44,11 +44,11 @@ FRAME = FrameConfig(bin_width_ps=1000, bins_per_frame=1024)
 class TestFrameConfig:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError, match="power of two"):
-            FrameConfig(bin_width_ps=260, bins_per_frame=1000).validate()
+            FrameConfig(bin_width_ps=260, bins_per_frame=1000)
         with pytest.raises(ValueError, match="power of two"):
-            FrameConfig(bin_width_ps=260, bins_per_frame=1).validate()
+            FrameConfig(bin_width_ps=260, bins_per_frame=1)
         with pytest.raises(ValueError, match="bin_width_ps"):
-            FrameConfig(bin_width_ps=0).validate()
+            FrameConfig(bin_width_ps=0)
 
     def test_derived_quantities(self):
         f = FrameConfig(bin_width_ps=260, bins_per_frame=1024)
