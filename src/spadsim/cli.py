@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict
 
 from .analysis import AnalysisError
-from .config import SCENARIOS, ConfigError, load_config
+from .config import CONFIG_VERSION, SCENARIOS, ConfigError, load_config, validate_config
 from .instruments import InstrumentError
 from .presets import available_presets, preset
 
@@ -68,7 +68,9 @@ def _cmd_preset(args) -> int:
 
 def _cmd_keyrate(args) -> int:
     inputs = {"m_channels": args.m, "eta": args.eta, "n_mean": args.n_mean, "xi": args.xi}
-    lines, _ = SCENARIOS["keyrate"].run(dict(inputs, bin_width_ps=args.bin_ps))
+    doc = {"version": CONFIG_VERSION, "kind": "keyrate", "seed": 0}
+    doc["inputs"] = dict(inputs, bin_width_ps=args.bin_ps)
+    lines, _ = SCENARIOS["keyrate"].run(validate_config(doc))
     _emit(lines)
     return 0
 

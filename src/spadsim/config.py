@@ -292,6 +292,8 @@ def _run_qkd(cfg: dict):
 def _run_keyrate(cfg: dict):
     inputs = KeyRateInputs(**_args(cfg, KeyRateInputs))
     rate = secret_key_rate(inputs)
+    if not math.isfinite(rate):
+        _err("inputs", f"the key rate comes out as {rate}, not a finite number")
     summary = {**vars(inputs), "key_rate_bits_per_s": rate}
     return [("key_rate_bits_per_s", rate)], {"summary_json": _json(summary)}
 

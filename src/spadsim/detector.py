@@ -15,7 +15,7 @@ post-filters the output.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
 from heapq import heappop, heappush
@@ -51,13 +51,6 @@ DRAW_CONTRACT = 2
 
 # Time constant of the output-rate estimator driving dead-time elongation
 TAU_EMA_PS = 1.0e6
-
-# Stimulus kind codes. Photons are the caller's sorted arrivals; darks and
-# trap releases wait in one event heap keyed (time, kind, order). At equal
-# timestamps the lower code is processed first.
-KIND_TRAP_RELEASE = 1
-KIND_DARK = 2
-KIND_PHOTON = 3
 
 # Placeholder "previous avalanche" gap before any avalanche happened; far
 # right of every calibration curve, so first pulses get the relaxed values.
@@ -317,7 +310,17 @@ _TRAP_BLOCK = 4096
 
 # Time of the end-of-stream sentinels, later than every stimulus.
 _NEVER = 2**63 - 1
-_KIND_END = 4
+
+
+def _trap_count_block(draws: _Draws, mu: float, first: int) -> tuple[list[int], list[int]]:
+    """The Poisson(mu) trap counts of avalanches first .. first + _TRAP_BLOCK - 1.
+
+    Returns the avalanches whose count is nonzero, followed by the first
+    avalanche of the next block, and their counts.
+    """
+    counts = draws.trap_counts.poisson(mu, _TRAP_BLOCK)
+    at = np.flatnonzero(counts)
+    return (at + first).tolist() + [first + _TRAP_BLOCK], counts[at].tolist()
 
 
 def _trap_delay_block(draws: _Draws, tau_trap: float) -> list[int]:
@@ -334,15 +337,31 @@ def _detect_kernel(
     draws: _Draws,
     params: DetectorParams,
 ):
-    """Actively-quenched SPAD state machine over two sorted stimulus streams.
+    """Actively-quenched SPAD state machine over one merged stimulus stream.
 
     `arrivals` are the photon times and `darks` the dark-count times, both
     sorted, with their keyed uniforms `u_photon` and `u_dark`; `draws` are
     the run's substreams and `params` the detector. Returns the four
-    int64 `PulseRecords` columns in avalanche order. Trap releases are
-    generated internally; one heap orders them with the next dark by
-    (time, kind, order), so at the same picosecond releases go before
-    darks, and both go before a photon.
+    int64 `PulseRecords` columns in avalanche order.
+
+    The photons that can trigger and the darks are merged into one sorted
+    stimulus array, darks before photons at equal times. Trap releases are
+    generated internally and wait on a heap of release times; a release
+    goes before a stimulus on the same picosecond.
+
+    No dead period outlasts `horizon`, the largest dead time the table can
+    give, so a stimulus at least `horizon` after the previous stimulus is
+    uncontested: when the previous one fired, this one finds the detector
+    armed. When the loop meets an armed stimulus followed by an uncontested
+    one, it takes the avalanches up to the end of that uncontested run as
+    one slice. The run stops before the first pending trap release, and at
+    the first avalanche that fills traps or opens a new trap-count block;
+    that last avalanche takes the scalar step, which reads the counts. The
+    loop marks the stimuli that fired and records only the twilight
+    avalanches (with the dead_end each is held to) and the fired releases;
+    numpy builds the columns after it. An elongated dead time still updates
+    its rate estimate one avalanche at a time, with the same float
+    operations, and reads the table only where a dead_end is needed.
 
     Draw contract 2 (`DRAW_CONTRACT`; the reference draws the same values
     one scalar at a time). Every purpose has its own substream:
@@ -361,15 +380,10 @@ def _detect_kernel(
 
     Uniforms are keyed, so a stimulus draws the same value whatever state it
     meets. The profile never exceeds 1, so a photon with u >= efficiency can
-    never trigger: such photons are dropped before the loop. The loop records
-    each avalanche's time, cause and arrival; output times never feed back
-    into the state machine and are computed after it (`_emit_times`).
+    never trigger: such photons are dropped before the loop. Output times
+    never feed back into the state machine and are computed after it
+    (`_emit_times`).
     """
-    cause_photon = int(Cause.PHOTON)
-    cause_dark = int(Cause.DARK)
-    cause_afterpulse = int(Cause.AFTERPULSE)
-    cause_twilight = int(Cause.TWILIGHT)
-
     efficiency = float(params.efficiency)
     ap_mu = float(params.afterpulse.mu)
     ap_tau = float(params.afterpulse.tau_trap_ps)
@@ -378,79 +392,104 @@ def _detect_kernel(
     twilight_from = int(params.tau_quench_ps) if params.twilight_profile else _NEVER
     const_dead = not params.dead_elongation
     tau_dead = int(params.tau_dead0_ps)
+    # The longest dead period: floor(x + 0.5) never exceeds ceil(x).
+    horizon = math.ceil(max(dead_y))
+    tau_ema = TAU_EMA_PS
     inv_tau_ema = 1.0 / TAU_EMA_PS
     exp = math.exp
     floor = math.floor
 
     # The photons that can trigger: twilight thresholds never exceed efficiency.
     kept = np.flatnonzero(u_photon < efficiency)
-    u_photon = u_photon[kept]
-    photons = arrivals[kept].tolist()
-    photons.append(_NEVER)
-    dark_list = darks.tolist()
-    n_darks = len(dark_list)
+    # Merge them with the darks; at equal times the darks go first.
+    dark_at = np.searchsorted(arrivals[kept], darks) + np.arange(darks.size)
+    is_dark = np.zeros(kept.size + darks.size, dtype=np.bool_)
+    is_dark[dark_at] = True
+    stimuli = np.empty(is_dark.size, dtype=np.int64)
+    stimuli[dark_at] = darks
+    stimuli[~is_dark] = arrivals[kept]
+    u_stim = np.empty(is_dark.size)
+    u_stim[dark_at] = u_dark
+    u_stim[~is_dark] = u_photon[kept]
+    dark_flag = is_dark.tobytes()
+    n = stimuli.size
 
-    av_t: list[int] = []
-    av_c: list[int] = []
-    av_a: list[int] = []
+    # Stimulus m is contested when it comes less than `horizon` after
+    # stimulus m - 1. The contested ones cut the stream into uncontested
+    # runs; `run_ends` lists the end of each run of two or more stimuli.
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(stimuli) < horizon) + 1, [n]))
+    run_ends = edges[1:][np.diff(edges) > 1].tolist()
+    run_ends.append(n)
+    del edges
+
+    stim = stimuli.tolist()
+    stim.append(_NEVER)
+    fired = bytearray(n)  # 1 for each stimulus that caused an avalanche
+    twilight_at: list[int] = []  # the stimuli that triggered in twilight
     held_ends: list[int] = []  # the dead_end each twilight pulse is held to
-    # Min-heap of (time, kind, order) over every pending trap release, the
-    # next dark and the end sentinel; popping dark j pushes dark j + 1.
-    events: list[tuple[int, int, int]] = [(_NEVER, _KIND_END, 0)]
-    if n_darks:
-        heappush(events, (dark_list[0], KIND_DARK, 0))
-    trap_seq = 0
-    block = _TRAP_BLOCK
-    counts: list[int] = []
+    afterpulse_times: list[int] = []  # the trap releases that fired
+    releases = [_NEVER]  # min-heap of pending trap release times, and the end sentinel
+    # Avalanches are numbered in order. `fill_at` holds the avalanches of the
+    # current count block that fill traps and then the next block's first;
+    # `fills` their counts. The scalar step reads the blocks at avalanche
+    # `next_fill`, and a run never reaches past it.
+    fill_at: list[int] = [0]
+    fills: list[int] = []
+    fk = n_av = 0
+    next_fill = 0 if ap_mu > 0.0 else _NEVER
     delays: list[int] = []
-    ci = di = block  # read positions in the trap blocks; both start used up
+    di = _TRAP_BLOCK  # read position in the delay block; starts used up
 
     dead_start = -(2**62)  # avalanche instant of the current dead period
     dead_end = 0  # armed iff t >= dead_end
     lam = 0.0  # EMA detection-rate estimate, events per ps
     t_lam = 0
 
-    i = 0
+    p = rk = 0  # next stimulus; index into run_ends
     while True:
-        t = photons[i]
-        if events[0][0] <= t:
-            t, kind, j = heappop(events)
-            if kind == KIND_DARK:
-                if j + 1 < n_darks:
-                    heappush(events, (dark_list[j + 1], KIND_DARK, j + 1))
-                if t >= dead_end:
-                    cause = cause_dark
-                else:
-                    dt = t - dead_start
-                    if dt < twilight_from or u_dark[j] >= _interp_clamped(float(dt), tw_x, tw_y):
-                        continue
-                    cause = cause_twilight
-                    held_ends.append(dead_end)
-            elif kind == KIND_TRAP_RELEASE:
-                # Releases fire when armed and are discarded otherwise.
-                if t < dead_end:
-                    continue
-                cause = cause_afterpulse
-            else:
+        t = stim[p]
+        if releases[0] <= t:
+            t = heappop(releases)
+            if t == _NEVER:
                 break
-            src = -1
+            # Releases fire when armed and are discarded otherwise.
+            if t < dead_end:
+                continue
+            afterpulse_times.append(t)
+        elif t >= dead_end:
+            if stim[p + 1] - t >= horizon:
+                # Avalanches p .. last - 1 take a slice; `last` takes the scalar step.
+                while run_ends[rk] <= p:
+                    rk += 1
+                last = run_ends[rk] - 1
+                if releases[0] <= stim[last]:  # end before the first stimulus it precedes
+                    last = bisect_left(stim, releases[0], p + 1, last) - 1
+                if next_fill - n_av < last - p:
+                    last = p + next_fill - n_av
+                if last > p:
+                    n_av += last - p
+                    fired[p:last] = b"\x01" * (last - p)
+                    if not const_dead:
+                        for tm in stim[p:last]:
+                            lam = lam * exp((t_lam - tm) / tau_ema) + inv_tau_ema
+                            t_lam = tm
+                    p = last
+                    t = stim[p]
+            fired[p] = 1
+            p += 1
         else:
-            src = i
-            i += 1
-            if t >= dead_end:
-                cause = cause_photon
-            else:
-                dt = t - dead_start
-                if dt < twilight_from or u_photon[src] >= efficiency * _interp_clamped(
-                    float(dt), tw_x, tw_y
-                ):
-                    continue
-                cause = cause_twilight
-                held_ends.append(dead_end)
-
-        av_t.append(t)
-        av_c.append(cause)
-        av_a.append(src)
+            dt = t - dead_start
+            if dt < twilight_from:
+                p += 1
+                continue
+            prof = _interp_clamped(float(dt), tw_x, tw_y)
+            if u_stim[p] >= (prof if dark_flag[p] else efficiency * prof):
+                p += 1
+                continue
+            fired[p] = 1
+            twilight_at.append(p)
+            held_ends.append(dead_end)
+            p += 1
 
         # Avalanche bookkeeping: the dead-time length comes from the rate
         # estimate just before this avalanche is counted.
@@ -458,40 +497,49 @@ def _detect_kernel(
         if const_dead:
             dead_end = t + tau_dead
         else:
-            lam *= exp((t_lam - t) / TAU_EMA_PS)
+            lam *= exp((t_lam - t) / tau_ema)
             t_lam = t
             dead_end = t + floor(_interp_clamped(lam * 1.0e12, dead_x, dead_y) + 0.5)
             lam += inv_tau_ema
 
         # Trap filling: every avalanche fills k ~ Poisson(mu) traps.
-        if ap_mu > 0.0:
-            if ci == block:
-                counts = draws.trap_counts.poisson(ap_mu, block).tolist()
-                ci = 0
-            k = counts[ci]
-            ci += 1
-            while k:
-                if di == block:
-                    delays = _trap_delay_block(draws, ap_tau)
-                    di = 0
-                heappush(events, (t + delays[di], KIND_TRAP_RELEASE, trap_seq))
-                di += 1
-                trap_seq += 1
-                k -= 1
+        if n_av == next_fill:
+            if fk == len(fills):
+                fill_at, fills = _trap_count_block(draws, ap_mu, n_av)
+                fk = 0
+            if fill_at[fk] == n_av:
+                for _ in range(fills[fk]):
+                    if di == _TRAP_BLOCK:
+                        delays = _trap_delay_block(draws, ap_tau)
+                        di = 0
+                    heappush(releases, t + delays[di])
+                    di += 1
+                fk += 1
+            next_fill = fill_at[fk]
+        n_av += 1
 
-    del photons, dark_list, events, counts, delays
-    times = np.array(av_t, dtype=np.int64)
-    del av_t
-    causes = np.array(av_c, dtype=np.int64)
-    del av_c
-    src = np.array(av_a, dtype=np.int64)
-    del av_a
-    arrival_index = np.full(src.shape, -1, dtype=np.int64)
-    named = src >= 0
-    arrival_index[named] = kept[src[named]]
-    del src, kept
+    del stim, releases, fill_at, fills, delays
+    at = np.flatnonzero(np.frombuffer(fired, dtype=np.bool_))
+    del fired
+    times = stimuli[at]
+    del stimuli, u_stim
+    causes = np.full(at.size, int(Cause.PHOTON), dtype=np.int64)
+    dark = is_dark[at]
+    causes[dark] = int(Cause.DARK)
+    causes[np.searchsorted(at, np.array(twilight_at, dtype=np.int64))] = int(Cause.TWILIGHT)
+    arrival_index = np.full(at.size, -1, dtype=np.int64)
+    at = at[~dark]
+    # A photon's rank among the kept photons is its position less the darks before it.
+    arrival_index[~dark] = kept[at - np.searchsorted(dark_at, at)]
+    del at, dark, kept, is_dark
+    if afterpulse_times:
+        released = np.array(afterpulse_times, dtype=np.int64)
+        # No two avalanches share a picosecond: every dead period lasts >= 1 ps.
+        rows = np.searchsorted(times, released)
+        times = np.insert(times, rows, released)
+        causes = np.insert(causes, rows, int(Cause.AFTERPULSE))
+        arrival_index = np.insert(arrival_index, rows, -1)
     held = np.array(held_ends, dtype=np.int64)
-    del held_ends
     return _emit_times(times, causes, held, params, draws.jitter), times, causes, arrival_index
 
 
@@ -592,15 +640,27 @@ def _blanking_keep(out_times: np.ndarray, t_b: int) -> np.ndarray:
     The first pulse is transmitted; a pulse is transmitted iff it falls at
     least t_b after the previous *transmitted* pulse. Withheld pulses do not
     extend the window.
+
+    A pulse at least t_b after the previous pulse is always transmitted, so
+    the loop visits only the pulses less than t_b after the previous one,
+    carrying the last transmitted time through each cluster of them.
     """
-    kept: list[int] = []
+    short = np.flatnonzero(np.diff(out_times) < t_b) + 1
+    withheld: list[int] = []
+    after = -1  # the last short pulse visited
     last = 0
-    for i, t in enumerate(out_times.tolist()):
-        if not kept or t - last >= t_b:
-            kept.append(i)
+    for i, t, t_prev in zip(
+        short.tolist(), out_times[short].tolist(), out_times[short - 1].tolist()
+    ):
+        if i != after + 1:  # pulse i - 1 opens the cluster: it was transmitted
+            last = t_prev
+        after = i
+        if t - last >= t_b:
             last = t
-    keep = np.zeros(out_times.shape[0], dtype=np.bool_)
-    keep[kept] = True
+        else:
+            withheld.append(i)
+    keep = np.ones(out_times.shape[0], dtype=np.bool_)
+    keep[withheld] = False
     return keep
 
 

@@ -1,10 +1,11 @@
 """Event-queue reference implementation of the detector.
 
 detect_reference() produces byte-identical output to detector.detect() from
-the same rng state. Where the production kernel walks the sorted photon
-arrivals and keeps only darks and trap releases on a heap, this version
-schedules every photon, dark count, trap release, and re-arm timer as a
-discrete event on its own priority queue and lets the queue order them.
+the same rng state. Where the production kernel walks one merged array of
+photons and darks, keeps only trap releases on a heap and takes runs of
+uncontested avalanches as slices, this version schedules every photon,
+dark count, trap release, and re-arm timer as a discrete event on its own
+priority queue and lets the queue order them, one event at a time.
 It exists as an executable statement of the detector semantics and as the
 oracle the kernel is tested against; it is not built for speed.
 
@@ -24,9 +25,9 @@ time and in the order the events happen:
   its loop in one numpy stage.
 
 Events pop in (time, kind, insertion) order. At equal timestamps re-arm
-timers (kind 0) fire first, then trap releases, then dark counts, then
-photon arrivals (the stimulus kind codes of `detector`), matching the
-tie-break rules of the kernel. A photon's event carries its index into the
+timers fire first, then trap releases, then dark counts, then photon
+arrivals (the kind codes below); this is the tie order the kernel
+follows. A photon's event carries its index into the
 caller's arrivals, which becomes the arrival_index of a pulse it triggers.
 """
 
@@ -40,9 +41,6 @@ import numpy as np
 from .detector import (
     _HUGE_DT,
     _MAX_TRAP_DELAY,
-    KIND_DARK,
-    KIND_PHOTON,
-    KIND_TRAP_RELEASE,
     TAU_EMA_PS,
     Cause,
     DetectorParams,
@@ -57,8 +55,12 @@ from .rng import FWHM_TO_SIGMA
 
 __all__ = ["detect_reference"]
 
-# Event kind of a re-arm timer: below every stimulus kind, so it pops first.
+# Event kinds. At equal timestamps the lower code pops first: a re-arm timer,
+# then a trap release, then a dark count, then a photon arrival.
 _KIND_TIMER = 0
+KIND_TRAP_RELEASE = 1
+KIND_DARK = 2
+KIND_PHOTON = 3
 
 
 def _round_ps(x: float) -> int:

@@ -53,6 +53,19 @@ class TestKeyrate:
     def test_missing_flag_is_usage_error(self, capsys):
         assert main(["keyrate", "--m", "1"]) == 1
 
+    def test_nan_input_is_named(self, capsys):
+        code = main(
+            ["keyrate", "--m", "1", "--eta", "1", "--n-mean", "nan", "--xi", "1", "--bin-ps", "521"]
+        )
+        assert code == 1
+        assert "config error: inputs.n_mean: must be a finite number" in capsys.readouterr().err
+
+    def test_rate_that_is_not_finite_names_the_inputs(self, capsys):
+        args = ["--m", "1", "--eta", "1", "--n-mean", "1", "--xi", "1", "--bin-ps", "1e-300"]
+        code = main(["keyrate", *args])
+        assert code == 1
+        assert "config error: inputs: the key rate comes out as inf" in capsys.readouterr().err
+
 
 class TestPreset:
     def test_list(self, capsys):

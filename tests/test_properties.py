@@ -25,6 +25,13 @@ sorted_times = st.lists(st.integers(min_value=0, max_value=500_000), min_size=0,
 @settings(deadline=None)
 @given(times=sorted_times, t_b=st.integers(min_value=1, max_value=120_000))
 @example(times=np.array([0, 100, 150, 250, 349], dtype=np.int64), t_b=100)
+# Gaps of exactly t_b and t_b - 1.
+@example(times=np.array([0, 100, 199, 299, 398, 498], dtype=np.int64), t_b=100)
+# One cluster of short gaps: 120 passes only because the withheld 60 does not
+# restart the window.
+@example(times=np.array([0, 60, 120, 180, 240, 400], dtype=np.int64), t_b=100)
+# Repeated timestamps.
+@example(times=np.array([0, 0, 50, 50, 150, 150, 150], dtype=np.int64), t_b=100)
 def test_blanking_matches_quadratic_oracle(times, t_b):
     kept = blanking_filter(times, t_b).tolist()
     expect = []

@@ -224,6 +224,95 @@ EVERY_3_PS = np.arange(0, 60_001, 3, dtype=np.int64)
 TWILIGHT_DENSE_CASE = (corner_params(0.3, 5.0e9), EVERY_3_PS, 60_001, 5)
 
 
+# The kernel takes a stimulus at least H after the previous one (H the longest
+# dead time the table gives) as an uncontested run member, without stepping
+# the state machine. The cases below drive that path.
+
+
+def horizon_case(elongation: tuple) -> tuple:
+    """Photons exactly H and H - 1 apart, every one kept: at H - 1 the
+    detector is still dead (here, in the last picosecond of its twilight
+    zone), at H it is armed."""
+    params = DetectorParams(
+        efficiency=1.0,
+        tau_dead0_ps=2_000,
+        tau_quench_ps=1_000,
+        dead_elongation=elongation,
+        twilight_profile=((1_000.0, 0.0), (2_000.0, 1.0)),
+    )
+    h = 2_000 + int(elongation[-1][1]) if elongation else 2_000
+    gaps = np.tile([h, h, h, h - 1, h, h - 1, h - 1, h], 200)
+    arrivals = np.cumsum(gaps).astype(np.int64)
+    return params, arrivals, int(arrivals[-1]) + 1, 6
+
+
+# H is tau_dead0; with the elongation saturated, H is tau_dead0 + 500.
+HORIZON_CASE = horizon_case(())
+ELONGATED_HORIZON_CASE = horizon_case(((0.0, 0.0), (1.0e8, 500.0)))
+
+
+def gaps_with_clusters(layout, n: int, every: int, long_gaps, short_gaps) -> np.ndarray:
+    """n photon times: every `every`-th gap drawn from `short_gaps`, the rest from `long_gaps`."""
+    gaps = layout.integers(*long_gaps, size=n)
+    gaps[::every] = layout.integers(*short_gaps, size=gaps[::every].size)
+    return np.cumsum(gaps).astype(np.int64)
+
+
+# More than 4096 avalanches with mu > 0: uncontested runs of about 40 photons
+# cross the first trap-count block boundary, and trap fills cut them mid-run.
+LONG_RUN_ARRIVALS = gaps_with_clusters(
+    np.random.default_rng(21), 6_000, 40, (5_000, 7_000), (500, 5_000)
+)
+BLOCK_CROSSING_CASE = (
+    DetectorParams(
+        efficiency=0.9,
+        tau_dead0_ps=5_000,
+        tau_quench_ps=2_000,
+        dark_rate_cps=2.0e7,
+        twilight_profile=((2_000.0, 0.0), (5_000.0, 1.0)),
+        afterpulse=AfterpulseModel(mu=0.05, tau_trap_ps=8_000.0),
+    ),
+    LONG_RUN_ARRIVALS,
+    int(LONG_RUN_ARRIVALS[-1]) + 1,
+    7,
+)
+
+# A photon every 2 ps and a 2 ps dead time: every photon is uncontested, and
+# about half of the trap releases land on the same picosecond as a photon.
+RUN_RELEASE_TIE_CASE = (
+    DetectorParams(
+        efficiency=1.0,
+        tau_dead0_ps=2,
+        tau_quench_ps=2,
+        afterpulse=AfterpulseModel(mu=0.05, tau_trap_ps=40.0),
+    ),
+    np.arange(0, 8_000, 2, dtype=np.int64),
+    8_000,
+    8,
+)
+
+# Runs of about 40 photons with the dead time elongated well short of its
+# table's end (H = 29 ns); the five contested photons between runs come
+# 20.0-20.6 ns apart, so whether each finds the detector armed turns on the
+# rate estimate carried across the runs.
+ELONGATED_RUN_ARRIVALS = gaps_with_clusters(
+    np.random.default_rng(22), 1_800, 8, (29_000, 34_000), (20_000, 20_600)
+)
+ELONGATED_RUNS_CASE = (
+    DetectorParams(
+        efficiency=1.0,
+        tau_dead0_ps=20_000,
+        tau_quench_ps=8_000,
+        dead_elongation=((0.0, 0.0), (1.0e9, 9_000.0)),
+        twilight_profile=((8_000.0, 0.0), (20_000.0, 1.0)),
+        afterpulse=AfterpulseModel(mu=0.02, tau_trap_ps=30_000.0),
+    ),
+    ELONGATED_RUN_ARRIVALS,
+    int(ELONGATED_RUN_ARRIVALS[-1]) + 1,
+    9,
+)
+
+
 @settings(deadline=None, max_examples=150)
 @given(case=detector_cases())
 @example(case=TIE_CASE)
@@ -231,6 +320,11 @@ TWILIGHT_DENSE_CASE = (corner_params(0.3, 5.0e9), EVERY_3_PS, 60_001, 5)
 @example(case=EFFICIENCY_ZERO_CASE)
 @example(case=EFFICIENCY_ONE_CASE)
 @example(case=TWILIGHT_DENSE_CASE)
+@example(case=HORIZON_CASE)
+@example(case=ELONGATED_HORIZON_CASE)
+@example(case=BLOCK_CROSSING_CASE)
+@example(case=RUN_RELEASE_TIE_CASE)
+@example(case=ELONGATED_RUNS_CASE)
 def test_kernel_matches_reference_on_generated_params(case):
     params, arrivals, duration, seed = case
     a = detect(arrivals, params, make_generator(seed, 2), duration)
