@@ -220,15 +220,15 @@ def twilight_curve(points) -> TwilightCurve:
     offered, first-slot detections, and pairs with both slots detected. The
     ratio is P(second | first) normalized by the unconditional single-slot
     efficiency n_first/n_pairs, so a fully recovered detector sits at 1.
-    Points with zero first detections are kept but marked NaN.
+    Points with no pair slot or no first detection are kept but marked NaN.
     """
     dts = []
     ratios = []
     for delta_t, n_pairs, n_first, n_both in points:
-        if n_pairs <= 0:
-            raise ValueError("n_pairs must be > 0 for every point")
+        if n_pairs < 0:
+            raise ValueError("n_pairs must be >= 0 for every point")
         dts.append(int(delta_t))
-        if n_first == 0:
+        if n_pairs == 0 or n_first == 0:
             ratios.append(float("nan"))
             continue
         p_first = n_first / n_pairs

@@ -123,7 +123,8 @@ class Section:
     `owner` is a dataclass (its fields, checked when it is built) or a
     function (its keyword-only parameters, or those named in `only`).
     `minimum` holds bounds the owner does not check. The section's fields,
-    defaults included, spread into the flat config.
+    defaults included, spread into the flat config; a dataclass section's
+    object, built once here, also sits under the section's name.
     """
 
     name: str
@@ -150,7 +151,7 @@ class Section:
         vals = _values(d, self.fields, self.name, self.minimum)
         vals = {key: vals.get(key, default) for key, (_, default) in self.fields.items()}
         if isinstance(self.owner, type):
-            _built(self.owner, vals, self.name)
+            norm[self.name] = _built(self.owner, vals, self.name)
         norm.update(vals)
 
 
@@ -196,7 +197,7 @@ def _spacings_in_period(cfg: dict) -> None:
 def _rep_rate_matches_bins(cfg: dict) -> None:
     """The source's rep rate is the one the frame's bin width implies, to 2%."""
     try:
-        check_rep_rate(cfg["rep_rate_hz"], cfg["bin_width_ps"])
+        check_rep_rate(cfg["source"].rep_rate_hz, cfg["frame"].bin_width_ps)
     except ValueError as exc:
         raise ConfigError(f"source.{exc}") from None
 
@@ -205,12 +206,12 @@ def _lag_covers_bin(cfg: dict) -> None:
     """The lag span holds a bin, and the pulse period at least two for the visibility."""
     if cfg["max_lag_ps"] < cfg["bin_width_ps"]:
         _err("instrument.max_lag_ps", f"must be >= bin_width_ps ({cfg['bin_width_ps']})")
-    if cfg["period_ps"] < 2 * cfg["bin_width_ps"]:
-        _err("instrument.bin_width_ps", f"must be at most half of period_ps ({cfg['period_ps']})")
+    if (period := cfg["source"].period_ps) < 2 * cfg["bin_width_ps"]:
+        _err("instrument.bin_width_ps", f"must be at most half of period_ps ({period})")
 
 
 def _args(cfg: dict, owner) -> dict:
-    """The entries of cfg that owner (a dataclass or function) takes by name."""
+    """The entries of cfg owner takes by name: a dataclass section's object, or flat fields."""
     return {k: cfg[k] for k in inspect.signature(owner).parameters if k in cfg}
 
 
@@ -271,26 +272,23 @@ def _run_jitter_scan(cfg: dict):
 
 
 def _run_autocorr(cfg: dict):
-    src = PulsedSourceConfig(**_args(cfg, PulsedSourceConfig))
-    res = run_autocorr(cfg["detector"], src, **_args(cfg, run_autocorr))
+    res = run_autocorr(cfg["detector"], **_args(cfg, run_autocorr))
     summary = {"n_pulses": res.n_pulses, "detected_rate_cps": res.detected_rate_cps}
-    summary["visibility"] = distinguishability(res.histogram, float(cfg["period_ps"]))
+    summary["visibility"] = distinguishability(res.histogram, float(cfg["source"].period_ps))
     texts = {"histogram_csv": res.histogram.to_csv(), "summary_json": _detector_json(summary)}
     return list(summary.items()), texts
 
 
 def _run_qkd(cfg: dict):
-    src = EntangledPairConfig(**_args(cfg, EntangledPairConfig))
-    frame = FrameConfig(**_args(cfg, FrameConfig))
     args = _args(cfg, run_qkd_scenario)
-    report = run_qkd_scenario(src, cfg["detector_a"], cfg["detector_b"], frame, **args)
+    report = run_qkd_scenario(det_a=cfg["detector_a"], det_b=cfg["detector_b"], **args)
     summary = report.to_json_dict()
     texts = {"report_json": _detector_json(summary), "crosscorr_csv": report.crosscorr.to_csv()}
     return sorted(summary.items()), texts
 
 
 def _run_keyrate(cfg: dict):
-    inputs = KeyRateInputs(**_args(cfg, KeyRateInputs))
+    inputs = cfg["inputs"]
     rate = secret_key_rate(inputs)
     if not math.isfinite(rate):
         _err("inputs", f"the key rate comes out as {rate}, not a finite number")
@@ -354,8 +352,9 @@ def validate_config(doc) -> dict:
     """Validate a parsed config document and normalize it for the runner.
 
     Returns a dict with kind, seed, live parameter objects, filled-in
-    defaults, and the declared outputs. Raises ConfigError naming the field
-    on the first problem found.
+    defaults, and the declared outputs. Each section's fields sit flat in
+    the dict; a dataclass section's object also sits under its name.
+    Raises ConfigError naming the field on the first problem found.
     """
     doc = _mapping(doc, "config")
     version = _typed(_field(doc, "version", "config"), int, "version")

@@ -57,8 +57,7 @@ class InterarrivalResult:
 
 def run_interarrival(
     params: DetectorParams,
-    rate_cps: float,
-    duration_ps: int,
+    source: CwSourceConfig,
     seed: int,
     *,
     bin_width_ps: int = 1000,
@@ -69,13 +68,12 @@ def run_interarrival(
     """Illuminate with CW light, histogram the output interarrival times,
     and read dead time and afterpulse parameters off the histogram.
 
-    rate_cps is the incident photon rate; the detected rate is lower by the
-    efficiency. With analyze=False only the histogram and rates are
+    source.rate_cps is the incident photon rate; the detected rate is lower
+    by the efficiency. With analyze=False only the histogram and rates are
     produced (for dark-only runs with no visible onset).
     """
-    src = CwSourceConfig(rate_cps=rate_cps, duration_ps=duration_ps)
-    arrivals = cw_poisson_stream(src, make_generator(seed, "source"))
-    rec = detect(arrivals, params, make_generator(seed, "detector"), duration_ps)
+    arrivals = cw_poisson_stream(source, make_generator(seed, "source"))
+    rec = detect(arrivals, params, make_generator(seed, "detector"), source.duration_ps)
     intervals = np.diff(rec.out_times)
     if span_ps is None:
         span_ps = 4096 * bin_width_ps
@@ -90,7 +88,7 @@ def run_interarrival(
         histogram=h,
         dead_time_ps=dead,
         afterpulse=ap,
-        detected_rate_cps=len(rec) / (duration_ps * 1e-12),
+        detected_rate_cps=len(rec) / (source.duration_ps * 1e-12),
         n_pulses=len(rec),
         cause_counts=counts,
     )

@@ -17,6 +17,7 @@ import pytest
 from conftest import check
 from spadsim import (
     Cause,
+    CwSourceConfig,
     EntangledPairConfig,
     FrameConfig,
     KeyRateInputs,
@@ -90,9 +91,10 @@ def test_criterion_01_quench_loop_timing():
 def test_criterion_02_interarrival_round_trip():
     t0 = time.monotonic()
     res = run_interarrival(
-        SPCM, 76_923.0, 8_000_000_000_000, 12345, bin_width_ps=500, span_ps=2_048_000
+        SPCM, CwSourceConfig(76_923.0, 8_000_000_000_000), 12345,
+        bin_width_ps=500, span_ps=2_048_000,
     )
-    dark = run_interarrival(SPCM, 0.0, 2_000_000_000_000, 12345, analyze=False)
+    dark = run_interarrival(SPCM, CwSourceConfig(0.0, 2_000_000_000_000), 12345, analyze=False)
     elapsed = time.monotonic() - t0
 
     dead = res.dead_time_ps
@@ -133,7 +135,7 @@ def test_criterion_03_pair_jitter_root_two():
 
 
 def test_criterion_04_blanking_invariant_and_oracle():
-    res = run_interarrival(CUSTOM, 40.0e6, 70_000_000_000, 2, analyze=False)
+    res = run_interarrival(CUSTOM, CwSourceConfig(40.0e6, 70_000_000_000), 2, analyze=False)
     rec_gap_ok = res.n_pulses >= 1_000_000
     # The interarrival histogram has 1000 ps bins from 0 and 24000 is a bin
     # edge, so an empty underflow and empty first 24 bins mean exactly that

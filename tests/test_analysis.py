@@ -115,7 +115,7 @@ class TestTwilightCurve:
 
     def test_rejects_empty_slots(self):
         with pytest.raises(ValueError):
-            twilight_curve([(5_000, 0, 0, 0)])
+            twilight_curve([(5_000, -1, 0, 0)])
 
     def test_csv_layout(self):
         c = twilight_curve([(10_000, 100, 60, 20), (20_000, 100, 50, 25)])

@@ -2,13 +2,37 @@ import json
 import os
 import subprocess
 import sys
+from hashlib import sha256
 
 import pytest
 from conftest import inline_detector
 
 import spadsim
-from spadsim import preset
+from spadsim import SCENARIOS, preset
 from spadsim.cli import main
+
+# SHA-256 of every output of test_detector_summaries_carry_the_draw_contract's
+# documents at draw contract 2. jitter-scan is left out: its curve goes through
+# scipy's curve_fit, whose last digits can move with the scipy version.
+PINNED_OUTPUTS = {
+    "interarrival": {
+        "histogram_csv": "d9e533585ba1d4f9f284d6c724c79c98cef4ad2254f32db68786ae8d7170cefc",
+        "summary_json": "c67d94c9e1eac3b0ca5f3855f6f01d7c43e7e8750b1b4e4cd31bc200dd2f3565",
+    },
+    "pair-scan": {
+        "curve_csv": "b6514ae2fe1638203f55117b5a992f8073578ff634593c0f3dc88b83922d751c",
+        "points_csv": "3e00f2896fcd6d85665254472376cd225fc18c3bdce2aec54d0cdc4dbc43bc95",
+        "summary_json": "42335df959eccda13f2b061e5308dbd514d24b340c0609d8e753829dc853e580",
+    },
+    "autocorr": {
+        "histogram_csv": "f884897c3dda2ba1c6a72b7b890ad04fcb468dfb06bc221a1e6a9eb4a86b283f",
+        "summary_json": "8ac057e4a0eee37ecc04368c8417a3c3fbc92bd5945e1300e57de8fec6ec257c",
+    },
+    "qkd": {
+        "report_json": "aca4a44c04fc291f1636d799aadb8c66a8c2805d003dd1dd875a98c4bc3b8c36",
+        "crosscorr_csv": "6fe5ca012ddb51e447f0f3f43d44259eb1ae1d1b2e74ab0c88ef5210cbcd1388",
+    },
+}
 
 
 def write_config(tmp_path, doc, name="run.json"):
@@ -179,31 +203,45 @@ class TestSimulate:
                 "frame": {"bin_width_ps": 521, "bins_per_frame": 1024},
             },
         }
+        digests = {}
         for kind, doc in docs.items():
-            key = "report_json" if kind == "qkd" else "summary_json"
-            out = tmp_path / f"{kind}.json"
-            doc.update(version=1, kind=kind, seed=2, outputs={key: str(out)})
+            outs = {key: tmp_path / f"{kind}.{key}" for key in SCENARIOS[kind].outputs}
+            doc.update(version=1, kind=kind, seed=2, outputs={k: str(p) for k, p in outs.items()})
             assert main(["simulate", write_config(tmp_path, doc)]) == 0, kind
-            assert json.loads(out.read_text())["draw_contract"] == spadsim.DRAW_CONTRACT == 2
+            summary = outs["report_json" if kind == "qkd" else "summary_json"]
+            assert json.loads(summary.read_text())["draw_contract"] == spadsim.DRAW_CONTRACT == 2
+            if kind in PINNED_OUTPUTS:
+                digests[kind] = {k: sha256(p.read_bytes()).hexdigest() for k, p in outs.items()}
         assert "draw_contract" not in capsys.readouterr().out
+        assert digests == PINNED_OUTPUTS, (
+            "the pulse stream moved for the same detectors and seed: "
+            "bump DRAW_CONTRACT or find the regression"
+        )
 
     def test_missing_points_are_json_null(self, tmp_path, capsys):
-        # A blind detector sees no first slot; 10 pairs are below min_pairs' default.
+        # A blind detector sees no first slot; at occupancy 0.01 the one pair
+        # slot emits no first photon; 10 pairs are below min_pairs' default.
         source = {"delta_ts_ps": [200_000], "pair_period_ps": 1_000_000, "n_pairs": 10}
+        unlit = dict(source, n_pairs=1, occupancy=0.01)
         blind = {"params": {"efficiency": 0.0, "tau_dead0_ps": 24000, "tau_quench_ps": 10000}}
-        docs = {
-            "pair-scan": ({"detector": blind, "source": source}, "ratios"),
-            "jitter-scan": ({"detector": {"preset": "spcm-aqrh"}, "source": source}, "shift_ps"),
-        }
+        spcm = {"preset": "spcm-aqrh"}
+        docs = [
+            ("pair-scan", {"detector": blind, "source": source}, "ratios"),
+            ("pair-scan", {"detector": spcm, "source": unlit}, "ratios"),
+            ("jitter-scan", {"detector": spcm, "source": source}, "shift_ps"),
+        ]
 
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
 
-        for kind, (doc, key) in docs.items():
-            out = tmp_path / f"{kind}.json"
+        summaries = []
+        for i, (kind, doc, key) in enumerate(docs):
+            out = tmp_path / f"{i}.json"
             doc.update(version=1, kind=kind, seed=1, outputs={"summary_json": str(out)})
             assert main(["simulate", write_config(tmp_path, doc)]) == 0, kind
-            assert json.loads(out.read_text(), parse_constant=reject)[key] == [None], kind
+            summaries.append(json.loads(out.read_text(), parse_constant=reject))
+            assert summaries[-1][key] == [None], kind
+        assert summaries[1]["n_pairs"] == [0]
         stdout = capsys.readouterr().out
         assert "ratio_200000=nan" in stdout and "shift_200000=nan" in stdout
 

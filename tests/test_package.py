@@ -18,6 +18,12 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 FROM_SPADSIM = re.compile(r"^[ \t]*from spadsim import (?:\(([^)]*)\)|(.*))$", re.M)
 
 
+def quick_tour():
+    """The code of the README's Quick tour."""
+    readme = (ROOT / "README.md").read_text()
+    return re.search(r"## Quick tour\n\n```python\n(.*?)```", readme, re.S).group(1)
+
+
 def imported_from_spadsim(text):
     """Names that `from spadsim import ...` lines in `text` import."""
     return {
@@ -42,13 +48,15 @@ def test_namespace_is_the_union_of_the_library_modules_all():
     assert "instrument" not in spadsim.STREAM_IDS
 
     # The README's Quick tour and the benchmark import from the package.
-    readme = (ROOT / "README.md").read_text()
-    tour = re.search(r"## Quick tour\n\n```python\n(.*?)```", readme, re.S).group(1)
-    sources = [tour] + [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    sources = [quick_tour()] + [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
     used = set().union(*map(imported_from_spadsim, sources))
     assert {"detect", "run_qkd_scenario", "_backend"} <= used
     for name in used:
         assert hasattr(spadsim, name) or importlib.util.find_spec(f"spadsim.{name}"), name
+
+
+def test_readme_quick_tour_runs():
+    exec(compile(quick_tour(), "README.md", "exec"), {})
 
 
 def markdown_rows(text, header):
