@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instruments import FWHM_PER_SIGMA, Histogram, InstrumentError, build_histogram, gaussian_fit
+from .instruments import (
+    FWHM_PER_SIGMA,
+    Histogram,
+    InstrumentError,
+    build_histogram,
+    gaussian_fit,
+    levenberg_marquardt,
+)
 
 __all__ = [
     "AnalysisError",
@@ -94,8 +101,40 @@ class AfterpulseResult:
 _AFTERPULSE_SKIP_PS = 2000.0
 
 
-def _exp_bg(t, a, tau):
-    return a * np.exp(-t / tau)
+def _fit_decay(t, y, weights, t0, rate0):
+    """Weighted least-squares A*exp(-(t - t0)*rate) with A >= 0 and rate >= 0.
+
+    Returns (A, rate). For each rate the best amplitude is linear in the
+    data, max(0, sum(w*y*e) / sum(w*e**2)) with e = exp(-(t - t0)*rate), so
+    levenberg_marquardt fits the rate alone. The rate, not the lifetime
+    1/rate, is the fitted parameter: data that do not decay within the
+    window (a background lifetime far beyond the histogram span) then put
+    it at 0 in a few steps instead of sending the lifetime off to infinity.
+    A start where the amplitude is 0 (no decay of that sign in the data)
+    returns (0, rate0): every rate fits equally there. From any other start,
+    a step to an amplitude of 0 raises chi2, so the fit never leaves the
+    positive amplitudes.
+    """
+    s = t - t0
+    wy = weights * y
+
+    def amplitude(e):
+        norm = float(weights @ (e * e))
+        return max(0.0, float(wy @ e) / norm) if norm > 0.0 else 0.0
+
+    def model(p):
+        e = np.exp(-s * p[0])
+        amp = amplitude(e)
+        if amp == 0.0:
+            return np.zeros_like(e), np.zeros((1, e.size))
+        de = -s * e
+        d_amp = (float(wy @ de) - 2.0 * amp * float(weights @ (e * de))) / float(weights @ (e * e))
+        return amp * e, (d_amp * e + amp * de)[np.newaxis]
+
+    if amplitude(np.exp(-s * rate0)) == 0.0:
+        return 0.0, rate0
+    (rate,) = levenberg_marquardt(model, [rate0], y, weights, lower=[0.0])
+    return amplitude(np.exp(-s * rate)), float(rate)
 
 
 def afterpulse_spectroscopy(
@@ -112,12 +151,13 @@ def afterpulse_spectroscopy(
     exponential is fitted beyond tau_dead + 5 guessed lifetimes, where the
     excess has decayed away, and extrapolated under the peak; the excess is
     then fitted with B*exp(-(t - tau_dead)/tau_trap), leaving out the first
-    2 ns past the dead time. p_afterpulse integrates the fitted excess and
-    normalizes by the total event count.
+    2 ns past the dead time. Both fits weight each bin by 1/max(count, 1)
+    and keep the amplitude non-negative; `_fit_decay` solves the amplitude
+    in closed form and fits the decay rate 1/tau by `levenberg_marquardt`.
+    An excess that does not decay (best rate 0) fails the analysis.
+    p_afterpulse integrates the fitted excess and normalizes by the total
+    event count.
     """
-    # Imported on use: scipy.optimize would dominate `import spadsim`.
-    from scipy.optimize import curve_fit
-
     if tau_dead_ps <= 0:
         raise ValueError(f"tau_dead_ps must be > 0, got {tau_dead_ps}")
     if tau_trap_guess_ps <= 0:
@@ -126,6 +166,7 @@ def afterpulse_spectroscopy(
     t = h.bin_centers
     c = h.counts.astype(np.float64)
     bw = float(h.bin_width_ps)
+    w = 1.0 / np.maximum(c, 1.0)
 
     bg_mask = t >= bg_cut_ps
     n_bg = int(np.count_nonzero(bg_mask))
@@ -136,24 +177,13 @@ def afterpulse_spectroscopy(
         )
     t_bg = t[bg_mask]
     c_bg = c[bg_mask]
-    sig_bg = np.sqrt(np.maximum(c_bg, 1.0))
     if c_bg.sum() <= 0:
         raise AnalysisError("background region is empty, cannot fit the tail")
     t_mean = float(np.sum(t_bg * c_bg) / c_bg.sum())
     tau0 = max(t_mean - bg_cut_ps, bw)
-    a0 = float(c_bg.mean()) * math.exp(min(t_mean / tau0, 700.0))
     try:
-        (a_bg, tau_bg), _ = curve_fit(
-            _exp_bg,
-            t_bg,
-            c_bg,
-            p0=(a0, tau0),
-            sigma=sig_bg,
-            absolute_sigma=True,
-            bounds=([0.0, bw * 1e-3], [np.inf, np.inf]),
-            maxfev=20000,
-        )
-    except (RuntimeError, ValueError) as exc:
+        a_bg, rate_bg = _fit_decay(t_bg, c_bg, w[bg_mask], bg_cut_ps, 1.0 / tau0)
+    except InstrumentError as exc:
         raise AnalysisError(f"background tail fit failed: {exc}") from exc
 
     ex_mask = (t >= tau_dead_ps + _AFTERPULSE_SKIP_PS) & (t < bg_cut_ps)
@@ -164,10 +194,13 @@ def afterpulse_spectroscopy(
             "need at least 3 for the excess fit"
         )
     t_ex = t[ex_mask]
-    excess = c[ex_mask] - _exp_bg(t_ex, a_bg, tau_bg)
-    sig_ex = np.sqrt(np.maximum(c[ex_mask], 1.0))
+    w_ex = w[ex_mask]
+    with np.errstate(over="ignore"):
+        # A background too steep to extrapolate overflows to an excess of
+        # -inf, which the negative-excess check below rejects.
+        excess = c[ex_mask] - a_bg * np.exp((bg_cut_ps - t_ex) * rate_bg)
     total_excess = float(excess.sum())
-    total_sigma = float(np.sqrt(np.sum(sig_ex**2)))
+    total_sigma = float(np.sqrt(np.sum(1.0 / w_ex)))
     if total_excess < -3.0 * total_sigma:
         raise AnalysisError(
             f"excess over background is negative ({total_excess:.1f} counts, "
@@ -175,27 +208,17 @@ def afterpulse_spectroscopy(
             "does not describe the tail"
         )
 
-    def _exp_excess(tt, b, tau):
-        return b * np.exp(-(tt - tau_dead_ps) / tau)
-
-    b0 = max(float(excess[0]), 1.0)
     try:
-        (b_fit, tau_fit), _ = curve_fit(
-            _exp_excess,
-            t_ex,
-            excess,
-            p0=(b0, tau_trap_guess_ps),
-            sigma=sig_ex,
-            absolute_sigma=True,
-            bounds=([0.0, bw * 1e-3], [np.inf, np.inf]),
-            maxfev=20000,
-        )
-    except (RuntimeError, ValueError) as exc:
+        b_fit, rate = _fit_decay(t_ex, excess, w_ex, tau_dead_ps, 1.0 / tau_trap_guess_ps)
+    except InstrumentError as exc:
         raise AnalysisError(f"excess fit failed: {exc}") from exc
-    chi2 = float(np.sum(((excess - _exp_excess(t_ex, b_fit, tau_fit)) / sig_ex) ** 2))
+    if rate == 0.0:
+        raise AnalysisError("excess fit failed: the excess does not decay")
+    model = b_fit * np.exp(-(t_ex - tau_dead_ps) * rate)
+    chi2 = float(np.sum(w_ex * (excess - model) ** 2))
     residual = chi2 / max(n_ex - 2, 1)
-    p = float(b_fit * tau_fit / (bw * h.total))
-    return AfterpulseResult(p_afterpulse=p, tau_trap_ps=float(tau_fit), residual=residual)
+    p = float(b_fit / (rate * bw * h.total))
+    return AfterpulseResult(p_afterpulse=p, tau_trap_ps=1.0 / rate, residual=residual)
 
 
 @dataclass(frozen=True)

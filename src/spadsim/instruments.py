@@ -7,6 +7,7 @@ of its inputs, so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +235,145 @@ class GaussianFit:
     residual: float
 
 
+# Convergence of levenberg_marquardt: the relative step length and the
+# relative chi2 decrease that a step promises, both far below the scatter of
+# any fitted figure.
+_XTOL = 1e-10
+_FTOL = 1e-12
+# Smallest Cholesky pivot of the normal matrix, relative to its diagonal
+# entry, at which the data still determine every parameter.
+_SINGULAR = 1e-10
+# Damping beyond which no step can lower chi2 in floating point.
+_LAM_MAX = 1e20
+# Accepted steps after which a fit that has not converged fails.
+_MAX_STEPS = 200
+
+
+def levenberg_marquardt(model, p0, y, weights, *, lower=None) -> np.ndarray:
+    """Weighted least squares by Levenberg-Marquardt with More's scaling.
+
+    Minimizes chi2 = sum(weights * (y - f)**2) over the parameters p from p0,
+    where `model(p)` returns the model values f at the data points and their
+    analytic Jacobian, shaped (n_params, n_points). weights are inverse
+    variances: 1/count for Poisson data. Each step solves
+    (J^T W J + lam * D) dp = J^T W r with D the largest diagonal of J^T W J
+    met so far (J. J. More, Lecture Notes in Mathematics 630, 1978), so the
+    damping does not depend on the parameters' units. lam shrinks tenfold
+    after a step that lowers chi2 and grows tenfold after one that does not.
+    A step never takes a parameter below its `lower` bound: it stops there.
+    The fit has converged when the linearized model promises a chi2 decrease
+    below 1e-12 of chi2, or a step moves the scaled parameters by less than
+    1e-10 of their length. The normal equations are a few parameters wide,
+    so they are solved on Python floats.
+
+    Raises InstrumentError when the data or the model at p0 are not finite,
+    when the normal equations are singular, and after 200 steps without
+    convergence.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if not (np.isfinite(y).all() and np.isfinite(weights).all() and weights.min() >= 0.0):
+        raise InstrumentError("data or weights are not finite and non-negative")
+    sw = np.sqrt(weights)
+    n = len(p0)
+    lower = [-math.inf] * n if lower is None else [float(v) for v in lower]
+    p = [max(float(v), lo) for v, lo in zip(p0, lower)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f, jac = model(p)
+        r = sw * (y - f)
+        cost = float(r @ r)
+        if not (math.isfinite(cost) and np.isfinite(jac).all()):
+            raise InstrumentError("model is not finite at the start point")
+        scale = [0.0] * n
+        lam = 1e-3
+        for _ in range(_MAX_STEPS):
+            jw = jac * sw
+            a = (jw @ jw.T).tolist()
+            g = (jw @ r).tolist()
+            scale = [max(d, a[i][i]) for i, d in enumerate(scale)]
+            while True:  # raise the damping until a step lowers chi2
+                damped = [row[:] for row in a]
+                for i in range(n):
+                    damped[i][i] += lam * scale[i]
+                step = _solve(damped, g)
+                # The chi2 decrease that the linearized model promises.
+                promised = 0.0
+                for i in range(n):
+                    t = 2.0 * g[i]
+                    for j in range(n):
+                        t -= a[i][j] * step[j]
+                    promised += step[i] * t
+                if promised <= _FTOL * cost:
+                    return _determined(p, jw)
+                p_new = [max(v + dv, lo) for v, dv, lo in zip(p, step, lower)]
+                moved = length = 0.0
+                for d, v, v_new in zip(scale, p, p_new):
+                    moved += d * (v_new - v) ** 2
+                    length += d * v * v
+                small = moved <= _XTOL * _XTOL * length
+                f, jac_new = model(p_new)
+                r_new = sw * (y - f)
+                cost_new = float(r_new @ r_new)
+                if cost_new < cost:
+                    break
+                if small or lam > _LAM_MAX:
+                    # No step down the slope is left: p is the minimum.
+                    return _determined(p, jw)
+                lam *= 10.0
+            p, jac, r, cost = p_new, jac_new, r_new, cost_new
+            if small:
+                return _determined(p, jac * sw)
+            lam = max(lam / 10.0, 1e-12)
+    raise InstrumentError(f"no convergence within {_MAX_STEPS} steps")
+
+
+def _determined(p: list, jw: np.ndarray) -> np.ndarray:
+    """p as an array; raises InstrumentError unless the weighted Jacobian jw
+    there determines every parameter."""
+    _cholesky((jw @ jw.T).tolist(), _SINGULAR)
+    return np.array(p)
+
+
+def _cholesky(a: list, rtol: float = 0.0) -> list:
+    """Lower Cholesky factor of the symmetric matrix a, on Python floats.
+
+    Raises InstrumentError when a pivot is not finite or not above both zero
+    and rtol times its diagonal entry: the equations are then singular.
+    """
+    n = len(a)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        li = low[i]
+        for j in range(i + 1):
+            lj = low[j]
+            s = a[i][j]
+            for k in range(j):
+                s -= li[k] * lj[k]
+            if j < i:
+                li[j] = s / lj[j]
+            elif s > 0.0 and s > rtol * a[i][i] and math.isfinite(s):
+                li[i] = math.sqrt(s)
+            else:
+                raise InstrumentError("normal equations are singular")
+    return low
+
+
+def _solve(a: list, b: list) -> list:
+    """x with a @ x = b, for a symmetric positive definite matrix a."""
+    low = _cholesky(a)
+    n = len(b)
+    x = list(b)
+    for i in range(n):
+        for k in range(i):
+            x[i] -= low[i][k] * x[k]
+        x[i] /= low[i][i]
+    for i in reversed(range(n)):
+        for k in range(i + 1, n):
+            x[i] -= low[k][i] * x[k]
+        x[i] /= low[i][i]
+    return x
+
+
 def _gauss(x, amp, mu, sigma):
     return amp * np.exp(-0.5 * ((x - mu) / sigma) ** 2)
 
@@ -242,17 +382,18 @@ def _gauss(x, amp, mu, sigma):
 _FIT_WINDOW_SIGMAS = 2.5
 
 
-def _curve_fit(x, y, p0, sigma_y) -> np.ndarray:
-    # Imported on use: scipy.optimize would dominate `import spadsim`.
-    from scipy.optimize import curve_fit
+def _fit_gaussian(x, y, p0, weights) -> np.ndarray:
+    def model(p):
+        amp, mu, sigma = p
+        z = (x - mu) / sigma
+        g = np.exp(-0.5 * z * z)
+        d_mu = g * z * (amp / sigma)
+        return amp * g, np.array((g, d_mu, d_mu * z))
 
     try:
-        popt, _ = curve_fit(
-            _gauss, x, y, p0=p0, sigma=sigma_y, absolute_sigma=True, maxfev=10000
-        )
-    except RuntimeError as exc:
+        return levenberg_marquardt(model, p0, y, weights)
+    except InstrumentError as exc:
         raise InstrumentError(f"Gaussian fit did not converge: {exc}") from exc
-    return popt
 
 
 def gaussian_fit(h: Histogram) -> GaussianFit:
@@ -265,7 +406,9 @@ def gaussian_fit(h: Histogram) -> GaussianFit:
     only places the second pass. That one fits the bins within 2.5 sigma of
     the first fit's peak, weighted by the first fit's model counts. Both
     windows keep exponential backgrounds and secondary peaks out of the fit.
-    residual is the root of the reduced chi-square of the second fit.
+    Both passes fit amplitude, peak and sigma by `levenberg_marquardt` with
+    the Gaussian's analytic Jacobian. residual is the root of the reduced
+    chi-square of the second fit.
     """
     counts = h.counts.astype(np.float64)
     if counts.size == 0 or counts.max() <= 0:
@@ -288,7 +431,7 @@ def gaussian_fit(h: Histogram) -> GaussianFit:
     y = counts[lo : hi + 1]
     width0 = n_win * h.bin_width_ps
     p0 = (counts[m], x[m - lo], width0 / FWHM_PER_SIGMA)
-    first = _curve_fit(x, y, p0, np.sqrt(y))
+    first = _fit_gaussian(x, y, p0, 1.0 / y)
 
     window = np.abs(centers - first[1]) <= _FIT_WINDOW_SIGMAS * abs(first[2])
     n_win = int(np.count_nonzero(window))
@@ -296,10 +439,10 @@ def gaussian_fit(h: Histogram) -> GaussianFit:
         raise InstrumentError(f"too few bins in the second fit window: need >= 5, got {n_win}")
     x = centers[window]
     y = counts[window]
-    sigma_y = np.sqrt(np.maximum(_gauss(x, *first), 1.0))
-    popt = _curve_fit(x, y, first, sigma_y)
+    weights = 1.0 / np.maximum(_gauss(x, *first), 1.0)
+    popt = _fit_gaussian(x, y, first, weights)
     amp, mu, sig = popt
-    chi2 = float(np.sum(((y - _gauss(x, *popt)) / sigma_y) ** 2))
+    chi2 = float(np.sum(weights * (y - _gauss(x, *popt)) ** 2))
     residual = float(np.sqrt(chi2 / max(n_win - 3, 1)))
     return GaussianFit(
         peak_ps=float(mu),

@@ -225,6 +225,23 @@ def _check_points(points, name: str) -> list:
     return pts
 
 
+def _isotonic(ys: list) -> list:
+    """The non-decreasing sequence nearest to ys in least squares.
+
+    Pool adjacent violators: each value joins the block before it while that
+    block's mean is larger, and every member of a block takes its mean.
+    """
+    blocks: list = []  # (mean, size) of each pooled run
+    for y in ys:
+        mean, size = y, 1
+        while blocks and blocks[-1][0] > mean:
+            prev_mean, prev_size = blocks.pop()
+            mean = (prev_mean * prev_size + mean * size) / (prev_size + size)
+            size += prev_size
+        blocks.append((mean, size))
+    return [mean for mean, size in blocks for _ in range(size)]
+
+
 def fit_preset_from_curves(
     base: DetectorParams,
     *,
@@ -241,9 +258,6 @@ def fit_preset_from_curves(
     requires. Shift points get their last value pinned to zero, warning if
     the measured tail had not fully relaxed.
     """
-    # Imported on use: scipy.optimize would dominate `import spadsim`.
-    from scipy.optimize import isotonic_regression
-
     params = base
     if jitter_points is not None:
         pts = _check_points(jitter_points, "jitter_points")
@@ -262,7 +276,7 @@ def fit_preset_from_curves(
     if twilight_points is not None:
         pts = _check_points(twilight_points, "twilight_points")
         ys = [y for _, y in pts]
-        iso = isotonic_regression(ys).x
+        iso = _isotonic(ys)
         if max(abs(a - b) for a, b in zip(iso, ys)) > 1e-12:
             warnings.warn("twilight_points were not monotone; isotonic adjustment applied")
         adj = [min(max(float(y), 0.0), 1.0) for y in iso]

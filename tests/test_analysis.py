@@ -18,6 +18,7 @@ from spadsim import (
     shift_and_jitter_vs_dt,
     twilight_curve,
 )
+from spadsim.analysis import _fit_decay
 
 
 def step_histogram(onset_bin=24, n=256, bw=1000):
@@ -93,6 +94,25 @@ class TestAfterpulseSpectroscopy:
         h = build_histogram(iv, 1000, 4_096_000)
         res = afterpulse_spectroscopy(h, 24_000.0)
         assert res.p_afterpulse < 0.002
+
+    def test_noiseless_decay_is_recovered(self):
+        t = 30_500.0 + 1000.0 * np.arange(150)
+        y = 85.0 * np.exp(-(t - 29_100.0) / 32_000.0)
+        amp, rate = _fit_decay(t, y, 1.0 / y, 29_100.0, 1.0 / 20_000.0)
+        assert amp == pytest.approx(85.0, rel=1e-9)
+        assert 1.0 / rate == pytest.approx(32_000.0, rel=1e-9)
+
+    def test_negative_excess_fits_zero_amplitude(self):
+        t = 30_500.0 + 1000.0 * np.arange(150)
+        y = -np.exp(-(t - 29_100.0) / 32_000.0)
+        assert _fit_decay(t, y, np.ones(t.size), 29_100.0, 1.0 / 20_000.0) == (0.0, 1.0 / 20_000.0)
+
+    def test_rising_data_stop_at_zero_rate(self):
+        t = 30_500.0 + 1000.0 * np.arange(150)
+        y = 50.0 + 0.01 * (t - t[0]) / 1000.0
+        amp, rate = _fit_decay(t, y, 1.0 / y, t[0], 1.0 / 20_000.0)
+        assert rate == 0.0
+        assert amp == pytest.approx(y.size / np.sum(1.0 / y))
 
     def test_too_little_data_raises(self):
         h = build_histogram(np.array([30_000] * 3, dtype=np.int64), 1000, 64_000)

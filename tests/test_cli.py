@@ -13,7 +13,8 @@ from spadsim.cli import main
 
 # SHA-256 of every output of test_detector_summaries_carry_the_draw_contract's
 # documents at draw contract 2. jitter-scan is left out: its curve goes through
-# scipy's curve_fit, whose last digits can move with the scipy version.
+# a Gaussian fit, whose last digits can move with the numpy version and the
+# LAPACK/BLAS build behind its dot products.
 PINNED_OUTPUTS = {
     "interarrival": {
         "histogram_csv": "d9e533585ba1d4f9f284d6c724c79c98cef4ad2254f32db68786ae8d7170cefc",
@@ -282,16 +283,44 @@ class TestUsage:
         assert main([]) == 1
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    """scipy.optimize and the CLI are imported by their users, not by the package."""
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    """The CLI is imported by its users, not by the package, and no run,
+    fit included, loads scipy."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(spadsim.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    interarrival = interarrival_doc(
+        tmp_path, analyze=True, rate_cps=76_923.0, duration_ps=400_000_000_000
+    )
+    interarrival.update(seed=1)
+    jitter = {
+        "version": 1,
+        "kind": "jitter-scan",
+        "seed": 1,
+        "detector": {"preset": "spcm-aqrh"},
+        "source": {"delta_ts_ps": [30_000, 200_000], "pair_period_ps": 1_000_000, "n_pairs": 1200},
+        "instrument": {"min_pairs": 100},
+        "outputs": {"summary_json": str(tmp_path / "jitter.json")},
+    }
+    configs = [write_config(tmp_path, interarrival, "a.json"), write_config(tmp_path, jitter, "j.json")]
     probe = (
-        "import sys, spadsim; print(spadsim.__file__); print('scipy.optimize' in sys.modules); "
-        "print('spadsim.cli' in sys.modules)"
+        "import sys, warnings, spadsim\n"
+        "print(spadsim.__file__, 'scipy.optimize' in sys.modules, 'spadsim.cli' in sys.modules)\n"
+        "from spadsim.cli import main\n"
+        "print([main(['simulate', path]) for path in sys.argv[1:]])\n"
+        "twilight = [(10_000, 0.0), (18_000, 0.6), (22_000, 0.5), (29_100, 1.0)]\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    spadsim.fit_preset_from_curves(spadsim.preset('spcm-aqrh').params, twilight_points=twilight)\n"
+        "print(len(caught), 'scipy' in sys.modules)\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe, *configs], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
-    assert out == [spadsim.__file__, "False", "False"]
+    assert out[0] == f"{spadsim.__file__} False False"
+    assert out[-2:] == ["[0, 0]", "1 False"]
+    # Both runs went through their fits.
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["p_afterpulse"] > 0 and summary["tau_trap_ps"] > 0
+    fwhm = json.loads((tmp_path / "jitter.json").read_text())["fwhm_ps"]
+    assert all(f is not None and f > 0 for f in fwhm)

@@ -10,7 +10,8 @@ from spadsim import (
     cross_correlation,
     gaussian_fit,
 )
-from spadsim.instruments import FWHM_PER_SIGMA
+from spadsim import instruments
+from spadsim.instruments import FWHM_PER_SIGMA, levenberg_marquardt
 
 
 class TestHistogram:
@@ -156,6 +157,16 @@ class TestGaussianFit:
         assert f2.fwhm_ps == pytest.approx(f1.fwhm_ps, rel=1e-6)
         assert f2.amplitude == pytest.approx(1000 * f1.amplitude, rel=1e-4)
 
+    def test_noiseless_histogram_is_recovered(self):
+        bw, n = 25, 200
+        centers = 40_000 + bw * (np.arange(n) + 0.5)
+        counts = 900.0 * np.exp(-0.5 * ((centers - 42_345.6) / 210.0) ** 2)
+        fit = gaussian_fit(Histogram(bin_width_ps=bw, origin_ps=40_000, counts=counts))
+        assert fit.amplitude == pytest.approx(900.0, rel=1e-9)
+        assert fit.peak_ps == pytest.approx(42_345.6, rel=1e-9)
+        assert fit.fwhm_ps == pytest.approx(210.0 * FWHM_PER_SIGMA, rel=1e-9)
+        assert fit.residual < 1e-6
+
     def test_degenerate_histograms_raise(self):
         empty = Histogram(
             bin_width_ps=10, origin_ps=0, counts=np.zeros(64, dtype=np.int64)
@@ -168,3 +179,68 @@ class TestGaussianFit:
             gaussian_fit(
                 Histogram(bin_width_ps=10, origin_ps=0, counts=spike)
             )
+
+
+def gauss_model(x):
+    def model(p):
+        amp, mu, sigma = p
+        z = (x - mu) / sigma
+        g = np.exp(-0.5 * z * z)
+        return amp * g, np.array((g, amp * g * z / sigma, amp * g * z * z / sigma))
+
+    return model
+
+
+class TestLevenbergMarquardt:
+    x = np.linspace(-3.0, 5.0, 41)
+
+    def test_noiseless_gaussian_is_recovered(self):
+        truth = (250.0, 1.25, 0.8)
+        y, _ = gauss_model(self.x)(truth)
+        p = levenberg_marquardt(gauss_model(self.x), (180.0, 0.5, 1.5), y, 1.0 / np.maximum(y, 1.0))
+        np.testing.assert_allclose(p, truth, rtol=1e-9)
+
+    def test_noiseless_exponential_is_recovered(self):
+        def model(p):
+            amp, tau = p
+            e = np.exp(-self.x / tau)
+            return amp * e, np.array((e, amp * e * self.x / tau**2))
+
+        y, _ = model((40.0, 2.5))
+        p = levenberg_marquardt(model, (10.0, 1.0), y, 1.0 / y, lower=(0.0, 1e-3))
+        np.testing.assert_allclose(p, (40.0, 2.5), rtol=1e-9)
+
+    def test_parameter_stops_on_its_lower_bound(self):
+        def model(p):
+            return np.full(self.x.size, p[0]), np.ones((1, self.x.size))
+
+        p = levenberg_marquardt(model, [3.0], np.ones(self.x.size), np.ones(self.x.size), lower=[2.0])
+        assert p.tolist() == [2.0]
+
+    def test_all_weight_on_one_bin_is_singular(self):
+        y, _ = gauss_model(self.x)((250.0, 1.25, 0.8))
+        weights = np.zeros(self.x.size)
+        weights[20] = 1.0
+        with pytest.raises(InstrumentError, match="singular"):
+            levenberg_marquardt(gauss_model(self.x), (180.0, 0.5, 1.5), y, weights)
+
+    @pytest.mark.parametrize(
+        "y, weights, p0",
+        [
+            ([1.0, np.nan, 2.0], [1.0, 1.0, 1.0], [1.0]),
+            ([1.0, 2.0, 3.0], [1.0, -1.0, 1.0], [1.0]),
+            ([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [np.inf]),
+        ],
+    )
+    def test_non_finite_input_raises(self, y, weights, p0):
+        def model(p):
+            return np.full(3, p[0]), np.ones((1, 3))
+
+        with pytest.raises(InstrumentError, match="finite"):
+            levenberg_marquardt(model, p0, np.array(y), np.array(weights))
+
+    def test_step_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(instruments, "_MAX_STEPS", 2)
+        y, _ = gauss_model(self.x)((250.0, 1.25, 0.8))
+        with pytest.raises(InstrumentError, match="no convergence within 2 steps"):
+            levenberg_marquardt(gauss_model(self.x), (180.0, 0.5, 1.5), y, 1.0 / y)

@@ -130,6 +130,12 @@ class TestFitFromCurves:
         ys = [y for _, y in p.twilight_profile]
         assert ys == sorted(ys)
 
+        # Three violators pool into their mean; the ends keep their pins.
+        twi = [(10_000, 0.0), (14_000, 0.6), (18_000, 0.5), (22_000, 0.4), (29_100, 1.0)]
+        with pytest.warns(UserWarning, match="not monotone"):
+            p = fit_preset_from_curves(base, twilight_points=twi)
+        assert [y for _, y in p.twilight_profile] == pytest.approx([0.0, 0.5, 0.5, 0.5, 1.0], abs=1e-15)
+
     def test_bad_points_rejected(self):
         base = preset("spcm-aqrh").params
         with pytest.raises(ValueError):
