@@ -61,6 +61,15 @@ class TestHistogram:
         )
         assert h.to_csv() == f"bin_start_ps,count\n{rows}#underflow=4,#overflow=9\n"
 
+    def test_csv_of_a_240000_bin_histogram(self):
+        # The pulsed-autocorr shape: bin starts up to 11,999,950 need two
+        # 4-digit groups, and the rows span many formatting blocks.
+        counts = np.random.default_rng(3).poisson(1.5, 240_000).astype(np.int64)
+        counts[::9973] = 12345678
+        h = Histogram(bin_width_ps=50, origin_ps=0, counts=counts, underflow=0, overflow=77)
+        rows = "".join(f"{s},{c}\n" for s, c in zip(h.bin_starts.tolist(), counts.tolist()))
+        assert h.to_csv() == f"bin_start_ps,count\n{rows}#underflow=0,#overflow=77\n"
+
 
 class TestCoincidence:
     def test_greedy_matching(self):

@@ -16,6 +16,7 @@ from spadsim import (
     poisson_times,
     secret_key_rate,
 )
+from spadsim.instruments import _int_rows
 
 sorted_times = st.lists(st.integers(min_value=0, max_value=500_000), min_size=0, max_size=60).map(
     lambda v: np.array(sorted(set(v)), dtype=np.int64)
@@ -172,6 +173,10 @@ def autocorr_case(draw):
 @example(case=(np.array([], dtype=np.int64), 30, 10))
 @example(case=(np.array([-7], dtype=np.int64), 30, 10))
 @example(case=(np.array([-5, -5, -5, 5, 25, 25], dtype=np.int64), 35, 10))
+# Offsets with fewer in-span pairs than bins are gathered before a bincount.
+@example(case=(np.arange(5, dtype=np.int64), 60, 10))
+# 58 pulses 7 ps apart: about 430 pairs in 6 bins, a bincount per offset.
+@example(case=(np.arange(0, 400, 7, dtype=np.int64), 60, 10))
 def test_autocorrelation_matches_all_pairs(case):
     t, max_lag, bin_width = case
     h = autocorrelation(t, max_lag, bin_width)
@@ -201,6 +206,8 @@ def crosscorr_case(draw):
 @example(case=(np.array([3], dtype=np.int64), np.array([], dtype=np.int64), 20, 10))
 @example(case=(np.array([], dtype=np.int64), np.array([3], dtype=np.int64), 20, 10))
 @example(case=(np.array([0], dtype=np.int64), np.array([-20, -10, 0, 0, 19, 20], dtype=np.int64), 20, 10))
+# About 500 pairs in 4 bins, a bincount per pass.
+@example(case=(np.arange(0, 90, 3, dtype=np.int64), np.arange(0, 80, 2, dtype=np.int64), 20, 10))
 def test_cross_correlation_matches_all_pairs(case):
     a, b, span, bin_width = case
     h = cross_correlation(a, b, span, bin_width)
@@ -210,3 +217,19 @@ def test_cross_correlation_matches_all_pairs(case):
     assert h.counts.tolist() == counts
     assert (h.underflow, h.overflow) == (under, over)
     assert h.origin_ps == -span and h.bin_width_ps == bin_width
+
+
+int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+@given(rows=st.lists(st.tuples(int64s, int64s), max_size=50))
+@example(rows=[(0, -1), (-1, 0)])
+@example(rows=[(10**k - 1, -(10**k)) for k in range(19)])
+@example(rows=[(-(10**k - 1), 10**k) for k in range(19)])
+@example(rows=[(2**63 - 1, -(2**63)), (-(2**63), 2**63 - 1)])  # np.abs(-(2**63)) wraps
+@example(rows=[])
+def test_int_rows_match_python_text(rows):
+    a = np.array([r[0] for r in rows], dtype=np.int64)
+    b = np.array([r[1] for r in rows], dtype=np.int64)
+    text = _int_rows((a, b)).decode("ascii")
+    assert text == "".join(f"{x},{y}\n" for x, y in rows)
