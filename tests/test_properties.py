@@ -231,5 +231,5 @@ int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 def test_int_rows_match_python_text(rows):
     a = np.array([r[0] for r in rows], dtype=np.int64)
     b = np.array([r[1] for r in rows], dtype=np.int64)
-    text = _int_rows((a, b)).decode("ascii")
+    text = _int_rows(a, b).decode("ascii")
     assert text == "".join(f"{x},{y}\n" for x, y in rows)
