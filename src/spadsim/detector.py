@@ -269,19 +269,31 @@ def _interp_clamped(x: float, xs: list[float], ys: list[float]) -> float:
     return ys[lo] + t * (ys[hi] - ys[lo])
 
 
-def _interp_clamped_array(x: np.ndarray, xs: list[float], ys: list[float]) -> np.ndarray:
-    """`_interp_clamped` over an array, with the same float operations per element."""
-    y = np.full(x.shape, ys[-1])
-    y[x <= xs[0]] = ys[0]
-    inner = (x > xs[0]) & (x < xs[-1])
-    if inner.any():
-        xi = x[inner]
-        knots, values = np.asarray(xs), np.asarray(ys)
-        hi = np.searchsorted(knots, xi, side="right")
-        lo = hi - 1
-        t = (xi - knots[lo]) / (knots[hi] - knots[lo])
+def _interp_clamped_array(
+    x: np.ndarray, xs: list[float], *tables: list[float]
+) -> list[np.ndarray]:
+    """`_interp_clamped` over an array, for each value table on the knots `xs`.
+
+    Returns one array per table, with the same float operations per element
+    as `_interp_clamped`. The tables share one cost: three comparisons over
+    x, then one `searchsorted` and the fraction t over the elements between
+    the end knots. Each table adds one fill, two writes and three gathers.
+    """
+    below = x <= xs[0]
+    inner = np.flatnonzero((x > xs[0]) & (x < xs[-1]))
+    xi = x[inner]
+    knots = np.asarray(xs)
+    hi = np.searchsorted(knots, xi, side="right")
+    lo = hi - 1
+    t = (xi - knots[lo]) / (knots[hi] - knots[lo])
+    out = []
+    for ys in tables:
+        y = np.full(x.shape, ys[-1])
+        y[below] = ys[0]
+        values = np.asarray(ys)
         y[inner] = values[lo] + t * (values[hi] - values[lo])
-    return y
+        out.append(y)
+    return out
 
 
 class _Draws(NamedTuple):
@@ -388,6 +400,7 @@ def _detect_kernel(
     ap_mu = float(params.afterpulse.mu)
     ap_tau = float(params.afterpulse.tau_trap_ps)
     (dead_x, dead_y), (tw_x, tw_y), _, _ = _curves(params)
+    rate_first, rate_last, dead_first, dead_last = dead_x[0], dead_x[-1], dead_y[0], dead_y[-1]
     # Without a profile nothing triggers in twilight: the zone starts never.
     twilight_from = int(params.tau_quench_ps) if params.twilight_profile else _NEVER
     const_dead = not params.dead_elongation
@@ -499,7 +512,18 @@ def _detect_kernel(
         else:
             lam *= exp((t_lam - t) / tau_ema)
             t_lam = t
-            dead_end = t + floor(_interp_clamped(lam * 1.0e12, dead_x, dead_y) + 0.5)
+            # `_interp_clamped(lam * 1.0e12, dead_x, dead_y)`, inline.
+            rate = lam * 1.0e12
+            if rate <= rate_first:
+                dead = dead_first
+            elif rate >= rate_last:
+                dead = dead_last
+            else:
+                hi = bisect_right(dead_x, rate)
+                lo = hi - 1
+                frac = (rate - dead_x[lo]) / (dead_x[hi] - dead_x[lo])
+                dead = dead_y[lo] + frac * (dead_y[hi] - dead_y[lo])
+            dead_end = t + floor(dead + 0.5)
             lam += inv_tau_ema
 
         # Trap filling: every avalanche fills k ~ Poisson(mu) traps.
@@ -568,8 +592,11 @@ def _emit_times(
     dt_prev = np.full(times.shape, _HUGE_DT)
     dt_prev[1:] = np.where(gaps > 2**61, _HUGE_DT, gaps)
     dt_prev = dt_prev[free]
-    shift = _interp_clamped_array(dt_prev, sh_x, sh_y)
-    fwhm = _interp_clamped_array(dt_prev, jit_x, jit_y)
+    if sh_x == jit_x:
+        shift, fwhm = _interp_clamped_array(dt_prev, sh_x, sh_y, jit_y)
+    else:
+        (shift,) = _interp_clamped_array(dt_prev, sh_x, sh_y)
+        (fwhm,) = _interp_clamped_array(dt_prev, jit_x, jit_y)
     z = normals.standard_normal(dt_prev.size)
     t_free = times[free]
     delta = np.floor(shift + z * (fwhm * FWHM_TO_SIGMA) + 0.5).astype(np.int64)
@@ -702,12 +729,12 @@ def _finalize_records(columns: tuple[np.ndarray, ...], params: DetectorParams) -
     # period of at least 1 ps, and an event at dt = 0 can neither find the
     # detector armed nor trigger in twilight (the profile is 0 at its first
     # knot). So origin and cause never decide a tie.
+    # Blanking reads the sorted output times, then one gather per column
+    # takes the sort and the blanking together.
     order = np.argsort(columns[0], kind="stable")
-    columns = [a[order] for a in columns]
     if params.blanking is not None:
-        keep = _blanking_keep(columns[0], params.blanking.t_b_ps)
-        columns = [a[keep] for a in columns]
-    return PulseRecords(*columns)
+        order = order[_blanking_keep(columns[0][order], params.blanking.t_b_ps)]
+    return PulseRecords(*(a[order] for a in columns))
 
 
 def detect(

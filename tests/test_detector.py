@@ -20,6 +20,7 @@ from spadsim import (
     poisson_times,
     twilight_sensitivity,
 )
+from spadsim.detector import _interp_clamped, _interp_clamped_array
 
 SECOND_PS = 1_000_000_000_000
 
@@ -120,6 +121,49 @@ class TestHelpers:
         assert twilight_sensitivity(24000, p) == 1.0
         assert twilight_sensitivity(50000, p) == 1.0
         assert twilight_sensitivity(17000, plain_params()) == 0.0
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestInterpClampedArray:
+    # A shared grid of uneven knots with two value tables, and unshared
+    # grids of one, two and several knots, one table each.
+    SHARED = (
+        [20000.0, 25000.0, 40000.0, 75000.0, 1.0e6],
+        ([855.0, 603.7, 151.3, 33.1, 0.0], [608.0, 560.5, 421.9, 335.3, 335.0]),
+    )
+    UNSHARED = (
+        ([0.0], ([0.0],)),
+        ([30000.0, 120000.0], ([600.0, 300.0],)),
+        ([1.0, 3.0, 7.0, 15.0], ([0.1, 0.7, 0.3, 1.0 / 3.0],)),
+    )
+
+    @staticmethod
+    def probes(xs):
+        """Below, at and above both end knots, on every knot and between knots."""
+        xs = np.asarray(xs)
+        mids = (xs[:-1] + xs[1:]) / 2.0
+        thirds = xs[:-1] + (xs[1:] - xs[:-1]) / 3.0
+        ends = [xs[0] - 1.0, xs[0], xs[-1], xs[-1] + 1.0, -(2.0**62), 2.0**62]
+        return np.concatenate((ends, xs, mids, thirds, np.nextafter(xs, np.inf)))
+
+    @pytest.mark.parametrize("grid", (SHARED,) + UNSHARED)
+    def test_each_table_equals_the_scalar_interpolation(self, grid):
+        xs, tables = grid
+        x = self.probes(xs)
+        out = _interp_clamped_array(x, xs, *tables)
+        assert len(out) == len(tables)
+        for ys, y in zip(tables, out):
+            assert _bits(y) == _bits([_interp_clamped(float(v), xs, ys) for v in x])
+            # One table alone reads the same bits as alongside the others.
+            assert _bits(_interp_clamped_array(x, xs, ys)[0]) == _bits(y)
+
+    def test_empty_input(self):
+        xs, tables = self.SHARED
+        out = _interp_clamped_array(np.array([], dtype=np.float64), xs, *tables)
+        assert [y.shape for y in out] == [(0,), (0,)]
 
 
 class TestBlankingFilter:

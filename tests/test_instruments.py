@@ -93,6 +93,53 @@ class TestCoincidence:
         assert len(c) == 1
         assert c.idx_a.tolist() == [0]
 
+    def test_all_pulses_uncontested(self):
+        a = np.array([0, 1000, 2000, 3000], dtype=np.int64)
+        b = np.array([10, 990, 2049, 5000], dtype=np.int64)
+        c = coincidence(a, b, 50)
+        assert c.idx_a.tolist() == [0, 1, 2]
+        assert c.idx_b.tolist() == [0, 1, 2]
+
+    def test_chain_is_matched_in_walk_order(self):
+        # Each of b[0], b[1] lies 10 ps after one a and 90 ps after the
+        # previous one: the walk pairs each a with the b after it, not with
+        # the nearest b.
+        a = np.array([0, 100, 200], dtype=np.int64)
+        b = np.array([90, 190, 290], dtype=np.int64)
+        c = coincidence(a, b, 100)
+        assert c.idx_a.tolist() == [0, 1, 2]
+        assert c.idx_b.tolist() == [0, 1, 2]
+        # With b[2] out of reach the walk keeps its first two pairs, and a[2]
+        # goes unmatched although it lies 10 ps before b[1].
+        b = np.array([90, 190, 500], dtype=np.int64)
+        c = coincidence(a, b, 100)
+        assert c.idx_a.tolist() == [0, 1]
+        assert c.idx_b.tolist() == [0, 1]
+
+    def test_clusters_at_both_ends(self):
+        a = np.array([0, 5, 1000, 2000, 2003], dtype=np.int64)
+        b = np.array([3, 1004, 2001, 2006], dtype=np.int64)
+        c = coincidence(a, b, 10)
+        assert c.idx_a.tolist() == [0, 2, 3, 4]
+        assert c.idx_b.tolist() == [0, 1, 2, 3]
+
+    def test_empty_inputs(self):
+        empty = np.array([], dtype=np.int64)
+        one = np.array([7], dtype=np.int64)
+        for a, b in ((empty, empty), (empty, one), (one, empty)):
+            c = coincidence(a, b, 10)
+            assert len(c) == 0
+            assert c.idx_a.dtype == c.idx_b.dtype == np.int64
+
+    def test_window_arithmetic_must_fit_in_int64(self):
+        b = np.array([0], dtype=np.int64)
+        for a in ([2**63 - 10], [-(2**63) + 10]):
+            with pytest.raises(ValueError, match="int64"):
+                coincidence(np.array(a, dtype=np.int64), b, 11)
+            assert len(coincidence(np.array(a, dtype=np.int64), b, 9)) == 0
+        with pytest.raises(ValueError, match="int64"):
+            coincidence([], b, 2**63)
+
 
 class TestAutocorrelation:
     def test_comb_concentrates_at_multiples(self):

@@ -78,6 +78,23 @@ def test_bin_assignment_recomposes(t, bin_width, log_bins):
     assert start <= t < start + f.bin_width_ps
 
 
+def greedy_pairs(a, b, window):
+    """Greedy earliest-first matching: walk both streams once and pair
+    whatever fits the strict window."""
+    pairs = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if int(b[j]) - int(a[i]) >= window:
+            i += 1
+        elif int(a[i]) - int(b[j]) >= window:
+            j += 1
+        else:
+            pairs.append((i, j))
+            i += 1
+            j += 1
+    return pairs
+
+
 @settings(deadline=None)
 @given(a=sorted_times, b=sorted_times, window=st.integers(min_value=1, max_value=50_000))
 def test_coincidence_greedy_invariants(a, b, window):
@@ -86,20 +103,25 @@ def test_coincidence_greedy_invariants(a, b, window):
     assert ia == sorted(set(ia)) and ib == sorted(set(ib))
     for i, j in zip(ia, ib):
         assert abs(int(a[i]) - int(b[j])) < window
-    # Greedy earliest-first matching: walk both streams once and pair
-    # whatever fits the strict window; the instrument must produce exactly that.
-    expect = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if int(b[j]) - int(a[i]) >= window:
-            i += 1
-        elif int(a[i]) - int(b[j]) >= window:
-            j += 1
-        else:
-            expect.append((i, j))
-            i += 1
-            j += 1
-    assert list(zip(ia, ib)) == expect
+    # The instrument must produce exactly the greedy walk's pairs.
+    assert list(zip(ia, ib)) == greedy_pairs(a, b, window)
+
+
+# Sorted times that may repeat, dense enough for contested clusters.
+times_with_repeats = st.lists(st.integers(min_value=-1_000, max_value=3_000), max_size=60).map(
+    lambda v: np.array(sorted(v), dtype=np.int64)
+)
+
+
+@settings(deadline=None)
+@given(a=times_with_repeats, b=times_with_repeats, window=st.integers(min_value=1, max_value=400))
+# One time repeated in each input, each copy with the same candidates.
+@example(
+    a=np.array([5, 5, 5], dtype=np.int64), b=np.array([4, 5, 5, 300], dtype=np.int64), window=2
+)
+def test_coincidence_with_repeated_times_matches_greedy_walk(a, b, window):
+    m = coincidence(a, b, window)
+    assert list(zip(m.idx_a.tolist(), m.idx_b.tolist())) == greedy_pairs(a, b, window)
 
 
 @given(
