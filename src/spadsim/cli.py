@@ -121,7 +121,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid value: {exc}", file=sys.stderr)
         return 1
-    except (AnalysisError, InstrumentError, RuntimeError) as exc:
+    except (AnalysisError, InstrumentError, RuntimeError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -24,10 +24,10 @@ from .analysis import (
     KeyRateInputs, distinguishability, secret_key_rate, shift_and_jitter_vs_dt, twilight_curve
 )
 from .detector import DRAW_CONTRACT, DetectorParams
-from .experiments import run_autocorr, run_interarrival, run_pair_scan
+from .experiments import PairScan, run_autocorr, run_interarrival, run_pair_scan
 from .presets import available_presets, preset
 from .qkd import FrameConfig, check_rep_rate, run_qkd_scenario
-from .sources import CwSourceConfig, EntangledPairConfig, PairScanConfig, PulsedSourceConfig
+from .sources import CwSourceConfig, EntangledPairConfig, PulsedSourceConfig
 
 __all__ = ["ConfigError", "KINDS", "SCENARIOS", "load_config", "validate_config"]
 
@@ -78,8 +78,8 @@ def _values(d, fields: dict, path: str, minimum=None) -> dict:
     return vals
 
 
-def _typed(v, tp, path: str, minimum=None):
-    """v checked against the type hint tp (and a lower bound); floats come out as float."""
+def _typed(v, tp, path: str, minimum=None, int64=True):
+    """v checked against the type hint tp, a lower bound and, if int64, int64's range."""
     if isinstance(tp, UnionType):  # `X | None`: null stands for the default
         if v is None:
             return None
@@ -104,16 +104,17 @@ def _typed(v, tp, path: str, minimum=None):
         _err(path, f"must be a finite number, got {v}")
     if minimum is not None and v < minimum:
         _err(path, f"must be >= {minimum}, got {v}")
+    if tp is int and int64 and not -(2**63) <= v < 2**63:
+        _err(path, f"must lie in [-2**63, 2**63), got {v}")
     return v
 
 
-def _built(owner, vals: dict, path: str, paths=None):
+def _built(owner, vals: dict, path: str):
     """owner(**vals); a ValueError becomes a ConfigError at the field it starts with."""
     try:
         return owner(**vals)
     except ValueError as exc:
-        head, _, rest = str(exc).partition(" ")
-        raise ConfigError(f"{(paths or {}).get(head, f'{path}.{head}')} {rest}") from None
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ class Section:
     """One config section, read off the code that defines its fields.
 
     `owner` is a dataclass (its fields, checked when it is built) or a
-    function (its keyword-only parameters, or those named in `only`).
+    function (its keyword-only parameters).
     `minimum` holds bounds the owner does not check. The section's fields,
     defaults included, spread into the flat config; a dataclass section's
     object, built once here, also sits under the section's name.
@@ -129,7 +130,6 @@ class Section:
 
     name: str
     owner: object = None
-    only: tuple = ()
     minimum: dict = field(default_factory=dict)
 
     @cached_property
@@ -142,7 +142,7 @@ class Section:
         return {
             p.name: (p.annotation, p.default)
             for p in params
-            if (p.name in self.only if self.only else is_class or p.kind is p.KEYWORD_ONLY)
+            if is_class or p.kind is p.KEYWORD_ONLY
         }
 
     def parse(self, doc: dict, norm: dict) -> None:
@@ -185,13 +185,6 @@ def _span_whole_bins(cfg: dict) -> None:
     span, bw = cfg["span_ps"], cfg["bin_width_ps"]
     if span is not None and (span < bw or span % bw):
         _err("instrument.span_ps", f"must be a positive multiple of bin_width_ps ({bw})")
-
-
-def _spacings_in_period(cfg: dict) -> None:
-    """Every spacing makes a valid scan point: in (0, pair_period_ps), n_pairs >= 1."""
-    for i, dt in enumerate(cfg["delta_ts_ps"]):
-        vals = dict(_args(cfg, PairScanConfig), delta_t_ps=dt)
-        _built(PairScanConfig, vals, "source", {"delta_t_ps": f"source.delta_ts_ps[{i}]"})
 
 
 def _rep_rate_matches_bins(cfg: dict) -> None:
@@ -296,8 +289,6 @@ def _run_keyrate(cfg: dict):
     return [("key_rate_bits_per_s", rate)], {"summary_json": _json(summary)}
 
 
-_PAIR_KEYS = ("delta_ts_ps", "pair_period_ps", "n_pairs", "occupancy")
-_PAIR_SOURCE = Section("source", run_pair_scan, _PAIR_KEYS)
 _QKD_BOUNDS = dict.fromkeys(("ac_bin_width_ps", "ac_span_ps", "cc_bin_width_ps", "cc_span_ps"), 1)
 
 SCENARIOS = {
@@ -314,14 +305,14 @@ SCENARIOS = {
     ),
     "jitter-scan": Kind(
         (
-            _PAIR_SOURCE,
+            Section("source", PairScan),
             Section("instrument", shift_and_jitter_vs_dt, minimum={"min_pairs": 1}),
         ),
-        ("curve_csv", "summary_json"), _run_jitter_scan, _spacings_in_period,
+        ("curve_csv", "summary_json"), _run_jitter_scan,
     ),
     "pair-scan": Kind(
-        (_PAIR_SOURCE, Section("instrument")),
-        ("curve_csv", "points_csv", "summary_json"), _run_pair_scan, _spacings_in_period,
+        (Section("source", PairScan), Section("instrument")),
+        ("curve_csv", "points_csv", "summary_json"), _run_pair_scan,
     ),
     "autocorr": Kind(
         (
@@ -364,7 +355,9 @@ def validate_config(doc) -> dict:
     if name not in SCENARIOS:
         _err("kind", f"unknown kind {name!r}; expected one of {', '.join(KINDS)}")
     kind = SCENARIOS[name]
-    norm = {"kind": name, "seed": _typed(_field(doc, "seed", "config"), int, "seed", 0)}
+    # A seed only feeds SeedSequence, which takes integers of any size.
+    seed = _typed(_field(doc, "seed", "config"), int, "seed", 0, int64=False)
+    norm = {"kind": name, "seed": seed}
     sections = {s.name for s in kind.sections}
     _known(doc, {"version", "kind", "seed", "outputs", *kind.detectors, *sections}, "config")
     for slot in kind.detectors:

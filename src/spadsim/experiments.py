@@ -10,7 +10,7 @@ only on the seed and its own index.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .sources import (
 
 __all__ = [
     "InterarrivalResult",
+    "PairScan",
     "PairScanPoint",
     "AutocorrResult",
     "run_interarrival",
@@ -116,12 +117,38 @@ class PairScanPoint:
     cause2: np.ndarray
 
 
-def _run_pair_point(i, delta_t, params, pair_period, n_pairs, seed, occupancy) -> PairScanPoint:
-    cfg = PairScanConfig(
-        delta_t_ps=delta_t, pair_period_ps=pair_period, n_pairs=n_pairs, occupancy=occupancy
-    )
+@dataclass(frozen=True)
+class PairScan:
+    """A pair scan's source: one PairScanConfig per spacing, built and checked once.
+
+    Spacings must be distinct, each in (0, pair_period_ps); `points` holds
+    the configs in input order.
+    """
+
+    delta_ts_ps: Sequence[int]
+    pair_period_ps: int
+    n_pairs: int
+    occupancy: float = 1.0
+    points: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        points = []
+        for i, dt in enumerate(self.delta_ts_ps):
+            if (first := self.delta_ts_ps.index(dt)) != i:
+                raise ValueError(f"delta_ts_ps[{i}] repeats delta_ts_ps[{first}], got {dt}")
+            try:
+                points.append(PairScanConfig(dt, self.pair_period_ps, self.n_pairs, self.occupancy))
+            except ValueError as exc:
+                head, _, rest = str(exc).partition(" ")
+                head = f"delta_ts_ps[{i}]" if head == "delta_t_ps" else head
+                raise ValueError(f"{head} {rest}") from None
+        object.__setattr__(self, "points", tuple(points))
+
+
+def _run_pair_point(i, cfg: PairScanConfig, params, seed) -> PairScanPoint:
     times, is_second = pulse_pair_sequence(cfg, make_generator(seed, SCAN_BASE + i))
-    duration = n_pairs * pair_period
+    period = cfg.pair_period_ps
+    duration = cfg.n_pairs * period
     rec = detect(times, params, make_generator(seed, DETECTOR_SCAN_BASE + i), duration)
 
     hit = rec.arrival_index >= 0
@@ -130,13 +157,13 @@ def _run_pair_point(i, delta_t, params, pair_period, n_pairs, seed, occupancy) -
     in1 = hit & ~second
     in2 = hit & second
     orig = rec.origin_times
-    pairs1 = orig[in1] // pair_period
-    pairs2 = (orig[in2] - delta_t) // pair_period
+    pairs1 = orig[in1] // period
+    pairs2 = (orig[in2] - cfg.delta_t_ps) // period
     common, ia, ib = np.intersect1d(pairs1, pairs2, assume_unique=True, return_indices=True)
     out1 = rec.out_times[in1][ia]
     out2 = rec.out_times[in2][ib]
     return PairScanPoint(
-        delta_t_ps=delta_t,
+        delta_t_ps=cfg.delta_t_ps,
         n_pairs=int(np.count_nonzero(~is_second)),
         n_first=int(np.count_nonzero(in1)),
         n_both=int(common.size),
@@ -147,26 +174,15 @@ def _run_pair_point(i, delta_t, params, pair_period, n_pairs, seed, occupancy) -
     )
 
 
-def run_pair_scan(
-    params: DetectorParams,
-    delta_ts_ps: Sequence[int],
-    pair_period_ps: int,
-    n_pairs: int,
-    seed: int,
-    *,
-    occupancy: float = 1.0,
-) -> list:
-    """Photon-pair scan over a set of pair spacings.
+def run_pair_scan(params: DetectorParams, source: PairScan, seed: int) -> list:
+    """Photon-pair scan over the spacings of `source`.
 
     Every spacing runs with its own derived source and detector streams.
     The returned points feed twilight_curve and shift_and_jitter_vs_dt.
     Occupancy below 1 thins the emitted photons for rate control; the
     count-ratio fields assume occupancy 1 when read as efficiencies.
     """
-    return [
-        _run_pair_point(i, int(dt), params, int(pair_period_ps), int(n_pairs), seed, occupancy)
-        for i, dt in enumerate(delta_ts_ps)
-    ]
+    return [_run_pair_point(i, cfg, params, seed) for i, cfg in enumerate(source.points)]
 
 
 @dataclass(frozen=True)

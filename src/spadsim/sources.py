@@ -83,6 +83,8 @@ class PairScanConfig:
             f"delta_t_ps must lie in (0, pair_period_ps), got {self.delta_t_ps}",
         )
         _require(self.n_pairs >= 1, f"n_pairs must be >= 1, got {self.n_pairs}")
+        span = self.n_pairs * self.pair_period_ps
+        _require(span < 2**63, f"n_pairs * pair_period_ps must be below 2**63 ps, got {span}")
         _require(
             0.0 < self.occupancy <= 1.0, f"occupancy must lie in (0, 1], got {self.occupancy}"
         )

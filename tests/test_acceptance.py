@@ -21,6 +21,7 @@ from spadsim import (
     EntangledPairConfig,
     FrameConfig,
     KeyRateInputs,
+    PairScan,
     PulsedSourceConfig,
     blanking_filter,
     circuit_timing,
@@ -121,7 +122,7 @@ def test_criterion_02_interarrival_round_trip():
 
 def test_criterion_03_pair_jitter_root_two():
     t0 = time.monotonic()
-    points = run_pair_scan(SPCM, [200_000], 1_000_000, 20_000, 1)
+    points = run_pair_scan(SPCM, PairScan([200_000], 1_000_000, 20_000), 1)
     curve = shift_and_jitter_vs_dt([(p.delta_t_ps, p.intervals) for p in points])
     elapsed = time.monotonic() - t0
     fwhm = float(curve.fwhms[0])
@@ -176,7 +177,8 @@ def test_criterion_05_twilight_placement_and_windows():
     placement_ok = True
     exact = 0
     total = 0
-    for p in run_pair_scan(SPCM, [12_000, 16_000, 20_000, 24_000, 28_000], period, 4000, 2):
+    twilight = PairScan([12_000, 16_000, 20_000, 24_000, 28_000], period, 4000)
+    for p in run_pair_scan(SPCM, twilight, 2):
         if not np.all(p.cause2 == int(Cause.TWILIGHT)):
             placement_ok = False
         floor = p.pair_idx * period + SPCM.tau_dead0_ps + SPCM.base_delay_ps
@@ -187,7 +189,7 @@ def test_criterion_05_twilight_placement_and_windows():
     sharp_frac = exact / total if total else 0.0
 
     custom_open = replace(CUSTOM, blanking=None)
-    for p in run_pair_scan(custom_open, [17_000, 19_000, 21_000], period, 4000, 3):
+    for p in run_pair_scan(custom_open, PairScan([17_000, 19_000, 21_000], period, 4000), 3):
         if not np.all(p.cause2 == int(Cause.TWILIGHT)):
             placement_ok = False
         floor = p.pair_idx * period + CUSTOM.tau_dead0_ps + CUSTOM.base_delay_ps
@@ -211,15 +213,16 @@ def test_criterion_05_twilight_placement_and_windows():
 
     # Blanked custom detector: the reappearance edge of the second pulse.
     dts_c = list(range(22_500, 25_501, 250))
-    pts_c = run_pair_scan(CUSTOM, dts_c, period, 2500, 4)
+    pts_c = run_pair_scan(CUSTOM, PairScan(dts_c, period, 2500), 4)
     ratios_c = [p.n_both / p.n_first for p in pts_c]
     width_c = rise_width(dts_c, ratios_c)
 
     # Inside the twilight zone nothing may leak past the blanking stage.
-    leak = sum(p.n_both for p in run_pair_scan(CUSTOM, [17_000, 19_000, 21_000], period, 1200, 5))
+    blanked = run_pair_scan(CUSTOM, PairScan([17_000, 19_000, 21_000], period, 1200), 5)
+    leak = sum(p.n_both for p in blanked)
 
     dts_s = list(range(11_000, 29_001, 2000))
-    pts_s = run_pair_scan(SPCM, dts_s, period, 2500, 6)
+    pts_s = run_pair_scan(SPCM, PairScan(dts_s, period, 2500), 6)
     ratios_s = [p.n_both / p.n_first for p in pts_s]
     width_s = rise_width(dts_s, ratios_s)
 
@@ -272,7 +275,7 @@ def test_criterion_07_shift_calibration():
     dense = np.arange(50_001, 300_000, dtype=np.float64)
     tail_ok = bool(np.all(np.interp(dense, xs, ys) < 100.0))
 
-    points = run_pair_scan(SPCM, [30_000, 50_000, 90_000, 150_000], 250_000, 5000, 3)
+    points = run_pair_scan(SPCM, PairScan([30_000, 50_000, 90_000, 150_000], 250_000, 5000), 3)
     curve = shift_and_jitter_vs_dt([(p.delta_t_ps, p.intervals) for p in points])
     peak = float(np.nanmax(curve.shifts))
     ordered = bool(np.all(np.diff(curve.shifts) < 0))

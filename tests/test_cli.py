@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from hashlib import sha256
 
 import pytest
@@ -257,6 +258,30 @@ class TestSimulate:
         path = write_config(tmp_path, doc)
         assert main(["simulate", path]) == 2
         assert "runtime error" in capsys.readouterr().err
+
+    def test_interarrival_analysis_reports_the_fit(self, tmp_path, capsys):
+        # Criterion 2's run and bounds, read back from stdout and the summary.
+        doc = interarrival_doc(tmp_path, analyze=True, rate_cps=76_923.0)
+        doc.update(seed=12345)
+        doc["source"]["duration_ps"] = 8_000_000_000_000
+        doc["instrument"].update(bin_width_ps=500, span_ps=2_048_000)
+        assert main(["simulate", write_config(tmp_path, doc)]) == 0
+        stdout = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        for key in ("dead_time_ps", "p_afterpulse", "tau_trap_ps"):
+            assert float(stdout[key]) == pytest.approx(summary[key], rel=1e-9), key
+        assert abs(summary["dead_time_ps"] - 29_100.0) <= 500.0
+        assert abs(summary["p_afterpulse"] - 0.0068) <= 0.0015
+        assert abs(summary["tau_trap_ps"] - 32_000.0) <= 4_000.0
+        assert summary["fit_residual"] >= 0.0
+
+    def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        def run(cfg):
+            raise MemoryError("Unable to allocate 54.9 GiB")
+
+        monkeypatch.setitem(SCENARIOS, "interarrival", replace(SCENARIOS["interarrival"], run=run))
+        assert main(["simulate", write_config(tmp_path, interarrival_doc(tmp_path))]) == 2
+        assert capsys.readouterr().err == "runtime error: Unable to allocate 54.9 GiB\n"
 
     def test_keyrate_config(self, tmp_path, capsys):
         doc = {

@@ -17,12 +17,14 @@ from spadsim import (
     EntangledPairConfig,
     FrameConfig,
     KeyRateInputs,
+    PairScan,
     PairScanConfig,
     PulsedSourceConfig,
     load_config,
     preset,
     validate_config,
 )
+from spadsim.cli import main
 from spadsim.config import SCENARIOS
 
 
@@ -291,12 +293,18 @@ BAD_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "obj,name,bad", BAD_FIELDS, ids=[type(obj).__name__ for obj, _, _ in BAD_FIELDS]
-)
+# Checks across fields: a scan longer than int64 picoseconds, a spacing given twice.
+BAD_SPANS = [
+    pytest.param(PairScanConfig(1, 2**62, 1), "n_pairs", 2, id="PairScanConfig-span"),
+    pytest.param(PairScan([1, 2], 3, 1), "delta_ts_ps", [1, 2, 1], id="PairScan-repeat"),
+]
+CHECKED = [pytest.param(*case, id=type(case[0]).__name__) for case in BAD_FIELDS] + BAD_SPANS
+
+
+@pytest.mark.parametrize("obj,name,bad", CHECKED)
 def test_parameters_are_checked_when_built(obj, name, bad):
-    # The config maps the message's first word to the field path.
-    with pytest.raises(ValueError, match=rf"^{name} "):
+    # The config maps the message's first word, a list field's with its index, to the field path.
+    with pytest.raises(ValueError, match=rf"^{name}(\[\d+\])? "):
         replace(obj, **{name: bad})
     assert not hasattr(obj, "validate")
 
@@ -420,3 +428,41 @@ class TestRegistry:
         del doc[section]
         with pytest.raises(ConfigError, match=rf"^config\.{section}: is required"):
             validate_config(doc)
+
+
+# One field per kind that passed validation and then failed in the run: an
+# integer beyond numpy's int64, a repeated spacing, a scan span beyond int64.
+RUN_FAILURES = [
+    pytest.param("interarrival", "instrument", "bin_width_ps", 2**64,
+                 "instrument.bin_width_ps: must lie", id="interarrival"),
+    pytest.param("jitter-scan", "source", "delta_ts_ps", [20_000, 2**63],
+                 "source.delta_ts_ps[1]: must lie", id="jitter-scan"),
+    pytest.param("pair-scan", "source", "pair_period_ps", 2**63,
+                 "source.pair_period_ps: must lie", id="pair-scan"),
+    pytest.param("autocorr", "source", "period_ps", 2**64,
+                 "source.period_ps: must lie", id="autocorr"),
+    pytest.param("qkd", "instrument", "cc_span_ps", 2**63,
+                 "instrument.cc_span_ps: must lie", id="qkd"),
+    pytest.param("keyrate", "inputs", "m_channels", -(2**63) - 1,
+                 "inputs.m_channels: must lie", id="keyrate"),
+    pytest.param("jitter-scan", "source", "delta_ts_ps", [30_000, 30_000],
+                 "source.delta_ts_ps[1] repeats", id="repeated-spacing"),
+    pytest.param("pair-scan", "source", "pair_period_ps", 2**62,
+                 "source.n_pairs * pair_period_ps must be", id="scan-span"),
+]
+
+
+@pytest.mark.parametrize("kind,section,key,value,message", RUN_FAILURES)
+def test_run_failures_are_config_errors(tmp_path, capsys, kind, section, key, value, message):
+    doc = copy.deepcopy(MINIMAL[kind])
+    doc.setdefault(section, {})[key] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_int64_bound_covers_detector_params_but_not_the_seed():
+    with pytest.raises(ConfigError, match=r"^detector\.params\.tau_dead0_ps: must lie in \["):
+        validate_config(with_params(tau_dead0_ps=2**63))
+    assert validate_config(dict(INTERARRIVAL, seed=2**200))["seed"] == 2**200

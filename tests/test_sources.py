@@ -6,6 +6,7 @@ import pytest
 from spadsim import (
     CwSourceConfig,
     EntangledPairConfig,
+    PairScan,
     PairScanConfig,
     PulsedSourceConfig,
     correlated_pair_stream,
@@ -85,10 +86,26 @@ def test_pulse_pair_sequence_occupancy_thins():
     assert np.all(np.diff(t) >= 0)
 
 
+def test_poisson_times_tops_up_in_fixed_chunks():
+    # At 320 cps over 1 s the sized first chunk is 384 gaps, and these fall
+    # short of the second, so one more chunk of 1024 gaps is drawn.
+    mean_gap = SECOND_PS / 320.0
+    rng = np.random.default_rng(3573)
+    first = np.rint(rng.exponential(mean_gap, 384)).astype(np.int64)
+    top_up = np.rint(rng.exponential(mean_gap, 1024)).astype(np.int64)
+    assert first.sum() < SECOND_PS
+    times = np.cumsum(np.concatenate([first, top_up]))
+    drawn = np.random.default_rng(3573)
+    got = poisson_times(drawn, 320.0, SECOND_PS)
+    np.testing.assert_array_equal(got, times[times < SECOND_PS])
+    # Exactly those draws were taken: the stream goes on where the explicit one does.
+    assert drawn.bit_generator.state == rng.bit_generator.state
+
+
 def test_pair_scan_needs_at_least_one_pair():
     # Rejected by the scan's own config, before the detector sees an empty run.
     with pytest.raises(ValueError, match=r"^n_pairs must be >= 1, got 0$"):
-        run_pair_scan(preset("spcm-aqrh").params, [20_000], 1_000_000, 0, seed=1)
+        run_pair_scan(preset("spcm-aqrh").params, PairScan([20_000], 1_000_000, 0), seed=1)
 
 
 def test_correlated_pair_stream_tags_and_losses():
