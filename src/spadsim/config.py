@@ -15,6 +15,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import sys
 from dataclasses import dataclass, field, is_dataclass
 from functools import cached_property
 from types import UnionType
@@ -26,7 +27,7 @@ from .analysis import (
 from .detector import DRAW_CONTRACT, DetectorParams
 from .experiments import PairScan, run_autocorr, run_interarrival, run_pair_scan
 from .presets import available_presets, preset
-from .qkd import FrameConfig, check_rep_rate, run_qkd_scenario
+from .qkd import FrameConfig, check_rep_rate, correlator_grids, run_qkd_scenario
 from .sources import CwSourceConfig, EntangledPairConfig, PulsedSourceConfig
 
 __all__ = ["ConfigError", "KINDS", "SCENARIOS", "load_config", "validate_config"]
@@ -99,9 +100,11 @@ def _typed(v, tp, path: str, minimum=None, int64=True):
         return [_typed(x, int, f"{path}[{i}]", minimum) for i, x in enumerate(v)]
     if isinstance(v, bool) != (tp is bool) or not isinstance(v, _ACCEPTS[tp]):
         _err(path, f"must be {_NAMES[tp]}, got {v!r}")
-    v = float(v) if tp is float else v
-    if tp is float and not math.isfinite(v):  # json.load reads NaN and Infinity
-        _err(path, f"must be a finite number, got {v}")
+    if tp is float:
+        # json.load reads NaN, Infinity and integers past the float range.
+        if not -sys.float_info.max <= v <= sys.float_info.max:
+            _err(path, f"must be a finite number, got {v}")
+        v = float(v)
     if minimum is not None and v < minimum:
         _err(path, f"must be >= {minimum}, got {v}")
     if tp is int and int64 and not -(2**63) <= v < 2**63:
@@ -187,20 +190,36 @@ def _span_whole_bins(cfg: dict) -> None:
         _err("instrument.span_ps", f"must be a positive multiple of bin_width_ps ({bw})")
 
 
-def _rep_rate_matches_bins(cfg: dict) -> None:
-    """The source's rep rate is the one the frame's bin width implies, to 2%."""
+def _two_bins_per_period(path: str, bin_width_ps: int, period_ps: float, period: str) -> None:
+    """The visibility reads peak and valley bins, so a pulse period spans two bins or more."""
+    if period_ps < 2 * bin_width_ps:
+        _err(path, f"must be at most half of {period}")
+
+
+def _qkd_grids(cfg: dict) -> None:
+    """The rep rate is the one the frame's bin width implies, to 2%, and the correlators fit."""
+    rep_rate, bw = cfg["source"].rep_rate_hz, cfg["frame"].bin_width_ps
     try:
-        check_rep_rate(cfg["source"].rep_rate_hz, cfg["frame"].bin_width_ps)
+        check_rep_rate(rep_rate, bw)
     except ValueError as exc:
         raise ConfigError(f"source.{exc}") from None
+    try:
+        ac_bw = correlator_grids(**_args(cfg, correlator_grids))[0]
+    except ValueError as exc:
+        raise ConfigError(f"instrument.{exc}") from None
+    period = 1.0e12 / rep_rate
+    about = f"the pulse period ({period} ps for frame.bin_width_ps {bw}), got {ac_bw}"
+    about += "; the default is frame.bin_width_ps // 8, at least 1"
+    _two_bins_per_period("instrument.ac_bin_width_ps", ac_bw, period, about)
 
 
 def _lag_covers_bin(cfg: dict) -> None:
     """The lag span holds a bin, and the pulse period at least two for the visibility."""
-    if cfg["max_lag_ps"] < cfg["bin_width_ps"]:
-        _err("instrument.max_lag_ps", f"must be >= bin_width_ps ({cfg['bin_width_ps']})")
-    if (period := cfg["source"].period_ps) < 2 * cfg["bin_width_ps"]:
-        _err("instrument.bin_width_ps", f"must be at most half of period_ps ({period})")
+    bw = cfg["bin_width_ps"]
+    if cfg["max_lag_ps"] < bw:
+        _err("instrument.max_lag_ps", f"must be >= bin_width_ps ({bw})")
+    period = cfg["source"].period_ps
+    _two_bins_per_period("instrument.bin_width_ps", bw, period, f"period_ps ({period})")
 
 
 def _args(cfg: dict, owner) -> dict:
@@ -327,7 +346,7 @@ SCENARIOS = {
             Section("frame", FrameConfig),
             Section("instrument", run_qkd_scenario, minimum=_QKD_BOUNDS),
         ),
-        ("report_json", "crosscorr_csv"), _run_qkd, _rep_rate_matches_bins,
+        ("report_json", "crosscorr_csv"), _run_qkd, _qkd_grids,
         detectors=("detector_a", "detector_b"),
     ),
     "keyrate": Kind(

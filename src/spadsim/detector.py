@@ -167,6 +167,11 @@ class DetectorParams:
     (counts/s) to dead time ADDED on top of tau_dead0. twilight_profile maps
     offset-into-dead-period to relative sensitivity in [0, 1]; an empty
     profile disables twilighting entirely (fully blind until re-armed).
+
+    Building the object checks the curves once and keeps the dead-time
+    (rate to tau_dead0 plus the elongation), twilight, jitter and shift
+    tables as (xs, ys) float tuples in `_tables`, which is not a field. An
+    empty elongation or twilight curve gives the all-zero table.
     """
 
     efficiency: float
@@ -194,28 +199,31 @@ class DetectorParams:
             raise ValueError(f"base_delay_ps must be >= 0, got {self.base_delay_ps}")
         if self.dark_rate_cps < 0:
             raise ValueError(f"dark_rate_cps must be >= 0, got {self.dark_rate_cps}")
-        if self.dead_elongation:
-            xs, ys = _curve_arrays(self.dead_elongation, "dead_elongation")
-            if xs[0] < 0:
-                raise ValueError("dead_elongation rates must be >= 0")
-            if np.any(ys < 0):
-                raise ValueError("dead_elongation added durations must be >= 0")
+        zero = ((0.0, 0.0),)
+        rates, added = _curve_arrays(self.dead_elongation or zero, "dead_elongation")
+        if rates[0] < 0:
+            raise ValueError("dead_elongation rates must be >= 0")
+        if np.any(added < 0):
+            raise ValueError("dead_elongation added durations must be >= 0")
+        tw_x, tw_y = _curve_arrays(self.twilight_profile or zero, "twilight_profile")
         if self.twilight_profile:
-            xs, ys = _curve_arrays(self.twilight_profile, "twilight_profile")
-            if ys[0] != 0.0 or ys[-1] != 1.0:
+            if tw_y[0] != 0.0 or tw_y[-1] != 1.0:
                 raise ValueError("twilight_profile must start at 0 and end at 1")
-            if np.any(np.diff(ys) < 0):
+            if np.any(np.diff(tw_y) < 0):
                 raise ValueError("twilight_profile must be monotone non-decreasing")
-            if xs[0] < self.tau_quench_ps or xs[-1] > self.tau_dead0_ps:
+            if tw_x[0] < self.tau_quench_ps or tw_x[-1] > self.tau_dead0_ps:
                 raise ValueError(
                     "twilight_profile knots must lie within [tau_quench_ps, tau_dead0_ps]"
                 )
-        _, jy = _curve_arrays(self.jitter_curve, "jitter_curve")
-        if np.any(jy < 0):
+        jitter = _curve_arrays(self.jitter_curve, "jitter_curve")
+        if np.any(jitter[1] < 0):
             raise ValueError("jitter_curve values must be >= 0")
-        _, sy = _curve_arrays(self.shift_curve, "shift_curve")
-        if sy[-1] != 0.0:
+        shift = _curve_arrays(self.shift_curve, "shift_curve")
+        if shift[1][-1] != 0.0:
             raise ValueError("shift_curve must decay to 0 at its last knot")
+        tables = ((rates, self.tau_dead0_ps + added), (tw_x, tw_y), jitter, shift)
+        tables = tuple((tuple(xs.tolist()), tuple(ys.tolist())) for xs, ys in tables)
+        object.__setattr__(self, "_tables", tables)
 
 
 @dataclass(frozen=True)
@@ -237,24 +245,6 @@ class PulseRecords:
 
     def __len__(self) -> int:
         return int(self.out_times.shape[0])
-
-
-def _curves(params: DetectorParams) -> tuple:
-    """The dead-time, twilight, jitter and shift tables as (xs, ys) float lists.
-
-    The dead-time table maps output rate to the full dead time, tau_dead0
-    plus the elongation. An empty elongation or twilight table is the
-    all-zero table.
-    """
-    zero = ((0.0, 0.0),)
-    rates, added = _curve_arrays(params.dead_elongation or zero, "dead_elongation")
-    tables = (
-        (rates, params.tau_dead0_ps + added),
-        _curve_arrays(params.twilight_profile or zero, "twilight_profile"),
-        _curve_arrays(params.jitter_curve, "jitter_curve"),
-        _curve_arrays(params.shift_curve, "shift_curve"),
-    )
-    return tuple((xs.tolist(), ys.tolist()) for xs, ys in tables)
 
 
 def _interp_clamped(x: float, xs: list[float], ys: list[float]) -> float:
@@ -353,8 +343,9 @@ def _detect_kernel(
 
     `arrivals` are the photon times and `darks` the dark-count times, both
     sorted, with their keyed uniforms `u_photon` and `u_dark`; `draws` are
-    the run's substreams and `params` the detector. Returns the four
-    int64 `PulseRecords` columns in avalanche order.
+    the run's substreams and `params` the detector, whose tables it reads
+    as `params` built them. Returns the four int64 `PulseRecords` columns
+    in avalanche order.
 
     The photons that can trigger and the darks are merged into one sorted
     stimulus array, darks before photons at equal times. Trap releases are
@@ -399,7 +390,7 @@ def _detect_kernel(
     efficiency = float(params.efficiency)
     ap_mu = float(params.afterpulse.mu)
     ap_tau = float(params.afterpulse.tau_trap_ps)
-    (dead_x, dead_y), (tw_x, tw_y), _, _ = _curves(params)
+    (dead_x, dead_y), (tw_x, tw_y), _, _ = params._tables
     rate_first, rate_last, dead_first, dead_last = dead_x[0], dead_x[-1], dead_y[0], dead_y[-1]
     # Without a profile nothing triggers in twilight: the zone starts never.
     twilight_from = int(params.tau_quench_ps) if params.twilight_profile else _NEVER
@@ -583,7 +574,7 @@ def _emit_times(
     (the relaxed far end of the curves for the first), never before it.
     """
     base_delay = int(params.base_delay_ps)
-    _, _, (jit_x, jit_y), (sh_x, sh_y) = _curves(params)
+    _, _, (jit_x, jit_y), (sh_x, sh_y) = params._tables
     out = np.empty_like(times)
     held = causes == int(Cause.TWILIGHT)
     out[held] = held_ends + base_delay
@@ -612,8 +603,7 @@ def effective_dead_time(rate_cps: float, params: DetectorParams) -> float:
     """
     if rate_cps < 0:
         raise ValueError(f"rate_cps must be >= 0, got {rate_cps}")
-    xs, ys = _curves(params)[0]
-    return float(_interp_clamped(float(rate_cps), xs, ys))
+    return float(_interp_clamped(float(rate_cps), *params._tables[0]))
 
 
 def twilight_sensitivity(dt_since_avalanche_ps: float, params: DetectorParams) -> float:
@@ -626,8 +616,7 @@ def twilight_sensitivity(dt_since_avalanche_ps: float, params: DetectorParams) -
         return 1.0
     if dt_since_avalanche_ps < params.tau_quench_ps or not params.twilight_profile:
         return 0.0
-    xs, ys = _curves(params)[1]
-    return float(_interp_clamped(float(dt_since_avalanche_ps), xs, ys))
+    return float(_interp_clamped(float(dt_since_avalanche_ps), *params._tables[1]))
 
 
 def calibrate_afterpulse_mu(p_target: float, tau_trap_ps: float, tau_dead_ps: float) -> float:

@@ -184,6 +184,13 @@ def _check_bins(bin_width_ps: int, span_ps: int) -> None:
         )
 
 
+def _check_reach(t: np.ndarray, reach_ps: int, name: str) -> None:
+    """Raise unless t -/+ reach_ps lies within int64 for every time of the sorted t."""
+    first, last = (int(t[0]), int(t[-1])) if t.size else (0, 0)
+    if first - reach_ps < -(2**63) or last + reach_ps >= 2**63:
+        raise ValueError(f"a -/+ {name} must lie within int64, got {name}={reach_ps}")
+
+
 def build_histogram(values, bin_width_ps: int, span_ps: int, origin_ps: int = 0) -> Histogram:
     """Histogram integer-ps values over [origin, origin + span).
 
@@ -239,9 +246,7 @@ def coincidence(a, b, window_ps: int) -> Coincidences:
         raise ValueError(f"window_ps must be > 0, got {window_ps}")
     ta, tb = _sorted_times(a, "a"), _sorted_times(b, "b")
     # The candidate search computes a -/+ window in int64.
-    first, last = (int(ta[0]), int(ta[-1])) if ta.size else (0, 0)
-    if first - window_ps < -(2**63) or last + window_ps >= 2**63:
-        raise ValueError(f"a -/+ window_ps must lie within int64, got window_ps={window_ps}")
+    _check_reach(ta, window_ps, "window_ps")
     # The candidates of a[i] are b[lo[i]:hi[i]]. Both bounds never decrease,
     # so b[j] has as candidates the a[i] whose range opens at or before j,
     # less those whose range also closes there.
@@ -347,14 +352,15 @@ def autocorrelation(pulses, max_lag_ps: int, bin_width_ps: int) -> Histogram:
 def cross_correlation(a, b, span_ps: int, bin_width_ps: int) -> Histogram:
     """Histogram of differences (t_b - t_a) over [-span, +span).
 
-    span must be a whole number of bins. Pair differences outside the window
-    go to underflow (below -span) and overflow (at or above +span). One
-    numpy pass per window member gathers the in-span pairs, and
-    `_bin_batches` bins them holding at most O(pulses + bins) indices at
-    once.
+    span must be a whole number of bins, and a -/+ span must lie within
+    int64. Pair differences outside the window go to underflow (below
+    -span) and overflow (at or above +span). One numpy pass per window
+    member gathers the in-span pairs, and `_bin_batches` bins them holding
+    at most O(pulses + bins) indices at once.
     """
     _check_bins(bin_width_ps, span_ps)
     ta, tb = _sorted_times(a, "a"), _sorted_times(b, "b")
+    _check_reach(ta, span_ps, "span_ps")
     n_bins = 2 * (span_ps // bin_width_ps)
     # Each a_i's window of b is found by binary search. Pass k takes the
     # k-th member of every window that has one, so there are as many passes

@@ -22,7 +22,8 @@ from .rng import make_generator
 from .sources import EntangledPairConfig, correlated_pair_stream
 
 __all__ = [
-    "FrameConfig", "QkdReport", "bin_assign", "check_rep_rate", "raw_key_rate", "run_qkd_scenario"
+    "FrameConfig", "QkdReport", "bin_assign", "check_rep_rate", "correlator_grids", "raw_key_rate",
+    "run_qkd_scenario",
 ]
 
 
@@ -116,6 +117,31 @@ def _round_up(value: int, multiple: int) -> int:
     return ((value + multiple - 1) // multiple) * multiple
 
 
+def correlator_grids(
+    frame: FrameConfig,
+    *,
+    ac_bin_width_ps: int | None = None,
+    ac_span_ps: int | None = None,
+    cc_bin_width_ps: int | None = None,
+    cc_span_ps: int | None = None,
+) -> tuple[int, int, int, int]:
+    """(bin width, span) of the autocorrelator, then of the cross-correlator.
+
+    A bin width left out is frame.bin_width_ps // 8 for the autocorrelator
+    and // 4 for the cross-correlator, at least 1 ps; a span left out is
+    80 ns and 100 ns. Each span is rounded up to whole bins; a span that
+    this takes past int64 raises ValueError.
+    """
+    ac_bw = ac_bin_width_ps if ac_bin_width_ps is not None else max(frame.bin_width_ps // 8, 1)
+    cc_bw = cc_bin_width_ps if cc_bin_width_ps is not None else max(frame.bin_width_ps // 4, 1)
+    ac_span = _round_up(ac_span_ps if ac_span_ps is not None else 80000, ac_bw)
+    cc_span = _round_up(cc_span_ps if cc_span_ps is not None else 100000, cc_bw)
+    for name, span, bw in (("ac_span_ps", ac_span, ac_bw), ("cc_span_ps", cc_span, cc_bw)):
+        if span >= 2**63:
+            raise ValueError(f"{name} rounded up to whole {bw} ps bins is {span}, past int64")
+    return ac_bw, ac_span, cc_bw, cc_span
+
+
 def run_qkd_scenario(
     source: EntangledPairConfig,
     det_a: DetectorParams,
@@ -140,9 +166,14 @@ def run_qkd_scenario(
     A coincidence counts as a bit error when either member is a dark or
     afterpulse pulse, when the two members come from different pairs, or
     when either member's assigned (frame, bin) differs from that of its true
-    emission time.
+    emission time. `correlator_grids` resolves the correlators' bin widths
+    and spans, before anything is simulated.
     """
     check_rep_rate(source.rep_rate_hz, frame.bin_width_ps)
+    ac_bw, ac_span, cc_bw, cc_span = correlator_grids(
+        frame, ac_bin_width_ps=ac_bin_width_ps, ac_span_ps=ac_span_ps,
+        cc_bin_width_ps=cc_bin_width_ps, cc_span_ps=cc_span_ps,
+    )
     streams = correlated_pair_stream(source, make_generator(seed, "source"))
     rec_a = detect(streams.alice_times, det_a, make_generator(seed, "detector_a"), source.duration_ps)
     rec_b = detect(streams.bob_times, det_b, make_generator(seed, "detector_b"), source.duration_ps)
@@ -168,10 +199,6 @@ def run_qkd_scenario(
     duration_s = source.duration_ps * 1e-12
     c_rate = n_c / duration_s
 
-    ac_bw = ac_bin_width_ps if ac_bin_width_ps is not None else max(frame.bin_width_ps // 8, 1)
-    cc_bw = cc_bin_width_ps if cc_bin_width_ps is not None else max(frame.bin_width_ps // 4, 1)
-    ac_span = _round_up(ac_span_ps if ac_span_ps is not None else 80000, ac_bw)
-    cc_span = _round_up(cc_span_ps if cc_span_ps is not None else 100000, cc_bw)
     period = 1.0e12 / source.rep_rate_hz
     dist_a = distinguishability(autocorrelation(comp_a, ac_span, ac_bw), period)
     dist_b = distinguishability(autocorrelation(comp_b, ac_span, ac_bw), period)

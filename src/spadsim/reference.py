@@ -45,11 +45,11 @@ from .detector import (
     Cause,
     DetectorParams,
     PulseRecords,
-    _curves,
     _Draws,
     _finalize_records,
     _interp_clamped,
     _prepare_stimuli,
+    effective_dead_time,
 )
 from .rng import FWHM_TO_SIGMA
 
@@ -93,7 +93,8 @@ class _DetectorState:
         self.tau_quench = int(params.tau_quench_ps)
         self.ap_mu = float(params.afterpulse.mu)
         self.ap_tau = float(params.afterpulse.tau_trap_ps)
-        self.dead, self.twilight, self.jitter, self.shift = _curves(params)
+        self.params = params
+        _, self.twilight, self.jitter, self.shift = params._tables
         self.draws = draws
         self.u_photon = u_photon.tolist()
         self.u_dark = u_dark.tolist()
@@ -182,7 +183,7 @@ class _DetectorState:
 
         self.lam = _ema_decay(self.lam, t - self.t_lam, TAU_EMA_PS)
         self.t_lam = t
-        dlen = _round_ps(_interp_clamped(self.lam * 1.0e12, *self.dead))
+        dlen = _round_ps(effective_dead_time(self.lam * 1.0e12, self.params))
         self.lam += 1.0 / TAU_EMA_PS
         self.dead_start = t
         self.dead_end = t + dlen

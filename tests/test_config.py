@@ -218,8 +218,9 @@ class TestRejections:
         self.check(mu, r"^detector\.params\.afterpulse\.mu must be >= 0")
 
     def test_non_finite_numbers_rejected(self):
-        # NaN passes every bound check, and no summary JSON may carry it.
-        for bad in (float("nan"), float("inf")):
+        # NaN passes every bound check, and no summary JSON may carry it; an
+        # integer past the float range is as far from finite.
+        for bad in (float("nan"), float("inf"), 10**400):
             doc = dict(INTERARRIVAL, source={"rate_cps": bad, "duration_ps": 1000})
             self.check(doc, rf"^source\.rate_cps: must be a finite number, got {bad}")
 
@@ -431,7 +432,8 @@ class TestRegistry:
 
 
 # One field per kind that passed validation and then failed in the run: an
-# integer beyond numpy's int64, a repeated spacing, a scan span beyond int64.
+# integer beyond numpy's int64, a repeated spacing, a scan span beyond int64,
+# a correlator span rounded past int64, a correlator bin too wide for the period.
 RUN_FAILURES = [
     pytest.param("interarrival", "instrument", "bin_width_ps", 2**64,
                  "instrument.bin_width_ps: must lie", id="interarrival"),
@@ -443,6 +445,11 @@ RUN_FAILURES = [
                  "source.period_ps: must lie", id="autocorr"),
     pytest.param("qkd", "instrument", "cc_span_ps", 2**63,
                  "instrument.cc_span_ps: must lie", id="qkd"),
+    pytest.param("qkd", "instrument", "cc_span_ps", 2**63 - 1,
+                 "instrument.cc_span_ps rounded up to whole 130 ps bins is", id="qkd-span-rounding"),
+    pytest.param("qkd", "instrument", "ac_bin_width_ps", 300,
+                 "instrument.ac_bin_width_ps: must be at most half of the pulse period "
+                 "(520.8333333333334 ps for frame.bin_width_ps 521), got 300", id="qkd-ac-grid"),
     pytest.param("keyrate", "inputs", "m_channels", -(2**63) - 1,
                  "inputs.m_channels: must lie", id="keyrate"),
     pytest.param("jitter-scan", "source", "delta_ts_ps", [30_000, 30_000],
@@ -460,6 +467,22 @@ def test_run_failures_are_config_errors(tmp_path, capsys, kind, section, key, va
     path.write_text(json.dumps(doc))
     assert main(["simulate", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_qkd_default_autocorrelator_grid_must_fit_the_period(tmp_path, capsys):
+    # At a 1 ps frame bin the default autocorrelator bin is 1 ps, but the
+    # 1 ps pulse period needs two bins for the visibility.
+    doc = copy.deepcopy(MINIMAL["qkd"])
+    doc["source"]["rep_rate_hz"] = 1.0e12
+    doc["frame"]["bin_width_ps"] = 1
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: instrument.ac_bin_width_ps: must be at most half of the pulse period "
+        "(1.0 ps for frame.bin_width_ps 1), got 1; the default is frame.bin_width_ps // 8, "
+        "at least 1\n"
+    )
 
 
 def test_int64_bound_covers_detector_params_but_not_the_seed():

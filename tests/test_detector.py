@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -15,11 +15,14 @@ from spadsim import (
     calibrate_afterpulse_mu,
     circuit_timing,
     detect,
+    detect_reference,
     effective_dead_time,
     make_generator,
     poisson_times,
+    preset,
     twilight_sensitivity,
 )
+from spadsim import detector
 from spadsim.detector import _interp_clamped, _interp_clamped_array
 
 SECOND_PS = 1_000_000_000_000
@@ -81,6 +84,30 @@ class TestParamValidation:
     def test_validate_rejects(self, kw):
         with pytest.raises(ValueError):
             plain_params(**kw)
+
+    def test_curves_are_converted_once_when_built(self, monkeypatch):
+        # custom-aq has all four curves: an elongated dead time, a twilight
+        # profile, and rate-dependent jitter and shift.
+        p = preset("custom-aq").params
+
+        def convert_again(curve, name):
+            raise AssertionError(f"{name} was converted after the params were built")
+
+        monkeypatch.setattr(detector, "_curve_arrays", convert_again)
+        arrivals = poisson_times(make_generator(4, "source"), 40e6, 200_000_000)
+        got = detect(arrivals, p, make_generator(4, "detector"), 200_000_000)
+        want = detect_reference(arrivals, p, make_generator(4, "detector"), 200_000_000)
+        assert len(got) > 1000
+        assert np.array_equal(got.out_times, want.out_times)
+        assert effective_dead_time(30e6, p) == 23500.0
+        assert twilight_sensitivity(18750, p) == pytest.approx(0.5)
+        monkeypatch.undo()
+        # The tables are no field: equality, hashing and asdict see the curves
+        # alone, and replace builds the new object's tables.
+        assert list(asdict(p)) == [f.name for f in fields(DetectorParams)]
+        assert replace(p) == p and hash(replace(p)) == hash(p)
+        longer = replace(p, dead_elongation=((0.0, 0.0), (30e6, 4000.0)))
+        assert effective_dead_time(30e6, longer) == 25500.0
 
 
 class TestHelpers:

@@ -182,6 +182,16 @@ class TestCrossCorrelation:
         assert h.underflow + h.overflow == 2
         assert h.total == 2
 
+    def test_span_arithmetic_must_fit_in_int64(self):
+        # As in coincidence: a -/+ span must not wrap around int64.
+        b = np.array([0], dtype=np.int64)
+        for a in ([2**63 - 1000], [-(2**63) + 1000]):
+            with pytest.raises(ValueError, match=r"^a -/\+ span_ps must lie within int64"):
+                cross_correlation(np.array(a, dtype=np.int64), b, 1100, 100)
+            assert cross_correlation(np.array(a, dtype=np.int64), b, 900, 100).total == 1
+        with pytest.raises(ValueError, match="int64"):
+            cross_correlation([], b, 2**63, 2**63)
+
 
 class TestGaussianFit:
     def make_hist(self, mu, fwhm, n, bw=25, seed=5):

@@ -8,6 +8,7 @@ from spadsim import (
     EntangledPairConfig,
     FrameConfig,
     bin_assign,
+    correlator_grids,
     preset,
     raw_key_rate,
     run_qkd_scenario,
@@ -80,6 +81,23 @@ class TestRawKeyRate:
             raw_key_rate(100.0, 1)
 
 
+class TestCorrelatorGrids:
+    def test_defaults_and_rounding(self):
+        f = FrameConfig(bin_width_ps=521)
+        assert correlator_grids(f) == (65, 80_015, 130, 100_100)
+        assert correlator_grids(FrameConfig(bin_width_ps=3)) == (1, 80_000, 1, 100_000)
+        grids = correlator_grids(f, ac_bin_width_ps=300, ac_span_ps=900, cc_span_ps=130)
+        assert grids == (300, 900, 130, 130)
+
+    def test_span_rounded_past_int64_is_rejected(self):
+        f = FrameConfig(bin_width_ps=521)
+        with pytest.raises(ValueError, match=r"^cc_span_ps rounded up to whole 130 ps bins"):
+            correlator_grids(f, cc_span_ps=2**63 - 1)
+        with pytest.raises(ValueError, match=r"^ac_span_ps rounded up to whole 11 ps bins"):
+            correlator_grids(f, ac_bin_width_ps=11, ac_span_ps=2**63 - 1)
+        assert correlator_grids(f, cc_bin_width_ps=1, cc_span_ps=2**63 - 1)[3] == 2**63 - 1
+
+
 class TestScenario:
     def test_rejects_source_frame_mismatch(self):
         bad = EntangledPairConfig(
@@ -87,6 +105,17 @@ class TestScenario:
         )
         with pytest.raises(ValueError, match=r"^rep_rate_hz 1\.2e\+09 does not match the 1000 ps"):
             run_qkd_scenario(bad, ideal_detector(), ideal_detector(), FRAME, seed=1)
+
+    def test_span_past_int64_rejected_before_detecting(self, monkeypatch):
+        def no_detect(*args):
+            raise AssertionError("detected before checking the grids")
+
+        monkeypatch.setattr("spadsim.qkd.detect", no_detect)
+        with pytest.raises(ValueError, match=r"^cc_span_ps rounded up"):
+            run_qkd_scenario(
+                source(1e-3, 1_000_000), ideal_detector(), ideal_detector(), FRAME, seed=1,
+                cc_span_ps=2**63 - 1,
+            )
 
     def test_ideal_detectors_error_free(self):
         rep = run_qkd_scenario(
