@@ -27,7 +27,7 @@ from .analysis import (
 from .detector import DRAW_CONTRACT, DetectorParams
 from .experiments import PairScan, run_autocorr, run_interarrival, run_pair_scan
 from .presets import available_presets, preset
-from .qkd import FrameConfig, check_rep_rate, correlator_grids, run_qkd_scenario
+from .qkd import FrameConfig, _check_cc_reach, check_rep_rate, correlator_grids, run_qkd_scenario
 from .sources import CwSourceConfig, EntangledPairConfig, PulsedSourceConfig
 
 __all__ = ["ConfigError", "KINDS", "SCENARIOS", "load_config", "validate_config"]
@@ -197,14 +197,16 @@ def _two_bins_per_period(path: str, bin_width_ps: int, period_ps: float, period:
 
 
 def _qkd_grids(cfg: dict) -> None:
-    """The rep rate is the one the frame's bin width implies, to 2%, and the correlators fit."""
+    """The rep rate is the one the frame's bin width implies, to 2%, and the correlators fit
+    the period and, with the run's duration, int64."""
     rep_rate, bw = cfg["source"].rep_rate_hz, cfg["frame"].bin_width_ps
     try:
         check_rep_rate(rep_rate, bw)
     except ValueError as exc:
         raise ConfigError(f"source.{exc}") from None
     try:
-        ac_bw = correlator_grids(**_args(cfg, correlator_grids))[0]
+        ac_bw, _, cc_bw, cc_span = correlator_grids(**_args(cfg, correlator_grids))
+        _check_cc_reach(cc_bw, cc_span, cfg["duration_ps"])
     except ValueError as exc:
         raise ConfigError(f"instrument.{exc}") from None
     period = 1.0e12 / rep_rate

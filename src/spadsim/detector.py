@@ -572,11 +572,16 @@ def _emit_times(
     timing spread. Every other pulse comes out base_delay + shift + jitter
     after its avalanche, both read off the gap since the previous avalanche
     (the relaxed far end of the curves for the first), never before it.
+    Raises ValueError, naming base_delay_ps, shift_curve or jitter_curve,
+    when the latest avalanche plus the base delay and the largest delay
+    would pass int64.
     """
     base_delay = int(params.base_delay_ps)
     _, _, (jit_x, jit_y), (sh_x, sh_y) = params._tables
     out = np.empty_like(times)
     held = causes == int(Cause.TWILIGHT)
+    if held_ends.size:
+        _check_out_time(int(held_ends.max()), base_delay, 0)
     out[held] = held_ends + base_delay
     free = ~held
     gaps = np.diff(times)
@@ -590,9 +595,37 @@ def _emit_times(
         (fwhm,) = _interp_clamped_array(dt_prev, jit_x, jit_y)
     z = normals.standard_normal(dt_prev.size)
     t_free = times[free]
-    delta = np.floor(shift + z * (fwhm * FWHM_TO_SIGMA) + 0.5).astype(np.int64)
-    out[free] = np.maximum(t_free + base_delay + delta, t_free)
+    spread = z * (fwhm * FWHM_TO_SIGMA)
+    delta = np.floor(shift + spread + 0.5)
+    if t_free.size:
+        # The float delays first, so that the cast below is exact.
+        _check_delays(float(np.abs(shift).max()), float(np.abs(spread).max()))
+        _check_out_time(int(t_free.max()), base_delay, int(delta.max()))
+    out[free] = np.maximum(t_free + base_delay + delta.astype(np.int64), t_free)
     return out
+
+
+# Bound on the size of one pulse's shift and of its sampled jitter, in ps:
+# below it their rounded sum is an exact int64 whatever their signs.
+_DELAY_LIMIT = 2.0**62
+
+
+def _check_delays(shift_ps: float, spread_ps: float) -> None:
+    """Raise ValueError naming the curve unless shift_ps and spread_ps, the
+    largest shift and sampled jitter sizes of some pulses, are each finite
+    and below _DELAY_LIMIT."""
+    for name, size in (("shift_curve", shift_ps), ("jitter_curve", spread_ps)):
+        if not size < _DELAY_LIMIT:
+            raise ValueError(f"{name} gives an output delay that is not finite or not below 2**62 ps")
+
+
+def _check_out_time(t: int, base_delay: int, delta: int) -> None:
+    """Raise ValueError unless t + base_delay and t + base_delay + delta,
+    in Python ints, lie below 2**63: an avalanche at t emits then within int64."""
+    if t + base_delay >= 2**63:
+        raise ValueError(f"base_delay_ps puts output times past int64, got {base_delay}")
+    if t + base_delay + delta >= 2**63:
+        raise ValueError("shift_curve and jitter_curve delays put output times past int64")
 
 
 def effective_dead_time(rate_cps: float, params: DetectorParams) -> float:
@@ -736,7 +769,9 @@ def detect(
     seed sequence (draw contract `DRAW_CONTRACT`), so `rng` needs one, as a
     generator from `make_generator` or `np.random.default_rng` has. Pulses
     are returned sorted by output time; when blanking is configured the
-    output is the transmitted subset.
+    output is the transmitted subset. Raises ValueError, naming
+    base_delay_ps, shift_curve or jitter_curve, before an output time
+    would pass int64.
     """
     columns = _detect_kernel(*_prepare_stimuli(arrivals, params, rng, duration_ps), params)
     return _finalize_records(columns, params)

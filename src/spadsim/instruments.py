@@ -66,16 +66,11 @@ class Histogram:
         return self.bin_starts.astype(np.float64) + 0.5 * self.bin_width_ps
 
     def to_csv(self) -> str:
+        if self.counts.dtype.kind != "i":
+            raise TypeError(f"counts must be a signed integer array, got {self.counts.dtype}")
         head = "bin_start_ps,count\n"
         tail = f"#underflow={self.underflow},#overflow={self.overflow}\n"
-        if self.counts.dtype.kind == "i":
-            return head + _int_rows(self.bin_starts, self.counts).decode("ascii") + tail
-        # One %-format over a repeated row template; "%s" prints each value
-        # exactly as "{}" would.
-        cells: list = [None] * (2 * self.n_bins)
-        cells[::2] = self.bin_starts.tolist()
-        cells[1::2] = self.counts.tolist()
-        return head + ("%s,%s\n" * self.n_bins) % tuple(cells) + tail
+        return head + _int_rows(self.bin_starts, self.counts).decode("ascii") + tail
 
 
 # Integers are printed in groups of 4 decimal digits, each group one uint32
@@ -403,8 +398,9 @@ class GaussianFit:
 # any fitted figure.
 _XTOL = 1e-10
 _FTOL = 1e-12
-# Smallest Cholesky pivot of the normal matrix, relative to its diagonal
-# entry, at which the data still determine every parameter.
+# Smallest squared pivot of the Cholesky factor of the normal matrix,
+# relative to its diagonal entry, at which the data still determine every
+# parameter.
 _SINGULAR = 1e-10
 # Damping beyond which no step can lower chi2 in floating point.
 _LAM_MAX = 1e20
@@ -426,8 +422,9 @@ def levenberg_marquardt(model, p0, y, weights, *, lower=None) -> np.ndarray:
     A step never takes a parameter below its `lower` bound: it stops there.
     The fit has converged when the linearized model promises a chi2 decrease
     below 1e-12 of chi2, or a step moves the scaled parameters by less than
-    1e-10 of their length. The normal equations are a few parameters wide,
-    so they are solved on Python floats.
+    1e-10 of their length. Each trial step is one `np.linalg.solve`. The
+    data determine the result when every squared pivot of the Cholesky
+    factor of J^T W J there is finite and above 1e-10 of its diagonal entry.
 
     Raises InstrumentError when the data or the model at p0 are not finite,
     when the normal equations are singular, and after 200 steps without
@@ -438,42 +435,30 @@ def levenberg_marquardt(model, p0, y, weights, *, lower=None) -> np.ndarray:
     if not (np.isfinite(y).all() and np.isfinite(weights).all() and weights.min() >= 0.0):
         raise InstrumentError("data or weights are not finite and non-negative")
     sw = np.sqrt(weights)
-    n = len(p0)
-    lower = [-math.inf] * n if lower is None else [float(v) for v in lower]
-    p = [max(float(v), lo) for v, lo in zip(p0, lower)]
+    lower = -np.inf if lower is None else np.asarray(lower, dtype=np.float64)
+    p = np.maximum(np.asarray(p0, dtype=np.float64), lower)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f, jac = model(p)
         r = sw * (y - f)
         cost = float(r @ r)
         if not (math.isfinite(cost) and np.isfinite(jac).all()):
             raise InstrumentError("model is not finite at the start point")
-        scale = [0.0] * n
+        scale = np.zeros_like(p)
         lam = 1e-3
         for _ in range(_MAX_STEPS):
             jw = jac * sw
-            a = (jw @ jw.T).tolist()
-            g = (jw @ r).tolist()
-            scale = [max(d, a[i][i]) for i, d in enumerate(scale)]
+            a, g = jw @ jw.T, jw @ r
+            scale = np.maximum(scale, np.diagonal(a))
             while True:  # raise the damping until a step lowers chi2
-                damped = [row[:] for row in a]
-                for i in range(n):
-                    damped[i][i] += lam * scale[i]
-                step = _solve(damped, g)
+                try:
+                    step = np.linalg.solve(a + np.diag(lam * scale), g)
+                except np.linalg.LinAlgError:
+                    raise InstrumentError("normal equations are singular") from None
                 # The chi2 decrease that the linearized model promises.
-                promised = 0.0
-                for i in range(n):
-                    t = 2.0 * g[i]
-                    for j in range(n):
-                        t -= a[i][j] * step[j]
-                    promised += step[i] * t
-                if promised <= _FTOL * cost:
-                    return _determined(p, jw)
-                p_new = [max(v + dv, lo) for v, dv, lo in zip(p, step, lower)]
-                moved = length = 0.0
-                for d, v, v_new in zip(scale, p, p_new):
-                    moved += d * (v_new - v) ** 2
-                    length += d * v * v
-                small = moved <= _XTOL * _XTOL * length
+                if step @ (2.0 * g - a @ step) <= _FTOL * cost:
+                    return _determined(p, a)
+                p_new = np.maximum(p + step, lower)
+                small = scale @ (p_new - p) ** 2 <= _XTOL * _XTOL * (scale @ p**2)
                 f, jac_new = model(p_new)
                 r_new = sw * (y - f)
                 cost_new = float(r_new @ r_new)
@@ -481,60 +466,27 @@ def levenberg_marquardt(model, p0, y, weights, *, lower=None) -> np.ndarray:
                     break
                 if small or lam > _LAM_MAX:
                     # No step down the slope is left: p is the minimum.
-                    return _determined(p, jw)
+                    return _determined(p, a)
                 lam *= 10.0
             p, jac, r, cost = p_new, jac_new, r_new, cost_new
             if small:
-                return _determined(p, jac * sw)
+                jw = jac * sw
+                return _determined(p, jw @ jw.T)
             lam = max(lam / 10.0, 1e-12)
     raise InstrumentError(f"no convergence within {_MAX_STEPS} steps")
 
 
-def _determined(p: list, jw: np.ndarray) -> np.ndarray:
-    """p as an array; raises InstrumentError unless the weighted Jacobian jw
-    there determines every parameter."""
-    _cholesky((jw @ jw.T).tolist(), _SINGULAR)
-    return np.array(p)
-
-
-def _cholesky(a: list, rtol: float = 0.0) -> list:
-    """Lower Cholesky factor of the symmetric matrix a, on Python floats.
-
-    Raises InstrumentError when a pivot is not finite or not above both zero
-    and rtol times its diagonal entry: the equations are then singular.
-    """
-    n = len(a)
-    low = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        li = low[i]
-        for j in range(i + 1):
-            lj = low[j]
-            s = a[i][j]
-            for k in range(j):
-                s -= li[k] * lj[k]
-            if j < i:
-                li[j] = s / lj[j]
-            elif s > 0.0 and s > rtol * a[i][i] and math.isfinite(s):
-                li[i] = math.sqrt(s)
-            else:
-                raise InstrumentError("normal equations are singular")
-    return low
-
-
-def _solve(a: list, b: list) -> list:
-    """x with a @ x = b, for a symmetric positive definite matrix a."""
-    low = _cholesky(a)
-    n = len(b)
-    x = list(b)
-    for i in range(n):
-        for k in range(i):
-            x[i] -= low[i][k] * x[k]
-        x[i] /= low[i][i]
-    for i in reversed(range(n)):
-        for k in range(i + 1, n):
-            x[i] -= low[k][i] * x[k]
-        x[i] /= low[i][i]
-    return x
+def _determined(p: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """p; raises InstrumentError unless the normal matrix a there determines
+    every parameter: each squared pivot of its Cholesky factor is finite and
+    above _SINGULAR times its diagonal entry."""
+    try:
+        determined = (np.diagonal(np.linalg.cholesky(a)) ** 2 > _SINGULAR * np.diagonal(a)).all()
+    except np.linalg.LinAlgError:
+        determined = False
+    if not determined:
+        raise InstrumentError("normal equations are singular")
+    return p
 
 
 def _gauss(x, amp, mu, sigma):

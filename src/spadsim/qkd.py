@@ -142,6 +142,17 @@ def correlator_grids(
     return ac_bw, ac_span, cc_bw, cc_span
 
 
+def _check_cc_reach(cc_bin_width_ps: int, cc_span_ps: int, duration_ps: int) -> None:
+    """Raise ValueError unless the rounded cross-correlator span plus
+    duration_ps stays below 2**62. The cross-correlator computes t + span in
+    int64, and pulse times pass duration_ps by their output delays."""
+    if cc_span_ps + duration_ps >= 2**62:
+        raise ValueError(
+            f"cc_span_ps rounded up to whole {cc_bin_width_ps} ps bins is {cc_span_ps}; "
+            f"plus source.duration_ps ({duration_ps}) it must stay below 2**62"
+        )
+
+
 def run_qkd_scenario(
     source: EntangledPairConfig,
     det_a: DetectorParams,
@@ -167,13 +178,15 @@ def run_qkd_scenario(
     afterpulse pulse, when the two members come from different pairs, or
     when either member's assigned (frame, bin) differs from that of its true
     emission time. `correlator_grids` resolves the correlators' bin widths
-    and spans, before anything is simulated.
+    and spans, before anything is simulated; the rounded cross-correlator
+    span plus duration_ps must stay below 2**62.
     """
     check_rep_rate(source.rep_rate_hz, frame.bin_width_ps)
     ac_bw, ac_span, cc_bw, cc_span = correlator_grids(
         frame, ac_bin_width_ps=ac_bin_width_ps, ac_span_ps=ac_span_ps,
         cc_bin_width_ps=cc_bin_width_ps, cc_span_ps=cc_span_ps,
     )
+    _check_cc_reach(cc_bw, cc_span, source.duration_ps)
     streams = correlated_pair_stream(source, make_generator(seed, "source"))
     rec_a = detect(streams.alice_times, det_a, make_generator(seed, "detector_a"), source.duration_ps)
     rec_b = detect(streams.bob_times, det_b, make_generator(seed, "detector_b"), source.duration_ps)

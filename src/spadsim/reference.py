@@ -45,6 +45,8 @@ from .detector import (
     Cause,
     DetectorParams,
     PulseRecords,
+    _check_delays,
+    _check_out_time,
     _Draws,
     _finalize_records,
     _interp_clamped,
@@ -71,11 +73,6 @@ def _round_ps(x: float) -> int:
 def _ema_decay(lam: float, dt_ps: int, tau_ema_ps: float) -> float:
     """Exponential-moving-average rate estimate decayed over a quiet gap."""
     return lam * math.exp(-float(dt_ps) / tau_ema_ps)
-
-
-def _emit_delta(shift_ps: float, fwhm_ps: float, z: float) -> int:
-    """Signed output-delay offset: calibrated shift plus sampled jitter."""
-    return _round_ps(shift_ps + z * (fwhm_ps * FWHM_TO_SIGMA))
 
 
 class _DetectorState:
@@ -166,14 +163,18 @@ class _DetectorState:
             # Sensing is off during the dead period: the pulse appears when
             # the interrupted dead period would have ended, with no sampled
             # timing spread.
+            _check_out_time(int(self.dead_end), self.base_delay, 0)
             ot = self.dead_end + self.base_delay
         else:
             gap = t - self.last_avalanche
             dt_prev = _HUGE_DT if gap > np.int64(2**61) else float(gap)
             shift = _interp_clamped(dt_prev, *self.shift)
             fwhm = _interp_clamped(dt_prev, *self.jitter)
-            z = self.draws.jitter.standard_normal()
-            ot = t + self.base_delay + _emit_delta(shift, fwhm, z)
+            spread = self.draws.jitter.standard_normal() * (fwhm * FWHM_TO_SIGMA)
+            _check_delays(abs(shift), abs(spread))
+            delta = _round_ps(shift + spread)
+            _check_out_time(int(t), self.base_delay, delta)
+            ot = t + self.base_delay + delta
             if ot < t:
                 ot = t
         self.out_times.append(int(ot))

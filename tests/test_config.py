@@ -433,7 +433,8 @@ class TestRegistry:
 
 # One field per kind that passed validation and then failed in the run: an
 # integer beyond numpy's int64, a repeated spacing, a scan span beyond int64,
-# a correlator span rounded past int64, a correlator bin too wide for the period.
+# a correlator span rounded past int64 or too near it for the run's pulse times,
+# a correlator bin too wide for the period.
 RUN_FAILURES = [
     pytest.param("interarrival", "instrument", "bin_width_ps", 2**64,
                  "instrument.bin_width_ps: must lie", id="interarrival"),
@@ -447,6 +448,9 @@ RUN_FAILURES = [
                  "instrument.cc_span_ps: must lie", id="qkd"),
     pytest.param("qkd", "instrument", "cc_span_ps", 2**63 - 1,
                  "instrument.cc_span_ps rounded up to whole 130 ps bins is", id="qkd-span-rounding"),
+    pytest.param("qkd", "instrument", "cc_span_ps", (2**63 - 1) // 130 * 130,
+                 "instrument.cc_span_ps rounded up to whole 130 ps bins is 9223372036854775800; "
+                 "plus source.duration_ps (1000000) it must stay below 2**62", id="qkd-span-reach"),
     pytest.param("qkd", "instrument", "ac_bin_width_ps", 300,
                  "instrument.ac_bin_width_ps: must be at most half of the pulse period "
                  "(520.8333333333334 ps for frame.bin_width_ps 521), got 300", id="qkd-ac-grid"),

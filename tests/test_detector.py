@@ -332,6 +332,22 @@ class TestDetect:
         with pytest.raises(ValueError):
             detect(np.array([], dtype=np.int64), p, g, 0)
 
+    @pytest.mark.parametrize("run", [detect, detect_reference])
+    @pytest.mark.parametrize(
+        "kw, name",
+        [
+            (dict(base_delay_ps=2**63 - 1), "base_delay_ps"),
+            (dict(shift_curve=((0.0, 1e30), (1e15, 0.0))), "shift_curve"),
+            (dict(jitter_curve=((0.0, 1e30),)), "jitter_curve"),
+            # Each part fits in int64, their sum does not.
+            (dict(base_delay_ps=2**63 - 200_000, shift_curve=((0.0, 1e6), (1e15, 0.0))), "shift_curve"),
+        ],
+    )
+    def test_output_times_past_int64_are_refused(self, run, kw, name):
+        arrivals = np.array([0, 100_000], dtype=np.int64)
+        with pytest.raises(ValueError, match=name):
+            run(arrivals, plain_params(**kw), make_generator(1, "detector"), 1000)
+
     def test_identical_seeds_identical_records(self):
         p = plain_params(
             efficiency=0.6,

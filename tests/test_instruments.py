@@ -51,7 +51,6 @@ class TestHistogram:
         [
             np.array([0], dtype=np.int64),
             np.array([7, 0, 12345678901, 3], dtype=np.int64),
-            np.array([0.5, 2.0, 1e-7], dtype=np.float64),
         ],
     )
     def test_csv_matches_row_by_row_text(self, counts):
@@ -60,6 +59,12 @@ class TestHistogram:
             f"{s},{c}\n" for s, c in zip(h.bin_starts.tolist(), h.counts.tolist())
         )
         assert h.to_csv() == f"bin_start_ps,count\n{rows}#underflow=4,#overflow=9\n"
+
+    def test_csv_rejects_non_integer_counts(self):
+        counts = np.array([0.5, 2.0, 1e-7], dtype=np.float64)
+        h = Histogram(bin_width_ps=250, origin_ps=-500, counts=counts, underflow=4, overflow=9)
+        with pytest.raises(TypeError, match="float64"):
+            h.to_csv()
 
     def test_csv_of_a_240000_bin_histogram(self):
         # The pulsed-autocorr shape: bin starts up to 11,999,950 need two
@@ -310,3 +315,32 @@ class TestLevenbergMarquardt:
         y, _ = gauss_model(self.x)((250.0, 1.25, 0.8))
         with pytest.raises(InstrumentError, match="no convergence within 2 steps"):
             levenberg_marquardt(gauss_model(self.x), (180.0, 0.5, 1.5), y, 1.0 / y)
+
+    def test_ignored_parameter_is_singular(self):
+        def model(p):
+            return np.full(self.x.size, p[0]), np.array((np.ones(self.x.size), np.zeros(self.x.size)))
+
+        with pytest.raises(InstrumentError, match="singular"):
+            levenberg_marquardt(model, (3.0, 1.0), np.ones(self.x.size), np.ones(self.x.size))
+
+    def test_non_finite_jacobian_after_a_step_is_singular(self):
+        def model(p):
+            jac = np.ones((1, self.x.size)) if p[0] == 3.0 else np.full((1, self.x.size), np.nan)
+            return np.full(self.x.size, p[0]), jac
+
+        with pytest.raises(InstrumentError, match="singular"):
+            levenberg_marquardt(model, [3.0], np.ones(self.x.size), np.ones(self.x.size))
+
+    def test_linear_model_matches_weighted_lstsq(self):
+        basis = np.array((np.ones(self.x.size), self.x))
+        # Residuals small enough that the chi2 test stops within 1e-9 of the minimum.
+        y = 2.0 + 0.5 * self.x + 1e-4 * np.sin(7.0 * self.x)
+        weights = 1.0 / (1.0 + self.x**2)
+
+        def model(p):
+            return p @ basis, basis
+
+        p = levenberg_marquardt(model, (0.0, 0.0), y, weights)
+        sw = np.sqrt(weights)
+        expected = np.linalg.lstsq((basis * sw).T, y * sw, rcond=None)[0]
+        np.testing.assert_allclose(p, expected, rtol=1e-9)

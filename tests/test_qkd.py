@@ -116,6 +116,11 @@ class TestScenario:
                 source(1e-3, 1_000_000), ideal_detector(), ideal_detector(), FRAME, seed=1,
                 cc_span_ps=2**63 - 1,
             )
+        with pytest.raises(ValueError, match=r"plus source\.duration_ps \(1000000\) it must stay"):
+            run_qkd_scenario(
+                source(1e-3, 1_000_000), ideal_detector(), ideal_detector(), FRAME, seed=1,
+                cc_span_ps=2**62 - 1_000_000,
+            )
 
     def test_ideal_detectors_error_free(self):
         rep = run_qkd_scenario(
