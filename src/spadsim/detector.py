@@ -29,7 +29,7 @@ from .sources import poisson_times
 
 __all__ = [
     "DRAW_CONTRACT",
-    "TAU_EMA_PS",
+    "RATE_WINDOW_PS",
     "Cause",
     "QuenchTimes",
     "AfterpulseModel",
@@ -47,10 +47,12 @@ __all__ = [
 
 # Version of the random-draw contract (see `_detect_kernel`). Within one
 # contract a detector design and a seed give exactly one pulse stream.
-DRAW_CONTRACT = 2
+DRAW_CONTRACT = 3
 
-# Time constant of the output-rate estimator driving dead-time elongation
-TAU_EMA_PS = 1.0e6
+# Window of the output-rate estimator driving dead-time elongation: the rate
+# at an avalanche is the count of avalanches in the RATE_WINDOW_PS
+# picoseconds before it, over the window.
+RATE_WINDOW_PS = 1_000_000
 
 # Placeholder "previous avalanche" gap before any avalanche happened; far
 # right of every calibration curve, so first pulses get the relaxed values.
@@ -205,6 +207,12 @@ class DetectorParams:
             raise ValueError("dead_elongation rates must be >= 0")
         if np.any(added < 0):
             raise ValueError("dead_elongation added durations must be >= 0")
+        dead = self.tau_dead0_ps + added
+        # Below 2**62 ps every rounded dead length is an exact int64.
+        if not dead.max() < 2.0**62:
+            raise ValueError(
+                "tau_dead0_ps plus the largest dead_elongation duration must be below 2**62 ps"
+            )
         tw_x, tw_y = _curve_arrays(self.twilight_profile or zero, "twilight_profile")
         if self.twilight_profile:
             if tw_y[0] != 0.0 or tw_y[-1] != 1.0:
@@ -221,7 +229,7 @@ class DetectorParams:
         shift = _curve_arrays(self.shift_curve, "shift_curve")
         if shift[1][-1] != 0.0:
             raise ValueError("shift_curve must decay to 0 at its last knot")
-        tables = ((rates, self.tau_dead0_ps + added), (tw_x, tw_y), jitter, shift)
+        tables = ((rates, dead), (tw_x, tw_y), jitter, shift)
         tables = tuple((tuple(xs.tolist()), tuple(ys.tolist())) for xs, ys in tables)
         object.__setattr__(self, "_tables", tables)
 
@@ -331,6 +339,25 @@ def _trap_delay_block(draws: _Draws, tau_trap: float) -> list[int]:
     return np.floor(d + 0.5).astype(np.int64).tolist()
 
 
+# The kernel tabulates the dead length for avalanche counts up to this one;
+# a larger count reads the curve one scalar at a time.
+_DEAD_LEN_CAP = 4096
+
+# The kernel drops the avalanche times that the count has passed once there
+# are more than this many.
+_AV_TRIM = 4096
+
+
+def _dead_lengths(params: DetectorParams) -> list[int]:
+    """`floor(effective_dead_time(c / RATE_WINDOW_PS * 1.0e12) + 0.5)` for the
+    counts c from 0 up to the first whose rate reaches the elongation table's
+    last knot, or up to _DEAD_LEN_CAP, with the same float operations."""
+    dead_x, dead_y = params._tables[0]
+    top = math.ceil(min(dead_x[-1] / 1.0e12 * RATE_WINDOW_PS, _DEAD_LEN_CAP))
+    (dead,) = _interp_clamped_array(np.arange(top + 1) / RATE_WINDOW_PS * 1.0e12, dead_x, dead_y)
+    return np.floor(dead + 0.5).astype(np.int64).tolist()
+
+
 def _detect_kernel(
     arrivals: np.ndarray,
     u_photon: np.ndarray,
@@ -362,11 +389,17 @@ def _detect_kernel(
     that last avalanche takes the scalar step, which reads the counts. The
     loop marks the stimuli that fired and records only the twilight
     avalanches (with the dead_end each is held to) and the fired releases;
-    numpy builds the columns after it. An elongated dead time still updates
-    its rate estimate one avalanche at a time, with the same float
-    operations, and reads the table only where a dead_end is needed.
+    numpy builds the columns after it.
 
-    Draw contract 2 (`DRAW_CONTRACT`; the reference draws the same values
+    An elongated dead time is read at the count c of earlier avalanches
+    less than RATE_WINDOW_PS before the avalanche, as
+    `floor(effective_dead_time(c / RATE_WINDOW_PS * 1.0e12) + 0.5)`. Only
+    then does the loop keep the avalanche times: a run appends its members
+    with one `extend`, and a scalar step finds c with one `bisect_right`
+    from where the last one stopped and reads `_dead_lengths`' table, or
+    past its end the same expression.
+
+    Draw contract 3 (`DRAW_CONTRACT`; the reference draws the same values
     one scalar at a time). Every purpose has its own substream:
 
       photon uniforms      photon i triggers armed iff u_photon[i] < efficiency,
@@ -390,18 +423,16 @@ def _detect_kernel(
     efficiency = float(params.efficiency)
     ap_mu = float(params.afterpulse.mu)
     ap_tau = float(params.afterpulse.tau_trap_ps)
-    (dead_x, dead_y), (tw_x, tw_y), _, _ = params._tables
-    rate_first, rate_last, dead_first, dead_last = dead_x[0], dead_x[-1], dead_y[0], dead_y[-1]
+    (_, dead_y), (tw_x, tw_y), _, _ = params._tables
     # Without a profile nothing triggers in twilight: the zone starts never.
     twilight_from = int(params.tau_quench_ps) if params.twilight_profile else _NEVER
     const_dead = not params.dead_elongation
     tau_dead = int(params.tau_dead0_ps)
     # The longest dead period: floor(x + 0.5) never exceeds ceil(x).
     horizon = math.ceil(max(dead_y))
-    tau_ema = TAU_EMA_PS
-    inv_tau_ema = 1.0 / TAU_EMA_PS
-    exp = math.exp
-    floor = math.floor
+    window = RATE_WINDOW_PS
+    dead_len = [] if const_dead else _dead_lengths(params)
+    n_len = len(dead_len)
 
     # The photons that can trigger: twilight thresholds never exceed efficiency.
     kept = np.flatnonzero(u_photon < efficiency)
@@ -446,8 +477,10 @@ def _detect_kernel(
 
     dead_start = -(2**62)  # avalanche instant of the current dead period
     dead_end = 0  # armed iff t >= dead_end
-    lam = 0.0  # EMA detection-rate estimate, events per ps
-    t_lam = 0
+    # With an elongated dead time: the avalanche times, of which those from
+    # av[lo] on may still fall in the window of the next avalanche.
+    av: list[int] = []
+    lo = 0
 
     p = rk = 0  # next stimulus; index into run_ends
     while True:
@@ -474,9 +507,7 @@ def _detect_kernel(
                     n_av += last - p
                     fired[p:last] = b"\x01" * (last - p)
                     if not const_dead:
-                        for tm in stim[p:last]:
-                            lam = lam * exp((t_lam - tm) / tau_ema) + inv_tau_ema
-                            t_lam = tm
+                        av.extend(stim[p:last])
                     p = last
                     t = stim[p]
             fired[p] = 1
@@ -495,27 +526,22 @@ def _detect_kernel(
             held_ends.append(dead_end)
             p += 1
 
-        # Avalanche bookkeeping: the dead-time length comes from the rate
-        # estimate just before this avalanche is counted.
+        # Avalanche bookkeeping: the dead-time length comes from the count
+        # of avalanches in the window before this one.
         dead_start = t
         if const_dead:
             dead_end = t + tau_dead
         else:
-            lam *= exp((t_lam - t) / tau_ema)
-            t_lam = t
-            # `_interp_clamped(lam * 1.0e12, dead_x, dead_y)`, inline.
-            rate = lam * 1.0e12
-            if rate <= rate_first:
-                dead = dead_first
-            elif rate >= rate_last:
-                dead = dead_last
+            lo = bisect_right(av, t - window, lo)
+            c = len(av) - lo
+            if c < n_len:
+                dead_end = t + dead_len[c]
             else:
-                hi = bisect_right(dead_x, rate)
-                lo = hi - 1
-                frac = (rate - dead_x[lo]) / (dead_x[hi] - dead_x[lo])
-                dead = dead_y[lo] + frac * (dead_y[hi] - dead_y[lo])
-            dead_end = t + floor(dead + 0.5)
-            lam += inv_tau_ema
+                dead_end = t + math.floor(effective_dead_time(c / window * 1.0e12, params) + 0.5)
+            av.append(t)
+            if lo > _AV_TRIM:
+                del av[:lo]
+                lo = 0
 
         # Trap filling: every avalanche fills k ~ Poisson(mu) traps.
         if n_av == next_fill:
@@ -533,7 +559,7 @@ def _detect_kernel(
             next_fill = fill_at[fk]
         n_av += 1
 
-    del stim, releases, fill_at, fills, delays
+    del stim, releases, fill_at, fills, delays, av
     at = np.flatnonzero(np.frombuffer(fired, dtype=np.bool_))
     del fired
     times = stimuli[at]

@@ -9,7 +9,7 @@ priority queue and lets the queue order them, one event at a time.
 It exists as an executable statement of the detector semantics and as the
 oracle the kernel is tested against; it is not built for speed.
 
-It follows draw contract 2 (`detector.DRAW_CONTRACT`) from the same
+It follows draw contract 3 (`detector.DRAW_CONTRACT`) from the same
 substreams as the kernel (`detector._draw_streams`), but one scalar at a
 time and in the order the events happen:
 
@@ -22,7 +22,11 @@ time and in the order the events happen:
   exponential(tau_trap) delay, clamped at `_MAX_TRAP_DELAY`;
 - each unheld pulse draws one normal as it is emitted, and its output time
   is computed there and then; the kernel computes every output time after
-  its loop in one numpy stage.
+  its loop in one numpy stage;
+- the dead time after an avalanche is read off the elongation table at
+  the count of earlier avalanches less than `RATE_WINDOW_PS` before it,
+  over the window; this version counts them with `bisect` on the list of
+  every avalanche time.
 
 Events pop in (time, kind, insertion) order. At equal timestamps re-arm
 timers fire first, then trap releases, then dark counts, then photon
@@ -35,13 +39,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 
 import numpy as np
 
 from .detector import (
     _HUGE_DT,
     _MAX_TRAP_DELAY,
-    TAU_EMA_PS,
+    RATE_WINDOW_PS,
     Cause,
     DetectorParams,
     PulseRecords,
@@ -70,15 +75,10 @@ def _round_ps(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-def _ema_decay(lam: float, dt_ps: int, tau_ema_ps: float) -> float:
-    """Exponential-moving-average rate estimate decayed over a quiet gap."""
-    return lam * math.exp(-float(dt_ps) / tau_ema_ps)
-
-
 class _DetectorState:
     """Mutable detector state driven by its own event queue.
 
-    Draws as draw contract 2 says, one scalar at a time; see the module
+    Draws as draw contract 3 says, one scalar at a time; see the module
     docstring and `detector._detect_kernel`. The armed flag is maintained by
     generation-tagged re-arm timers instead of timestamp comparison: a fresh
     avalanche invalidates any pending timer by bumping the generation.
@@ -99,9 +99,7 @@ class _DetectorState:
         self.generation = 0
         self.dead_start = np.int64(-(2**62))
         self.dead_end = np.int64(0)
-        self.last_avalanche = np.int64(-(2**62))
-        self.lam = 0.0
-        self.t_lam = np.int64(0)
+        self.avalanches: list[int] = []  # every avalanche time, in order
         self.out_times: list[int] = []
         self.origin_times: list[int] = []
         self.causes: list[int] = []
@@ -166,8 +164,9 @@ class _DetectorState:
             _check_out_time(int(self.dead_end), self.base_delay, 0)
             ot = self.dead_end + self.base_delay
         else:
-            gap = t - self.last_avalanche
-            dt_prev = _HUGE_DT if gap > np.int64(2**61) else float(gap)
+            # The first avalanche has no previous one: its gap is _HUGE_DT.
+            gap = t - self.avalanches[-1] if self.avalanches else _HUGE_DT
+            dt_prev = _HUGE_DT if gap > 2**61 else float(gap)
             shift = _interp_clamped(dt_prev, *self.shift)
             fwhm = _interp_clamped(dt_prev, *self.jitter)
             spread = self.draws.jitter.standard_normal() * (fwhm * FWHM_TO_SIGMA)
@@ -182,13 +181,11 @@ class _DetectorState:
         self.causes.append(int(cause))
         self.arrival_index.append(src)
 
-        self.lam = _ema_decay(self.lam, t - self.t_lam, TAU_EMA_PS)
-        self.t_lam = t
-        dlen = _round_ps(effective_dead_time(self.lam * 1.0e12, self.params))
-        self.lam += 1.0 / TAU_EMA_PS
+        count = len(self.avalanches) - bisect_right(self.avalanches, int(t) - RATE_WINDOW_PS)
+        dlen = _round_ps(effective_dead_time(count / RATE_WINDOW_PS * 1.0e12, self.params))
+        self.avalanches.append(int(t))
         self.dead_start = t
         self.dead_end = t + dlen
-        self.last_avalanche = t
         self.armed = False
         self.generation += 1
         self.schedule(int(self.dead_end), _KIND_TIMER, self.generation)

@@ -13,26 +13,26 @@ from spadsim import SCENARIOS, preset
 from spadsim.cli import main
 
 # SHA-256 of every output of test_detector_summaries_carry_the_draw_contract's
-# documents at draw contract 2. jitter-scan is left out: its curve goes through
+# documents at draw contract 3. jitter-scan is left out: its curve goes through
 # a Gaussian fit, whose last digits can move with the numpy version and the
 # LAPACK/BLAS build behind its dot products.
 PINNED_OUTPUTS = {
     "interarrival": {
         "histogram_csv": "d9e533585ba1d4f9f284d6c724c79c98cef4ad2254f32db68786ae8d7170cefc",
-        "summary_json": "c67d94c9e1eac3b0ca5f3855f6f01d7c43e7e8750b1b4e4cd31bc200dd2f3565",
+        "summary_json": "69694e16fbdc377597366ba4a618db27a37543f68a6d06ef1c7c507e0b2b0088",
     },
     "pair-scan": {
         "curve_csv": "b6514ae2fe1638203f55117b5a992f8073578ff634593c0f3dc88b83922d751c",
         "points_csv": "3e00f2896fcd6d85665254472376cd225fc18c3bdce2aec54d0cdc4dbc43bc95",
-        "summary_json": "42335df959eccda13f2b061e5308dbd514d24b340c0609d8e753829dc853e580",
+        "summary_json": "cb720c4927b60402e90cd447c5aa2be6adaf7c679d98de7e95a85431fc0f8e26",
     },
     "autocorr": {
         "histogram_csv": "f884897c3dda2ba1c6a72b7b890ad04fcb468dfb06bc221a1e6a9eb4a86b283f",
-        "summary_json": "8ac057e4a0eee37ecc04368c8417a3c3fbc92bd5945e1300e57de8fec6ec257c",
+        "summary_json": "2dc85e6108a9f3f18f30aa9f011f21b420e611377302a733dad03d7082b6847e",
     },
     "qkd": {
-        "report_json": "aca4a44c04fc291f1636d799aadb8c66a8c2805d003dd1dd875a98c4bc3b8c36",
-        "crosscorr_csv": "6fe5ca012ddb51e447f0f3f43d44259eb1ae1d1b2e74ab0c88ef5210cbcd1388",
+        "report_json": "2913825a5d48ed8e6ea9da71e810d6a630476c3cbeabf9cea8ce147b93103e4a",
+        "crosscorr_csv": "d7a37f74e0d80b59bcfa1f67ff65fc3ecb25896d6f60677a442d80c240b91673",
     },
 }
 
@@ -211,7 +211,7 @@ class TestSimulate:
             doc.update(version=1, kind=kind, seed=2, outputs={k: str(p) for k, p in outs.items()})
             assert main(["simulate", write_config(tmp_path, doc)]) == 0, kind
             summary = outs["report_json" if kind == "qkd" else "summary_json"]
-            assert json.loads(summary.read_text())["draw_contract"] == spadsim.DRAW_CONTRACT == 2
+            assert json.loads(summary.read_text())["draw_contract"] == spadsim.DRAW_CONTRACT == 3
             if kind in PINNED_OUTPUTS:
                 digests[kind] = {k: sha256(p.read_bytes()).hexdigest() for k, p in outs.items()}
         assert "draw_contract" not in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import math
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -6,6 +7,7 @@ from conftest import as_json, inline_detector
 from scipy import stats
 
 from spadsim import (
+    RATE_WINDOW_PS,
     AfterpulseModel,
     BlankingConfig,
     Cause,
@@ -84,6 +86,13 @@ class TestParamValidation:
     def test_validate_rejects(self, kw):
         with pytest.raises(ValueError):
             plain_params(**kw)
+
+    @pytest.mark.parametrize("added", [2.0**62, 1e30, float("inf"), float("nan")])
+    def test_dead_time_must_stay_below_2_62_ps(self, added):
+        # Each dead length is then an exact int64 for the kernel and the reference.
+        with pytest.raises(ValueError, match="dead_elongation"):
+            plain_params(dead_elongation=((0.0, 0.0), (1e7, added)))
+        plain_params(dead_elongation=((0.0, 2.0**61),))
 
     def test_curves_are_converted_once_when_built(self, monkeypatch):
         # custom-aq has all four curves: an elongated dead time, a twilight
@@ -191,6 +200,26 @@ class TestInterpClampedArray:
         xs, tables = self.SHARED
         out = _interp_clamped_array(np.array([], dtype=np.float64), xs, *tables)
         assert [y.shape for y in out] == [(0,), (0,)]
+
+
+class TestDeadLengths:
+    @pytest.mark.parametrize(
+        "elongation, size",
+        [
+            (((0.0, 0.0), (30.0e6, 2000.0)), 31),  # custom-aq
+            (((1.0e6, 0.0), (2.0e8, 9000.0)), 201),
+            (((0.0, 0.0), (1.0e30, 1.0e6)), 4097),  # cut at _DEAD_LEN_CAP
+            (((0.0, 500.0),), 1),
+        ],
+    )
+    def test_table_equals_the_scalar_expression(self, elongation, size):
+        p = plain_params(dead_elongation=elongation)
+        table = detector._dead_lengths(p)
+        scalar = [
+            math.floor(effective_dead_time(c / RATE_WINDOW_PS * 1.0e12, p) + 0.5)
+            for c in range(size)
+        ]
+        assert table == scalar and all(type(v) is int for v in table)
 
 
 class TestBlankingFilter:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spadsim import (
+    RATE_WINDOW_PS,
     AfterpulseModel,
     BlankingConfig,
     Cause,
@@ -91,6 +92,42 @@ def test_kernel_matches_event_queue_reference(params):
     a = detect(arrivals, params, make_generator(11, 2), DURATION)
     c = detect_reference(arrivals, params, make_generator(11, 2), DURATION)
     assert records_equal(a, c)
+
+
+@pytest.mark.parametrize("run", [detect, detect_reference])
+@pytest.mark.parametrize("k", [0, 1, 7, 300])
+@pytest.mark.parametrize("first, counted", [(-RATE_WINDOW_PS, 0), (1 - RATE_WINDOW_PS, 1)])
+def test_dead_time_follows_the_avalanches_counted_in_the_window(run, k, first, counted):
+    """The elongation adds 1 ps per avalanche less than RATE_WINDOW_PS before
+    the one at t: a probe one picosecond before the elongated dead end is
+    lost, and one at the dead end fires. The earliest avalanche sits exactly
+    RATE_WINDOW_PS before t, where it is not counted, or 1 ps later."""
+    tau_dead0 = 2_000
+    params = DetectorParams(
+        efficiency=1.0,
+        tau_dead0_ps=tau_dead0,
+        tau_quench_ps=tau_dead0,
+        dead_elongation=((0.0, 0.0), (1.0e9, 1000.0)),
+    )
+    t = 5_000_000
+    # k avalanches 3 ns apart (the longest dead time is 3 ns) before t.
+    earlier = [t + first] + [t - 3_000 * i for i in range(k, 0, -1)]
+    dead = tau_dead0 + k + counted
+    for probe, fires in ((t + dead - 1, False), (t + dead, True)):
+        arrivals = np.array(earlier + [t, probe], dtype=np.int64)
+        rec = run(arrivals, params, make_generator(3, 2), probe + 1)
+        assert np.array_equal(rec.origin_times, arrivals if fires else arrivals[:-1])
+
+
+def test_first_avalanche_past_2_62_ps():
+    """The first avalanche has no previous one: its gap is the far end of the
+    curves however late it comes, with nothing subtracted (an int64 overflow
+    warning fails the suite)."""
+    arrivals = np.array([2**63 - 200_000, 2**63 - 100_000], dtype=np.int64)
+    params = DetectorParams(efficiency=1.0, tau_dead0_ps=24_000, tau_quench_ps=10_000)
+    a = detect(arrivals, params, make_generator(12, 2), 1_000)
+    b = detect_reference(arrivals, params, make_generator(12, 2), 1_000)
+    assert len(a) == 2 and records_equal(a, b)
 
 
 @st.composite
@@ -294,7 +331,7 @@ RUN_RELEASE_TIE_CASE = (
 # Runs of about 40 photons with the dead time elongated well short of its
 # table's end (H = 29 ns); the five contested photons between runs come
 # 20.0-20.6 ns apart, so whether each finds the detector armed turns on the
-# rate estimate carried across the runs.
+# count of avalanches in the preceding microsecond, run members included.
 ELONGATED_RUN_ARRIVALS = gaps_with_clusters(
     np.random.default_rng(22), 1_800, 8, (29_000, 34_000), (20_000, 20_600)
 )
@@ -313,6 +350,25 @@ ELONGATED_RUNS_CASE = (
 )
 
 
+# A photon every 60-140 ps and a dead time of 50 ps plus 1 ps per 200
+# avalanches counted: about 9k avalanches fall in each window, past the
+# kernel's table of dead lengths, which stops at 4096.
+PAST_CAP_ARRIVALS = np.cumsum(np.random.default_rng(23).integers(60, 141, size=25_000))
+PAST_CAP_CASE = (
+    DetectorParams(
+        efficiency=1.0,
+        tau_dead0_ps=50,
+        tau_quench_ps=25,
+        dead_elongation=((0.0, 0.0), (1.0e10, 50.0)),
+        twilight_profile=((25.0, 0.0), (50.0, 1.0)),
+        afterpulse=AfterpulseModel(mu=0.05, tau_trap_ps=200.0),
+    ),
+    PAST_CAP_ARRIVALS,
+    int(PAST_CAP_ARRIVALS[-1]) + 1,
+    10,
+)
+
+
 @settings(deadline=None, max_examples=150)
 @given(case=detector_cases())
 @example(case=TIE_CASE)
@@ -325,6 +381,7 @@ ELONGATED_RUNS_CASE = (
 @example(case=BLOCK_CROSSING_CASE)
 @example(case=RUN_RELEASE_TIE_CASE)
 @example(case=ELONGATED_RUNS_CASE)
+@example(case=PAST_CAP_CASE)
 def test_kernel_matches_reference_on_generated_params(case):
     params, arrivals, duration, seed = case
     a = detect(arrivals, params, make_generator(seed, 2), duration)
