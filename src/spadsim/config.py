@@ -27,7 +27,8 @@ from .analysis import (
 from .detector import DRAW_CONTRACT, DetectorParams
 from .experiments import PairScan, run_autocorr, run_interarrival, run_pair_scan
 from .presets import available_presets, preset
-from .qkd import FrameConfig, _check_cc_reach, check_rep_rate, correlator_grids, run_qkd_scenario
+from .instruments import _REACH_LIMIT, _check_bins, _check_budget
+from .qkd import FrameConfig, check_rep_rate, correlator_grids, run_qkd_scenario
 from .sources import CwSourceConfig, EntangledPairConfig, PulsedSourceConfig
 
 __all__ = ["ConfigError", "KINDS", "SCENARIOS", "load_config", "validate_config"]
@@ -113,7 +114,8 @@ def _typed(v, tp, path: str, minimum=None, int64=True):
 
 
 def _built(owner, vals: dict, path: str):
-    """owner(**vals); a ValueError becomes a ConfigError at the field it starts with."""
+    """owner(**vals), a section object or a check's result; a ValueError becomes a
+    ConfigError at the field it starts with."""
     try:
         return owner(**vals)
     except ValueError as exc:
@@ -185,9 +187,10 @@ def _parse_detector(doc: dict, key: str) -> DetectorParams:
 
 
 def _span_whole_bins(cfg: dict) -> None:
-    span, bw = cfg["span_ps"], cfg["bin_width_ps"]
-    if span is not None and (span < bw or span % bw):
-        _err("instrument.span_ps", f"must be a positive multiple of bin_width_ps ({bw})")
+    """The histogram span, given or run_interarrival's 4096 bins, is one build_histogram takes."""
+    bw, span = cfg["bin_width_ps"], cfg["span_ps"]
+    span = 4096 * bw if span is None else span
+    _built(_check_bins, {"bin_width_ps": bw, "span_ps": span}, "instrument")
 
 
 def _two_bins_per_period(path: str, bin_width_ps: int, period_ps: float, period: str) -> None:
@@ -197,18 +200,11 @@ def _two_bins_per_period(path: str, bin_width_ps: int, period_ps: float, period:
 
 
 def _qkd_grids(cfg: dict) -> None:
-    """The rep rate is the one the frame's bin width implies, to 2%, and the correlators fit
-    the period and, with the run's duration, int64."""
+    """The rep rate is the one the frame's bin width implies, to 2%, the correlators' bin
+    widths and spans lie in the time budget, and the autocorrelator bin fits the period."""
     rep_rate, bw = cfg["source"].rep_rate_hz, cfg["frame"].bin_width_ps
-    try:
-        check_rep_rate(rep_rate, bw)
-    except ValueError as exc:
-        raise ConfigError(f"source.{exc}") from None
-    try:
-        ac_bw, _, cc_bw, cc_span = correlator_grids(**_args(cfg, correlator_grids))
-        _check_cc_reach(cc_bw, cc_span, cfg["duration_ps"])
-    except ValueError as exc:
-        raise ConfigError(f"instrument.{exc}") from None
+    _built(check_rep_rate, {"rep_rate_hz": rep_rate, "bin_width_ps": bw}, "source")
+    ac_bw = _built(correlator_grids, _args(cfg, correlator_grids), "instrument")[0]
     period = 1.0e12 / rep_rate
     about = f"the pulse period ({period} ps for frame.bin_width_ps {bw}), got {ac_bw}"
     about += "; the default is frame.bin_width_ps // 8, at least 1"
@@ -216,10 +212,13 @@ def _qkd_grids(cfg: dict) -> None:
 
 
 def _lag_covers_bin(cfg: dict) -> None:
-    """The lag span holds a bin, and the pulse period at least two for the visibility."""
+    """The lag span holds a bin and lies in the instruments' budget, and the pulse period
+    holds two bins for the visibility."""
     bw = cfg["bin_width_ps"]
     if cfg["max_lag_ps"] < bw:
         _err("instrument.max_lag_ps", f"must be >= bin_width_ps ({bw})")
+    lag = {"name": "max_lag_ps", "values": (cfg["max_lag_ps"],), "limit": _REACH_LIMIT}
+    _built(_check_budget, lag, "instrument")
     period = cfg["source"].period_ps
     _two_bins_per_period("instrument.bin_width_ps", bw, period, f"period_ps ({period})")
 

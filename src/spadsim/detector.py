@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .instruments import _sorted_times
+from .instruments import _DELAY_LIMIT, _TIME_LIMIT, _check_budget, _sorted_times
 from .rng import FWHM_TO_SIGMA
 from .sources import poisson_times
 
@@ -143,8 +143,7 @@ class BlankingConfig:
     t_b_ps: int = 24000
 
     def __post_init__(self) -> None:
-        if self.t_b_ps <= 0:
-            raise ValueError(f"t_b_ps must be > 0, got {self.t_b_ps}")
+        _check_budget("t_b_ps", (self.t_b_ps,), _DELAY_LIMIT, positive=True)
 
 
 Curve = tuple[tuple[float, float], ...]
@@ -197,8 +196,7 @@ class DetectorParams:
             raise ValueError(
                 f"tau_quench_ps must lie in [0, tau_dead0_ps], got {self.tau_quench_ps}"
             )
-        if self.base_delay_ps < 0:
-            raise ValueError(f"base_delay_ps must be >= 0, got {self.base_delay_ps}")
+        _check_budget("base_delay_ps", (self.base_delay_ps,), _DELAY_LIMIT)
         if self.dark_rate_cps < 0:
             raise ValueError(f"dark_rate_cps must be >= 0, got {self.dark_rate_cps}")
         zero = ((0.0, 0.0),)
@@ -208,11 +206,8 @@ class DetectorParams:
         if np.any(added < 0):
             raise ValueError("dead_elongation added durations must be >= 0")
         dead = self.tau_dead0_ps + added
-        # Below 2**62 ps every rounded dead length is an exact int64.
-        if not dead.max() < 2.0**62:
-            raise ValueError(
-                "tau_dead0_ps plus the largest dead_elongation duration must be below 2**62 ps"
-            )
+        name = "tau_dead0_ps plus the largest dead_elongation duration"
+        _check_budget(name, (dead.max(),), _DELAY_LIMIT)
         tw_x, tw_y = _curve_arrays(self.twilight_profile or zero, "twilight_profile")
         if self.twilight_profile:
             if tw_y[0] != 0.0 or tw_y[-1] != 1.0:
@@ -224,9 +219,10 @@ class DetectorParams:
                     "twilight_profile knots must lie within [tau_quench_ps, tau_dead0_ps]"
                 )
         jitter = _curve_arrays(self.jitter_curve, "jitter_curve")
-        if np.any(jitter[1] < 0):
-            raise ValueError("jitter_curve values must be >= 0")
+        _check_budget("jitter_curve values", (jitter[1].min(), jitter[1].max()), _DELAY_LIMIT)
         shift = _curve_arrays(self.shift_curve, "shift_curve")
+        shifts = (shift[1].min(), shift[1].max())
+        _check_budget("shift_curve values", shifts, _DELAY_LIMIT, signed=True)
         if shift[1][-1] != 0.0:
             raise ValueError("shift_curve must decay to 0 at its last knot")
         tables = ((rates, dead), (tw_x, tw_y), jitter, shift)
@@ -598,21 +594,18 @@ def _emit_times(
     timing spread. Every other pulse comes out base_delay + shift + jitter
     after its avalanche, both read off the gap since the previous avalanche
     (the relaxed far end of the curves for the first), never before it.
-    Raises ValueError, naming base_delay_ps, shift_curve or jitter_curve,
-    when the latest avalanche plus the base delay and the largest delay
-    would pass int64.
+    Raises ValueError naming jitter_curve when a sampled jitter lies
+    outside the time budget (see `instruments`); every other delay was
+    checked when `params` was built.
     """
     base_delay = int(params.base_delay_ps)
     _, _, (jit_x, jit_y), (sh_x, sh_y) = params._tables
     out = np.empty_like(times)
     held = causes == int(Cause.TWILIGHT)
-    if held_ends.size:
-        _check_out_time(int(held_ends.max()), base_delay, 0)
     out[held] = held_ends + base_delay
     free = ~held
-    gaps = np.diff(times)
     dt_prev = np.full(times.shape, _HUGE_DT)
-    dt_prev[1:] = np.where(gaps > 2**61, _HUGE_DT, gaps)
+    dt_prev[1:] = np.diff(times)
     dt_prev = dt_prev[free]
     if sh_x == jit_x:
         shift, fwhm = _interp_clamped_array(dt_prev, sh_x, sh_y, jit_y)
@@ -624,34 +617,15 @@ def _emit_times(
     spread = z * (fwhm * FWHM_TO_SIGMA)
     delta = np.floor(shift + spread + 0.5)
     if t_free.size:
-        # The float delays first, so that the cast below is exact.
-        _check_delays(float(np.abs(shift).max()), float(np.abs(spread).max()))
-        _check_out_time(int(t_free.max()), base_delay, int(delta.max()))
+        # A normal draw has no bound; below the budget the cast is exact.
+        _check_sampled_jitter(spread.min(), spread.max())
     out[free] = np.maximum(t_free + base_delay + delta.astype(np.int64), t_free)
     return out
 
 
-# Bound on the size of one pulse's shift and of its sampled jitter, in ps:
-# below it their rounded sum is an exact int64 whatever their signs.
-_DELAY_LIMIT = 2.0**62
-
-
-def _check_delays(shift_ps: float, spread_ps: float) -> None:
-    """Raise ValueError naming the curve unless shift_ps and spread_ps, the
-    largest shift and sampled jitter sizes of some pulses, are each finite
-    and below _DELAY_LIMIT."""
-    for name, size in (("shift_curve", shift_ps), ("jitter_curve", spread_ps)):
-        if not size < _DELAY_LIMIT:
-            raise ValueError(f"{name} gives an output delay that is not finite or not below 2**62 ps")
-
-
-def _check_out_time(t: int, base_delay: int, delta: int) -> None:
-    """Raise ValueError unless t + base_delay and t + base_delay + delta,
-    in Python ints, lie below 2**63: an avalanche at t emits then within int64."""
-    if t + base_delay >= 2**63:
-        raise ValueError(f"base_delay_ps puts output times past int64, got {base_delay}")
-    if t + base_delay + delta >= 2**63:
-        raise ValueError("shift_curve and jitter_curve delays put output times past int64")
+def _check_sampled_jitter(*spreads: float) -> None:
+    """Raise ValueError naming jitter_curve unless each sampled jitter lies in the delay budget."""
+    _check_budget("jitter_curve sampled delays", spreads, _DELAY_LIMIT, signed=True)
 
 
 def effective_dead_time(rate_cps: float, params: DetectorParams) -> float:
@@ -759,13 +733,9 @@ def _prepare_stimuli(arrivals, params: DetectorParams, rng: np.random.Generator,
     their uniforms, the dark times and theirs, and the substreams of `rng`
     that the state machine draws from.
     """
-    arrivals = _sorted_times(arrivals, "arrivals")
-    if arrivals.size and arrivals[0] < 0:
-        raise ValueError("arrivals must be non-negative")
-    if duration_ps <= 0:
-        raise ValueError(f"duration_ps must be > 0, got {duration_ps}")
+    arrivals = _sorted_times(arrivals, "arrivals", _TIME_LIMIT, signed=False)
     draws = _draw_streams(rng)
-    darks = poisson_times(draws.dark_times, params.dark_rate_cps, duration_ps)
+    darks = poisson_times(draws.dark_times, params.dark_rate_cps, duration_ps)  # checks duration_ps
     u_photon = draws.photon.random(arrivals.size)
     return arrivals, u_photon, darks, draws.dark_twilight.random(darks.size), draws
 
@@ -795,9 +765,10 @@ def detect(
     seed sequence (draw contract `DRAW_CONTRACT`), so `rng` needs one, as a
     generator from `make_generator` or `np.random.default_rng` has. Pulses
     are returned sorted by output time; when blanking is configured the
-    output is the transmitted subset. Raises ValueError, naming
-    base_delay_ps, shift_curve or jitter_curve, before an output time
-    would pass int64.
+    output is the transmitted subset. Arrivals and duration_ps lie in
+    [0, 2**61) ps, the time budget of `instruments`, which keeps every output
+    time below 2**62; a ValueError names the argument otherwise, or names
+    jitter_curve when a sampled jitter passes 2**58 ps.
     """
     columns = _detect_kernel(*_prepare_stimuli(arrivals, params, rng, duration_ps), params)
     return _finalize_records(columns, params)

@@ -161,29 +161,69 @@ def _int_rows(a, b) -> bytearray:
     return text
 
 
-def _sorted_times(values, name: str) -> np.ndarray:
-    """values as an int64 time array; raises unless it is sorted non-decreasing."""
+# The int64 time budget, in ps. Each time, delay and length is checked
+# against it once, where it enters: a source config, DetectorParams, the
+# arrivals and duration of `detect`, the qkd config, or an instrument's
+# arguments. No sum formed after that is checked again.
+#
+# - Source and detector times (arrivals, durations, n_pairs *
+#   pair_period_ps, a qkd frame's length) lie in [0, _TIME_LIMIT).
+# - Delays and lengths lie below _DELAY_LIMIT: the dead time plus its
+#   largest elongation, the base delay, |shift|, the jitter FWHM and each
+#   sampled jitter, t_b, a source's pulse width, and the qkd correlators'
+#   bin widths and spans.
+# - Instrument inputs and histogram origins lie in (-_INPUT_LIMIT,
+#   _INPUT_LIMIT), spans and windows below _REACH_LIMIT.
+#
+# So a dead period ends before 2**61 + 2**58, and an output time (an
+# avalanche plus the base delay, shift and sampled jitter, or a dead end
+# plus the base delay) lies in [0, 2**61 + 3 * 2**58), below 2**62: the
+# instruments take it, as they take a correlator span of under 2**58
+# rounded up to whole bins. In an instrument, t -/+ a span or window and
+# the start of a bin stay below 2**62 + 2**60, and v - origin and the
+# difference of two sorted inputs below 2**63. A source spreads an emission
+# by less than 14 pulse widths, as numpy's normal draws stay below 14 (the
+# tail draw takes the log of a double of at least 2**-53), so it stays
+# below 2**61 + 14 * 2**58 < 2**62 until the source drops it.
+# A trap release comes at most 1e15 < 2**50 ps after its avalanche, so the
+# bounds hold for afterpulse chains of up to 1,280 links at that delay.
+_TIME_LIMIT = 2**61
+_DELAY_LIMIT = 2**58
+_INPUT_LIMIT = 2**62
+_REACH_LIMIT = 2**60
+
+
+def _check_budget(name: str, values, limit: int, signed=False, positive=False) -> None:
+    """Raise ValueError naming `name` unless each of `values` lies in [0, limit),
+    in (0, limit) if positive, or in (-limit, limit) if signed; NaN never does."""
+    low = -limit if signed else 0
+    for v in values:
+        if not (low < v if signed or positive else low <= v) or not v < limit:
+            power = f"2**{limit.bit_length() - 1}"
+            where = f"(-{power}" if signed else "(0" if positive else "[0"
+            raise ValueError(f"{name} must lie in {where}, {power}) ps, got {v}")
+
+
+def _sorted_times(values, name: str, limit: int = _INPUT_LIMIT, signed: bool = True) -> np.ndarray:
+    """values as an int64 time array; raises unless it is sorted non-decreasing
+    and lies in the budget, by default that of an instrument input."""
     t = np.asarray(values, dtype=np.int64)
-    if t.size and np.any(np.diff(t) < 0):
-        raise ValueError(f"{name} must be sorted")
+    if t.size:
+        if np.any(t[1:] < t[:-1]):
+            raise ValueError(f"{name} must be sorted")
+        _check_budget(name, (t[0], t[-1]), limit, signed)
     return t
 
 
 def _check_bins(bin_width_ps: int, span_ps: int) -> None:
-    """Raise unless span_ps is a positive whole number of bin_width_ps bins."""
+    """Raise unless span_ps is a positive whole number of bin_width_ps bins, in the budget."""
     if bin_width_ps <= 0:
         raise ValueError(f"bin_width_ps must be > 0, got {bin_width_ps}")
     if span_ps <= 0 or span_ps % bin_width_ps != 0:
         raise ValueError(
             f"span_ps must be a positive multiple of bin_width_ps, got {span_ps}"
         )
-
-
-def _check_reach(t: np.ndarray, reach_ps: int, name: str) -> None:
-    """Raise unless t -/+ reach_ps lies within int64 for every time of the sorted t."""
-    first, last = (int(t[0]), int(t[-1])) if t.size else (0, 0)
-    if first - reach_ps < -(2**63) or last + reach_ps >= 2**63:
-        raise ValueError(f"a -/+ {name} must lie within int64, got {name}={reach_ps}")
+    _check_budget("span_ps", (span_ps,), _REACH_LIMIT)
 
 
 def build_histogram(values, bin_width_ps: int, span_ps: int, origin_ps: int = 0) -> Histogram:
@@ -193,8 +233,10 @@ def build_histogram(values, bin_width_ps: int, span_ps: int, origin_ps: int = 0)
     underflow/overflow tallies, never get dropped.
     """
     _check_bins(bin_width_ps, span_ps)
-    n_bins = span_ps // bin_width_ps
     v = np.asarray(values, dtype=np.int64)
+    _check_budget("values", (v.min(initial=0), v.max(initial=0)), _INPUT_LIMIT, signed=True)
+    _check_budget("origin_ps", (origin_ps,), _INPUT_LIMIT, signed=True)
+    n_bins = span_ps // bin_width_ps
     idx = (v - origin_ps) // bin_width_ps
     under = int(np.count_nonzero(idx < 0))
     over = int(np.count_nonzero(idx >= n_bins))
@@ -237,11 +279,8 @@ def coincidence(a, b, window_ps: int) -> Coincidences:
     the contested clusters: O((n_a + n_b) log n_b) in numpy plus
     O(contested) in Python.
     """
-    if window_ps <= 0:
-        raise ValueError(f"window_ps must be > 0, got {window_ps}")
+    _check_budget("window_ps", (window_ps,), _REACH_LIMIT, positive=True)
     ta, tb = _sorted_times(a, "a"), _sorted_times(b, "b")
-    # The candidate search computes a -/+ window in int64.
-    _check_reach(ta, window_ps, "window_ps")
     # The candidates of a[i] are b[lo[i]:hi[i]]. Both bounds never decrease,
     # so b[j] has as candidates the a[i] whose range opens at or before j,
     # less those whose range also closes there.
@@ -321,6 +360,7 @@ def autocorrelation(pulses, max_lag_ps: int, bin_width_ps: int) -> Histogram:
         raise ValueError(f"bin_width_ps must be > 0, got {bin_width_ps}")
     if max_lag_ps < bin_width_ps:
         raise ValueError(f"max_lag_ps must be >= bin_width_ps, got {max_lag_ps}")
+    _check_budget("max_lag_ps", (max_lag_ps,), _REACH_LIMIT)
     t = _sorted_times(pulses, "pulses")
     n_bins = max_lag_ps // bin_width_ps
     span = bin_width_ps * n_bins
@@ -347,15 +387,14 @@ def autocorrelation(pulses, max_lag_ps: int, bin_width_ps: int) -> Histogram:
 def cross_correlation(a, b, span_ps: int, bin_width_ps: int) -> Histogram:
     """Histogram of differences (t_b - t_a) over [-span, +span).
 
-    span must be a whole number of bins, and a -/+ span must lie within
-    int64. Pair differences outside the window go to underflow (below
-    -span) and overflow (at or above +span). One numpy pass per window
-    member gathers the in-span pairs, and `_bin_batches` bins them holding
-    at most O(pulses + bins) indices at once.
+    span must be a whole number of bins. Pair differences outside the
+    window go to underflow (below -span) and overflow (at or above +span).
+    One numpy pass per window member gathers the in-span pairs, and
+    `_bin_batches` bins them holding at most O(pulses + bins) indices at
+    once.
     """
     _check_bins(bin_width_ps, span_ps)
     ta, tb = _sorted_times(a, "a"), _sorted_times(b, "b")
-    _check_reach(ta, span_ps, "span_ps")
     n_bins = 2 * (span_ps // bin_width_ps)
     # Each a_i's window of b is found by binary search. Pass k takes the
     # k-th member of every window that has one, so there are as many passes

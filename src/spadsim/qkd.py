@@ -17,7 +17,10 @@ import numpy as np
 
 from .analysis import distinguishability, heralding_efficiency
 from .detector import DetectorParams, PulseRecords, detect
-from .instruments import Histogram, autocorrelation, coincidence, cross_correlation
+from .instruments import (
+    _DELAY_LIMIT, _TIME_LIMIT, Histogram, _check_budget, autocorrelation, coincidence,
+    cross_correlation,
+)
 from .rng import make_generator
 from .sources import EntangledPairConfig, correlated_pair_stream
 
@@ -44,6 +47,7 @@ class FrameConfig:
         n = self.bins_per_frame
         if n < 2 or n & (n - 1) != 0:
             raise ValueError(f"bins_per_frame must be a power of two >= 2, got {n}")
+        _check_budget("bins_per_frame * bin_width_ps", (self.frame_length_ps,), _TIME_LIMIT)
 
     @property
     def frame_length_ps(self) -> int:
@@ -129,28 +133,20 @@ def correlator_grids(
 
     A bin width left out is frame.bin_width_ps // 8 for the autocorrelator
     and // 4 for the cross-correlator, at least 1 ps; a span left out is
-    80 ns and 100 ns. Each span is rounded up to whole bins; a span that
-    this takes past int64 raises ValueError.
+    80 ns and 100 ns. Bin widths and spans lie below 2**58 ps, the delay
+    budget of `instruments`, or raise ValueError naming the argument; each
+    span is then rounded up to whole bins, which the correlators take.
     """
     ac_bw = ac_bin_width_ps if ac_bin_width_ps is not None else max(frame.bin_width_ps // 8, 1)
     cc_bw = cc_bin_width_ps if cc_bin_width_ps is not None else max(frame.bin_width_ps // 4, 1)
-    ac_span = _round_up(ac_span_ps if ac_span_ps is not None else 80000, ac_bw)
-    cc_span = _round_up(cc_span_ps if cc_span_ps is not None else 100000, cc_bw)
-    for name, span, bw in (("ac_span_ps", ac_span, ac_bw), ("cc_span_ps", cc_span, cc_bw)):
-        if span >= 2**63:
-            raise ValueError(f"{name} rounded up to whole {bw} ps bins is {span}, past int64")
-    return ac_bw, ac_span, cc_bw, cc_span
-
-
-def _check_cc_reach(cc_bin_width_ps: int, cc_span_ps: int, duration_ps: int) -> None:
-    """Raise ValueError unless the rounded cross-correlator span plus
-    duration_ps stays below 2**62. The cross-correlator computes t + span in
-    int64, and pulse times pass duration_ps by their output delays."""
-    if cc_span_ps + duration_ps >= 2**62:
-        raise ValueError(
-            f"cc_span_ps rounded up to whole {cc_bin_width_ps} ps bins is {cc_span_ps}; "
-            f"plus source.duration_ps ({duration_ps}) it must stay below 2**62"
-        )
+    ac_span = ac_span_ps if ac_span_ps is not None else 80000
+    cc_span = cc_span_ps if cc_span_ps is not None else 100000
+    for name, v in (
+        ("ac_bin_width_ps", ac_bw), ("ac_span_ps", ac_span),
+        ("cc_bin_width_ps", cc_bw), ("cc_span_ps", cc_span),
+    ):
+        _check_budget(name, (v,), _DELAY_LIMIT)
+    return ac_bw, _round_up(ac_span, ac_bw), cc_bw, _round_up(cc_span, cc_bw)
 
 
 def run_qkd_scenario(
@@ -178,15 +174,13 @@ def run_qkd_scenario(
     afterpulse pulse, when the two members come from different pairs, or
     when either member's assigned (frame, bin) differs from that of its true
     emission time. `correlator_grids` resolves the correlators' bin widths
-    and spans, before anything is simulated; the rounded cross-correlator
-    span plus duration_ps must stay below 2**62.
+    and spans, before anything is simulated.
     """
     check_rep_rate(source.rep_rate_hz, frame.bin_width_ps)
     ac_bw, ac_span, cc_bw, cc_span = correlator_grids(
         frame, ac_bin_width_ps=ac_bin_width_ps, ac_span_ps=ac_span_ps,
         cc_bin_width_ps=cc_bin_width_ps, cc_span_ps=cc_span_ps,
     )
-    _check_cc_reach(cc_bw, cc_span, source.duration_ps)
     streams = correlated_pair_stream(source, make_generator(seed, "source"))
     rec_a = detect(streams.alice_times, det_a, make_generator(seed, "detector_a"), source.duration_ps)
     rec_b = detect(streams.bob_times, det_b, make_generator(seed, "detector_b"), source.duration_ps)

@@ -50,8 +50,7 @@ from .detector import (
     Cause,
     DetectorParams,
     PulseRecords,
-    _check_delays,
-    _check_out_time,
+    _check_sampled_jitter,
     _Draws,
     _finalize_records,
     _interp_clamped,
@@ -97,8 +96,8 @@ class _DetectorState:
         self.u_dark = u_dark.tolist()
         self.armed = True
         self.generation = 0
-        self.dead_start = np.int64(-(2**62))
-        self.dead_end = np.int64(0)
+        self.dead_start = -(2**62)
+        self.dead_end = 0
         self.avalanches: list[int] = []  # every avalanche time, in order
         self.out_times: list[int] = []
         self.origin_times: list[int] = []
@@ -128,13 +127,12 @@ class _DetectorState:
                 if payload == self.generation:
                     self.armed = True
                 continue
-            t = np.int64(time)
             if self.armed:
-                self._handle_armed(t, kind, payload)
+                self._handle_armed(time, kind, payload)
             else:
-                self._handle_dead(t, kind, payload)
+                self._handle_dead(time, kind, payload)
 
-    def _handle_armed(self, t: np.int64, kind: int, payload: int) -> None:
+    def _handle_armed(self, t: int, kind: int, payload: int) -> None:
         if kind == KIND_PHOTON:
             if self.u_photon[payload] < self.efficiency:
                 self._avalanche(t, Cause.PHOTON, payload)
@@ -143,7 +141,7 @@ class _DetectorState:
         else:
             self._avalanche(t, Cause.AFTERPULSE, -1)
 
-    def _handle_dead(self, t: np.int64, kind: int, payload: int) -> None:
+    def _handle_dead(self, t: int, kind: int, payload: int) -> None:
         dt = t - self.dead_start
         if dt < self.tau_quench or kind == KIND_TRAP_RELEASE:
             # Quench phase swallows everything; the twilight zone swallows
@@ -156,39 +154,33 @@ class _DetectorState:
         elif self.u_dark[payload] < prof:
             self._avalanche(t, Cause.TWILIGHT, -1, held=True)
 
-    def _avalanche(self, t: np.int64, cause: Cause, src: int, held: bool = False) -> None:
+    def _avalanche(self, t: int, cause: Cause, src: int, held: bool = False) -> None:
         if held:
             # Sensing is off during the dead period: the pulse appears when
             # the interrupted dead period would have ended, with no sampled
             # timing spread.
-            _check_out_time(int(self.dead_end), self.base_delay, 0)
             ot = self.dead_end + self.base_delay
         else:
             # The first avalanche has no previous one: its gap is _HUGE_DT.
-            gap = t - self.avalanches[-1] if self.avalanches else _HUGE_DT
-            dt_prev = _HUGE_DT if gap > 2**61 else float(gap)
+            dt_prev = float(t - self.avalanches[-1]) if self.avalanches else _HUGE_DT
             shift = _interp_clamped(dt_prev, *self.shift)
             fwhm = _interp_clamped(dt_prev, *self.jitter)
             spread = self.draws.jitter.standard_normal() * (fwhm * FWHM_TO_SIGMA)
-            _check_delays(abs(shift), abs(spread))
-            delta = _round_ps(shift + spread)
-            _check_out_time(int(t), self.base_delay, delta)
-            ot = t + self.base_delay + delta
-            if ot < t:
-                ot = t
-        self.out_times.append(int(ot))
-        self.origin_times.append(int(t))
+            _check_sampled_jitter(spread)
+            ot = max(t + self.base_delay + _round_ps(shift + spread), t)
+        self.out_times.append(ot)
+        self.origin_times.append(t)
         self.causes.append(int(cause))
         self.arrival_index.append(src)
 
-        count = len(self.avalanches) - bisect_right(self.avalanches, int(t) - RATE_WINDOW_PS)
+        count = len(self.avalanches) - bisect_right(self.avalanches, t - RATE_WINDOW_PS)
         dlen = _round_ps(effective_dead_time(count / RATE_WINDOW_PS * 1.0e12, self.params))
-        self.avalanches.append(int(t))
+        self.avalanches.append(t)
         self.dead_start = t
         self.dead_end = t + dlen
         self.armed = False
         self.generation += 1
-        self.schedule(int(self.dead_end), _KIND_TIMER, self.generation)
+        self.schedule(self.dead_end, _KIND_TIMER, self.generation)
 
         if self.ap_mu > 0.0:
             k = self.draws.trap_counts.poisson(self.ap_mu)
@@ -196,7 +188,7 @@ class _DetectorState:
                 d = self.draws.trap_delays.exponential(self.ap_tau)
                 if d > _MAX_TRAP_DELAY:
                     d = _MAX_TRAP_DELAY
-                self.schedule(int(t + _round_ps(d)), KIND_TRAP_RELEASE)
+                self.schedule(t + _round_ps(d), KIND_TRAP_RELEASE)
 
 
 def detect_reference(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .instruments import _DELAY_LIMIT, _TIME_LIMIT, _check_budget
 from .rng import FWHM_TO_SIGMA
 
 __all__ = [
@@ -45,7 +46,7 @@ class CwSourceConfig:
 
     def __post_init__(self) -> None:
         _require(self.rate_cps >= 0, f"rate_cps must be >= 0, got {self.rate_cps}")
-        _require(self.duration_ps > 0, f"duration_ps must be > 0, got {self.duration_ps}")
+        _check_budget("duration_ps", (self.duration_ps,), _TIME_LIMIT, positive=True)
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,8 @@ class PulsedSourceConfig:
             self.mean_photons_per_pulse >= 0,
             f"mean_photons_per_pulse must be >= 0, got {self.mean_photons_per_pulse}",
         )
-        _require(self.pulse_fwhm_ps >= 0, f"pulse_fwhm_ps must be >= 0, got {self.pulse_fwhm_ps}")
-        _require(self.duration_ps > 0, f"duration_ps must be > 0, got {self.duration_ps}")
+        _check_budget("pulse_fwhm_ps", (self.pulse_fwhm_ps,), _DELAY_LIMIT)
+        _check_budget("duration_ps", (self.duration_ps,), _TIME_LIMIT, positive=True)
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class PairScanConfig:
         )
         _require(self.n_pairs >= 1, f"n_pairs must be >= 1, got {self.n_pairs}")
         span = self.n_pairs * self.pair_period_ps
-        _require(span < 2**63, f"n_pairs * pair_period_ps must be below 2**63 ps, got {span}")
+        _check_budget("n_pairs * pair_period_ps", (span,), _TIME_LIMIT)
         _require(
             0.0 < self.occupancy <= 1.0, f"occupancy must lie in (0, 1], got {self.occupancy}"
         )
@@ -107,13 +108,10 @@ class EntangledPairConfig:
             self.mean_pairs_per_pulse >= 0,
             f"mean_pairs_per_pulse must be >= 0, got {self.mean_pairs_per_pulse}",
         )
-        _require(self.duration_ps > 0, f"duration_ps must be > 0, got {self.duration_ps}")
+        _check_budget("duration_ps", (self.duration_ps,), _TIME_LIMIT, positive=True)
         for name, eta in (("eta_alice", self.eta_alice), ("eta_bob", self.eta_bob)):
             _require(0.0 <= eta <= 1.0, f"{name} must lie in [0, 1], got {eta}")
-        _require(
-            self.emission_fwhm_ps >= 0,
-            f"emission_fwhm_ps must be >= 0, got {self.emission_fwhm_ps}",
-        )
+        _check_budget("emission_fwhm_ps", (self.emission_fwhm_ps,), _DELAY_LIMIT)
 
 
 def poisson_times(rng: np.random.Generator, rate_cps: float, duration_ps: int) -> np.ndarray:
@@ -123,26 +121,27 @@ def poisson_times(rng: np.random.Generator, rate_cps: float, duration_ps: int) -
     drawn in one sized chunk plus fixed 1024-draw top-ups so the consumed
     sample count is a pure function of the drawn values.
     """
-    if rate_cps < 0:
-        raise ValueError(f"rate_cps must be >= 0, got {rate_cps}")
-    if duration_ps <= 0:
-        raise ValueError(f"duration_ps must be > 0, got {duration_ps}")
+    _require(rate_cps >= 0, f"rate_cps must be >= 0, got {rate_cps}")
+    _check_budget("duration_ps", (duration_ps,), _TIME_LIMIT, positive=True)
     if rate_cps == 0:
         return np.empty(0, dtype=np.int64)
     mean_gap = PS_PER_S / rate_cps
     n = max(64, int(duration_ps / mean_gap * 1.1) + 32)
     chunks: list[np.ndarray] = []
-    t_last = np.int64(0)
+    t_last = 0
     while True:
-        gaps = np.rint(rng.exponential(mean_gap, n)).astype(np.int64)
+        # A gap clamped at the duration still ends the stream, and the sums
+        # stay exact up to the first time past the end; later ones may wrap.
+        gaps = np.rint(np.minimum(rng.exponential(mean_gap, n), duration_ps)).astype(np.int64)
         times = t_last + np.cumsum(gaps)
+        past = times >= duration_ps
+        if past.any():
+            chunks.append(times[: past.argmax()])
+            break
         chunks.append(times)
         t_last = times[-1]
-        if t_last >= duration_ps:
-            break
         n = 1024
-    times = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    return times[times < duration_ps]
+    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
 
 
 def cw_poisson_stream(cfg: CwSourceConfig, rng: np.random.Generator) -> np.ndarray:

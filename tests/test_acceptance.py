@@ -49,15 +49,6 @@ PAIR_RATE_1_92GHZ = EntangledPairConfig(
 FRAME_521 = FrameConfig(bin_width_ps=521, bins_per_frame=1024)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    """Compile the hot kernels outside any timed block."""
-    rng = make_generator(0, "detector")
-    t = np.arange(1, 2000, dtype=np.int64) * 40_000
-    detect(t, CUSTOM, rng, 100_000_000)
-    blanking_filter(np.array([0, 10, 30_000], dtype=np.int64), 24_000)
-
-
 @pytest.fixture(scope="module")
 def qkd_spcm():
     return run_qkd_scenario(

@@ -286,18 +286,20 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "field, name",
         [
-            ({"base_delay_ps": 2**63 - 1}, "base_delay_ps"),
-            ({"shift_curve": [[0, 1e30], [1e15, 0]]}, "shift_curve"),
-            ({"jitter_curve": [[0, 1e30]]}, "jitter_curve"),
+            ({"base_delay_ps": 2**58}, "base_delay_ps"),
+            ({"shift_curve": [[0, -(2.0**58)], [1e15, 0]]}, "shift_curve"),
+            ({"jitter_curve": [[0, 2.0**58]]}, "jitter_curve"),
         ],
     )
     def test_output_times_past_int64_exit_one(self, tmp_path, capsys, field, name):
+        # The time budget keeps output times inside int64: a delay of 2**58 ps
+        # or more is refused when the config is loaded, before anything runs.
         doc = interarrival_doc(tmp_path, duration_ps=100_000_000)
         params = {"efficiency": 0.5, "tau_dead0_ps": 24000, "tau_quench_ps": 10000}
         doc["detector"] = {"params": dict(params, **field)}
         assert main(["simulate", write_config(tmp_path, doc)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("invalid value: ") and name in err
+        assert err.startswith(f"config error: detector.params.{name} ") and "2**58" in err
         assert not (tmp_path / "hist.csv").exists()
 
     def test_keyrate_config(self, tmp_path, capsys):

@@ -294,12 +294,23 @@ BAD_FIELDS = [
 ]
 
 
-# Checks across fields: a scan longer than int64 picoseconds, a spacing given twice.
+# Checks across fields: a scan past the time budget of 2**61 ps, a spacing given twice.
 BAD_SPANS = [
-    pytest.param(PairScanConfig(1, 2**62, 1), "n_pairs", 2, id="PairScanConfig-span"),
+    pytest.param(PairScanConfig(1, 2**60, 1), "n_pairs", 2, id="PairScanConfig-span"),
     pytest.param(PairScan([1, 2], 3, 1), "delta_ts_ps", [1, 2, 1], id="PairScan-repeat"),
 ]
-CHECKED = [pytest.param(*case, id=type(case[0]).__name__) for case in BAD_FIELDS] + BAD_SPANS
+# Times past 2**61 ps and delays or lengths past 2**58 ps, the time budget.
+PAST_BUDGET = [
+    pytest.param(CwSourceConfig(rate_cps=1.0, duration_ps=1), "duration_ps", 2**61, id="duration"),
+    pytest.param(PulsedSourceConfig(521, 0.1, 1), "pulse_fwhm_ps", 2**58, id="pulse-width"),
+    pytest.param(EntangledPairConfig(1e9, 0.1, 1), "emission_fwhm_ps", 2**58, id="emission-width"),
+    pytest.param(BlankingConfig(), "t_b_ps", 2**58, id="t_b"),
+    pytest.param(preset("spcm-aqrh").params, "base_delay_ps", 2**58, id="base-delay"),
+    # bin_assign divides times by the frame length, bins_per_frame * bin_width_ps.
+    pytest.param(FrameConfig(bin_width_ps=521), "bins_per_frame", 2**52, id="frame-length"),
+]
+CHECKED = [pytest.param(*case, id=type(case[0]).__name__) for case in BAD_FIELDS]
+CHECKED += BAD_SPANS + PAST_BUDGET
 
 
 @pytest.mark.parametrize("obj,name,bad", CHECKED)
@@ -432,9 +443,9 @@ class TestRegistry:
 
 
 # One field per kind that passed validation and then failed in the run: an
-# integer beyond numpy's int64, a repeated spacing, a scan span beyond int64,
-# a correlator span rounded past int64 or too near it for the run's pulse times,
-# a correlator bin too wide for the period.
+# integer beyond numpy's int64, a repeated spacing, a scan span, a correlator
+# span or a run's duration past the time budget, a correlator bin too wide
+# for the period.
 RUN_FAILURES = [
     pytest.param("interarrival", "instrument", "bin_width_ps", 2**64,
                  "instrument.bin_width_ps: must lie", id="interarrival"),
@@ -446,11 +457,12 @@ RUN_FAILURES = [
                  "source.period_ps: must lie", id="autocorr"),
     pytest.param("qkd", "instrument", "cc_span_ps", 2**63,
                  "instrument.cc_span_ps: must lie", id="qkd"),
-    pytest.param("qkd", "instrument", "cc_span_ps", 2**63 - 1,
-                 "instrument.cc_span_ps rounded up to whole 130 ps bins is", id="qkd-span-rounding"),
-    pytest.param("qkd", "instrument", "cc_span_ps", (2**63 - 1) // 130 * 130,
-                 "instrument.cc_span_ps rounded up to whole 130 ps bins is 9223372036854775800; "
-                 "plus source.duration_ps (1000000) it must stay below 2**62", id="qkd-span-reach"),
+    pytest.param("qkd", "instrument", "cc_span_ps", 2**58,
+                 "instrument.cc_span_ps must lie in [0, 2**58) ps, got 288230376151711744\n",
+                 id="qkd-span-rounding"),
+    pytest.param("qkd", "source", "duration_ps", 2**61,
+                 "source.duration_ps must lie in (0, 2**61) ps, got 2305843009213693952\n",
+                 id="qkd-span-reach"),
     pytest.param("qkd", "instrument", "ac_bin_width_ps", 300,
                  "instrument.ac_bin_width_ps: must be at most half of the pulse period "
                  "(520.8333333333334 ps for frame.bin_width_ps 521), got 300", id="qkd-ac-grid"),
@@ -458,8 +470,16 @@ RUN_FAILURES = [
                  "inputs.m_channels: must lie", id="keyrate"),
     pytest.param("jitter-scan", "source", "delta_ts_ps", [30_000, 30_000],
                  "source.delta_ts_ps[1] repeats", id="repeated-spacing"),
-    pytest.param("pair-scan", "source", "pair_period_ps", 2**62,
-                 "source.n_pairs * pair_period_ps must be", id="scan-span"),
+    pytest.param("pair-scan", "source", "pair_period_ps", 2**61,
+                 "source.n_pairs * pair_period_ps must lie in [0, 2**61) ps", id="scan-span"),
+    # The interarrival histogram's default span is 4096 bins.
+    pytest.param("interarrival", "instrument", "bin_width_ps", 2**48,
+                 "instrument.span_ps must lie in [0, 2**60) ps, got 1152921504606846976\n",
+                 id="interarrival-span"),
+    pytest.param("autocorr", "instrument", "max_lag_ps", 2**60,
+                 "instrument.max_lag_ps must lie in [0, 2**60) ps", id="autocorr-lag"),
+    pytest.param("qkd", "frame", "bins_per_frame", 2**60,
+                 "frame.bins_per_frame * bin_width_ps must lie in [0, 2**61) ps", id="qkd-frame"),
 ]
 
 
@@ -492,4 +512,8 @@ def test_qkd_default_autocorrelator_grid_must_fit_the_period(tmp_path, capsys):
 def test_int64_bound_covers_detector_params_but_not_the_seed():
     with pytest.raises(ConfigError, match=r"^detector\.params\.tau_dead0_ps: must lie in \["):
         validate_config(with_params(tau_dead0_ps=2**63))
+    # Inside int64, the time budget refuses a dead time of 2**58 ps or more.
+    budget = r"^detector\.params\.tau_dead0_ps plus the largest dead_elongation duration must "
+    with pytest.raises(ConfigError, match=budget + r"lie in \[0, 2\*\*58\) ps"):
+        validate_config(with_params(tau_dead0_ps=2**58))
     assert validate_config(dict(INTERARRIVAL, seed=2**200))["seed"] == 2**200

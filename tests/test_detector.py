@@ -87,12 +87,14 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             plain_params(**kw)
 
-    @pytest.mark.parametrize("added", [2.0**62, 1e30, float("inf"), float("nan")])
+    @pytest.mark.parametrize("added", [2.0**58, 2.0**62, 1e30, float("inf"), float("nan")])
     def test_dead_time_must_stay_below_2_62_ps(self, added):
-        # Each dead length is then an exact int64 for the kernel and the reference.
-        with pytest.raises(ValueError, match="dead_elongation"):
+        # The time budget holds the dead time below 2**58 ps, so that a dead
+        # period ends inside int64 for the kernel and the reference.
+        budget = r"dead_elongation duration must lie in \[0, 2\*\*58\)"
+        with pytest.raises(ValueError, match=budget):
             plain_params(dead_elongation=((0.0, 0.0), (1e7, added)))
-        plain_params(dead_elongation=((0.0, 2.0**61),))
+        plain_params(dead_elongation=((0.0, 2.0**57),))
 
     def test_curves_are_converted_once_when_built(self, monkeypatch):
         # custom-aq has all four curves: an elongated dead time, a twilight
@@ -356,26 +358,44 @@ class TestDetect:
         g = make_generator(1, "detector")
         with pytest.raises(ValueError):
             detect(np.array([5, 1], dtype=np.int64), p, g, 1000)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^arrivals must lie in \[0, 2\*\*61\) ps, got -5$"):
             detect(np.array([-5], dtype=np.int64), p, g, 1000)
-        with pytest.raises(ValueError):
-            detect(np.array([], dtype=np.int64), p, g, 0)
+        with pytest.raises(ValueError, match=r"^arrivals must lie in \[0, 2\*\*61\) ps"):
+            detect(np.array([5, 2**61], dtype=np.int64), p, g, 1000)
+        for duration in (0, 2**61):
+            with pytest.raises(ValueError, match=r"^duration_ps must lie in \(0, 2\*\*61\) ps"):
+                detect(np.array([], dtype=np.int64), p, g, duration)
 
     @pytest.mark.parametrize("run", [detect, detect_reference])
     @pytest.mark.parametrize(
         "kw, name",
         [
-            (dict(base_delay_ps=2**63 - 1), "base_delay_ps"),
-            (dict(shift_curve=((0.0, 1e30), (1e15, 0.0))), "shift_curve"),
-            (dict(jitter_curve=((0.0, 1e30),)), "jitter_curve"),
-            # Each part fits in int64, their sum does not.
-            (dict(base_delay_ps=2**63 - 200_000, shift_curve=((0.0, 1e6), (1e15, 0.0))), "shift_curve"),
+            (dict(base_delay_ps=2**58), "base_delay_ps"),
+            (dict(shift_curve=((0.0, 2.0**58), (1e15, 0.0))), "shift_curve"),
+            (dict(jitter_curve=((0.0, 2.0**58),)), "jitter_curve"),
+            # A base delay inside the budget, a negative shift at its edge.
+            (
+                dict(base_delay_ps=2**58 - 1, shift_curve=((0.0, -(2.0**58)), (1e15, 0.0))),
+                "shift_curve",
+            ),
         ],
     )
     def test_output_times_past_int64_are_refused(self, run, kw, name):
+        # The time budget refuses each delay of 2**58 ps or more when the
+        # parameters are built, so that no output time can pass int64.
         arrivals = np.array([0, 100_000], dtype=np.int64)
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=rf"^{name}\b.* must lie in .*2\*\*58\) ps"):
             run(arrivals, plain_params(**kw), make_generator(1, "detector"), 1000)
+
+    @pytest.mark.parametrize("run", [detect, detect_reference])
+    def test_sampled_jitter_past_the_budget_is_refused(self, run):
+        # A normal draw has no bound: a FWHM inside the budget can still
+        # sample a jitter of 2**58 ps or more, which both implementations refuse.
+        p = plain_params(jitter_curve=((0.0, 2.0**58 - 2.0**6),))
+        arrivals = np.arange(200, dtype=np.int64) * 100_000
+        match = r"^jitter_curve sampled delays must lie in \(-2\*\*58, 2\*\*58\) ps"
+        with pytest.raises(ValueError, match=match):
+            run(arrivals, p, make_generator(1, "detector"), 1000)
 
     def test_identical_seeds_identical_records(self):
         p = plain_params(

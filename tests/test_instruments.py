@@ -38,6 +38,18 @@ class TestHistogram:
         with pytest.raises(ValueError):
             build_histogram(v, 1000, 0)
 
+    def test_values_and_origin_must_lie_in_the_budget(self):
+        # v - origin would wrap: 2**63 - 1 would then be tallied as underflow.
+        with pytest.raises(ValueError, match=r"^values must lie in \(-2\*\*62, 2\*\*62\) ps"):
+            build_histogram(np.array([2**63 - 1]), 100, 1000, origin_ps=-(2**62))
+        with pytest.raises(ValueError, match=r"^origin_ps must lie in \(-2\*\*62, 2\*\*62\) ps"):
+            build_histogram(np.array([0]), 100, 1000, origin_ps=-(2**62))
+        with pytest.raises(ValueError, match=r"^span_ps must lie in \[0, 2\*\*60\) ps"):
+            build_histogram(np.array([0]), 2**59, 2**60)
+        h = build_histogram(np.array([2**62 - 1, -(2**62) + 1]), 2**59, 2**60 - 2**59, -(2**62) + 1)
+        assert (h.counts.tolist(), h.underflow, h.overflow) == ([1], 0, 1)
+        assert h.bin_starts.tolist() == [-(2**62) + 1]
+
     def test_csv_layout(self):
         h = build_histogram(np.array([0, 1, 5000], dtype=np.int64), 1000, 2000)
         lines = h.to_csv().strip().split("\n")
@@ -137,13 +149,16 @@ class TestCoincidence:
             assert c.idx_a.dtype == c.idx_b.dtype == np.int64
 
     def test_window_arithmetic_must_fit_in_int64(self):
+        # The time budget keeps a -/+ window inside int64: inputs lie in
+        # (-2**62, 2**62) and the window below 2**60.
         b = np.array([0], dtype=np.int64)
-        for a in ([2**63 - 10], [-(2**63) + 10]):
-            with pytest.raises(ValueError, match="int64"):
+        for a in ([2**62], [-(2**62)]):
+            with pytest.raises(ValueError, match=r"^a must lie in \(-2\*\*62, 2\*\*62\) ps"):
                 coincidence(np.array(a, dtype=np.int64), b, 11)
-            assert len(coincidence(np.array(a, dtype=np.int64), b, 9)) == 0
-        with pytest.raises(ValueError, match="int64"):
-            coincidence([], b, 2**63)
+            assert len(coincidence(np.array(a, dtype=np.int64) - np.sign(a), b, 2**60 - 1)) == 0
+        for window in (0, 2**60):
+            with pytest.raises(ValueError, match=r"^window_ps must lie in \(0, 2\*\*60\) ps"):
+                coincidence([], b, window)
 
 
 class TestAutocorrelation:
@@ -165,6 +180,17 @@ class TestAutocorrelation:
         t = np.array([0, 10, 20, 10_000], dtype=np.int64)
         h = autocorrelation(t, 100, 10)
         assert h.total == 4 * 3 // 2
+
+    def test_sorted_span_across_the_budget_is_refused(self):
+        # Sorted, but the difference of the two would wrap past int64.
+        with pytest.raises(ValueError, match=r"^pulses must lie in \(-2\*\*62, 2\*\*62\) ps"):
+            autocorrelation(np.array([-(2**62) - 10, 2**62 + 10]), 1000, 100)
+        with pytest.raises(ValueError, match=r"^pulses must be sorted$"):
+            autocorrelation(np.array([2**62 - 1, -(2**62) + 1]), 1000, 100)
+        with pytest.raises(ValueError, match=r"^max_lag_ps must lie in \[0, 2\*\*60\) ps"):
+            autocorrelation(np.array([0]), 2**60, 100)
+        h = autocorrelation(np.array([-(2**62) + 1, 2**62 - 1]), 1000, 100)
+        assert (h.total, h.overflow) == (1, 1)
 
 
 class TestCrossCorrelation:
@@ -188,14 +214,15 @@ class TestCrossCorrelation:
         assert h.total == 2
 
     def test_span_arithmetic_must_fit_in_int64(self):
-        # As in coincidence: a -/+ span must not wrap around int64.
+        # As in coincidence: the time budget keeps a -/+ span inside int64.
         b = np.array([0], dtype=np.int64)
-        for a in ([2**63 - 1000], [-(2**63) + 1000]):
-            with pytest.raises(ValueError, match=r"^a -/\+ span_ps must lie within int64"):
+        for a in ([2**62], [-(2**62)]):
+            with pytest.raises(ValueError, match=r"^a must lie in \(-2\*\*62, 2\*\*62\) ps"):
                 cross_correlation(np.array(a, dtype=np.int64), b, 1100, 100)
-            assert cross_correlation(np.array(a, dtype=np.int64), b, 900, 100).total == 1
-        with pytest.raises(ValueError, match="int64"):
-            cross_correlation([], b, 2**63, 2**63)
+            a = np.array(a, dtype=np.int64) - np.sign(a)
+            assert cross_correlation(a, b, 2**60 - 2**59, 2**59).total == 1
+        with pytest.raises(ValueError, match=r"^span_ps must lie in \[0, 2\*\*60\) ps"):
+            cross_correlation([], b, 2**60, 2**60)
 
 
 class TestGaussianFit:

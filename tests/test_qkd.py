@@ -90,12 +90,17 @@ class TestCorrelatorGrids:
         assert grids == (300, 900, 130, 130)
 
     def test_span_rounded_past_int64_is_rejected(self):
+        # Bin widths and spans lie below 2**58 ps, the time budget's delay
+        # limit; a span rounded up past it still fits the correlators.
         f = FrameConfig(bin_width_ps=521)
-        with pytest.raises(ValueError, match=r"^cc_span_ps rounded up to whole 130 ps bins"):
-            correlator_grids(f, cc_span_ps=2**63 - 1)
-        with pytest.raises(ValueError, match=r"^ac_span_ps rounded up to whole 11 ps bins"):
-            correlator_grids(f, ac_bin_width_ps=11, ac_span_ps=2**63 - 1)
-        assert correlator_grids(f, cc_bin_width_ps=1, cc_span_ps=2**63 - 1)[3] == 2**63 - 1
+        with pytest.raises(ValueError, match=r"^cc_span_ps must lie in \[0, 2\*\*58\) ps"):
+            correlator_grids(f, cc_span_ps=2**58)
+        with pytest.raises(ValueError, match=r"^ac_span_ps must lie in \[0, 2\*\*58\) ps"):
+            correlator_grids(f, ac_bin_width_ps=11, ac_span_ps=2**58)
+        with pytest.raises(ValueError, match=r"^ac_bin_width_ps must lie in \[0, 2\*\*58\) ps"):
+            correlator_grids(f, ac_bin_width_ps=2**58)
+        assert correlator_grids(f, cc_bin_width_ps=1, cc_span_ps=2**58 - 1)[3] == 2**58 - 1
+        assert correlator_grids(f, cc_span_ps=2**58 - 1)[3] == 2**58 + 16  # 130 ps bins
 
 
 class TestScenario:
@@ -111,15 +116,15 @@ class TestScenario:
             raise AssertionError("detected before checking the grids")
 
         monkeypatch.setattr("spadsim.qkd.detect", no_detect)
-        with pytest.raises(ValueError, match=r"^cc_span_ps rounded up"):
+        with pytest.raises(ValueError, match=r"^cc_span_ps must lie in \[0, 2\*\*58\) ps"):
             run_qkd_scenario(
                 source(1e-3, 1_000_000), ideal_detector(), ideal_detector(), FRAME, seed=1,
-                cc_span_ps=2**63 - 1,
+                cc_span_ps=2**58,
             )
-        with pytest.raises(ValueError, match=r"plus source\.duration_ps \(1000000\) it must stay"):
+        with pytest.raises(ValueError, match=r"^cc_bin_width_ps must lie in \[0, 2\*\*58\) ps"):
             run_qkd_scenario(
                 source(1e-3, 1_000_000), ideal_detector(), ideal_detector(), FRAME, seed=1,
-                cc_span_ps=2**62 - 1_000_000,
+                cc_bin_width_ps=2**58,
             )
 
     def test_ideal_detectors_error_free(self):

@@ -119,15 +119,26 @@ def test_dead_time_follows_the_avalanches_counted_in_the_window(run, k, first, c
         assert np.array_equal(rec.origin_times, arrivals if fires else arrivals[:-1])
 
 
-def test_first_avalanche_past_2_62_ps():
+def test_first_avalanche_at_the_top_of_the_budget():
     """The first avalanche has no previous one: its gap is the far end of the
     curves however late it comes, with nothing subtracted (an int64 overflow
-    warning fails the suite)."""
-    arrivals = np.array([2**63 - 200_000, 2**63 - 100_000], dtype=np.int64)
+    warning fails the suite). Arrivals lie below 2**61 ps, the time budget."""
+    arrivals = np.array([2**61 - 200_000, 2**61 - 100_000], dtype=np.int64)
     params = DetectorParams(efficiency=1.0, tau_dead0_ps=24_000, tau_quench_ps=10_000)
     a = detect(arrivals, params, make_generator(12, 2), 1_000)
     b = detect_reference(arrivals, params, make_generator(12, 2), 1_000)
     assert len(a) == 2 and records_equal(a, b)
+
+
+@pytest.mark.parametrize("run", [detect, detect_reference])
+def test_arrivals_past_the_budget_are_refused_alike(run):
+    """An avalanche one dead time before 2**63 would end its dead period past
+    int64; both implementations refuse the arrival at the budget instead."""
+    arrivals = np.array([2**63 - 20_000], dtype=np.int64)
+    params = DetectorParams(efficiency=1.0, tau_dead0_ps=24_000, tau_quench_ps=10_000)
+    message = r"^arrivals must lie in \[0, 2\*\*61\) ps, got 9223372036854755808$"
+    with pytest.raises(ValueError, match=message):
+        run(arrivals, params, make_generator(12, 2), 1_000)
 
 
 @st.composite
@@ -203,6 +214,9 @@ def dense_arrivals(draw, step: int) -> tuple[np.ndarray, int]:
 def detector_cases(draw):
     params, step = draw(generated_params())
     arrivals, duration = draw(dense_arrivals(step))
+    if draw(st.booleans()):
+        # The same photons just under the top of the arrival budget, 2**61 ps.
+        arrivals = arrivals + (2**61 - duration)
     return params, arrivals, duration, draw(st.integers(0, 2**32 - 1))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -100,6 +101,17 @@ def test_poisson_times_tops_up_in_fixed_chunks():
     np.testing.assert_array_equal(got, times[times < SECOND_PS])
     # Exactly those draws were taken: the stream goes on where the explicit one does.
     assert drawn.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("rate_cps, duration_ps", [(1e-6, 10**6), (1e12 / 2**58, 2**60)])
+def test_poisson_times_never_wrap_at_low_rates(rate_cps, duration_ps):
+    # At these rates a chunk of 64 gaps sums past int64. Only the times up to
+    # the first one past the end are read, and they stay exact.
+    rng = np.random.default_rng(5)
+    t = poisson_times(rng, rate_cps, duration_ps)
+    gaps = np.rint(np.random.default_rng(5).exponential(1e12 / rate_cps, 64)).tolist()
+    expected = [s for s in itertools.accumulate(int(g) for g in gaps) if s < duration_ps]
+    assert t.tolist() == expected
 
 
 def test_pair_scan_needs_at_least_one_pair():
