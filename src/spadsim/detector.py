@@ -123,16 +123,19 @@ class AfterpulseModel:
     """Trap filling and release statistics.
 
     mu traps are filled per avalanche on average; each releases after an
-    exponential(tau_trap) delay.
+    exponential(tau_trap) delay. A trap is live if its delay rounds to
+    tau_dead0 or more; DetectorParams checks that afterpulse chains die
+    out: p = mu * exp(-(tau_dead0 - 0.5) / tau_trap) live traps per
+    avalanche on average, or 0 past the delay clamp, must be < 1.
     """
 
     mu: float = 0.0
     tau_trap_ps: float = 32000.0
 
     def __post_init__(self) -> None:
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if self.tau_trap_ps <= 0:
+        if not self.tau_trap_ps > 0:
             raise ValueError(f"tau_trap_ps must be > 0, got {self.tau_trap_ps}")
 
 
@@ -197,8 +200,12 @@ class DetectorParams:
                 f"tau_quench_ps must lie in [0, tau_dead0_ps], got {self.tau_quench_ps}"
             )
         _check_budget("base_delay_ps", (self.base_delay_ps,), _DELAY_LIMIT)
-        if self.dark_rate_cps < 0:
+        if not self.dark_rate_cps >= 0:
             raise ValueError(f"dark_rate_cps must be >= 0, got {self.dark_rate_cps}")
+        ap, outlive = self.afterpulse, self.tau_dead0_ps - 0.5  # see AfterpulseModel
+        live = ap.mu * math.exp(-outlive / ap.tau_trap_ps) if outlive <= _MAX_TRAP_DELAY else 0.0
+        if not live < 1.0:
+            raise ValueError(f"afterpulse must fill < 1 live trap per avalanche, got {live}")
         zero = ((0.0, 0.0),)
         rates, added = _curve_arrays(self.dead_elongation or zero, "dead_elongation")
         if rates[0] < 0:
@@ -311,28 +318,35 @@ def _draw_streams(rng: np.random.Generator) -> _Draws:
     return _Draws(*(np.random.Generator(np.random.Philox(seq)) for seq in children))
 
 
-# Trap counts and delays are read from blocks of this many draws.
-_TRAP_BLOCK = 4096
-
 # Time of the end-of-stream sentinels, later than every stimulus.
 _NEVER = 2**63 - 1
 
 
-def _trap_count_block(draws: _Draws, mu: float, first: int) -> tuple[list[int], list[int]]:
-    """The Poisson(mu) trap counts of avalanches first .. first + _TRAP_BLOCK - 1.
+def _trap_draws(draws: _Draws, params: DetectorParams, n: int) -> tuple[list, list, list]:
+    """Trap draws for every avalanche that a run over n stimuli can reach.
 
-    Returns the avalanches whose count is nonzero, followed by the first
-    avalanche of the next block, and their counts.
+    Returns the avalanches with a nonzero Poisson(mu) trap count, then
+    _NEVER; where each one's delays start, then their end; and the trap
+    delays in filling order, clamped and rounded to the picosecond. A trap
+    that is not live releases inside a dead period, so every avalanche is a
+    stimulus or a release of a live trap of an earlier one: once the counts
+    cover M avalanches with n + live(M) <= M, no run reaches avalanche M.
+    Each round covers M = n + live(M) of the last; with p < 1 (see
+    AfterpulseModel) the rounds end, near M = n / (1 - p).
     """
-    counts = draws.trap_counts.poisson(mu, _TRAP_BLOCK)
+    mu, tau = params.afterpulse.mu, params.afterpulse.tau_trap_ps
+    counts, delays = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    covered = live = 0
+    while covered < n + live:
+        counts.append(draws.trap_counts.poisson(mu, n + live - covered))
+        d = np.minimum(draws.trap_delays.exponential(tau, counts[-1].sum()), _MAX_TRAP_DELAY)
+        delays.append(np.floor(d + 0.5).astype(np.int64))
+        covered = n + live
+        live += int(np.count_nonzero(delays[-1] >= params.tau_dead0_ps))
+    counts = np.concatenate(counts)
     at = np.flatnonzero(counts)
-    return (at + first).tolist() + [first + _TRAP_BLOCK], counts[at].tolist()
-
-
-def _trap_delay_block(draws: _Draws, tau_trap: float) -> list[int]:
-    """The next block of trap delays: exponential(tau_trap), clamped, rounded to ps."""
-    d = np.minimum(draws.trap_delays.exponential(tau_trap, _TRAP_BLOCK), _MAX_TRAP_DELAY)
-    return np.floor(d + 0.5).astype(np.int64).tolist()
+    starts = np.concatenate(([0], np.cumsum(counts[at])))
+    return at.tolist() + [_NEVER], starts.tolist(), np.concatenate(delays).tolist()
 
 
 # The kernel tabulates the dead length for avalanche counts up to this one;
@@ -381,8 +395,8 @@ def _detect_kernel(
     armed. When the loop meets an armed stimulus followed by an uncontested
     one, it takes the avalanches up to the end of that uncontested run as
     one slice. The run stops before the first pending trap release, and at
-    the first avalanche that fills traps or opens a new trap-count block;
-    that last avalanche takes the scalar step, which reads the counts. The
+    the first avalanche that fills traps; that last avalanche takes the
+    scalar step, which pushes its traps' release times on the heap. The
     loop marks the stimuli that fired and records only the twilight
     avalanches (with the dead_end each is held to) and the fired releases;
     numpy builds the columns after it.
@@ -404,21 +418,20 @@ def _detect_kernel(
       dark uniforms        dark j triggers in twilight iff u_dark[j] < profile;
                            armed darks and trap releases always trigger
       trap counts          one Poisson(mu) count per avalanche, in avalanche
-                           order (only when mu > 0)
+                           order, for more avalanches than the run reaches
       trap delays          one exponential(tau_trap) delay per trap, in
                            filling order, clamped at _MAX_TRAP_DELAY
       jitter normals       one normal per unheld pulse, in avalanche order;
                            held twilight pulses take none
 
-    Uniforms are keyed, so a stimulus draws the same value whatever state it
-    meets. The profile never exceeds 1, so a photon with u >= efficiency can
-    never trigger: such photons are dropped before the loop. Output times
-    never feed back into the state machine and are computed after it
-    (`_emit_times`).
+    The trap draws come before the loop (`_trap_draws`) and the normals
+    after it: the loop itself draws nothing. Uniforms are keyed, so a
+    stimulus draws the same value whatever state it meets. The profile
+    never exceeds 1, so a photon with u >= efficiency can never trigger:
+    such photons are dropped before the loop. Output times never feed back
+    into the state machine and are computed after it (`_emit_times`).
     """
     efficiency = float(params.efficiency)
-    ap_mu = float(params.afterpulse.mu)
-    ap_tau = float(params.afterpulse.tau_trap_ps)
     (_, dead_y), (tw_x, tw_y), _, _ = params._tables
     # Without a profile nothing triggers in twilight: the zone starts never.
     twilight_from = int(params.tau_quench_ps) if params.twilight_profile else _NEVER
@@ -452,6 +465,7 @@ def _detect_kernel(
     run_ends = edges[1:][np.diff(edges) > 1].tolist()
     run_ends.append(n)
     del edges
+    fill_at, starts, delays = _trap_draws(draws, params, n)
 
     stim = stimuli.tolist()
     stim.append(_NEVER)
@@ -460,16 +474,8 @@ def _detect_kernel(
     held_ends: list[int] = []  # the dead_end each twilight pulse is held to
     afterpulse_times: list[int] = []  # the trap releases that fired
     releases = [_NEVER]  # min-heap of pending trap release times, and the end sentinel
-    # Avalanches are numbered in order. `fill_at` holds the avalanches of the
-    # current count block that fill traps and then the next block's first;
-    # `fills` their counts. The scalar step reads the blocks at avalanche
-    # `next_fill`, and a run never reaches past it.
-    fill_at: list[int] = [0]
-    fills: list[int] = []
-    fk = n_av = 0
-    next_fill = 0 if ap_mu > 0.0 else _NEVER
-    delays: list[int] = []
-    di = _TRAP_BLOCK  # read position in the delay block; starts used up
+    fk = n_av = 0  # `next_fill` = fill_at[fk] is the next avalanche to fill traps
+    next_fill = fill_at[0]
 
     dead_start = -(2**62)  # avalanche instant of the current dead period
     dead_end = 0  # armed iff t >= dead_end
@@ -541,21 +547,13 @@ def _detect_kernel(
 
         # Trap filling: every avalanche fills k ~ Poisson(mu) traps.
         if n_av == next_fill:
-            if fk == len(fills):
-                fill_at, fills = _trap_count_block(draws, ap_mu, n_av)
-                fk = 0
-            if fill_at[fk] == n_av:
-                for _ in range(fills[fk]):
-                    if di == _TRAP_BLOCK:
-                        delays = _trap_delay_block(draws, ap_tau)
-                        di = 0
-                    heappush(releases, t + delays[di])
-                    di += 1
-                fk += 1
+            for d in delays[starts[fk] : starts[fk + 1]]:
+                heappush(releases, t + d)
+            fk += 1
             next_fill = fill_at[fk]
         n_av += 1
 
-    del stim, releases, fill_at, fills, delays, av
+    del stim, releases, fill_at, starts, delays, av
     at = np.flatnonzero(np.frombuffer(fired, dtype=np.bool_))
     del fired
     times = stimuli[at]
@@ -660,9 +658,9 @@ def calibrate_afterpulse_mu(p_target: float, tau_trap_ps: float, tau_dead_ps: fl
     """
     if not 0.0 <= p_target < 1.0:
         raise ValueError(f"p_target must lie in [0, 1), got {p_target}")
-    if tau_trap_ps <= 0:
+    if not tau_trap_ps > 0:
         raise ValueError(f"tau_trap_ps must be > 0, got {tau_trap_ps}")
-    if tau_dead_ps < 0:
+    if not tau_dead_ps >= 0:
         raise ValueError(f"tau_dead_ps must be >= 0, got {tau_dead_ps}")
     return p_target * math.exp(tau_dead_ps / tau_trap_ps)
 
@@ -721,9 +719,7 @@ def blanking_filter(pulse_times, t_b_ps: int) -> np.ndarray:
     window.
     """
     t = _sorted_times(pulse_times, "pulse_times")
-    if t_b_ps <= 0:
-        raise ValueError(f"t_b_ps must be > 0, got {t_b_ps}")
-    return t[_blanking_keep(t, t_b_ps)]
+    return t[_blanking_keep(t, BlankingConfig(t_b_ps).t_b_ps)]  # BlankingConfig checks t_b_ps
 
 
 def _prepare_stimuli(arrivals, params: DetectorParams, rng: np.random.Generator, duration_ps: int):

@@ -186,7 +186,8 @@ def _int_rows(a, b) -> bytearray:
 # tail draw takes the log of a double of at least 2**-53), so it stays
 # below 2**61 + 14 * 2**58 < 2**62 until the source drops it.
 # A trap release comes at most 1e15 < 2**50 ps after its avalanche, so the
-# bounds hold for afterpulse chains of up to 1,280 links at that delay.
+# bounds hold for afterpulse chains of up to 1,280 links. A chain ends with
+# probability 1, as DetectorParams keeps p < 1, but has no hard bound.
 _TIME_LIMIT = 2**61
 _DELAY_LIMIT = 2**58
 _INPUT_LIMIT = 2**62

@@ -37,6 +37,14 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _check_mean(cfg, name: str, period_ps: float) -> None:
+    """Raise ValueError naming `name` unless that field of cfg, the mean emissions per pulse,
+    is >= 0 and over the run below 2**62, under numpy's Poisson limit of about 9.2e18."""
+    mean, pulses = getattr(cfg, name), int(cfg.duration_ps / period_ps) + 1  # as drawn
+    _require(mean >= 0, f"{name} must be >= 0, got {mean}")
+    _require(mean * pulses < 2**62, f"{name} times {pulses} pulses must be < 2**62, got {mean}")
+
+
 @dataclass(frozen=True)
 class CwSourceConfig:
     """Continuous-wave Poissonian source."""
@@ -60,12 +68,9 @@ class PulsedSourceConfig:
 
     def __post_init__(self) -> None:
         _require(self.period_ps > 0, f"period_ps must be > 0, got {self.period_ps}")
-        _require(
-            self.mean_photons_per_pulse >= 0,
-            f"mean_photons_per_pulse must be >= 0, got {self.mean_photons_per_pulse}",
-        )
         _check_budget("pulse_fwhm_ps", (self.pulse_fwhm_ps,), _DELAY_LIMIT)
         _check_budget("duration_ps", (self.duration_ps,), _TIME_LIMIT, positive=True)
+        _check_mean(self, "mean_photons_per_pulse", self.period_ps)
 
 
 @dataclass(frozen=True)
@@ -104,11 +109,8 @@ class EntangledPairConfig:
 
     def __post_init__(self) -> None:
         _require(self.rep_rate_hz > 0, f"rep_rate_hz must be > 0, got {self.rep_rate_hz}")
-        _require(
-            self.mean_pairs_per_pulse >= 0,
-            f"mean_pairs_per_pulse must be >= 0, got {self.mean_pairs_per_pulse}",
-        )
         _check_budget("duration_ps", (self.duration_ps,), _TIME_LIMIT, positive=True)
+        _check_mean(self, "mean_pairs_per_pulse", PS_PER_S / self.rep_rate_hz)
         for name, eta in (("eta_alice", self.eta_alice), ("eta_bob", self.eta_bob)):
             _require(0.0 <= eta <= 1.0, f"{name} must lie in [0, 1], got {eta}")
         _check_budget("emission_fwhm_ps", (self.emission_fwhm_ps,), _DELAY_LIMIT)

@@ -6,7 +6,7 @@ from dataclasses import replace
 from hashlib import sha256
 
 import pytest
-from conftest import inline_detector
+from conftest import as_json, inline_detector
 
 import spadsim
 from spadsim import SCENARIOS, preset
@@ -146,6 +146,34 @@ class TestValidate:
         assert main(["validate", write_config(tmp_path, doc)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "source.occupancy" in err
+
+    def test_poisson_mean_past_numpy_limit_is_a_config_error(self, tmp_path, capsys):
+        # About 1.2e25 expected photons: numpy's Poisson draw refuses a mean past ~9.2e18.
+        doc = {
+            "version": 1,
+            "kind": "autocorr",
+            "seed": 1,
+            "detector": {"preset": "spcm-aqrh"},
+            "source": {
+                "period_ps": 100,
+                "mean_photons_per_pulse": 1e9,
+                "duration_ps": 1152921504606846975,
+            },
+            "instrument": {"max_lag_ps": 2000000, "bin_width_ps": 50},
+        }
+        assert main(["validate", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: source.mean_photons_per_pulse times ")
+
+    def test_afterpulsing_that_never_dies_out_is_a_config_error(self, tmp_path, capsys):
+        # About 2.2 live traps per avalanche: chains of afterpulses would never end.
+        params = as_json(preset("spcm-aqrh").params)
+        params["afterpulse"] = {"mu": 3.0, "tau_trap_ps": 1e5}
+        doc = interarrival_doc(tmp_path)
+        doc["detector"] = {"params": params}
+        assert main(["validate", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: detector.params.afterpulse must fill < 1 live trap")
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "none.json")]) == 1

@@ -243,6 +243,8 @@ class TestBlankingFilter:
             blanking_filter(np.array([5, 1], dtype=np.int64), 24000)
         with pytest.raises(ValueError):
             blanking_filter(np.array([1, 5], dtype=np.int64), 0)
+        with pytest.raises(ValueError, match=r"^t_b_ps must lie in \(0, 2\*\*58\) ps, got nan$"):
+            blanking_filter(np.array([1, 5], dtype=np.int64), float("nan"))
 
 
 class TestDetect:

@@ -2,6 +2,8 @@
 implementation `detect_reference` must produce byte-identical pulse streams,
 on fixed cases and on generated detector parameters and stimuli."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -52,10 +54,21 @@ def records_equal(a, b) -> bool:
     )
 
 
+# 0.9 live traps per avalanche on average, just under the limit of 1: an
+# afterpulse chain runs about ten avalanches long, and the kernel draws trap
+# counts for several times more avalanches than stimuli, over dozens of rounds.
+NEAR_CRITICAL = DetectorParams(
+    efficiency=1.0,
+    tau_dead0_ps=2_000,
+    tau_quench_ps=1_000,
+    afterpulse=AfterpulseModel(mu=0.9 * math.exp(1_999.5 / 50_000.0), tau_trap_ps=50_000.0),
+)
+
 CASES = [
     pytest.param(rich_params(0.017), id="mu-0.017"),
     pytest.param(rich_params(0.06), id="mu-0.06"),
     pytest.param(rich_params(0.5), id="mu-0.5"),
+    pytest.param(NEAR_CRITICAL, id="near-critical"),
 ]
 
 
@@ -309,8 +322,8 @@ def gaps_with_clusters(layout, n: int, every: int, long_gaps, short_gaps) -> np.
     return np.cumsum(gaps).astype(np.int64)
 
 
-# More than 4096 avalanches with mu > 0: uncontested runs of about 40 photons
-# cross the first trap-count block boundary, and trap fills cut them mid-run.
+# More than 4096 avalanches with mu > 0: trap fills cut uncontested runs of
+# about 40 photons mid-run.
 LONG_RUN_ARRIVALS = gaps_with_clusters(
     np.random.default_rng(21), 6_000, 40, (5_000, 7_000), (500, 5_000)
 )
