@@ -385,15 +385,15 @@ class KeyRateInputs:
     bin_width_ps: float
 
     def __post_init__(self) -> None:
-        if self.m_channels < 0:
+        if not self.m_channels >= 0:
             raise ValueError(f"m_channels must be >= 0, got {self.m_channels}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.n_mean < 0:
+        if not self.n_mean >= 0:
             raise ValueError(f"n_mean must be >= 0, got {self.n_mean}")
-        if self.xi < 0:
+        if not self.xi >= 0:
             raise ValueError(f"xi must be >= 0, got {self.xi}")
-        if self.bin_width_ps <= 0:
+        if not self.bin_width_ps > 0:
             raise ValueError(f"bin_width_ps must be > 0, got {self.bin_width_ps}")
 
 

@@ -104,7 +104,7 @@ def circuit_timing(t_dly1_ps: int, t_comp_ps: int, t_q_ps: int) -> QuenchTimes:
     quench-release lag.
     """
     for name, v in (("t_dly1_ps", t_dly1_ps), ("t_comp_ps", t_comp_ps), ("t_q_ps", t_q_ps)):
-        if v < 0:
+        if not v >= 0:
             raise ValueError(f"{name} must be >= 0, got {v}")
     if t_dly1_ps < t_q_ps:
         raise ValueError(
@@ -126,7 +126,8 @@ class AfterpulseModel:
     exponential(tau_trap) delay. A trap is live if its delay rounds to
     tau_dead0 or more; DetectorParams checks that afterpulse chains die
     out: p = mu * exp(-(tau_dead0 - 0.5) / tau_trap) live traps per
-    avalanche on average, or 0 past the delay clamp, must be < 1.
+    avalanche on average, or 0 past the delay clamp, must be < 1. mu lies
+    below 2**62, under the largest mean numpy's Poisson draw takes.
     """
 
     mu: float = 0.0
@@ -135,6 +136,8 @@ class AfterpulseModel:
     def __post_init__(self) -> None:
         if not self.mu >= 0:
             raise ValueError(f"mu must be >= 0, got {self.mu}")
+        if not self.mu < 2**62:
+            raise ValueError(f"mu must be < 2**62, got {self.mu}")
         if not self.tau_trap_ps > 0:
             raise ValueError(f"tau_trap_ps must be > 0, got {self.tau_trap_ps}")
 
@@ -193,7 +196,7 @@ class DetectorParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
-        if self.tau_dead0_ps <= 0:
+        if not self.tau_dead0_ps > 0:
             raise ValueError(f"tau_dead0_ps must be > 0, got {self.tau_dead0_ps}")
         if not 0 <= self.tau_quench_ps <= self.tau_dead0_ps:
             raise ValueError(
@@ -632,7 +635,7 @@ def effective_dead_time(rate_cps: float, params: DetectorParams) -> float:
     Piecewise-linear in the dead_elongation table, clamped at both ends;
     without a table the dead time is rate-independent.
     """
-    if rate_cps < 0:
+    if not rate_cps >= 0:
         raise ValueError(f"rate_cps must be >= 0, got {rate_cps}")
     return float(_interp_clamped(float(rate_cps), *params._tables[0]))
 
@@ -643,6 +646,8 @@ def twilight_sensitivity(dt_since_avalanche_ps: float, params: DetectorParams) -
     0 through the quench phase, the configured profile across the twilight
     zone, 1 at and beyond the nominal dead time.
     """
+    if not dt_since_avalanche_ps >= 0:
+        raise ValueError(f"dt_since_avalanche_ps must be >= 0, got {dt_since_avalanche_ps}")
     if dt_since_avalanche_ps >= params.tau_dead0_ps:
         return 1.0
     if dt_since_avalanche_ps < params.tau_quench_ps or not params.twilight_profile:
@@ -672,7 +677,7 @@ def afterpulse_prob_vs_rs(r_s_ohm: float) -> float:
     linearly to 3.2% at 3.3 kohm, then saturating exponentially toward the
     2.7% floor set by charge trapped regardless of quenching speed.
     """
-    if r_s_ohm < 0:
+    if not r_s_ohm >= 0:
         raise ValueError(f"r_s_ohm must be >= 0, got {r_s_ohm}")
     if r_s_ohm <= 800.0:
         return 0.055

@@ -25,7 +25,7 @@ from .rng import make_generator
 from .sources import EntangledPairConfig, correlated_pair_stream
 
 __all__ = [
-    "FrameConfig", "QkdReport", "bin_assign", "check_rep_rate", "correlator_grids", "raw_key_rate",
+    "FrameConfig", "QkdReport", "check_rep_rate", "correlator_grids", "raw_key_rate",
     "run_qkd_scenario",
 ]
 
@@ -62,14 +62,6 @@ def check_rep_rate(rep_rate_hz: float, bin_width_ps: int) -> None:
             f"rep_rate_hz {rep_rate_hz:.6g} does not match the "
             f"{bin_width_ps} ps bin width (implies {implied:.6g} Hz)"
         )
-
-
-def bin_assign(t, f: FrameConfig):
-    """(frame index, bin index) of time(s) t; floor semantics on both."""
-    tt = np.asarray(t, dtype=np.int64)
-    frame = tt // f.frame_length_ps
-    b = (tt % f.frame_length_ps) // f.bin_width_ps
-    return frame, b
 
 
 def raw_key_rate(coincidence_rate_cps: float, n_bins: int) -> float:
@@ -172,9 +164,10 @@ def run_qkd_scenario(
 
     A coincidence counts as a bit error when either member is a dark or
     afterpulse pulse, when the two members come from different pairs, or
-    when either member's assigned (frame, bin) differs from that of its true
-    emission time. `correlator_grids` resolves the correlators' bin widths
-    and spans, before anything is simulated.
+    when either member's bin index differs from that of its true emission
+    time. A frame is whole bins, so equal bin indices mean the same frame
+    and the same bin in it. `correlator_grids` resolves the correlators' bin
+    widths and spans, before anything is simulated.
     """
     check_rep_rate(source.rep_rate_hz, frame.bin_width_ps)
     ac_bw, ac_span, cc_bw, cc_span = correlator_grids(
@@ -192,14 +185,12 @@ def run_qkd_scenario(
 
     matches = coincidence(comp_a, comp_b, frame.bin_width_ps)
     n_c = len(matches)
-    half = frame.bin_width_ps // 2
     ma, mb = matches.idx_a, matches.idx_b
-    fa, ba = bin_assign(comp_a[ma] + half, frame)
-    fb, bb = bin_assign(comp_b[mb] + half, frame)
-    ta_f, ta_b = bin_assign(rec_a.origin_times[ma] + half, frame)
-    tb_f, tb_b = bin_assign(rec_b.origin_times[mb] + half, frame)
+    # Rows: each member's compensated time, then its true emission time.
+    times = np.stack((comp_a[ma], comp_b[mb], rec_a.origin_times[ma], rec_b.origin_times[mb]))
+    bins = (times + frame.bin_width_ps // 2) // frame.bin_width_ps
     true_pair = (pid_a[ma] >= 0) & (pid_a[ma] == pid_b[mb])
-    bad = ~true_pair | (fa != ta_f) | (ba != ta_b) | (fb != tb_f) | (bb != tb_b)
+    bad = ~true_pair | (bins[:2] != bins[2:]).any(axis=0)
     n_truth = int(np.count_nonzero(true_pair))
     ber = float(np.count_nonzero(bad)) / n_c if n_c else 0.0
 

@@ -228,6 +228,10 @@ def correlated_pair_stream(cfg: EntangledPairConfig, rng: np.random.Generator) -
     Pair creation per pulse is Poissonian; both members of a pair share one
     emission time (pulse center plus optional Gaussian emission spread), and
     each member independently survives its channel with probability eta.
+
+    A pair's id is its index in draw order. One stable sort of the emission
+    times orders both arms, so equal emission times keep pair-id order; each
+    arm is the kept, in-window subsequence of that order.
     """
     emit = _draw_pulse_times(
         rng, PS_PER_S / cfg.rep_rate_hz, cfg.duration_ps, cfg.mean_pairs_per_pulse
@@ -237,18 +241,12 @@ def correlated_pair_stream(cfg: EntangledPairConfig, rng: np.random.Generator) -
         emit = emit + np.rint(
             rng.standard_normal(k) * (cfg.emission_fwhm_ps * FWHM_TO_SIGMA)
         ).astype(np.int64)
-    pair_ids = np.arange(k, dtype=np.int64)
     keep_a = rng.random(k) < cfg.eta_alice if cfg.eta_alice < 1.0 else np.ones(k, dtype=bool)
     keep_b = rng.random(k) < cfg.eta_bob if cfg.eta_bob < 1.0 else np.ones(k, dtype=bool)
-    in_window = (emit >= 0) & (emit < cfg.duration_ps)
-    keep_a &= in_window
-    keep_b &= in_window
-
-    def _arm(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t, ids = emit[keep], pair_ids[keep]
-        order = np.argsort(t, kind="stable")
-        return t[order], ids[order]
-
-    ta, ia = _arm(keep_a)
-    tb, ib = _arm(keep_b)
-    return PairStreams(alice_times=ta, alice_pair_ids=ia, bob_times=tb, bob_pair_ids=ib)
+    order = np.argsort(emit, kind="stable")
+    t = emit[order]
+    in_window = (t >= 0) & (t < cfg.duration_ps)
+    a, b = keep_a[order] & in_window, keep_b[order] & in_window
+    return PairStreams(
+        alice_times=t[a], alice_pair_ids=order[a], bob_times=t[b], bob_pair_ids=order[b]
+    )

@@ -175,6 +175,18 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("config error: detector.params.afterpulse must fill < 1 live trap")
 
+    def test_trap_mean_past_numpy_limit_is_a_config_error(self, tmp_path, capsys):
+        # The dead time outlasts the delay clamp, so no trap is live, but
+        # numpy's Poisson draw refuses a mean past ~9.2e18.
+        params = as_json(preset("spcm-aqrh").params)
+        params.update(tau_dead0_ps=2_000_000_000_000_000, tau_quench_ps=0)
+        params["afterpulse"]["mu"] = 1e300
+        doc = interarrival_doc(tmp_path, rate_cps=1e6)
+        doc["detector"] = {"params": params}
+        assert main(["validate", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: detector.params.afterpulse.mu must be < 2**62")
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "none.json")]) == 1
         assert "config error" in capsys.readouterr().err

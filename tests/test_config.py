@@ -306,18 +306,21 @@ PAST_BUDGET = [
     pytest.param(EntangledPairConfig(1e9, 0.1, 1), "emission_fwhm_ps", 2**58, id="emission-width"),
     pytest.param(BlankingConfig(), "t_b_ps", 2**58, id="t_b"),
     pytest.param(preset("spcm-aqrh").params, "base_delay_ps", 2**58, id="base-delay"),
-    # bin_assign divides times by the frame length, bins_per_frame * bin_width_ps.
+    # The frame length, bins_per_frame * bin_width_ps, is a time and must lie in the budget.
     pytest.param(FrameConfig(bin_width_ps=521), "bins_per_frame", 2**52, id="frame-length"),
 ]
 # NaN fails every check; so do afterpulsing that never dies out (about 2.2
-# live traps per avalanche) and a source whose expected emissions reach
-# 2**62, past which numpy's Poisson draw fails.
+# live traps per avalanche), and a trap mean or a source's expected emissions
+# that reach 2**62, past which numpy's Poisson draw fails.
 NAN = float("nan")
 NEVER_ENDING = AfterpulseModel(mu=3.0, tau_trap_ps=1e5)
 MORE_CHECKS = [
     pytest.param(AfterpulseModel(mu=0.1), "tau_trap_ps", NAN, id="nan-tau_trap"),
     pytest.param(AfterpulseModel(), "mu", NAN, id="nan-mu"),
+    pytest.param(AfterpulseModel(), "mu", 2.0**62, id="trap-mean"),
+    pytest.param(preset("spcm-aqrh").params, "tau_dead0_ps", NAN, id="nan-tau-dead0"),
     pytest.param(preset("spcm-aqrh").params, "dark_rate_cps", NAN, id="nan-dark-rate"),
+    pytest.param(KeyRateInputs(1, 1.0, 1.0, 1.0, 1.0), "xi", NAN, id="nan-xi"),
     pytest.param(preset("spcm-aqrh").params, "afterpulse", NEVER_ENDING, id="afterpulse-chains"),
     pytest.param(PulsedSourceConfig(521, 0.1, 1), "mean_photons_per_pulse", 2.0**62, id="photons"),
     pytest.param(EntangledPairConfig(1e9, 0.1, 1), "mean_pairs_per_pulse", 2.0**62, id="pairs"),

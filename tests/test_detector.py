@@ -48,6 +48,8 @@ class TestCircuitTiming:
     def test_rejects_bad_delays(self):
         with pytest.raises(ValueError):
             circuit_timing(-1, 4500, 500)
+        with pytest.raises(ValueError, match="^t_dly1_ps "):
+            circuit_timing(float("nan"), 4500, 500)
         with pytest.raises(ValueError):
             circuit_timing(400, 4500, 500)  # twilight would be negative
 
@@ -141,6 +143,8 @@ class TestHelpers:
         assert afterpulse_prob_vs_rs(50000.0) == pytest.approx(0.027, abs=0.001)
         with pytest.raises(ValueError):
             afterpulse_prob_vs_rs(-1.0)
+        with pytest.raises(ValueError, match="^r_s_ohm "):
+            afterpulse_prob_vs_rs(float("nan"))
 
     def test_effective_dead_time_table(self):
         p = plain_params(tau_dead0_ps=21500, dead_elongation=((0.0, 0.0), (30e6, 2000.0)))
@@ -150,6 +154,8 @@ class TestHelpers:
         assert effective_dead_time(1e9, p) == 23500.0  # clamped beyond the table
         pn = plain_params()
         assert effective_dead_time(5e6, pn) == 24000.0
+        with pytest.raises(ValueError, match="^rate_cps "):
+            effective_dead_time(float("nan"), p)
 
     def test_twilight_sensitivity(self):
         p = plain_params(twilight_profile=((10000.0, 0.0), (24000.0, 1.0)))
@@ -159,6 +165,8 @@ class TestHelpers:
         assert twilight_sensitivity(24000, p) == 1.0
         assert twilight_sensitivity(50000, p) == 1.0
         assert twilight_sensitivity(17000, plain_params()) == 0.0
+        with pytest.raises(ValueError, match="^dt_since_avalanche_ps "):
+            twilight_sensitivity(float("nan"), p)
 
 
 def _bits(values):

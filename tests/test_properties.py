@@ -5,10 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spadsim import (
-    FrameConfig,
     KeyRateInputs,
     autocorrelation,
-    bin_assign,
     blanking_filter,
     build_histogram,
     coincidence,
@@ -63,19 +61,6 @@ def test_histogram_conserves_every_sample(values, bin_width, n_bins, origin):
     )
     assert int(h.counts.sum()) + h.underflow + h.overflow == len(values)
     assert h.total == len(values)
-
-
-@given(
-    t=st.integers(min_value=0, max_value=2**62),
-    bin_width=st.integers(min_value=1, max_value=100_000),
-    log_bins=st.integers(min_value=1, max_value=12),
-)
-def test_bin_assignment_recomposes(t, bin_width, log_bins):
-    f = FrameConfig(bin_width_ps=bin_width, bins_per_frame=2**log_bins)
-    frame, b = bin_assign(t, f)
-    assert 0 <= b < f.bins_per_frame
-    start = int(frame) * f.frame_length_ps + int(b) * f.bin_width_ps
-    assert start <= t < start + f.bin_width_ps
 
 
 def greedy_pairs(a, b, window):

@@ -7,7 +7,6 @@ from spadsim import (
     DetectorParams,
     EntangledPairConfig,
     FrameConfig,
-    bin_assign,
     correlator_grids,
     preset,
     raw_key_rate,
@@ -54,21 +53,6 @@ class TestFrameConfig:
     def test_derived_quantities(self):
         f = FrameConfig(bin_width_ps=260, bins_per_frame=1024)
         assert f.frame_length_ps == 266_240
-
-
-class TestBinAssign:
-    def test_scalar_examples(self):
-        f = FrameConfig(bin_width_ps=260, bins_per_frame=1024)
-        assert bin_assign(0, f) == (0, 0)
-        assert bin_assign(266_239, f) == (0, 1023)
-        assert bin_assign(266_240, f) == (1, 0)
-
-    def test_array_input_recomposes(self):
-        f = FrameConfig(bin_width_ps=260, bins_per_frame=1024)
-        t = np.array([0, 259, 260, 266_239, 266_240, 10_000_000], dtype=np.int64)
-        frame, b = bin_assign(t, f)
-        start = frame * f.frame_length_ps + b * f.bin_width_ps
-        assert np.all(start <= t) and np.all(t < start + f.bin_width_ps)
 
 
 class TestRawKeyRate:
