@@ -399,10 +399,12 @@ def _detect_kernel(
     one, it takes the avalanches up to the end of that uncontested run as
     one slice. The run stops before the first pending trap release, and at
     the first avalanche that fills traps; that last avalanche takes the
-    scalar step, which pushes its traps' release times on the heap. The
-    loop marks the stimuli that fired and records only the twilight
-    avalanches (with the dead_end each is held to) and the fired releases;
-    numpy builds the columns after it.
+    scalar step, which pushes its traps' release times on the heap. Each
+    stimulus carries its source, the arrival index or -1 for a dark, and
+    the loop writes its outcome byte: 0 for no avalanche, 1 for an armed
+    one, 2 for a twilight one. Beside these it keeps only the dead_end each
+    twilight pulse is held to and the fired releases; after it, each column
+    is a gather over the stimuli that fired, with the releases inserted.
 
     An elongated dead time is read at the count c of earlier avalanches
     less than RATE_WINDOW_PS before the avalanche, as
@@ -448,17 +450,15 @@ def _detect_kernel(
 
     # The photons that can trigger: twilight thresholds never exceed efficiency.
     kept = np.flatnonzero(u_photon < efficiency)
-    # Merge them with the darks; at equal times the darks go first.
-    dark_at = np.searchsorted(arrivals[kept], darks) + np.arange(darks.size)
-    is_dark = np.zeros(kept.size + darks.size, dtype=np.bool_)
-    is_dark[dark_at] = True
-    stimuli = np.empty(is_dark.size, dtype=np.int64)
-    stimuli[dark_at] = darks
-    stimuli[~is_dark] = arrivals[kept]
-    u_stim = np.empty(is_dark.size)
-    u_stim[dark_at] = u_dark
-    u_stim[~is_dark] = u_photon[kept]
-    dark_flag = is_dark.tobytes()
+    # Merge them with the darks; at equal times the darks go first. `source`
+    # is each stimulus's arrival index, or -1 for a dark.
+    photons = arrivals[kept]
+    at = np.searchsorted(photons, darks)
+    stimuli = np.insert(photons, at, darks)
+    u_stim = np.insert(u_photon[kept], at, u_dark)
+    source = np.insert(kept, at, -1)
+    del kept, photons, at
+    dark_flag = (source < 0).tobytes()
     n = stimuli.size
 
     # Stimulus m is contested when it comes less than `horizon` after
@@ -472,8 +472,7 @@ def _detect_kernel(
 
     stim = stimuli.tolist()
     stim.append(_NEVER)
-    fired = bytearray(n)  # 1 for each stimulus that caused an avalanche
-    twilight_at: list[int] = []  # the stimuli that triggered in twilight
+    fired = bytearray(n)  # each stimulus's outcome: 0 none, 1 armed avalanche, 2 twilight one
     held_ends: list[int] = []  # the dead_end each twilight pulse is held to
     afterpulse_times: list[int] = []  # the trap releases that fired
     releases = [_NEVER]  # min-heap of pending trap release times, and the end sentinel
@@ -526,8 +525,7 @@ def _detect_kernel(
             if u_stim[p] >= (prof if dark_flag[p] else efficiency * prof):
                 p += 1
                 continue
-            fired[p] = 1
-            twilight_at.append(p)
+            fired[p] = 2
             held_ends.append(dead_end)
             p += 1
 
@@ -557,26 +555,21 @@ def _detect_kernel(
         n_av += 1
 
     del stim, releases, fill_at, starts, delays, av
-    at = np.flatnonzero(np.frombuffer(fired, dtype=np.bool_))
-    del fired
+    outcome = np.frombuffer(fired, dtype=np.uint8)
+    at = np.flatnonzero(outcome)
     times = stimuli[at]
-    del stimuli, u_stim
+    arrival_index = source[at]
+    del stimuli, u_stim, source
     causes = np.full(at.size, int(Cause.PHOTON), dtype=np.int64)
-    dark = is_dark[at]
-    causes[dark] = int(Cause.DARK)
-    causes[np.searchsorted(at, np.array(twilight_at, dtype=np.int64))] = int(Cause.TWILIGHT)
-    arrival_index = np.full(at.size, -1, dtype=np.int64)
-    at = at[~dark]
-    # A photon's rank among the kept photons is its position less the darks before it.
-    arrival_index[~dark] = kept[at - np.searchsorted(dark_at, at)]
-    del at, dark, kept, is_dark
-    if afterpulse_times:
-        released = np.array(afterpulse_times, dtype=np.int64)
-        # No two avalanches share a picosecond: every dead period lasts >= 1 ps.
-        rows = np.searchsorted(times, released)
-        times = np.insert(times, rows, released)
-        causes = np.insert(causes, rows, int(Cause.AFTERPULSE))
-        arrival_index = np.insert(arrival_index, rows, -1)
+    causes[arrival_index < 0] = int(Cause.DARK)
+    causes[outcome[at] == 2] = int(Cause.TWILIGHT)
+    del at, outcome, fired
+    released = np.array(afterpulse_times, dtype=np.int64)
+    # No two avalanches share a picosecond: every dead period lasts >= 1 ps.
+    rows = np.searchsorted(times, released)
+    times = np.insert(times, rows, released)
+    causes = np.insert(causes, rows, int(Cause.AFTERPULSE))
+    arrival_index = np.insert(arrival_index, rows, -1)
     held = np.array(held_ends, dtype=np.int64)
     return _emit_times(times, causes, held, params, draws.jitter), times, causes, arrival_index
 

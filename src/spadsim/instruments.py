@@ -205,10 +205,20 @@ def _check_budget(name: str, values, limit: int, signed=False, positive=False) -
             raise ValueError(f"{name} must lie in {where}, {power}) ps, got {v}")
 
 
+def _int_times(values, name: str) -> np.ndarray:
+    """values as an int64 array; raises ValueError naming `name` unless int64
+    holds their dtype, so that no fractional time is truncated. An empty
+    list, a float64 array, is accepted."""
+    t = np.asarray(values)
+    if t.size and not np.can_cast(t.dtype, np.int64):
+        raise ValueError(f"{name} must be int64 picoseconds, got dtype {t.dtype}")
+    return t.astype(np.int64, copy=False)
+
+
 def _sorted_times(values, name: str, limit: int = _INPUT_LIMIT, signed: bool = True) -> np.ndarray:
     """values as an int64 time array; raises unless it is sorted non-decreasing
     and lies in the budget, by default that of an instrument input."""
-    t = np.asarray(values, dtype=np.int64)
+    t = _int_times(values, name)
     if t.size:
         if np.any(t[1:] < t[:-1]):
             raise ValueError(f"{name} must be sorted")
@@ -234,7 +244,7 @@ def build_histogram(values, bin_width_ps: int, span_ps: int, origin_ps: int = 0)
     underflow/overflow tallies, never get dropped.
     """
     _check_bins(bin_width_ps, span_ps)
-    v = np.asarray(values, dtype=np.int64)
+    v = _int_times(values, "values")
     _check_budget("values", (v.min(initial=0), v.max(initial=0)), _INPUT_LIMIT, signed=True)
     _check_budget("origin_ps", (origin_ps,), _INPUT_LIMIT, signed=True)
     n_bins = span_ps // bin_width_ps

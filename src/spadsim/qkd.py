@@ -42,7 +42,7 @@ class FrameConfig:
     bins_per_frame: int = 1024
 
     def __post_init__(self) -> None:
-        if self.bin_width_ps <= 0:
+        if not self.bin_width_ps > 0:
             raise ValueError(f"bin_width_ps must be > 0, got {self.bin_width_ps}")
         n = self.bins_per_frame
         if n < 2 or n & (n - 1) != 0:

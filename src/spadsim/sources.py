@@ -108,7 +108,11 @@ class EntangledPairConfig:
     emission_fwhm_ps: int = 0
 
     def __post_init__(self) -> None:
-        _require(self.rep_rate_hz > 0, f"rep_rate_hz must be > 0, got {self.rep_rate_hz}")
+        # A pulse period of at least 1 ps, the time grid.
+        _require(
+            0 < self.rep_rate_hz <= PS_PER_S,
+            f"rep_rate_hz must lie in (0, 1e12] Hz, got {self.rep_rate_hz}",
+        )
         _check_budget("duration_ps", (self.duration_ps,), _TIME_LIMIT, positive=True)
         _check_mean(self, "mean_pairs_per_pulse", PS_PER_S / self.rep_rate_hz)
         for name, eta in (("eta_alice", self.eta_alice), ("eta_bob", self.eta_bob)):

@@ -313,6 +313,7 @@ PAST_BUDGET = [
 # live traps per avalanche), and a trap mean or a source's expected emissions
 # that reach 2**62, past which numpy's Poisson draw fails.
 NAN = float("nan")
+INF = float("inf")
 NEVER_ENDING = AfterpulseModel(mu=3.0, tau_trap_ps=1e5)
 MORE_CHECKS = [
     pytest.param(AfterpulseModel(mu=0.1), "tau_trap_ps", NAN, id="nan-tau_trap"),
@@ -324,6 +325,8 @@ MORE_CHECKS = [
     pytest.param(preset("spcm-aqrh").params, "afterpulse", NEVER_ENDING, id="afterpulse-chains"),
     pytest.param(PulsedSourceConfig(521, 0.1, 1), "mean_photons_per_pulse", 2.0**62, id="photons"),
     pytest.param(EntangledPairConfig(1e9, 0.1, 1), "mean_pairs_per_pulse", 2.0**62, id="pairs"),
+    pytest.param(EntangledPairConfig(1e9, 0.0, 1000), "rep_rate_hz", INF, id="inf-rep-rate"),
+    pytest.param(FrameConfig(521), "bin_width_ps", NAN, id="nan-bin-width"),
 ]
 CHECKED = [pytest.param(*case, id=type(case[0]).__name__) for case in BAD_FIELDS]
 CHECKED += BAD_SPANS + PAST_BUDGET + MORE_CHECKS

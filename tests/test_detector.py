@@ -372,6 +372,10 @@ class TestDetect:
             detect(np.array([-5], dtype=np.int64), p, g, 1000)
         with pytest.raises(ValueError, match=r"^arrivals must lie in \[0, 2\*\*61\) ps"):
             detect(np.array([5, 2**61], dtype=np.int64), p, g, 1000)
+        # A cast to int64 would truncate these to 1000 and 50000 ps.
+        fractional = r"^arrivals must be int64 picoseconds, got dtype float64$"
+        with pytest.raises(ValueError, match=fractional):
+            detect(np.array([1000.9, 50000.5]), p, g, 1000)
         for duration in (0, 2**61):
             with pytest.raises(ValueError, match=r"^duration_ps must lie in \(0, 2\*\*61\) ps"):
                 detect(np.array([], dtype=np.int64), p, g, duration)

@@ -37,6 +37,10 @@ class TestHistogram:
             build_histogram(v, 1000, 4500)  # span not a multiple
         with pytest.raises(ValueError):
             build_histogram(v, 1000, 0)
+        # A cast to int64 would count these in bins 1 and 2.
+        fractional = r"^values must be int64 picoseconds, got dtype float64$"
+        with pytest.raises(ValueError, match=fractional):
+            build_histogram([1.9, 2.2], 1, 10)
 
     def test_values_and_origin_must_lie_in_the_budget(self):
         # v - origin would wrap: 2**63 - 1 would then be tallied as underflow.
@@ -159,6 +163,9 @@ class TestCoincidence:
         for window in (0, 2**60):
             with pytest.raises(ValueError, match=r"^window_ps must lie in \(0, 2\*\*60\) ps"):
                 coincidence([], b, window)
+        # Fractional times are refused, not truncated on the cast to int64.
+        with pytest.raises(ValueError, match=r"^a must be int64 picoseconds, got dtype float64$"):
+            coincidence([0.5], b, 11)
 
 
 class TestAutocorrelation:

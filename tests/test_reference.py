@@ -146,12 +146,16 @@ def test_first_avalanche_at_the_top_of_the_budget():
 @pytest.mark.parametrize("run", [detect, detect_reference])
 def test_arrivals_past_the_budget_are_refused_alike(run):
     """An avalanche one dead time before 2**63 would end its dead period past
-    int64; both implementations refuse the arrival at the budget instead."""
+    int64; both implementations refuse the arrival at the budget instead.
+    Both refuse fractional arrivals, which a cast to int64 would truncate."""
     arrivals = np.array([2**63 - 20_000], dtype=np.int64)
     params = DetectorParams(efficiency=1.0, tau_dead0_ps=24_000, tau_quench_ps=10_000)
     message = r"^arrivals must lie in \[0, 2\*\*61\) ps, got 9223372036854755808$"
     with pytest.raises(ValueError, match=message):
         run(arrivals, params, make_generator(12, 2), 1_000)
+    fractional = r"^arrivals must be int64 picoseconds, got dtype float64$"
+    with pytest.raises(ValueError, match=fractional):
+        run(np.array([1000.9, 50000.5]), params, make_generator(12, 2), 1_000)
 
 
 @st.composite
