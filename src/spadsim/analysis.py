@@ -21,6 +21,7 @@ from .instruments import (
     FWHM_PER_SIGMA,
     Histogram,
     InstrumentError,
+    _int_times,
     build_histogram,
     gaussian_fit,
     levenberg_marquardt,
@@ -286,7 +287,8 @@ def shift_and_jitter_vs_dt(points, *, min_pairs: int = 1000) -> ShiftJitterCurve
     """Per pair spacing: mean(measured interval - delta_t) and interval FWHM.
 
     Each point supplies (delta_t_ps, intervals) with intervals the measured
-    out-time differences of both-detected pairs. Points with fewer than
+    out-time differences of both-detected pairs, as int64 picoseconds (a
+    ValueError names intervals otherwise). Points with fewer than
     min_pairs intervals are marked NaN. The FWHM comes from a Gaussian fit
     of the interval histogram; if the fit window is degenerate (fewer than
     five populated bins, e.g. a jitter-free detector) the sample standard
@@ -296,7 +298,7 @@ def shift_and_jitter_vs_dt(points, *, min_pairs: int = 1000) -> ShiftJitterCurve
     shifts = []
     fwhms = []
     for delta_t, intervals in points:
-        iv = np.asarray(intervals, dtype=np.int64)
+        iv = _int_times(intervals, "intervals")
         dts.append(int(delta_t))
         if iv.size < min_pairs:
             shifts.append(float("nan"))
@@ -322,16 +324,13 @@ def shift_and_jitter_vs_dt(points, *, min_pairs: int = 1000) -> ShiftJitterCurve
     )
 
 
-def distinguishability(
-    ac: Histogram, period_ps: float, *, min_lag_ps: float | None = None
-) -> float:
+def distinguishability(ac: Histogram, period_ps: float) -> float:
     """Visibility of the pulse-period structure in an autocorrelation.
 
     Averages the counts of the bins containing multiples of the period
     (peaks) and half-period offsets (valleys), restricted to lags past the
-    dead-time notch, and returns (P - V)/(P + V). When min_lag_ps is not
-    given, the notch edge is taken as the left edge of the first bin
-    reaching 20% of the histogram maximum.
+    dead-time notch, and returns (P - V)/(P + V). The notch edge is the
+    left edge of the first bin reaching 20% of the histogram maximum.
     """
     if period_ps < 2 * ac.bin_width_ps:
         raise AnalysisError(
@@ -340,9 +339,8 @@ def distinguishability(
     counts = ac.counts.astype(np.float64)
     if counts.max() <= 0:
         raise AnalysisError("autocorrelation is empty")
-    if min_lag_ps is None:
-        above = np.nonzero(counts >= 0.2 * counts.max())[0]
-        min_lag_ps = float(ac.origin_ps + int(above[0]) * ac.bin_width_ps)
+    above = np.nonzero(counts >= 0.2 * counts.max())[0]
+    min_lag_ps = float(ac.origin_ps + int(above[0]) * ac.bin_width_ps)
     span_end = ac.origin_ps + ac.n_bins * ac.bin_width_ps
     # Periods m = m0, m0 + 1, ... while the valley lag (m + 0.5) * period
     # stays below the span end; the lag grows with m, so the kept m form a

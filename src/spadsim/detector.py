@@ -25,7 +25,7 @@ import numpy as np
 
 from .instruments import _DELAY_LIMIT, _TIME_LIMIT, _check_budget, _sorted_times
 from .rng import FWHM_TO_SIGMA
-from .sources import poisson_times
+from .sources import _check_rate, poisson_times
 
 __all__ = [
     "DRAW_CONTRACT",
@@ -203,8 +203,7 @@ class DetectorParams:
                 f"tau_quench_ps must lie in [0, tau_dead0_ps], got {self.tau_quench_ps}"
             )
         _check_budget("base_delay_ps", (self.base_delay_ps,), _DELAY_LIMIT)
-        if not self.dark_rate_cps >= 0:
-            raise ValueError(f"dark_rate_cps must be >= 0, got {self.dark_rate_cps}")
+        _check_rate("dark_rate_cps", self.dark_rate_cps)
         ap, outlive = self.afterpulse, self.tau_dead0_ps - 0.5  # see AfterpulseModel
         live = ap.mu * math.exp(-outlive / ap.tau_trap_ps) if outlive <= _MAX_TRAP_DELAY else 0.0
         if not live < 1.0:
@@ -352,23 +351,9 @@ def _trap_draws(draws: _Draws, params: DetectorParams, n: int) -> tuple[list, li
     return at.tolist() + [_NEVER], starts.tolist(), np.concatenate(delays).tolist()
 
 
-# The kernel tabulates the dead length for avalanche counts up to this one;
-# a larger count reads the curve one scalar at a time.
-_DEAD_LEN_CAP = 4096
-
 # The kernel drops the avalanche times that the count has passed once there
 # are more than this many.
 _AV_TRIM = 4096
-
-
-def _dead_lengths(params: DetectorParams) -> list[int]:
-    """`floor(effective_dead_time(c / RATE_WINDOW_PS * 1.0e12) + 0.5)` for the
-    counts c from 0 up to the first whose rate reaches the elongation table's
-    last knot, or up to _DEAD_LEN_CAP, with the same float operations."""
-    dead_x, dead_y = params._tables[0]
-    top = math.ceil(min(dead_x[-1] / 1.0e12 * RATE_WINDOW_PS, _DEAD_LEN_CAP))
-    (dead,) = _interp_clamped_array(np.arange(top + 1) / RATE_WINDOW_PS * 1.0e12, dead_x, dead_y)
-    return np.floor(dead + 0.5).astype(np.int64).tolist()
 
 
 def _detect_kernel(
@@ -411,8 +396,9 @@ def _detect_kernel(
     `floor(effective_dead_time(c / RATE_WINDOW_PS * 1.0e12) + 0.5)`. Only
     then does the loop keep the avalanche times: a run appends its members
     with one `extend`, and a scalar step finds c with one `bisect_right`
-    from where the last one stopped and reads `_dead_lengths`' table, or
-    past its end the same expression.
+    from where the last one stopped and reads the dead length from a dict
+    keyed by c, filled from that expression the first time each count
+    occurs.
 
     Draw contract 3 (`DRAW_CONTRACT`; the reference draws the same values
     one scalar at a time). Every purpose has its own substream:
@@ -445,8 +431,7 @@ def _detect_kernel(
     # The longest dead period: floor(x + 0.5) never exceeds ceil(x).
     horizon = math.ceil(max(dead_y))
     window = RATE_WINDOW_PS
-    dead_len = [] if const_dead else _dead_lengths(params)
-    n_len = len(dead_len)
+    dead_len: dict[int, int] = {}  # the dead length at each avalanche count met so far
 
     # The photons that can trigger: twilight thresholds never exceed efficiency.
     kept = np.flatnonzero(u_photon < efficiency)
@@ -537,10 +522,9 @@ def _detect_kernel(
         else:
             lo = bisect_right(av, t - window, lo)
             c = len(av) - lo
-            if c < n_len:
-                dead_end = t + dead_len[c]
-            else:
-                dead_end = t + math.floor(effective_dead_time(c / window * 1.0e12, params) + 0.5)
+            if c not in dead_len:
+                dead_len[c] = math.floor(effective_dead_time(c / window * 1.0e12, params) + 0.5)
+            dead_end = t + dead_len[c]
             av.append(t)
             if lo > _AV_TRIM:
                 del av[:lo]

@@ -37,6 +37,12 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _check_rate(name: str, rate_cps: float) -> None:
+    """Raise ValueError naming `name` unless the rate lies in [0, 1e12] cps: a
+    mean gap of at least 1 ps, the time grid."""
+    _require(0 <= rate_cps <= PS_PER_S, f"{name} must lie in [0, 1e12] cps, got {rate_cps}")
+
+
 def _check_mean(cfg, name: str, period_ps: float) -> None:
     """Raise ValueError naming `name` unless that field of cfg, the mean emissions per pulse,
     is >= 0 and over the run below 2**62, under numpy's Poisson limit of about 9.2e18."""
@@ -53,7 +59,7 @@ class CwSourceConfig:
     duration_ps: int
 
     def __post_init__(self) -> None:
-        _require(self.rate_cps >= 0, f"rate_cps must be >= 0, got {self.rate_cps}")
+        _check_rate("rate_cps", self.rate_cps)
         _check_budget("duration_ps", (self.duration_ps,), _TIME_LIMIT, positive=True)
 
 
@@ -127,7 +133,7 @@ def poisson_times(rng: np.random.Generator, rate_cps: float, duration_ps: int) -
     drawn in one sized chunk plus fixed 1024-draw top-ups so the consumed
     sample count is a pure function of the drawn values.
     """
-    _require(rate_cps >= 0, f"rate_cps must be >= 0, got {rate_cps}")
+    _check_rate("rate_cps", rate_cps)
     _check_budget("duration_ps", (duration_ps,), _TIME_LIMIT, positive=True)
     if rate_cps == 0:
         return np.empty(0, dtype=np.int64)
@@ -156,18 +162,32 @@ def cw_poisson_stream(cfg: CwSourceConfig, rng: np.random.Generator) -> np.ndarr
 
 
 def _draw_pulse_times(
-    rng: np.random.Generator, period_ps: float, duration_ps: int, mean_per_pulse: float
+    rng: np.random.Generator,
+    period_ps: float,
+    duration_ps: int,
+    mean_per_pulse: float,
+    fwhm_ps: int,
 ) -> np.ndarray:
-    """Sorted pulse centers round(i * period), one per emission.
+    """Emission times: pulse centers round(i * period) in sorted order, one per
+    emission, each smeared by a Gaussian of FWHM fwhm_ps when that is > 0.
 
     The emission count is drawn once and placed uniformly over the pulses,
-    so a pulse drawn k times appears k times. Only the drawn pulse indices
-    become times: memory scales with emissions, not with laser pulses.
+    so a pulse drawn k times appears k times; the smear's normals come
+    after those draws. Only the drawn pulse indices become times: memory
+    scales with emissions, not with laser pulses.
     """
     n_pulses = int(duration_ps / period_ps) + 1
     k = int(rng.poisson(mean_per_pulse * n_pulses))
     idx = np.sort(rng.integers(0, n_pulses, size=k))
-    return np.rint(idx * period_ps).astype(np.int64)
+    times = np.rint(idx * period_ps).astype(np.int64)
+    if fwhm_ps > 0:
+        times += np.rint(rng.standard_normal(k) * (fwhm_ps * FWHM_TO_SIGMA)).astype(np.int64)
+    return times
+
+
+def _kept(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
+    """A mask of n independent draws, each kept with probability p; p = 1 draws nothing."""
+    return rng.random(n) < p if p < 1.0 else np.ones(n, dtype=bool)
 
 
 def pulsed_train(cfg: PulsedSourceConfig, rng: np.random.Generator) -> np.ndarray:
@@ -178,12 +198,9 @@ def pulsed_train(cfg: PulsedSourceConfig, rng: np.random.Generator) -> np.ndarra
     is distribution-identical to per-pulse Poisson draws. Arrivals smeared
     outside [0, duration) are dropped.
     """
-    times = _draw_pulse_times(rng, cfg.period_ps, cfg.duration_ps, cfg.mean_photons_per_pulse)
-    k = times.shape[0]
-    if cfg.pulse_fwhm_ps > 0:
-        times = times + np.rint(
-            rng.standard_normal(k) * (cfg.pulse_fwhm_ps * FWHM_TO_SIGMA)
-        ).astype(np.int64)
+    times = _draw_pulse_times(
+        rng, cfg.period_ps, cfg.duration_ps, cfg.mean_photons_per_pulse, cfg.pulse_fwhm_ps
+    )
     times = times[(times >= 0) & (times < cfg.duration_ps)]
     return np.sort(times)
 
@@ -197,12 +214,8 @@ def pulse_pair_sequence(
     Returns (times, is_second_slot) sorted by time.
     """
     base = np.arange(cfg.n_pairs, dtype=np.int64) * cfg.pair_period_ps
-    if cfg.occupancy < 1.0:
-        keep1 = rng.random(cfg.n_pairs) < cfg.occupancy
-        keep2 = rng.random(cfg.n_pairs) < cfg.occupancy
-    else:
-        keep1 = np.ones(cfg.n_pairs, dtype=bool)
-        keep2 = np.ones(cfg.n_pairs, dtype=bool)
+    keep1 = _kept(rng, cfg.occupancy, cfg.n_pairs)
+    keep2 = _kept(rng, cfg.occupancy, cfg.n_pairs)
     times = np.concatenate([base[keep1], base[keep2] + cfg.delta_t_ps])
     flags = np.concatenate(
         [np.zeros(int(keep1.sum()), dtype=bool), np.ones(int(keep2.sum()), dtype=bool)]
@@ -237,16 +250,12 @@ def correlated_pair_stream(cfg: EntangledPairConfig, rng: np.random.Generator) -
     times orders both arms, so equal emission times keep pair-id order; each
     arm is the kept, in-window subsequence of that order.
     """
+    period = PS_PER_S / cfg.rep_rate_hz
     emit = _draw_pulse_times(
-        rng, PS_PER_S / cfg.rep_rate_hz, cfg.duration_ps, cfg.mean_pairs_per_pulse
+        rng, period, cfg.duration_ps, cfg.mean_pairs_per_pulse, cfg.emission_fwhm_ps
     )
-    k = emit.shape[0]
-    if cfg.emission_fwhm_ps > 0:
-        emit = emit + np.rint(
-            rng.standard_normal(k) * (cfg.emission_fwhm_ps * FWHM_TO_SIGMA)
-        ).astype(np.int64)
-    keep_a = rng.random(k) < cfg.eta_alice if cfg.eta_alice < 1.0 else np.ones(k, dtype=bool)
-    keep_b = rng.random(k) < cfg.eta_bob if cfg.eta_bob < 1.0 else np.ones(k, dtype=bool)
+    keep_a = _kept(rng, cfg.eta_alice, emit.size)
+    keep_b = _kept(rng, cfg.eta_bob, emit.size)
     order = np.argsort(emit, kind="stable")
     t = emit[order]
     in_window = (t >= 0) & (t < cfg.duration_ps)

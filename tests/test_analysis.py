@@ -163,6 +163,11 @@ class TestShiftJitter:
             fwhms.append(shift_and_jitter_vs_dt([(200_000, iv)]).fwhms[0])
         assert np.all(np.abs(np.array(fwhms) - 473.8) <= 15.0), fwhms
 
+    def test_fractional_intervals_are_refused(self):
+        # Cast to int64, 1000.9 ps would read as 1000 ps: a shift of 0.
+        with pytest.raises(ValueError, match="^intervals must be int64 picoseconds"):
+            shift_and_jitter_vs_dt([(1000, [1000.9] * 5)], min_pairs=1)
+
     def test_small_points_are_nan(self):
         curve = shift_and_jitter_vs_dt([(40_000, np.array([40_100] * 10, dtype=np.int64))])
         assert np.isnan(curve.shifts[0]) and np.isnan(curve.fwhms[0])
@@ -189,7 +194,7 @@ class TestDistinguishability:
         g = np.random.default_rng(12)
         t = np.sort(g.integers(0, 10**8, 20_000)).astype(np.int64)
         h = autocorrelation(t, 50_000, 100)
-        assert abs(distinguishability(h, 1000.0, min_lag_ps=0)) < 0.05
+        assert abs(distinguishability(h, 1000.0)) < 0.05
 
     def test_rejects_unresolvable_period(self):
         t = np.arange(100, dtype=np.int64) * 1000
@@ -203,16 +208,15 @@ class TestDistinguishability:
             distinguishability(h, 1000.0)
 
 
-def _distinguishability_loop(ac, period_ps, min_lag_ps=None):
+def _distinguishability_loop(ac, period_ps):
     """Oracle: distinguishability as a loop over periods on numpy scalars."""
     if period_ps < 2 * ac.bin_width_ps:
         raise AnalysisError("period too short")
     counts = ac.counts.astype(np.float64)
     if counts.max() <= 0:
         raise AnalysisError("autocorrelation is empty")
-    if min_lag_ps is None:
-        above = np.nonzero(counts >= 0.2 * counts.max())[0]
-        min_lag_ps = float(ac.origin_ps + int(above[0]) * ac.bin_width_ps)
+    above = np.nonzero(counts >= 0.2 * counts.max())[0]
+    min_lag_ps = float(ac.origin_ps + int(above[0]) * ac.bin_width_ps)
     span_end = ac.origin_ps + ac.n_bins * ac.bin_width_ps
     m = max(1, math.ceil(min_lag_ps / period_ps))
     peaks = []
@@ -235,16 +239,16 @@ def _distinguishability_loop(ac, period_ps, min_lag_ps=None):
     return (p_mean - v_mean) / (p_mean + v_mean)
 
 
-def _outcome(f, *args, **kwargs):
+def _outcome(f, *args):
     try:
-        return f(*args, **kwargs)
+        return f(*args)
     except (AnalysisError, IndexError) as exc:
         return type(exc)
 
 
 @st.composite
 def periodic_histograms(draw):
-    """A histogram, a period and a min lag. Half the draws put the span end
+    """A histogram and a period. Half the draws put the span end
     exactly on a valley lag, (m + 0.5) * period == span_end."""
     bw = draw(st.integers(min_value=1, max_value=200))
     if draw(st.booleans()):
@@ -265,14 +269,8 @@ def periodic_histograms(draw):
     counts = draw(
         st.lists(st.integers(min_value=0, max_value=1000), min_size=n_bins, max_size=n_bins)
     )
-    min_lag = draw(
-        st.one_of(
-            st.none(),
-            st.floats(min_value=-1e4, max_value=float(origin + n_bins * bw), allow_nan=False),
-        )
-    )
     h = Histogram(bin_width_ps=bw, origin_ps=origin, counts=np.array(counts, dtype=np.int64))
-    return h, period, min_lag
+    return h, period
 
 
 @settings(deadline=None, max_examples=400)
@@ -281,13 +279,12 @@ def periodic_histograms(draw):
     case=(
         Histogram(bin_width_ps=100, origin_ps=0, counts=np.arange(35, dtype=np.int64)),
         1000.0,
-        None,
     )
 )
 def test_distinguishability_matches_period_loop(case):
-    h, period, min_lag = case
-    got = _outcome(distinguishability, h, period, min_lag_ps=min_lag)
-    want = _outcome(_distinguishability_loop, h, period, min_lag)
+    h, period = case
+    got = _outcome(distinguishability, h, period)
+    want = _outcome(_distinguishability_loop, h, period)
     if isinstance(want, float):
         assert isinstance(got, float) and got == want
     else:

@@ -128,6 +128,13 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "config error" in err and "source.duration_ps" in err
 
+    @pytest.mark.parametrize("rate_cps", [1.0e18, 1.0e300])
+    def test_rate_finer_than_the_time_grid_is_a_config_error(self, tmp_path, capsys, rate_cps):
+        # Past 1e12 cps the mean gap is below 1 ps: simulate would fail on allocation.
+        path = write_config(tmp_path, interarrival_doc(tmp_path, rate_cps=rate_cps))
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().err.startswith("config error: source.rate_cps must lie in ")
+
     @pytest.mark.parametrize("kind", ["pair-scan", "jitter-scan"])
     def test_zero_occupancy_is_a_config_error(self, tmp_path, capsys, kind):
         # An empty source emits no first photons, so no scan point can be read.

@@ -309,9 +309,10 @@ PAST_BUDGET = [
     # The frame length, bins_per_frame * bin_width_ps, is a time and must lie in the budget.
     pytest.param(FrameConfig(bin_width_ps=521), "bins_per_frame", 2**52, id="frame-length"),
 ]
-# NaN fails every check; so do afterpulsing that never dies out (about 2.2
-# live traps per avalanche), and a trap mean or a source's expected emissions
-# that reach 2**62, past which numpy's Poisson draw fails.
+# NaN fails every check; so do a rate past 1e12 cps, whose mean gap is finer
+# than the 1 ps time grid, afterpulsing that never dies out (about 2.2 live
+# traps per avalanche), and a trap mean or a source's expected emissions that
+# reach 2**62, past which numpy's Poisson draw fails.
 NAN = float("nan")
 INF = float("inf")
 NEVER_ENDING = AfterpulseModel(mu=3.0, tau_trap_ps=1e5)
@@ -321,6 +322,10 @@ MORE_CHECKS = [
     pytest.param(AfterpulseModel(), "mu", 2.0**62, id="trap-mean"),
     pytest.param(preset("spcm-aqrh").params, "tau_dead0_ps", NAN, id="nan-tau-dead0"),
     pytest.param(preset("spcm-aqrh").params, "dark_rate_cps", NAN, id="nan-dark-rate"),
+    pytest.param(preset("spcm-aqrh").params, "dark_rate_cps", INF, id="inf-dark-rate"),
+    pytest.param(CwSourceConfig(1.0, 1), "rate_cps", NAN, id="nan-rate"),
+    pytest.param(CwSourceConfig(1.0, 1), "rate_cps", INF, id="inf-rate"),
+    pytest.param(CwSourceConfig(1.0, 1), "rate_cps", 1.0e18, id="sub-ps-rate"),
     pytest.param(KeyRateInputs(1, 1.0, 1.0, 1.0, 1.0), "xi", NAN, id="nan-xi"),
     pytest.param(preset("spcm-aqrh").params, "afterpulse", NEVER_ENDING, id="afterpulse-chains"),
     pytest.param(PulsedSourceConfig(521, 0.1, 1), "mean_photons_per_pulse", 2.0**62, id="photons"),

@@ -1,4 +1,3 @@
-import math
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -7,7 +6,6 @@ from conftest import as_json, inline_detector
 from scipy import stats
 
 from spadsim import (
-    RATE_WINDOW_PS,
     AfterpulseModel,
     BlankingConfig,
     Cause,
@@ -210,26 +208,6 @@ class TestInterpClampedArray:
         xs, tables = self.SHARED
         out = _interp_clamped_array(np.array([], dtype=np.float64), xs, *tables)
         assert [y.shape for y in out] == [(0,), (0,)]
-
-
-class TestDeadLengths:
-    @pytest.mark.parametrize(
-        "elongation, size",
-        [
-            (((0.0, 0.0), (30.0e6, 2000.0)), 31),  # custom-aq
-            (((1.0e6, 0.0), (2.0e8, 9000.0)), 201),
-            (((0.0, 0.0), (1.0e30, 1.0e6)), 4097),  # cut at _DEAD_LEN_CAP
-            (((0.0, 500.0),), 1),
-        ],
-    )
-    def test_table_equals_the_scalar_expression(self, elongation, size):
-        p = plain_params(dead_elongation=elongation)
-        table = detector._dead_lengths(p)
-        scalar = [
-            math.floor(effective_dead_time(c / RATE_WINDOW_PS * 1.0e12, p) + 0.5)
-            for c in range(size)
-        ]
-        assert table == scalar and all(type(v) is int for v in table)
 
 
 class TestBlankingFilter:

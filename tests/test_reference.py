@@ -177,7 +177,15 @@ def generated_params(draw) -> tuple[DetectorParams, int]:
             (float(tau_dead0), 1.0),
         )
     elongation = draw(
-        st.sampled_from([(), ((0.0, 0.0), (30.0e6, 2000.0)), ((1.0e6, 0.0), (2.0e8, 9000.0))])
+        st.sampled_from(
+            [
+                (),
+                ((0.0, 0.0), (30.0e6, 2000.0)),
+                ((1.0e6, 0.0), (2.0e8, 9000.0)),
+                ((0.0, 500.0),),
+                ((0.0, 0.0), (1.0e30, 1.0e6)),
+            ]
+        )
     )
     jitter = draw(st.sampled_from([((0.0, 0.0),), ((30_000.0, 600.0), (120_000.0, 335.0))]))
     shift = draw(
@@ -382,8 +390,8 @@ ELONGATED_RUNS_CASE = (
 
 
 # A photon every 60-140 ps and a dead time of 50 ps plus 1 ps per 200
-# avalanches counted: about 9k avalanches fall in each window, past the
-# kernel's table of dead lengths, which stops at 4096.
+# avalanches counted: about 9k avalanches fall in each window, so the
+# kernel's avalanche list passes its trim of 4096 (`_AV_TRIM`).
 PAST_CAP_ARRIVALS = np.cumsum(np.random.default_rng(23).integers(60, 141, size=25_000))
 PAST_CAP_CASE = (
     DetectorParams(

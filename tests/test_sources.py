@@ -36,8 +36,10 @@ def test_poisson_times_basic_properties():
 
 def test_poisson_times_zero_rate_and_validation():
     assert poisson_times(make_generator(1, 1), 0.0, 1000).size == 0
-    with pytest.raises(ValueError):
-        poisson_times(make_generator(1, 1), -1.0, 1000)
+    # A negative rate, NaN, and a mean gap below the 1 ps time grid are refused by name.
+    for rate_cps in (-1.0, float("nan"), float("inf"), 1.0e18):
+        with pytest.raises(ValueError, match=r"^rate_cps must lie in \[0, 1e12\] cps"):
+            poisson_times(make_generator(1, 1), rate_cps, 1000)
     with pytest.raises(ValueError):
         poisson_times(make_generator(1, 1), 1.0, 0)
 
