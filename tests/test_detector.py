@@ -28,6 +28,9 @@ from spadsim.detector import _interp_clamped, _interp_clamped_array
 SECOND_PS = 1_000_000_000_000
 
 
+NAN = float("nan")
+
+
 def plain_params(**kw):
     base = dict(efficiency=1.0, tau_dead0_ps=24000, tau_quench_ps=10000)
     base.update(kw)
@@ -85,6 +88,44 @@ class TestParamValidation:
     )
     def test_validate_rejects(self, kw):
         with pytest.raises(ValueError):
+            plain_params(**kw)
+
+    @pytest.mark.parametrize(
+        "kw, name",
+        [
+            pytest.param(
+                dict(dead_elongation=((0.0, 0.0), (NAN, 1000.0), (1e7, 2000.0))),
+                "dead_elongation",
+                id="dead_elongation-nan-x",
+            ),
+            pytest.param(
+                dict(twilight_profile=((10000.0, 0.0), (17000.0, NAN), (24000.0, 1.0))),
+                "twilight_profile",
+                id="twilight_profile-nan-y",
+            ),
+            pytest.param(
+                dict(jitter_curve=((30000.0, 600.0), (NAN, 300.0))),
+                "jitter_curve",
+                id="jitter_curve-nan-x",
+            ),
+            pytest.param(
+                dict(jitter_curve=((30000.0, 600.0), (float("inf"), 300.0))),
+                "jitter_curve",
+                id="jitter_curve-inf-x",
+            ),
+            pytest.param(
+                dict(shift_curve=((NAN, 800.0), (120000.0, 0.0))),
+                "shift_curve",
+                id="shift_curve-nan-x",
+            ),
+        ],
+    )
+    def test_non_finite_knots_are_refused(self, kw, name):
+        # NaN compares false, so an order or range check alone lets it
+        # through; the kernel and the reference then read such a table
+        # differently, or fail with an IndexError. A non-finite y knot of
+        # the elongation, jitter or shift curve is out of its time budget.
+        with pytest.raises(ValueError, match=rf"^{name} "):
             plain_params(**kw)
 
     @pytest.mark.parametrize("added", [2.0**58, 2.0**62, 1e30, float("inf"), float("nan")])
@@ -383,8 +424,14 @@ class TestDetect:
     def test_sampled_jitter_past_the_budget_is_refused(self, run):
         # A normal draw has no bound: a FWHM inside the budget can still
         # sample a jitter of 2**58 ps or more, which both implementations refuse.
-        p = plain_params(jitter_curve=((0.0, 2.0**58 - 2.0**6),))
-        arrivals = np.arange(200, dtype=np.int64) * 100_000
+        # The FWHM is 0 at gaps of 100 ns and near the budget at 50 ns, so
+        # only the pulses after the first 9,000 can sample past it: in the
+        # kernel, past its first block of output times.
+        assert detector._EMIT_BLOCK < 9_000
+        p = plain_params(jitter_curve=((50_000.0, 2.0**58 - 2.0**6), (100_000.0, 0.0)))
+        calm = np.arange(9_000, dtype=np.int64) * 100_000
+        arrivals = np.concatenate([calm, calm[-1] + 50_000 * np.arange(1, 1_001)])
+        assert len(run(calm, p, make_generator(1, "detector"), 1000)) == calm.size
         match = r"^jitter_curve sampled delays must lie in \(-2\*\*58, 2\*\*58\) ps"
         with pytest.raises(ValueError, match=match):
             run(arrivals, p, make_generator(1, "detector"), 1000)

@@ -18,6 +18,7 @@ from spadsim import (
     detect_reference,
     make_generator,
 )
+from spadsim import detector
 
 DURATION = 60_000_000
 
@@ -408,20 +409,49 @@ PAST_CAP_CASE = (
 )
 
 
-@settings(deadline=None, max_examples=150)
-@given(case=detector_cases())
-@example(case=TIE_CASE)
-@example(case=RELEASE_TIE_CASE)
-@example(case=EFFICIENCY_ZERO_CASE)
-@example(case=EFFICIENCY_ONE_CASE)
-@example(case=TWILIGHT_DENSE_CASE)
-@example(case=HORIZON_CASE)
-@example(case=ELONGATED_HORIZON_CASE)
-@example(case=BLOCK_CROSSING_CASE)
-@example(case=RUN_RELEASE_TIE_CASE)
-@example(case=ELONGATED_RUNS_CASE)
-@example(case=PAST_CAP_CASE)
+def generated_and_fixed_cases(test):
+    """Run `test` on generated cases and on every fixed case above."""
+    for case in (
+        TIE_CASE,
+        RELEASE_TIE_CASE,
+        EFFICIENCY_ZERO_CASE,
+        EFFICIENCY_ONE_CASE,
+        TWILIGHT_DENSE_CASE,
+        HORIZON_CASE,
+        ELONGATED_HORIZON_CASE,
+        BLOCK_CROSSING_CASE,
+        RUN_RELEASE_TIE_CASE,
+        ELONGATED_RUNS_CASE,
+        PAST_CAP_CASE,
+    ):
+        test = example(case=case)(test)
+    return settings(deadline=None, max_examples=150)(given(case=detector_cases())(test))
+
+
+@generated_and_fixed_cases
 def test_kernel_matches_reference_on_generated_params(case):
+    assert_kernel_matches_reference(case)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        # Output times in blocks of 3 avalanches: every case crosses many blocks.
+        pytest.param("_EMIT_BLOCK", 3, id="emit-blocks-of-3"),
+        # The loop reads the stimuli through a list, or through a view, whatever
+        # its runs per stimulus.
+        pytest.param("_VIEW_BELOW", 0.0, id="stimulus-list"),
+        pytest.param("_VIEW_BELOW", math.inf, id="stimulus-view"),
+    ],
+)
+@generated_and_fixed_cases
+def test_kernel_matches_reference_with_either_stimulus_path_and_small_blocks(case, name, value):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detector, name, value)
+        assert_kernel_matches_reference(case)
+
+
+def assert_kernel_matches_reference(case):
     params, arrivals, duration, seed = case
     a = detect(arrivals, params, make_generator(seed, 2), duration)
     b = detect_reference(arrivals, params, make_generator(seed, 2), duration)
