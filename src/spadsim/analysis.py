@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from .instruments import (
     FWHM_PER_SIGMA,
     Histogram,
     InstrumentError,
+    _check,
+    _check_fields,
     _int_times,
     build_histogram,
     gaussian_fit,
@@ -159,10 +162,8 @@ def afterpulse_spectroscopy(
     p_afterpulse integrates the fitted excess and normalizes by the total
     event count.
     """
-    if tau_dead_ps <= 0:
-        raise ValueError(f"tau_dead_ps must be > 0, got {tau_dead_ps}")
-    if tau_trap_guess_ps <= 0:
-        raise ValueError(f"tau_trap_guess_ps must be > 0, got {tau_trap_guess_ps}")
+    _check("tau_dead_ps", "> 0", tau_dead_ps)
+    _check("tau_trap_guess_ps", "> 0", tau_trap_guess_ps)
     bg_cut_ps = tau_dead_ps + 5.0 * tau_trap_guess_ps
     t = h.bin_centers
     c = h.counts.astype(np.float64)
@@ -249,8 +250,7 @@ def twilight_curve(points) -> TwilightCurve:
     dts = []
     ratios = []
     for delta_t, n_pairs, n_first, n_both in points:
-        if n_pairs < 0:
-            raise ValueError("n_pairs must be >= 0 for every point")
+        _check("n_pairs", ">= 0", n_pairs)
         dts.append(int(delta_t))
         if n_pairs == 0 or n_first == 0:
             ratios.append(float("nan"))
@@ -283,7 +283,7 @@ class ShiftJitterCurve:
 _JITTER_FIT_BIN_PS = 25
 
 
-def shift_and_jitter_vs_dt(points, *, min_pairs: int = 1000) -> ShiftJitterCurve:
+def shift_and_jitter_vs_dt(points, *, min_pairs: Annotated[int, ">= 1"] = 1000) -> ShiftJitterCurve:
     """Per pair spacing: mean(measured interval - delta_t) and interval FWHM.
 
     Each point supplies (delta_t_ps, intervals) with intervals the measured
@@ -365,8 +365,9 @@ def distinguishability(ac: Histogram, period_ps: float) -> float:
 
 def heralding_efficiency(coincidences: int, singles_a: int, singles_b: int) -> float:
     """Coincidences over total singles; 1/2 for a lossless pair source."""
-    if singles_a < 0 or singles_b < 0 or coincidences < 0:
-        raise ValueError("counts must be non-negative")
+    counts = {"coincidences": coincidences, "singles_a": singles_a, "singles_b": singles_b}
+    for name, n in counts.items():
+        _check(name, ">= 0", n)
     if singles_a + singles_b == 0:
         raise AnalysisError("no singles recorded, heralding efficiency undefined")
     return coincidences / (singles_a + singles_b)
@@ -376,29 +377,22 @@ def heralding_efficiency(coincidences: int, singles_a: int, singles_b: int) -> f
 class KeyRateInputs:
     """Inputs of the multi-channel key-rate formula."""
 
-    m_channels: int
-    eta: float
-    n_mean: float
-    xi: float
-    bin_width_ps: float
+    m_channels: Annotated[int, ">= 0"]
+    eta: Annotated[float, "[0, 1]"]
+    n_mean: Annotated[float, ">= 0"]
+    xi: Annotated[float, ">= 0"]
+    bin_width_ps: Annotated[float, "> 0"]
 
     def __post_init__(self) -> None:
-        if not self.m_channels >= 0:
-            raise ValueError(f"m_channels must be >= 0, got {self.m_channels}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not self.n_mean >= 0:
-            raise ValueError(f"n_mean must be >= 0, got {self.n_mean}")
-        if not self.xi >= 0:
-            raise ValueError(f"xi must be >= 0, got {self.xi}")
-        if not self.bin_width_ps > 0:
-            raise ValueError(f"bin_width_ps must be > 0, got {self.bin_width_ps}")
+        _check_fields(self)
 
 
 def secret_key_rate(k: KeyRateInputs) -> float:
     """Key rate in bits/s: m * eta^2 * n_mean * xi / bin_width.
 
     Multilinear in every factor; the squared eta charges the channel
-    efficiency once per photon of the pair.
+    efficiency once per photon of the pair. A bin width that underflows to 0 s gives inf or NaN.
     """
-    return k.m_channels * k.eta**2 * k.n_mean * k.xi / (k.bin_width_ps * 1e-12)
+    bits = k.m_channels * k.eta**2 * k.n_mean * k.xi
+    seconds = k.bin_width_ps * 1e-12
+    return bits / seconds if seconds else bits * math.inf

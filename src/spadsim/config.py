@@ -16,10 +16,10 @@ import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from functools import cached_property
 from types import UnionType
-from typing import Callable, get_args, get_origin
+from typing import Annotated, Callable, get_args, get_origin
 
 from .analysis import (
     KeyRateInputs, distinguishability, secret_key_rate, shift_and_jitter_vs_dt, twilight_curve
@@ -27,7 +27,7 @@ from .analysis import (
 from .detector import DRAW_CONTRACT, DetectorParams
 from .experiments import PairScan, run_autocorr, run_interarrival, run_pair_scan
 from .presets import available_presets, preset
-from .instruments import _REACH_LIMIT, _check_bins, _check_budget
+from .instruments import _check, _check_args, _check_bins
 from .qkd import FrameConfig, check_rep_rate, correlator_grids, run_qkd_scenario
 from .sources import CwSourceConfig, EntangledPairConfig, PulsedSourceConfig
 
@@ -67,27 +67,30 @@ def _field(d: dict, key: str, path: str):
     return d[key]
 
 
-def _values(d, fields: dict, path: str, minimum=None) -> dict:
+def _values(d, fields: dict, path: str) -> dict:
     """The keys d gives, each checked against its field; a required field must be given."""
     d = _mapping(d, path)
     _known(d, fields, path)
     vals = {}
     for key, (tp, default) in fields.items():
         if key in d:
-            vals[key] = _typed(d[key], tp, f"{path}.{key}", (minimum or {}).get(key))
+            vals[key] = _typed(d[key], tp, f"{path}.{key}")
         elif default is _REQUIRED:
             _err(f"{path}.{key}", "is required")
     return vals
 
 
-def _typed(v, tp, path: str, minimum=None, int64=True):
-    """v checked against the type hint tp, a lower bound and, if int64, int64's range."""
+def _typed(v, tp, path: str, int64=True):
+    """v checked against the type hint tp and, if int64, int64's range; domains that
+    tp declares are left to the owner."""
+    if get_origin(tp) is Annotated:
+        tp = get_args(tp)[0]
     if isinstance(tp, UnionType):  # `X | None`: null stands for the default
         if v is None:
             return None
         tp = get_args(tp)[0]
     if is_dataclass(tp):  # an object with the dataclass's keys; omitted keys take its defaults
-        return _built(tp, _values(v, Section(path, tp).fields, path), path)
+        return _built(path, tp, **_values(v, Section(path, tp).fields, path))
     if get_origin(tp) is tuple:  # a Curve: [[x, y], ...]
         if not isinstance(v, list) or not all(isinstance(p, list) and len(p) == 2 for p in v):
             _err(path, f"must be a list of [x, y] number pairs, got {v!r}")
@@ -98,7 +101,7 @@ def _typed(v, tp, path: str, minimum=None, int64=True):
     if get_origin(tp) is not None:  # Sequence[int]
         if not isinstance(v, list) or not v:
             _err(path, "must be a non-empty list of integers")
-        return [_typed(x, int, f"{path}[{i}]", minimum) for i, x in enumerate(v)]
+        return [_typed(x, int, f"{path}[{i}]") for i, x in enumerate(v)]
     if isinstance(v, bool) != (tp is bool) or not isinstance(v, _ACCEPTS[tp]):
         _err(path, f"must be {_NAMES[tp]}, got {v!r}")
     if tp is float:
@@ -106,18 +109,16 @@ def _typed(v, tp, path: str, minimum=None, int64=True):
         if not -sys.float_info.max <= v <= sys.float_info.max:
             _err(path, f"must be a finite number, got {v}")
         v = float(v)
-    if minimum is not None and v < minimum:
-        _err(path, f"must be >= {minimum}, got {v}")
     if tp is int and int64 and not -(2**63) <= v < 2**63:
         _err(path, f"must lie in [-2**63, 2**63), got {v}")
     return v
 
 
-def _built(owner, vals: dict, path: str):
-    """owner(**vals), a section object or a check's result; a ValueError becomes a
-    ConfigError at the field it starts with."""
+def _built(path: str, owner, /, *args, **kwargs):
+    """owner(*args, **kwargs), a section object or a check's result; a ValueError
+    becomes a ConfigError at the field it starts with, under path."""
     try:
-        return owner(**vals)
+        return owner(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}.{exc}") from None
 
@@ -127,15 +128,14 @@ class Section:
     """One config section, read off the code that defines its fields.
 
     `owner` is a dataclass (its fields, checked when it is built) or a
-    function (its keyword-only parameters).
-    `minimum` holds bounds the owner does not check. The section's fields,
-    defaults included, spread into the flat config; a dataclass section's
-    object, built once here, also sits under the section's name.
+    function (its keyword-only parameters, checked here against the
+    domains their annotations declare). The section's fields, defaults
+    included, spread into the flat config; a dataclass section's object,
+    built once here, also sits under the section's name.
     """
 
     name: str
     owner: object = None
-    minimum: dict = field(default_factory=dict)
 
     @cached_property
     def fields(self) -> dict:
@@ -153,10 +153,12 @@ class Section:
     def parse(self, doc: dict, norm: dict) -> None:
         required = any(d is _REQUIRED for _, d in self.fields.values())
         d = doc.get(self.name, {}) if not required else _field(doc, self.name, "config")
-        vals = _values(d, self.fields, self.name, self.minimum)
+        vals = _values(d, self.fields, self.name)
         vals = {key: vals.get(key, default) for key, (_, default) in self.fields.items()}
         if isinstance(self.owner, type):
-            norm[self.name] = _built(self.owner, vals, self.name)
+            norm[self.name] = _built(self.name, self.owner, **vals)
+        elif self.owner is not None:
+            _built(self.name, _check_args, self.owner, vals)
         norm.update(vals)
 
 
@@ -190,7 +192,7 @@ def _span_whole_bins(cfg: dict) -> None:
     """The histogram span, given or run_interarrival's 4096 bins, is one build_histogram takes."""
     bw, span = cfg["bin_width_ps"], cfg["span_ps"]
     span = 4096 * bw if span is None else span
-    _built(_check_bins, {"bin_width_ps": bw, "span_ps": span}, "instrument")
+    _built("instrument", _check_bins, bw, span)
 
 
 def _two_bins_per_period(path: str, bin_width_ps: int, period_ps: float, period: str) -> None:
@@ -200,11 +202,11 @@ def _two_bins_per_period(path: str, bin_width_ps: int, period_ps: float, period:
 
 
 def _qkd_grids(cfg: dict) -> None:
-    """The rep rate is the one the frame's bin width implies, to 2%, the correlators' bin
-    widths and spans lie in the time budget, and the autocorrelator bin fits the period."""
+    """The rep rate is the one the frame's bin width implies, to 2%, and the
+    autocorrelator bin, given or by default, fits the period."""
     rep_rate, bw = cfg["source"].rep_rate_hz, cfg["frame"].bin_width_ps
-    _built(check_rep_rate, {"rep_rate_hz": rep_rate, "bin_width_ps": bw}, "source")
-    ac_bw = _built(correlator_grids, _args(cfg, correlator_grids), "instrument")[0]
+    _built("source", check_rep_rate, rep_rate, bw)
+    ac_bw = _built("instrument", correlator_grids, **_args(cfg, correlator_grids))[0]
     period = 1.0e12 / rep_rate
     about = f"the pulse period ({period} ps for frame.bin_width_ps {bw}), got {ac_bw}"
     about += "; the default is frame.bin_width_ps // 8, at least 1"
@@ -212,13 +214,10 @@ def _qkd_grids(cfg: dict) -> None:
 
 
 def _lag_covers_bin(cfg: dict) -> None:
-    """The lag span holds a bin and lies in the instruments' budget, and the pulse period
-    holds two bins for the visibility."""
+    """The lag span holds a bin, and the pulse period holds two bins for the visibility."""
     bw = cfg["bin_width_ps"]
     if cfg["max_lag_ps"] < bw:
         _err("instrument.max_lag_ps", f"must be >= bin_width_ps ({bw})")
-    lag = {"name": "max_lag_ps", "values": (cfg["max_lag_ps"],), "limit": _REACH_LIMIT}
-    _built(_check_budget, lag, "instrument")
     period = cfg["source"].period_ps
     _two_bins_per_period("instrument.bin_width_ps", bw, period, f"period_ps ({period})")
 
@@ -309,25 +308,13 @@ def _run_keyrate(cfg: dict):
     return [("key_rate_bits_per_s", rate)], {"summary_json": _json(summary)}
 
 
-_QKD_BOUNDS = dict.fromkeys(("ac_bin_width_ps", "ac_span_ps", "cc_bin_width_ps", "cc_span_ps"), 1)
-
 SCENARIOS = {
     "interarrival": Kind(
-        (
-            Section("source", CwSourceConfig),
-            Section(
-                "instrument",
-                run_interarrival,
-                minimum={"bin_width_ps": 1, "tau_trap_guess_ps": 1.0},
-            ),
-        ),
+        (Section("source", CwSourceConfig), Section("instrument", run_interarrival)),
         ("histogram_csv", "summary_json"), _run_interarrival, _span_whole_bins,
     ),
     "jitter-scan": Kind(
-        (
-            Section("source", PairScan),
-            Section("instrument", shift_and_jitter_vs_dt, minimum={"min_pairs": 1}),
-        ),
+        (Section("source", PairScan), Section("instrument", shift_and_jitter_vs_dt)),
         ("curve_csv", "summary_json"), _run_jitter_scan,
     ),
     "pair-scan": Kind(
@@ -335,17 +322,14 @@ SCENARIOS = {
         ("curve_csv", "points_csv", "summary_json"), _run_pair_scan,
     ),
     "autocorr": Kind(
-        (
-            Section("source", PulsedSourceConfig),
-            Section("instrument", run_autocorr, minimum={"bin_width_ps": 1}),
-        ),
+        (Section("source", PulsedSourceConfig), Section("instrument", run_autocorr)),
         ("histogram_csv", "summary_json"), _run_autocorr, _lag_covers_bin,
     ),
     "qkd": Kind(
         (
             Section("source", EntangledPairConfig),
             Section("frame", FrameConfig),
-            Section("instrument", run_qkd_scenario, minimum=_QKD_BOUNDS),
+            Section("instrument", run_qkd_scenario),
         ),
         ("report_json", "crosscorr_csv"), _run_qkd, _qkd_grids,
         detectors=("detector_a", "detector_b"),
@@ -376,7 +360,8 @@ def validate_config(doc) -> dict:
         _err("kind", f"unknown kind {name!r}; expected one of {', '.join(KINDS)}")
     kind = SCENARIOS[name]
     # A seed only feeds SeedSequence, which takes integers of any size.
-    seed = _typed(_field(doc, "seed", "config"), int, "seed", 0, int64=False)
+    seed = _typed(_field(doc, "seed", "config"), int, "seed", int64=False)
+    _built("config", _check, "seed", ">= 0", seed)
     norm = {"kind": name, "seed": seed}
     sections = {s.name for s in kind.sections}
     _known(doc, {"version", "kind", "seed", "outputs", *kind.detectors, *sections}, "config")

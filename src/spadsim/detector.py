@@ -19,13 +19,15 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
 from heapq import heappop, heappush
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
-from .instruments import _DELAY_LIMIT, _TIME_LIMIT, _check_budget, _sorted_times
+from .instruments import (
+    DELAY, HOLD_OFF, SIGNED_DELAY, TIME, _check, _check_fields, _sorted_times
+)
 from .rng import FWHM_TO_SIGMA
-from .sources import _check_rate, poisson_times
+from .sources import RATE, poisson_times
 
 __all__ = [
     "DRAW_CONTRACT",
@@ -104,8 +106,7 @@ def circuit_timing(t_dly1_ps: int, t_comp_ps: int, t_q_ps: int) -> QuenchTimes:
     quench-release lag.
     """
     for name, v in (("t_dly1_ps", t_dly1_ps), ("t_comp_ps", t_comp_ps), ("t_q_ps", t_q_ps)):
-        if not v >= 0:
-            raise ValueError(f"{name} must be >= 0, got {v}")
+        _check(name, ">= 0", v)
     if t_dly1_ps < t_q_ps:
         raise ValueError(
             f"t_dly1 ({t_dly1_ps} ps) must be >= t_q ({t_q_ps} ps): the twilight "
@@ -130,26 +131,21 @@ class AfterpulseModel:
     below 2**62, under the largest mean numpy's Poisson draw takes.
     """
 
-    mu: float = 0.0
-    tau_trap_ps: float = 32000.0
+    mu: Annotated[float, ">= 0", "< 2**62"] = 0.0
+    tau_trap_ps: Annotated[float, "> 0"] = 32000.0
 
     def __post_init__(self) -> None:
-        if not self.mu >= 0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
-        if not self.mu < 2**62:
-            raise ValueError(f"mu must be < 2**62, got {self.mu}")
-        if not self.tau_trap_ps > 0:
-            raise ValueError(f"tau_trap_ps must be > 0, got {self.tau_trap_ps}")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
 class BlankingConfig:
     """Non-retriggerable output blanking stage."""
 
-    t_b_ps: int = 24000
+    t_b_ps: Annotated[int, HOLD_OFF] = 24000
 
     def __post_init__(self) -> None:
-        _check_budget("t_b_ps", (self.t_b_ps,), _DELAY_LIMIT, positive=True)
+        _check_fields(self)
 
 
 Curve = tuple[tuple[float, float], ...]
@@ -183,11 +179,11 @@ class DetectorParams:
     empty elongation or twilight curve gives the all-zero table.
     """
 
-    efficiency: float
-    tau_dead0_ps: int
-    tau_quench_ps: int
-    base_delay_ps: int = 0
-    dark_rate_cps: float = 0.0
+    efficiency: Annotated[float, "[0, 1]"]
+    tau_dead0_ps: Annotated[int, "> 0"]
+    tau_quench_ps: Annotated[int, ">= 0"]
+    base_delay_ps: Annotated[int, DELAY] = 0
+    dark_rate_cps: Annotated[float, RATE] = 0.0
     dead_elongation: Curve = ()
     twilight_profile: Curve = ()
     jitter_curve: Curve = ((0.0, 0.0),)
@@ -196,29 +192,23 @@ class DetectorParams:
     blanking: BlankingConfig | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
-        if not self.tau_dead0_ps > 0:
-            raise ValueError(f"tau_dead0_ps must be > 0, got {self.tau_dead0_ps}")
-        if not 0 <= self.tau_quench_ps <= self.tau_dead0_ps:
+        _check_fields(self)
+        if not self.tau_quench_ps <= self.tau_dead0_ps:
             raise ValueError(
                 f"tau_quench_ps must lie in [0, tau_dead0_ps], got {self.tau_quench_ps}"
             )
-        _check_budget("base_delay_ps", (self.base_delay_ps,), _DELAY_LIMIT)
-        _check_rate("dark_rate_cps", self.dark_rate_cps)
         ap, outlive = self.afterpulse, self.tau_dead0_ps - 0.5  # see AfterpulseModel
         live = ap.mu * math.exp(-outlive / ap.tau_trap_ps) if outlive <= _MAX_TRAP_DELAY else 0.0
         if not live < 1.0:
             raise ValueError(f"afterpulse must fill < 1 live trap per avalanche, got {live}")
         zero = ((0.0, 0.0),)
         rates, added = _curve_arrays(self.dead_elongation or zero, "dead_elongation")
-        if rates[0] < 0:
-            raise ValueError("dead_elongation rates must be >= 0")
+        _check("dead_elongation rates", ">= 0", rates[0])
         if np.any(added < 0):
             raise ValueError("dead_elongation added durations must be >= 0")
         dead = self.tau_dead0_ps + added
         name = "tau_dead0_ps plus the largest dead_elongation duration"
-        _check_budget(name, (dead.max(),), _DELAY_LIMIT)
+        _check(name, DELAY, dead.max())
         tw_x, tw_y = _curve_arrays(self.twilight_profile or zero, "twilight_profile")
         if self.twilight_profile:
             if tw_y[0] != 0.0 or tw_y[-1] != 1.0:
@@ -230,10 +220,9 @@ class DetectorParams:
                     "twilight_profile knots must lie within [tau_quench_ps, tau_dead0_ps]"
                 )
         jitter = _curve_arrays(self.jitter_curve, "jitter_curve")
-        _check_budget("jitter_curve values", (jitter[1].min(), jitter[1].max()), _DELAY_LIMIT)
+        _check("jitter_curve values", DELAY, jitter[1].min(), jitter[1].max())
         shift = _curve_arrays(self.shift_curve, "shift_curve")
-        shifts = (shift[1].min(), shift[1].max())
-        _check_budget("shift_curve values", shifts, _DELAY_LIMIT, signed=True)
+        _check("shift_curve values", SIGNED_DELAY, shift[1].min(), shift[1].max())
         if shift[1][-1] != 0.0:
             raise ValueError("shift_curve must decay to 0 at its last knot")
         tables = ((rates, dead), (tw_x, tw_y), jitter, shift)
@@ -655,7 +644,7 @@ def _emit_times(
 
 def _check_sampled_jitter(*spreads: float) -> None:
     """Raise ValueError naming jitter_curve unless each sampled jitter lies in the delay budget."""
-    _check_budget("jitter_curve sampled delays", spreads, _DELAY_LIMIT, signed=True)
+    _check("jitter_curve sampled delays", SIGNED_DELAY, *spreads)
 
 
 def effective_dead_time(rate_cps: float, params: DetectorParams) -> float:
@@ -664,8 +653,7 @@ def effective_dead_time(rate_cps: float, params: DetectorParams) -> float:
     Piecewise-linear in the dead_elongation table, clamped at both ends;
     without a table the dead time is rate-independent.
     """
-    if not rate_cps >= 0:
-        raise ValueError(f"rate_cps must be >= 0, got {rate_cps}")
+    _check("rate_cps", ">= 0", rate_cps)
     return float(_interp_clamped(float(rate_cps), *params._tables[0]))
 
 
@@ -675,8 +663,7 @@ def twilight_sensitivity(dt_since_avalanche_ps: float, params: DetectorParams) -
     0 through the quench phase, the configured profile across the twilight
     zone, 1 at and beyond the nominal dead time.
     """
-    if not dt_since_avalanche_ps >= 0:
-        raise ValueError(f"dt_since_avalanche_ps must be >= 0, got {dt_since_avalanche_ps}")
+    _check("dt_since_avalanche_ps", ">= 0", dt_since_avalanche_ps)
     if dt_since_avalanche_ps >= params.tau_dead0_ps:
         return 1.0
     if dt_since_avalanche_ps < params.tau_quench_ps or not params.twilight_profile:
@@ -690,12 +677,9 @@ def calibrate_afterpulse_mu(p_target: float, tau_trap_ps: float, tau_dead_ps: fl
     Releases inside the dead period are discarded, so only the exp(-tau_dead/
     tau_trap) tail of each trap survives: mu = p_target * exp(tau_dead/tau_trap).
     """
-    if not 0.0 <= p_target < 1.0:
-        raise ValueError(f"p_target must lie in [0, 1), got {p_target}")
-    if not tau_trap_ps > 0:
-        raise ValueError(f"tau_trap_ps must be > 0, got {tau_trap_ps}")
-    if not tau_dead_ps >= 0:
-        raise ValueError(f"tau_dead_ps must be >= 0, got {tau_dead_ps}")
+    _check("p_target", "[0, 1)", p_target)
+    _check("tau_trap_ps", "> 0", tau_trap_ps)
+    _check("tau_dead_ps", ">= 0", tau_dead_ps)
     return p_target * math.exp(tau_dead_ps / tau_trap_ps)
 
 
@@ -706,8 +690,7 @@ def afterpulse_prob_vs_rs(r_s_ohm: float) -> float:
     linearly to 3.2% at 3.3 kohm, then saturating exponentially toward the
     2.7% floor set by charge trapped regardless of quenching speed.
     """
-    if not r_s_ohm >= 0:
-        raise ValueError(f"r_s_ohm must be >= 0, got {r_s_ohm}")
+    _check("r_s_ohm", ">= 0", r_s_ohm)
     if r_s_ohm <= 800.0:
         return 0.055
     if r_s_ohm <= 3300.0:
@@ -763,7 +746,7 @@ def _prepare_stimuli(arrivals, params: DetectorParams, rng: np.random.Generator,
     their uniforms, the dark times and theirs, and the substreams of `rng`
     that the state machine draws from.
     """
-    arrivals = _sorted_times(arrivals, "arrivals", _TIME_LIMIT, signed=False)
+    arrivals = _sorted_times(arrivals, "arrivals", TIME)
     draws = _draw_streams(rng)
     darks = poisson_times(draws.dark_times, params.dark_rate_cps, duration_ps)  # checks duration_ps
     u_photon = draws.photon.random(arrivals.size)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .analysis import (
     estimate_dead_time,
 )
 from .detector import Cause, DetectorParams, detect
-from .instruments import Histogram, autocorrelation, build_histogram
+from .instruments import REACH, Histogram, autocorrelation, build_histogram
 from .rng import DETECTOR_SCAN_BASE, SCAN_BASE, make_generator
 from .sources import (
     CwSourceConfig,
@@ -61,10 +62,10 @@ def run_interarrival(
     source: CwSourceConfig,
     seed: int,
     *,
-    bin_width_ps: int = 1000,
+    bin_width_ps: Annotated[int, "> 0"] = 1000,
     span_ps: int | None = None,
     analyze: bool = True,
-    tau_trap_guess_ps: float = 32000.0,
+    tau_trap_guess_ps: Annotated[float, ">= 1"] = 32000.0,
 ) -> InterarrivalResult:
     """Illuminate with CW light, histogram the output interarrival times,
     and read dead time and afterpulse parameters off the histogram.
@@ -197,8 +198,8 @@ def run_autocorr(
     source: PulsedSourceConfig,
     seed: int,
     *,
-    max_lag_ps: int,
-    bin_width_ps: int,
+    max_lag_ps: Annotated[int, REACH],
+    bin_width_ps: Annotated[int, "> 0"],
 ) -> AutocorrResult:
     """Pulsed illumination -> detector -> output autocorrelation."""
     arrivals = pulsed_train(source, make_generator(seed, "source"))

@@ -8,8 +8,10 @@ of its inputs, so runs are bit-reproducible.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
+from typing import Annotated, get_args, get_origin
 
 import numpy as np
 
@@ -161,19 +163,19 @@ def _int_rows(a, b) -> bytearray:
     return text
 
 
-# The int64 time budget, in ps. Each time, delay and length is checked
-# against it once, where it enters: a source config, DetectorParams, the
-# arrivals and duration of `detect`, the qkd config, or an instrument's
-# arguments. No sum formed after that is checked again.
+# The int64 time budget, in ps, as named domains. Each time, delay and
+# length is checked against its domain once, where it enters: a source
+# config, DetectorParams, the arrivals and duration of `detect`, the qkd
+# config, or an instrument's arguments. No sum formed after that is checked.
 #
-# - Source and detector times (arrivals, durations, n_pairs *
-#   pair_period_ps, a qkd frame's length) lie in [0, _TIME_LIMIT).
-# - Delays and lengths lie below _DELAY_LIMIT: the dead time plus its
-#   largest elongation, the base delay, |shift|, the jitter FWHM and each
-#   sampled jitter, t_b, a source's pulse width, and the qkd correlators'
-#   bin widths and spans.
-# - Instrument inputs and histogram origins lie in (-_INPUT_LIMIT,
-#   _INPUT_LIMIT), spans and windows below _REACH_LIMIT.
+# - TIME holds source and detector times (arrivals, n_pairs *
+#   pair_period_ps, a qkd frame's length), DURATION a run's length.
+# - DELAY holds delays and lengths: the dead time plus its largest
+#   elongation, the base delay, the jitter FWHM, a source's pulse width,
+#   and the qkd correlators' bin widths and spans. SIGNED_DELAY holds each
+#   shift and sampled jitter, HOLD_OFF the blanking time t_b.
+# - INPUT holds instrument inputs and histogram origins, REACH the spans
+#   and lags of histograms and correlators, WINDOW a coincidence window.
 #
 # So a dead period ends before 2**61 + 2**58, and an output time (an
 # avalanche plus the base delay, shift and sampled jitter, or a dead end
@@ -188,21 +190,78 @@ def _int_rows(a, b) -> bytearray:
 # A trap release comes at most 1e15 < 2**50 ps after its avalanche, so the
 # bounds hold for afterpulse chains of up to 1,280 links. A chain ends with
 # probability 1, as DetectorParams keeps p < 1, but has no hard bound.
-_TIME_LIMIT = 2**61
-_DELAY_LIMIT = 2**58
-_INPUT_LIMIT = 2**62
-_REACH_LIMIT = 2**60
+TIME = "[0, 2**61) ps"
+DURATION = "(0, 2**61) ps"
+DELAY = "[0, 2**58) ps"
+SIGNED_DELAY = "(-2**58, 2**58) ps"
+HOLD_OFF = "(0, 2**58) ps"
+INPUT = "(-2**62, 2**62) ps"
+REACH = "[0, 2**60) ps"
+WINDOW = "(0, 2**60) ps"
 
 
-def _check_budget(name: str, values, limit: int, signed=False, positive=False) -> None:
-    """Raise ValueError naming `name` unless each of `values` lies in [0, limit),
-    in (0, limit) if positive, or in (-limit, limit) if signed; NaN never does."""
-    low = -limit if signed else 0
+def _number(text: str):
+    """A bound: an integer, a float such as 1e12, or a power such as -2**62."""
+    base, _, power = text.partition("**")
+    if power:  # -2**62 is -(2**62)
+        return (-1 if base[0] == "-" else 1) * abs(int(base)) ** int(power)
+    return int(text) if text.lstrip("-").isdigit() else float(text)
+
+
+@functools.cache
+def _domain(text: str) -> tuple:
+    """(low, low_open, high, high_open) of an interval such as "[0, 1]" or "(0, 2**61) ps",
+    any unit after it, or of one bound such as ">= 0" or "< 2**62", its other end None."""
+    if text[0] in "[(":
+        end = next(i for i, c in enumerate(text) if c in ")]")
+        low, high = text[1:end].split(", ")
+        return _number(low), text[0] == "(", _number(high), text[end] == ")"
+    op, bound = text.split(" ")
+    if op[0] == ">":
+        return _number(bound), op == ">", None, False
+    return None, False, _number(bound), op == "<"
+
+
+def _check(name: str, domain: str, *values) -> None:
+    """Raise ValueError naming `name` unless each of values lies in the domain (see `_domain`).
+
+    NaN and +-inf lie in no domain: the message reads "{name} must lie in
+    {domain}", "{name} must be {domain}" for one bound, or "{name} must be
+    finite" for an infinity on a bound's open side.
+    """
+    low, low_open, high, high_open = _domain(domain)
     for v in values:
-        if not (low < v if signed or positive else low <= v) or not v < limit:
-            power = f"2**{limit.bit_length() - 1}"
-            where = f"(-{power}" if signed else "(0" if positive else "[0"
-            raise ValueError(f"{name} must lie in {where}, {power}) ps, got {v}")
+        above = low is None or (low < v if low_open else low <= v)
+        below = high is None or (v < high if high_open else v <= high)
+        if not (above and below):
+            shape = "be" if low is None or high is None else "lie in"
+            raise ValueError(f"{name} must {shape} {domain}, got {v}")
+        if v in (math.inf, -math.inf):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
+@functools.cache
+def _declared(owner) -> dict:
+    """Name -> domains of each parameter of owner, a dataclass or a function, annotated
+    Annotated[type, domain, ...]. `inspect.signature` keeps such an annotation intact where
+    typing.get_type_hints on Python 3.10 wraps a parameter that defaults to None in Optional."""
+    params = inspect.signature(owner, eval_str=True).parameters.values()
+    hints = {p.name: p.annotation for p in params}
+    return {k: get_args(tp)[1:] for k, tp in hints.items() if get_origin(tp) is Annotated}
+
+
+def _check_args(owner, args: dict) -> None:
+    """Raise ValueError naming the first declared parameter of owner (see `_declared`)
+    whose value in args leaves one of its domains; None, a default left out, passes."""
+    for name, domains in _declared(owner).items():
+        if args[name] is not None:
+            for domain in domains:
+                _check(name, domain, args[name])
+
+
+def _check_fields(obj) -> None:
+    """`_check_args` over the fields of the dataclass instance obj."""
+    _check_args(type(obj), vars(obj))
 
 
 def _int_times(values, name: str) -> np.ndarray:
@@ -215,26 +274,25 @@ def _int_times(values, name: str) -> np.ndarray:
     return t.astype(np.int64, copy=False)
 
 
-def _sorted_times(values, name: str, limit: int = _INPUT_LIMIT, signed: bool = True) -> np.ndarray:
+def _sorted_times(values, name: str, domain: str = INPUT) -> np.ndarray:
     """values as an int64 time array; raises unless it is sorted non-decreasing
-    and lies in the budget, by default that of an instrument input."""
+    and lies in the domain, by default that of an instrument input."""
     t = _int_times(values, name)
     if t.size:
         if np.any(t[1:] < t[:-1]):
             raise ValueError(f"{name} must be sorted")
-        _check_budget(name, (t[0], t[-1]), limit, signed)
+        _check(name, domain, t[0], t[-1])
     return t
 
 
 def _check_bins(bin_width_ps: int, span_ps: int) -> None:
     """Raise unless span_ps is a positive whole number of bin_width_ps bins, in the budget."""
-    if bin_width_ps <= 0:
-        raise ValueError(f"bin_width_ps must be > 0, got {bin_width_ps}")
+    _check("bin_width_ps", "> 0", bin_width_ps)
     if span_ps <= 0 or span_ps % bin_width_ps != 0:
         raise ValueError(
             f"span_ps must be a positive multiple of bin_width_ps, got {span_ps}"
         )
-    _check_budget("span_ps", (span_ps,), _REACH_LIMIT)
+    _check("span_ps", REACH, span_ps)
 
 
 def build_histogram(values, bin_width_ps: int, span_ps: int, origin_ps: int = 0) -> Histogram:
@@ -245,8 +303,8 @@ def build_histogram(values, bin_width_ps: int, span_ps: int, origin_ps: int = 0)
     """
     _check_bins(bin_width_ps, span_ps)
     v = _int_times(values, "values")
-    _check_budget("values", (v.min(initial=0), v.max(initial=0)), _INPUT_LIMIT, signed=True)
-    _check_budget("origin_ps", (origin_ps,), _INPUT_LIMIT, signed=True)
+    _check("values", INPUT, v.min(initial=0), v.max(initial=0))
+    _check("origin_ps", INPUT, origin_ps)
     n_bins = span_ps // bin_width_ps
     idx = (v - origin_ps) // bin_width_ps
     under = int(np.count_nonzero(idx < 0))
@@ -290,7 +348,7 @@ def coincidence(a, b, window_ps: int) -> Coincidences:
     the contested clusters: O((n_a + n_b) log n_b) in numpy plus
     O(contested) in Python.
     """
-    _check_budget("window_ps", (window_ps,), _REACH_LIMIT, positive=True)
+    _check("window_ps", WINDOW, window_ps)
     ta, tb = _sorted_times(a, "a"), _sorted_times(b, "b")
     # The candidates of a[i] are b[lo[i]:hi[i]]. Both bounds never decrease,
     # so b[j] has as candidates the a[i] whose range opens at or before j,
@@ -367,11 +425,10 @@ def autocorrelation(pulses, max_lag_ps: int, bin_width_ps: int) -> Histogram:
     `_bin_batches` bins them holding at most O(pulses + bins) indices at
     once, however many pairs one lag window holds.
     """
-    if bin_width_ps <= 0:
-        raise ValueError(f"bin_width_ps must be > 0, got {bin_width_ps}")
+    _check("bin_width_ps", "> 0", bin_width_ps)
     if max_lag_ps < bin_width_ps:
         raise ValueError(f"max_lag_ps must be >= bin_width_ps, got {max_lag_ps}")
-    _check_budget("max_lag_ps", (max_lag_ps,), _REACH_LIMIT)
+    _check("max_lag_ps", REACH, max_lag_ps)
     t = _sorted_times(pulses, "pulses")
     n_bins = max_lag_ps // bin_width_ps
     span = bin_width_ps * n_bins

@@ -260,9 +260,7 @@ def fit_preset_from_curves(
     """
     params = base
     if jitter_points is not None:
-        pts = _check_points(jitter_points, "jitter_points")
-        if any(y < 0 for _, y in pts):
-            raise ValueError("jitter_points values must be >= 0")
+        pts = _check_points(jitter_points, "jitter_points")  # DetectorParams refuses y < 0
         params = replace(params, jitter_curve=tuple(pts))
     if shift_points is not None:
         pts = _check_points(shift_points, "shift_points")

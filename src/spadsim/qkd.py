@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Annotated
 
 import numpy as np
 
 from .analysis import distinguishability, heralding_efficiency
 from .detector import DetectorParams, PulseRecords, detect
 from .instruments import (
-    _DELAY_LIMIT, _TIME_LIMIT, Histogram, _check_budget, autocorrelation, coincidence,
+    DELAY, TIME, Histogram, _check, _check_args, _check_fields, autocorrelation, coincidence,
     cross_correlation,
 )
 from .rng import make_generator
@@ -38,16 +39,15 @@ class FrameConfig:
     grid; check_rep_rate holds a source to it.
     """
 
-    bin_width_ps: int
-    bins_per_frame: int = 1024
+    bin_width_ps: Annotated[int, "> 0"]
+    bins_per_frame: Annotated[int, "> 0"] = 1024
 
     def __post_init__(self) -> None:
-        if not self.bin_width_ps > 0:
-            raise ValueError(f"bin_width_ps must be > 0, got {self.bin_width_ps}")
+        _check_fields(self)
         n = self.bins_per_frame
         if n < 2 or n & (n - 1) != 0:
             raise ValueError(f"bins_per_frame must be a power of two >= 2, got {n}")
-        _check_budget("bins_per_frame * bin_width_ps", (self.frame_length_ps,), _TIME_LIMIT)
+        _check("bins_per_frame * bin_width_ps", TIME, self.frame_length_ps)
 
     @property
     def frame_length_ps(self) -> int:
@@ -66,8 +66,7 @@ def check_rep_rate(rep_rate_hz: float, bin_width_ps: int) -> None:
 
 def raw_key_rate(coincidence_rate_cps: float, n_bins: int) -> float:
     """Timing-channel key rate: coincidence rate times log2(bins per frame)."""
-    if n_bins < 2:
-        raise ValueError(f"n_bins must be >= 2, got {n_bins}")
+    _check("n_bins", ">= 2", n_bins)
     return coincidence_rate_cps * math.log2(n_bins)
 
 
@@ -113,31 +112,31 @@ def _round_up(value: int, multiple: int) -> int:
     return ((value + multiple - 1) // multiple) * multiple
 
 
+# A correlator's bin width or span; None takes the default of `correlator_grids`.
+Grid = Annotated[int | None, DELAY, "> 0"]
+
+
 def correlator_grids(
     frame: FrameConfig,
     *,
-    ac_bin_width_ps: int | None = None,
-    ac_span_ps: int | None = None,
-    cc_bin_width_ps: int | None = None,
-    cc_span_ps: int | None = None,
+    ac_bin_width_ps: Grid = None,
+    ac_span_ps: Grid = None,
+    cc_bin_width_ps: Grid = None,
+    cc_span_ps: Grid = None,
 ) -> tuple[int, int, int, int]:
     """(bin width, span) of the autocorrelator, then of the cross-correlator.
 
     A bin width left out is frame.bin_width_ps // 8 for the autocorrelator
     and // 4 for the cross-correlator, at least 1 ps; a span left out is
-    80 ns and 100 ns. Bin widths and spans lie below 2**58 ps, the delay
-    budget of `instruments`, or raise ValueError naming the argument; each
-    span is then rounded up to whole bins, which the correlators take.
+    80 ns and 100 ns. Bin widths and spans lie in (0, 2**58) ps, within the
+    delay budget of `instruments`, or raise ValueError naming the argument;
+    each span is then rounded up to whole bins, which the correlators take.
     """
+    _check_args(correlator_grids, locals())
     ac_bw = ac_bin_width_ps if ac_bin_width_ps is not None else max(frame.bin_width_ps // 8, 1)
     cc_bw = cc_bin_width_ps if cc_bin_width_ps is not None else max(frame.bin_width_ps // 4, 1)
     ac_span = ac_span_ps if ac_span_ps is not None else 80000
     cc_span = cc_span_ps if cc_span_ps is not None else 100000
-    for name, v in (
-        ("ac_bin_width_ps", ac_bw), ("ac_span_ps", ac_span),
-        ("cc_bin_width_ps", cc_bw), ("cc_span_ps", cc_span),
-    ):
-        _check_budget(name, (v,), _DELAY_LIMIT)
     return ac_bw, _round_up(ac_span, ac_bw), cc_bw, _round_up(cc_span, cc_bw)
 
 
@@ -148,10 +147,10 @@ def run_qkd_scenario(
     frame: FrameConfig,
     seed: int,
     *,
-    ac_bin_width_ps: int | None = None,
-    ac_span_ps: int | None = None,
-    cc_bin_width_ps: int | None = None,
-    cc_span_ps: int | None = None,
+    ac_bin_width_ps: Grid = None,
+    ac_span_ps: Grid = None,
+    cc_bin_width_ps: Grid = None,
+    cc_span_ps: Grid = None,
 ) -> QkdReport:
     """Simulate the full two-arm scenario and score it.
 

@@ -9,10 +9,11 @@ config values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .instruments import _DELAY_LIMIT, _TIME_LIMIT, _check_budget
+from .instruments import DELAY, DURATION, TIME, _check, _check_fields
 from .rng import FWHM_TO_SIGMA
 
 __all__ = [
@@ -32,50 +33,41 @@ __all__ = [
 PS_PER_S = 1_000_000_000_000
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
-
-
-def _check_rate(name: str, rate_cps: float) -> None:
-    """Raise ValueError naming `name` unless the rate lies in [0, 1e12] cps: a
-    mean gap of at least 1 ps, the time grid."""
-    _require(0 <= rate_cps <= PS_PER_S, f"{name} must lie in [0, 1e12] cps, got {rate_cps}")
+# A rate with a mean gap of at least 1 ps, the time grid.
+RATE = "[0, 1e12] cps"
 
 
 def _check_mean(cfg, name: str, period_ps: float) -> None:
     """Raise ValueError naming `name` unless that field of cfg, the mean emissions per pulse,
-    is >= 0 and over the run below 2**62, under numpy's Poisson limit of about 9.2e18."""
+    over the run stays below 2**62, under numpy's Poisson limit of about 9.2e18. The field
+    declares its own domain, >= 0."""
     mean, pulses = getattr(cfg, name), int(cfg.duration_ps / period_ps) + 1  # as drawn
-    _require(mean >= 0, f"{name} must be >= 0, got {mean}")
-    _require(mean * pulses < 2**62, f"{name} times {pulses} pulses must be < 2**62, got {mean}")
+    if not mean * pulses < 2**62:
+        raise ValueError(f"{name} times {pulses} pulses must be < 2**62, got {mean}")
 
 
 @dataclass(frozen=True)
 class CwSourceConfig:
     """Continuous-wave Poissonian source."""
 
-    rate_cps: float
-    duration_ps: int
+    rate_cps: Annotated[float, RATE]
+    duration_ps: Annotated[int, DURATION]
 
     def __post_init__(self) -> None:
-        _check_rate("rate_cps", self.rate_cps)
-        _check_budget("duration_ps", (self.duration_ps,), _TIME_LIMIT, positive=True)
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
 class PulsedSourceConfig:
     """Pulsed laser: Poisson photon number per pulse, Gaussian pulse envelope."""
 
-    period_ps: int
-    mean_photons_per_pulse: float
-    duration_ps: int
-    pulse_fwhm_ps: int = 0
+    period_ps: Annotated[int, "> 0"]
+    mean_photons_per_pulse: Annotated[float, ">= 0"]
+    duration_ps: Annotated[int, DURATION]
+    pulse_fwhm_ps: Annotated[int, DELAY] = 0
 
     def __post_init__(self) -> None:
-        _require(self.period_ps > 0, f"period_ps must be > 0, got {self.period_ps}")
-        _check_budget("pulse_fwhm_ps", (self.pulse_fwhm_ps,), _DELAY_LIMIT)
-        _check_budget("duration_ps", (self.duration_ps,), _TIME_LIMIT, positive=True)
+        _check_fields(self)
         _check_mean(self, "mean_photons_per_pulse", self.period_ps)
 
 
@@ -83,47 +75,32 @@ class PulsedSourceConfig:
 class PairScanConfig:
     """Two weak pulses per period, separated by delta_t, for pair-delay scans."""
 
-    delta_t_ps: int
-    pair_period_ps: int
-    n_pairs: int
-    occupancy: float = 1.0
+    delta_t_ps: Annotated[int, "> 0"]
+    pair_period_ps: Annotated[int, "> 0"]
+    n_pairs: Annotated[int, ">= 1"]
+    occupancy: Annotated[float, "(0, 1]"] = 1.0
 
     def __post_init__(self) -> None:
-        _require(self.pair_period_ps > 0, f"pair_period_ps must be > 0, got {self.pair_period_ps}")
-        _require(
-            0 < self.delta_t_ps < self.pair_period_ps,
-            f"delta_t_ps must lie in (0, pair_period_ps), got {self.delta_t_ps}",
-        )
-        _require(self.n_pairs >= 1, f"n_pairs must be >= 1, got {self.n_pairs}")
-        span = self.n_pairs * self.pair_period_ps
-        _check_budget("n_pairs * pair_period_ps", (span,), _TIME_LIMIT)
-        _require(
-            0.0 < self.occupancy <= 1.0, f"occupancy must lie in (0, 1], got {self.occupancy}"
-        )
+        _check_fields(self)
+        if not self.delta_t_ps < self.pair_period_ps:
+            raise ValueError(f"delta_t_ps must lie in (0, pair_period_ps), got {self.delta_t_ps}")
+        _check("n_pairs * pair_period_ps", TIME, self.n_pairs * self.pair_period_ps)
 
 
 @dataclass(frozen=True)
 class EntangledPairConfig:
     """Pulsed photon-pair source feeding two lossy channels."""
 
-    rep_rate_hz: float
-    mean_pairs_per_pulse: float
-    duration_ps: int
-    eta_alice: float = 1.0
-    eta_bob: float = 1.0
-    emission_fwhm_ps: int = 0
+    rep_rate_hz: Annotated[float, "(0, 1e12] Hz"]  # a pulse period of at least 1 ps
+    mean_pairs_per_pulse: Annotated[float, ">= 0"]
+    duration_ps: Annotated[int, DURATION]
+    eta_alice: Annotated[float, "[0, 1]"] = 1.0
+    eta_bob: Annotated[float, "[0, 1]"] = 1.0
+    emission_fwhm_ps: Annotated[int, DELAY] = 0
 
     def __post_init__(self) -> None:
-        # A pulse period of at least 1 ps, the time grid.
-        _require(
-            0 < self.rep_rate_hz <= PS_PER_S,
-            f"rep_rate_hz must lie in (0, 1e12] Hz, got {self.rep_rate_hz}",
-        )
-        _check_budget("duration_ps", (self.duration_ps,), _TIME_LIMIT, positive=True)
+        _check_fields(self)
         _check_mean(self, "mean_pairs_per_pulse", PS_PER_S / self.rep_rate_hz)
-        for name, eta in (("eta_alice", self.eta_alice), ("eta_bob", self.eta_bob)):
-            _require(0.0 <= eta <= 1.0, f"{name} must lie in [0, 1], got {eta}")
-        _check_budget("emission_fwhm_ps", (self.emission_fwhm_ps,), _DELAY_LIMIT)
 
 
 def poisson_times(rng: np.random.Generator, rate_cps: float, duration_ps: int) -> np.ndarray:
@@ -133,8 +110,8 @@ def poisson_times(rng: np.random.Generator, rate_cps: float, duration_ps: int) -
     drawn in one sized chunk plus fixed 1024-draw top-ups so the consumed
     sample count is a pure function of the drawn values.
     """
-    _check_rate("rate_cps", rate_cps)
-    _check_budget("duration_ps", (duration_ps,), _TIME_LIMIT, positive=True)
+    _check("rate_cps", RATE, rate_cps)
+    _check("duration_ps", DURATION, duration_ps)
     if rate_cps == 0:
         return np.empty(0, dtype=np.int64)
     mean_gap = PS_PER_S / rate_cps

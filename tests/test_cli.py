@@ -1,15 +1,23 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from hashlib import sha256
 
 import pytest
 from conftest import as_json, inline_detector
+from hypothesis import example, given, settings, strategies as st
 
 import spadsim
-from spadsim import SCENARIOS, preset
+from spadsim import KINDS, SCENARIOS, ConfigError, correlator_grids, preset, validate_config
 from spadsim.cli import main
 
 # SHA-256 of every output of test_detector_summaries_carry_the_draw_contract's
@@ -91,6 +99,14 @@ class TestKeyrate:
         code = main(["keyrate", *args])
         assert code == 1
         assert "config error: inputs: the key rate comes out as inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("xi, rate", [("0.001", "inf"), ("0", "nan")])
+    def test_bin_width_of_zero_seconds_names_the_inputs(self, capsys, xi, rate):
+        # 5e-324 ps is 0 s as a float: the rate is inf, or NaN with no bits, never a traceback.
+        args = ["--m", "8", "--eta", "0.1", "--n-mean", "1", "--xi", xi, "--bin-ps", "5e-324"]
+        assert main(["keyrate", *args]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: inputs: the key rate comes out as {rate}, not a finite number\n"
 
 
 class TestPreset:
@@ -415,3 +431,199 @@ def test_import_leaves_scipy_optimize_unloaded(tmp_path):
     assert summary["p_afterpulse"] > 0 and summary["tau_trap_ps"] > 0
     fwhm = json.loads((tmp_path / "jitter.json").read_text())["fwhm_ps"]
     assert all(f is not None and f > 0 for f in fwhm)
+
+
+# An inline detector with every curve, a low dark rate and short dead times.
+FUZZ_DETECTOR = {
+    "efficiency": 0.5,
+    "tau_dead0_ps": 20_000,
+    "tau_quench_ps": 10_000,
+    "base_delay_ps": 1_000,
+    "dark_rate_cps": 100.0,
+    "dead_elongation": [[0.0, 0.0], [1e7, 1_000.0]],
+    "twilight_profile": [[10_000.0, 0.0], [20_000.0, 1.0]],
+    "jitter_curve": [[20_000.0, 300.0], [100_000.0, 100.0]],
+    "shift_curve": [[20_000.0, 50.0], [100_000.0, 0.0]],
+    "afterpulse": {"mu": 0.05, "tau_trap_ps": 30_000.0},
+    "blanking": {"t_b_ps": 20_000},
+}
+FUZZ_PAIRS = {"delta_ts_ps": [20_000, 40_000], "pair_period_ps": 1_000_000, "n_pairs": 300}
+
+# One small document per kind that spells out every section field, defaults
+# included, so that each numeric one is mutated.
+FUZZ_DOCS = {
+    "interarrival": {
+        "source": {"rate_cps": 1e6, "duration_ps": 100_000_000},
+        "instrument": {
+            "bin_width_ps": 1_000, "span_ps": 200_000, "analyze": True, "tau_trap_guess_ps": 32_000.0
+        },
+    },
+    "jitter-scan": {"source": dict(FUZZ_PAIRS, occupancy=1.0), "instrument": {"min_pairs": 100}},
+    "pair-scan": {"source": dict(FUZZ_PAIRS, occupancy=1.0)},
+    "autocorr": {
+        "source": {
+            "period_ps": 521, "mean_photons_per_pulse": 0.5, "duration_ps": 10_000_000,
+            "pulse_fwhm_ps": 50,
+        },
+        "instrument": {"max_lag_ps": 60_000, "bin_width_ps": 100},
+    },
+    "qkd": {
+        "source": {
+            "rep_rate_hz": 1.92e9, "mean_pairs_per_pulse": 0.05, "duration_ps": 1_000_000,
+            "eta_alice": 0.9, "eta_bob": 0.9, "emission_fwhm_ps": 20,
+        },
+        "frame": {"bin_width_ps": 521, "bins_per_frame": 1024},
+        "instrument": {
+            "ac_bin_width_ps": 65, "ac_span_ps": 80_015, "cc_bin_width_ps": 130, "cc_span_ps": 100_100
+        },
+    },
+    "keyrate": {
+        "inputs": {"m_channels": 8, "eta": 0.1, "n_mean": 1.0, "xi": 0.001, "bin_width_ps": 260.0}
+    },
+}
+for _kind, _doc in FUZZ_DOCS.items():
+    _doc.update(version=1, kind=_kind, seed=7)
+    for _slot in SCENARIOS[_kind].detectors:
+        _doc[_slot] = {"params": FUZZ_DETECTOR}
+
+
+def numeric_leaves(node, path=()):
+    """(path, int or float) of every number in a config document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from numeric_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from numeric_leaves(value, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool) and path != ("version",):
+        yield path, type(node)
+
+
+FUZZ_FIELDS = {kind: list(numeric_leaves(doc)) for kind, doc in FUZZ_DOCS.items()}
+# 0, +-1, 2**k - 1, 2**k and 2**k + 1 near each limit of the time budget and of int64.
+NEAR_LIMITS = [2**k + d for k in (31, 53, 57, 58, 59, 60, 61, 62, 63, 64) for d in (-1, 0, 1)]
+INT_EXTREMES = [0, 1, -1, *NEAR_LIMITS, *(-v for v in NEAR_LIMITS)]
+FLOAT_EXTREMES = [
+    0.0, 1.0, -1.0, 0.5, 1.5, 5e-324, -5e-324, 1e-300, 1e-3, 1e12, math.nextafter(1e12, math.inf),
+    1e18, 2.0**58, 2.0**61, 2.0**62, sys.float_info.max, -sys.float_info.max,
+    math.inf, -math.inf, math.nan,
+]
+
+
+def with_values(kind, *changes):
+    """FUZZ_DOCS[kind] with the number at each (path, value) of changes replaced."""
+    doc = copy.deepcopy(FUZZ_DOCS[kind])
+    for path, value in changes:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return doc
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A FUZZ_DOCS document with one or two numbers replaced by extreme values of their type."""
+    kind = draw(st.sampled_from(KINDS))
+    changes = []
+    for path, tp in draw(st.lists(st.sampled_from(FUZZ_FIELDS[kind]), min_size=1, max_size=2)):
+        if tp is int:
+            changes.append((path, draw(st.sampled_from(INT_EXTREMES) | st.integers())))
+        else:
+            changes.append((path, draw(st.sampled_from(FLOAT_EXTREMES) | st.floats())))
+    return with_values(kind, *changes)
+
+
+def stays_small(cfg) -> bool:
+    """Whether a validated config's run stays small: under 1e5 expected stimuli and
+    trap delays, 1e6 histogram bins and 1e7 correlator pairs, over-estimated."""
+    kind = cfg["kind"]
+    if kind == "keyrate":
+        return True
+    src, dets = cfg["source"], [cfg[slot] for slot in SCENARIOS[kind].detectors]
+    runs, bins, lag = 1, 0.0, 0
+    if kind == "interarrival":
+        duration = src.duration_ps
+        photons = src.rate_cps * duration * 1e-12
+        bins = (cfg["span_ps"] or 4096 * cfg["bin_width_ps"]) / cfg["bin_width_ps"]
+    elif kind == "autocorr":
+        duration = src.duration_ps
+        photons = src.mean_photons_per_pulse * (duration / src.period_ps + 1)
+        bins, lag = cfg["max_lag_ps"] / cfg["bin_width_ps"], cfg["max_lag_ps"]
+    elif kind == "qkd":
+        duration = src.duration_ps
+        photons = 2 * src.mean_pairs_per_pulse * (duration * src.rep_rate_hz * 1e-12 + 1)
+        grids = ("ac_bin_width_ps", "ac_span_ps", "cc_bin_width_ps", "cc_span_ps")
+        ac_bw, ac_span, cc_bw, cc_span = correlator_grids(cfg["frame"], **{k: cfg[k] for k in grids})
+        bins, lag = ac_span / ac_bw + 2 * cc_span / cc_bw, cc_span
+    else:  # a pair scan, one run per spacing
+        runs, duration = len(src.points), src.n_pairs * src.pair_period_ps
+        photons = 2 * src.n_pairs
+        if kind == "jitter-scan":
+            # Intervals spread over a spacing, a dead time, two shifts and the jitter's tails.
+            (p,) = dets
+            dead = p.tau_dead0_ps + max((y for _, y in p.dead_elongation), default=0.0)
+            shift = max(abs(y) for _, y in p.shift_curve)
+            jitter = max(y for _, y in p.jitter_curve)
+            bins = (max(src.delta_ts_ps) + dead + 2 * shift + 10 * jitter) / 25
+    live = []  # live traps per avalanche, as DetectorParams computes them
+    for p in dets:
+        outlive, ap = p.tau_dead0_ps - 0.5, p.afterpulse
+        live.append(ap.mu * math.exp(-outlive / ap.tau_trap_ps) if outlive <= 1e15 else 0.0)
+    darks = sum(p.dark_rate_cps for p in dets) * duration * 1e-12
+    stimuli = runs * (photons + darks) / (1.0 - max(live))
+    traps = stimuli * max(p.afterpulse.mu for p in dets)
+    pairs = stimuli**2 * min(1.0, lag / duration)
+    return stimuli < 1e5 and traps < 1e5 and bins < 1e6 and pairs < 1e7
+
+
+def test_fuzz_documents_spell_out_every_field():
+    for kind, doc in FUZZ_DOCS.items():
+        for section in SCENARIOS[kind].sections:
+            assert set(doc.get(section.name, {})) == set(section.fields), (kind, section.name)
+    objects = [(FUZZ_DETECTOR, spadsim.DetectorParams)]
+    objects += [(FUZZ_DETECTOR["afterpulse"], spadsim.AfterpulseModel)]
+    objects += [(FUZZ_DETECTOR["blanking"], spadsim.BlankingConfig)]
+    for keys, owner in objects:
+        assert set(keys) == {f.name for f in dataclass_fields(owner)}
+    for kind, doc in FUZZ_DOCS.items():
+        assert stays_small(validate_config(doc)), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=fuzzed_documents())
+# Extremes where they cost nothing: the longest run at millihertz rates.
+@example(
+    doc=with_values(
+        "interarrival",
+        (("source", "duration_ps"), 2**61 - 1),
+        (("source", "rate_cps"), 1e-3),
+        (("detector", "params", "dark_rate_cps"), 1e-3),
+    )
+)
+@example(doc=with_values("keyrate", (("inputs", "bin_width_ps"), 5e-324)))
+@example(doc=with_values("qkd", (("source", "emission_fwhm_ps"), 2**58 - 1)))
+def test_fuzzed_configs_run_or_fail_by_name(doc):
+    # Law: simulate exits 0; or 1 with a config error naming a field path, or
+    # with a sampled jitter past the time budget; or 2 with a runtime error.
+    # Never a traceback. A valid run too large for a test is only validated.
+    try:
+        command = "simulate" if stays_small(validate_config(doc)) else "validate"
+    except ConfigError:
+        command = "simulate"
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path])
+    message = err.getvalue()
+    fields = "|".join(re.escape(key) for key in ("config", *doc))
+    if code == 0:
+        assert message == ""
+    elif code == 1:
+        named = re.match(rf"config error: ({fields})[.:\[ ]", message)
+        assert named or message.startswith("invalid value: jitter_curve sampled delays "), message
+    else:
+        assert code == 2 and message.startswith("runtime error: "), message

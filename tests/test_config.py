@@ -1,8 +1,11 @@
 import copy
 import inspect
 import json
+import math
 import re
-from dataclasses import replace
+import sys
+from dataclasses import is_dataclass, replace
+from typing import get_args, get_type_hints
 
 import pytest
 from conftest import as_json, inline_detector
@@ -26,6 +29,7 @@ from spadsim import (
 )
 from spadsim.cli import main
 from spadsim.config import SCENARIOS
+from spadsim.instruments import _declared, _domain
 
 
 def base(kind, **extra):
@@ -343,6 +347,87 @@ def test_parameters_are_checked_when_built(obj, name, bad):
     with pytest.raises(ValueError, match=rf"^{name}(\[\d+\])? "):
         replace(obj, **{name: bad})
     assert not hasattr(obj, "validate")
+
+
+# A valid instance of every dataclass that declares its fields' domains.
+DECLARING = [
+    AfterpulseModel(),
+    BlankingConfig(),
+    preset("spcm-aqrh").params,
+    CwSourceConfig(rate_cps=1.0, duration_ps=1),
+    PulsedSourceConfig(period_ps=521, mean_photons_per_pulse=0.1, duration_ps=1),
+    PairScanConfig(delta_t_ps=1, pair_period_ps=2, n_pairs=1),
+    EntangledPairConfig(rep_rate_hz=1e9, mean_pairs_per_pulse=0.1, duration_ps=1),
+    FrameConfig(bin_width_ps=521),
+    KeyRateInputs(m_channels=1, eta=1.0, n_mean=1.0, xi=1.0, bin_width_ps=1.0),
+]
+
+
+def declaring_dataclasses() -> set:
+    """Every dataclass of the package with a field that declares a domain."""
+    found = set()
+    for module in [m for name, m in sys.modules.items() if name.startswith("spadsim.")]:
+        for obj in vars(module).values():
+            if isinstance(obj, type) and is_dataclass(obj) and obj.__module__ == module.__name__:
+                if _declared(obj):
+                    found.add(obj)
+    return found
+
+
+def outside(domain: str, tp: type) -> list:
+    """The values of type tp just outside each end of the domain."""
+    low, low_open, high, high_open = _domain(domain)
+    values = []
+    for bound, is_open, way in ((low, low_open, -1), (high, high_open, 1)):
+        if bound is not None and is_open:
+            values.append(tp(bound))
+        elif bound is not None:
+            values.append(bound + way if tp is int else math.nextafter(bound, way * math.inf))
+    return values
+
+
+def out_of_domain_cases():
+    for obj in DECLARING:
+        hints = get_type_hints(type(obj), include_extras=True)
+        for name, domains in _declared(type(obj)).items():
+            tp = get_args(hints[name])[0]
+            values = [math.nan, math.inf, -math.inf]
+            values += [v for domain in domains for v in outside(domain, tp)]
+            for v in values:
+                yield pytest.param(obj, name, v, id=f"{type(obj).__name__}.{name}={v!r}")
+
+
+def test_every_declaring_dataclass_has_a_valid_instance():
+    assert declaring_dataclasses() == {type(obj) for obj in DECLARING}
+
+
+@pytest.mark.parametrize("obj,name,bad", list(out_of_domain_cases()))
+def test_each_declared_domain_is_checked_when_built(obj, name, bad):
+    # The cases come from the declarations, so a new field is covered as it is declared.
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        replace(obj, **{name: bad})
+
+
+# Bounds on arguments that the config reads off a function's declarations:
+# each kind, key, a value the config refuses and one just inside.
+QKD_GRIDS = ("ac_bin_width_ps", "ac_span_ps", "cc_bin_width_ps", "cc_span_ps")
+OWNER_BOUNDS = [
+    ("interarrival", "bin_width_ps", 0, 1),
+    ("interarrival", "tau_trap_guess_ps", 0.5, 1.0),
+    ("autocorr", "bin_width_ps", 0, 1),
+    ("jitter-scan", "min_pairs", 0, 1),
+    *[("qkd", key, 0, 1) for key in QKD_GRIDS],
+]
+
+
+@pytest.mark.parametrize("kind,key,bad,good", OWNER_BOUNDS)
+def test_function_owner_bounds_are_checked(kind, key, bad, good):
+    doc = copy.deepcopy(MINIMAL[kind])
+    doc.setdefault("instrument", {})[key] = bad
+    with pytest.raises(ConfigError, match=rf"^instrument\.{key} must be "):
+        validate_config(doc)
+    doc["instrument"][key] = good
+    assert validate_config(doc)[key] == good
 
 
 class TestLoadConfig:
