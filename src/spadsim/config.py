@@ -38,6 +38,9 @@ CONFIG_VERSION = 1
 _REQUIRED = inspect.Parameter.empty
 _ACCEPTS = {int: int, float: (int, float), bool: bool, str: str}
 _NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+# The most bins a histogram or correlator grid may hold: a run takes about 27 MB
+# per 2**20 bins (an autocorr run writing its CSV), so 2**24 bins about 0.45 GB.
+_MAX_BINS = 2**24
 
 
 class ConfigError(Exception):
@@ -188,11 +191,19 @@ def _parse_detector(doc: dict, key: str) -> DetectorParams:
     return _typed(d["params"], DetectorParams, key + ".params")
 
 
+def _fits_in_memory(path: str, n_bins: int) -> None:
+    """A grid of n_bins bins is one a run can hold in memory (see _MAX_BINS)."""
+    if n_bins > _MAX_BINS:
+        _err(path, f"asks for {n_bins} bins, more than 2**24")
+
+
 def _span_whole_bins(cfg: dict) -> None:
-    """The histogram span, given or run_interarrival's 4096 bins, is one build_histogram takes."""
+    """The histogram span, given or run_interarrival's 4096 bins, is one build_histogram
+    takes, in at most _MAX_BINS bins."""
     bw, span = cfg["bin_width_ps"], cfg["span_ps"]
     span = 4096 * bw if span is None else span
     _built("instrument", _check_bins, bw, span)
+    _fits_in_memory("instrument.span_ps", span // bw)
 
 
 def _two_bins_per_period(path: str, bin_width_ps: int, period_ps: float, period: str) -> None:
@@ -202,11 +213,15 @@ def _two_bins_per_period(path: str, bin_width_ps: int, period_ps: float, period:
 
 
 def _qkd_grids(cfg: dict) -> None:
-    """The rep rate is the one the frame's bin width implies, to 2%, and the
-    autocorrelator bin, given or by default, fits the period."""
+    """The rep rate is the one the frame's bin width implies, to 2%, the
+    autocorrelator bin, given or by default, fits the period, and neither
+    correlator holds more than _MAX_BINS bins."""
     rep_rate, bw = cfg["source"].rep_rate_hz, cfg["frame"].bin_width_ps
     _built("source", check_rep_rate, rep_rate, bw)
-    ac_bw = _built("instrument", correlator_grids, **_args(cfg, correlator_grids))[0]
+    grids = _built("instrument", correlator_grids, **_args(cfg, correlator_grids))
+    ac_bw, ac_span, cc_bw, cc_span = grids
+    _fits_in_memory("instrument.ac_span_ps", ac_span // ac_bw)
+    _fits_in_memory("instrument.cc_span_ps", 2 * cc_span // cc_bw)
     period = 1.0e12 / rep_rate
     about = f"the pulse period ({period} ps for frame.bin_width_ps {bw}), got {ac_bw}"
     about += "; the default is frame.bin_width_ps // 8, at least 1"
@@ -214,10 +229,12 @@ def _qkd_grids(cfg: dict) -> None:
 
 
 def _lag_covers_bin(cfg: dict) -> None:
-    """The lag span holds a bin, and the pulse period holds two bins for the visibility."""
+    """The lag span holds a bin and at most _MAX_BINS of them, and the pulse period holds
+    two bins for the visibility."""
     bw = cfg["bin_width_ps"]
     if cfg["max_lag_ps"] < bw:
         _err("instrument.max_lag_ps", f"must be >= bin_width_ps ({bw})")
+    _fits_in_memory("instrument.max_lag_ps", cfg["max_lag_ps"] // bw)
     period = cfg["source"].period_ps
     _two_bins_per_period("instrument.bin_width_ps", bw, period, f"period_ps ({period})")
 

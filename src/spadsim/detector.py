@@ -40,10 +40,8 @@ __all__ = [
     "PulseRecords",
     "circuit_timing",
     "effective_dead_time",
-    "twilight_sensitivity",
     "calibrate_afterpulse_mu",
     "afterpulse_prob_vs_rs",
-    "blanking_filter",
     "detect",
 ]
 
@@ -657,20 +655,6 @@ def effective_dead_time(rate_cps: float, params: DetectorParams) -> float:
     return float(_interp_clamped(float(rate_cps), *params._tables[0]))
 
 
-def twilight_sensitivity(dt_since_avalanche_ps: float, params: DetectorParams) -> float:
-    """Relative sensitivity at an offset into the dead period.
-
-    0 through the quench phase, the configured profile across the twilight
-    zone, 1 at and beyond the nominal dead time.
-    """
-    _check("dt_since_avalanche_ps", ">= 0", dt_since_avalanche_ps)
-    if dt_since_avalanche_ps >= params.tau_dead0_ps:
-        return 1.0
-    if dt_since_avalanche_ps < params.tau_quench_ps or not params.twilight_profile:
-        return 0.0
-    return float(_interp_clamped(float(dt_since_avalanche_ps), *params._tables[1]))
-
-
 def calibrate_afterpulse_mu(p_target: float, tau_trap_ps: float, tau_dead_ps: float) -> float:
     """Mean traps per avalanche that yields a target observed afterpulse fraction.
 
@@ -726,17 +710,6 @@ def _blanking_keep(out_times: np.ndarray, t_b: int) -> np.ndarray:
     keep = np.ones(out_times.shape[0], dtype=np.bool_)
     keep[withheld] = False
     return keep
-
-
-def blanking_filter(pulse_times, t_b_ps: int) -> np.ndarray:
-    """Times transmitted by a non-retriggerable blanking stage.
-
-    The first pulse passes; later pulses pass iff they arrive at least t_b
-    after the previous transmitted pulse. Withheld pulses do not restart the
-    window.
-    """
-    t = _sorted_times(pulse_times, "pulse_times")
-    return t[_blanking_keep(t, BlankingConfig(t_b_ps).t_b_ps)]  # BlankingConfig checks t_b_ps
 
 
 def _prepare_stimuli(arrivals, params: DetectorParams, rng: np.random.Generator, duration_ps: int):

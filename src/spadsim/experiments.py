@@ -22,7 +22,9 @@ from .analysis import (
     estimate_dead_time,
 )
 from .detector import Cause, DetectorParams, detect
-from .instruments import REACH, Histogram, autocorrelation, build_histogram
+from .instruments import (
+    REACH, TIME, Histogram, _check, _check_fields, autocorrelation, build_histogram
+)
 from .rng import DETECTOR_SCAN_BASE, SCAN_BASE, make_generator
 from .sources import (
     CwSourceConfig,
@@ -120,30 +122,31 @@ class PairScanPoint:
 
 @dataclass(frozen=True)
 class PairScan:
-    """A pair scan's source: one PairScanConfig per spacing, built and checked once.
+    """A pair scan's source: one PairScanConfig per spacing, built once.
 
-    Spacings must be distinct, each in (0, pair_period_ps); `points` holds
-    the configs in input order.
+    Spacings must be distinct, at least one, each in (0, pair_period_ps);
+    `points` holds the configs in input order.
     """
 
     delta_ts_ps: Sequence[int]
-    pair_period_ps: int
-    n_pairs: int
-    occupancy: float = 1.0
+    pair_period_ps: Annotated[int, "> 0"]
+    n_pairs: Annotated[int, ">= 1"]
+    occupancy: Annotated[float, "(0, 1]"] = 1.0
     points: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        points = []
+        _check_fields(self)
+        if len(self.delta_ts_ps) == 0:
+            raise ValueError("delta_ts_ps must hold at least one spacing")
+        first = {}
         for i, dt in enumerate(self.delta_ts_ps):
-            if (first := self.delta_ts_ps.index(dt)) != i:
-                raise ValueError(f"delta_ts_ps[{i}] repeats delta_ts_ps[{first}], got {dt}")
-            try:
-                points.append(PairScanConfig(dt, self.pair_period_ps, self.n_pairs, self.occupancy))
-            except ValueError as exc:
-                head, _, rest = str(exc).partition(" ")
-                head = f"delta_ts_ps[{i}]" if head == "delta_t_ps" else head
-                raise ValueError(f"{head} {rest}") from None
-        object.__setattr__(self, "points", tuple(points))
+            if not 0 < dt < self.pair_period_ps:
+                raise ValueError(f"delta_ts_ps[{i}] must lie in (0, pair_period_ps), got {dt}")
+            if (j := first.setdefault(dt, i)) != i:
+                raise ValueError(f"delta_ts_ps[{i}] repeats delta_ts_ps[{j}], got {dt}")
+        _check("n_pairs * pair_period_ps", TIME, self.n_pairs * self.pair_period_ps)
+        args = (self.pair_period_ps, self.n_pairs, self.occupancy)
+        object.__setattr__(self, "points", tuple(PairScanConfig(dt, *args) for dt in self.delta_ts_ps))
 
 
 def _run_pair_point(i, cfg: PairScanConfig, params, seed) -> PairScanPoint:

@@ -1,4 +1,4 @@
-"""Calibrated detector presets and curve-fitting helpers.
+"""Calibrated detector presets.
 
 Three detectors ship ready to simulate:
 
@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import inspect
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .detector import (
     AfterpulseModel,
@@ -36,7 +35,7 @@ from .detector import (
     circuit_timing,
 )
 
-__all__ = ["DetectorPreset", "preset", "available_presets", "fit_preset_from_curves"]
+__all__ = ["DetectorPreset", "preset", "available_presets"]
 
 # Common recovery constant of the post-dead-time relaxation, chosen so the
 # spcm-aqrh delay shift decays from its 855 ps peak through 100 ps at a
@@ -213,74 +212,3 @@ def preset(name: str, *, variant: str | None = None) -> DetectorPreset:
     if "variant" in inspect.signature(build).parameters:
         return build(variant)
     raise ValueError(f"preset {name!r} has no variants, got {variant!r}")
-
-
-def _check_points(points, name: str) -> list:
-    pts = [(float(x), float(y)) for x, y in points]
-    if len(pts) < 2:
-        raise ValueError(f"{name} needs at least 2 points, got {len(pts)}")
-    xs = [x for x, _ in pts]
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError(f"{name} x values must be strictly increasing")
-    return pts
-
-
-def _isotonic(ys: list) -> list:
-    """The non-decreasing sequence nearest to ys in least squares.
-
-    Pool adjacent violators: each value joins the block before it while that
-    block's mean is larger, and every member of a block takes its mean.
-    """
-    blocks: list = []  # (mean, size) of each pooled run
-    for y in ys:
-        mean, size = y, 1
-        while blocks and blocks[-1][0] > mean:
-            prev_mean, prev_size = blocks.pop()
-            mean = (prev_mean * prev_size + mean * size) / (prev_size + size)
-            size += prev_size
-        blocks.append((mean, size))
-    return [mean for mean, size in blocks for _ in range(size)]
-
-
-def fit_preset_from_curves(
-    base: DetectorParams,
-    *,
-    jitter_points=None,
-    shift_points=None,
-    twilight_points=None,
-) -> DetectorParams:
-    """Build DetectorParams from measured curve samples.
-
-    Each provided sequence of (x, y) points becomes the corresponding
-    piecewise-linear table of `base`. Twilight points are made monotone by
-    isotonic regression (with a warning when that changes anything), clamped
-    to [0, 1], and pinned to 0/1 at the ends as the profile contract
-    requires. Shift points get their last value pinned to zero, warning if
-    the measured tail had not fully relaxed.
-    """
-    params = base
-    if jitter_points is not None:
-        pts = _check_points(jitter_points, "jitter_points")  # DetectorParams refuses y < 0
-        params = replace(params, jitter_curve=tuple(pts))
-    if shift_points is not None:
-        pts = _check_points(shift_points, "shift_points")
-        if abs(pts[-1][1]) > 0.5:
-            warnings.warn(
-                f"last shift point is {pts[-1][1]:.3g} ps, pinning to 0: extend the "
-                "scan until the shift has relaxed for a faithful table"
-            )
-        pts[-1] = (pts[-1][0], 0.0)
-        params = replace(params, shift_curve=tuple(pts))
-    if twilight_points is not None:
-        pts = _check_points(twilight_points, "twilight_points")
-        ys = [y for _, y in pts]
-        iso = _isotonic(ys)
-        if max(abs(a - b) for a, b in zip(iso, ys)) > 1e-12:
-            warnings.warn("twilight_points were not monotone; isotonic adjustment applied")
-        adj = [min(max(float(y), 0.0), 1.0) for y in iso]
-        adj[0] = 0.0
-        adj[-1] = 1.0
-        params = replace(
-            params, twilight_profile=tuple((x, y) for (x, _), y in zip(pts, adj))
-        )
-    return params

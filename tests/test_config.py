@@ -27,6 +27,7 @@ from spadsim import (
     preset,
     validate_config,
 )
+from spadsim import experiments
 from spadsim.cli import main
 from spadsim.config import SCENARIOS
 from spadsim.instruments import _declared, _domain
@@ -349,6 +350,31 @@ def test_parameters_are_checked_when_built(obj, name, bad):
     assert not hasattr(obj, "validate")
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        pytest.param(([], -1, 0, 5.0), r"^pair_period_ps must be > 0, got -1$", id="period"),
+        pytest.param(([1], 2, 1, 5.0), r"^occupancy must lie in \(0, 1\], got 5.0$", id="occupancy"),
+        pytest.param(([], 2, 1), r"^delta_ts_ps must hold at least one spacing$", id="empty"),
+        pytest.param(([1, 2], 2, 1), r"^delta_ts_ps\[1\] must lie in \(0, pair_period_ps\), got 2$",
+                     id="spacing"),
+        pytest.param(([1, 2, 1], 3, 1), r"^delta_ts_ps\[2\] repeats delta_ts_ps\[0\], got 1$",
+                     id="repeat"),
+        pytest.param(([1], 2**60, 4), r"^n_pairs \* pair_period_ps must lie in \[0, 2\*\*61\) ps",
+                     id="span"),
+    ],
+)
+def test_pair_scan_refuses_what_a_point_would(monkeypatch, args, message):
+    # PairScan checks its own fields and spacings before it builds a point,
+    # so no PairScanConfig it builds can fail.
+    def build_point(*point):
+        raise AssertionError(f"a point was built from {point}")
+
+    monkeypatch.setattr(experiments, "PairScanConfig", build_point)
+    with pytest.raises(ValueError, match=message):
+        PairScan(*args)
+
+
 # A valid instance of every dataclass that declares its fields' domains.
 DECLARING = [
     AfterpulseModel(),
@@ -357,6 +383,7 @@ DECLARING = [
     CwSourceConfig(rate_cps=1.0, duration_ps=1),
     PulsedSourceConfig(period_ps=521, mean_photons_per_pulse=0.1, duration_ps=1),
     PairScanConfig(delta_t_ps=1, pair_period_ps=2, n_pairs=1),
+    PairScan(delta_ts_ps=[1], pair_period_ps=2, n_pairs=1),
     EntangledPairConfig(rep_rate_hz=1e9, mean_pairs_per_pulse=0.1, duration_ps=1),
     FrameConfig(bin_width_ps=521),
     KeyRateInputs(m_channels=1, eta=1.0, n_mean=1.0, xi=1.0, bin_width_ps=1.0),
@@ -428,6 +455,34 @@ def test_function_owner_bounds_are_checked(kind, key, bad, good):
         validate_config(doc)
     doc["instrument"][key] = good
     assert validate_config(doc)[key] == good
+
+
+# Each grid a config sets up at 2**24 bins, the most it may ask for, and one
+# step past: the key, its value at the bound, the value past it and the bins
+# that asks for. The QKD spans round up to whole bins, and the
+# cross-correlator spans both signs of the lag.
+BIN_BOUNDS = [
+    pytest.param("interarrival", {"bin_width_ps": 1000}, "span_ps",
+                 1000 * 2**24, 1000 * (2**24 + 1), 2**24 + 1, id="interarrival"),
+    pytest.param("autocorr", {"bin_width_ps": 100}, "max_lag_ps",
+                 100 * 2**24 + 99, 100 * (2**24 + 1), 2**24 + 1, id="autocorr"),
+    pytest.param("qkd", {"ac_bin_width_ps": 50}, "ac_span_ps",
+                 50 * 2**24, 50 * 2**24 + 1, 2**24 + 1, id="qkd-ac"),
+    pytest.param("qkd", {"cc_bin_width_ps": 100}, "cc_span_ps",
+                 100 * 2**23, 100 * 2**23 + 1, 2**24 + 2, id="qkd-cc"),
+]
+
+
+@pytest.mark.parametrize("kind,instrument,key,most,past,n_bins", BIN_BOUNDS)
+def test_grids_past_2_24_bins_are_refused(kind, instrument, key, most, past, n_bins):
+    # Validation only: no grid this large is allocated.
+    doc = copy.deepcopy(MINIMAL[kind])
+    doc["instrument"] = dict(instrument, **{key: most})
+    assert validate_config(doc)[key] == most
+    doc["instrument"][key] = past
+    message = rf"^instrument\.{key}: asks for {n_bins} bins, more than 2\*\*24$"
+    with pytest.raises(ConfigError, match=message):
+        validate_config(doc)
 
 
 class TestLoadConfig:

@@ -11,7 +11,6 @@ from spadsim import (
     Cause,
     DetectorParams,
     afterpulse_prob_vs_rs,
-    blanking_filter,
     calibrate_afterpulse_mu,
     circuit_timing,
     detect,
@@ -20,7 +19,6 @@ from spadsim import (
     make_generator,
     poisson_times,
     preset,
-    twilight_sensitivity,
 )
 from spadsim import detector
 from spadsim.detector import _interp_clamped, _interp_clamped_array
@@ -152,7 +150,6 @@ class TestParamValidation:
         assert len(got) > 1000
         assert np.array_equal(got.out_times, want.out_times)
         assert effective_dead_time(30e6, p) == 23500.0
-        assert twilight_sensitivity(18750, p) == pytest.approx(0.5)
         monkeypatch.undo()
         # The tables are no field: equality, hashing and asdict see the curves
         # alone, and replace builds the new object's tables.
@@ -196,17 +193,6 @@ class TestHelpers:
         with pytest.raises(ValueError, match="^rate_cps "):
             effective_dead_time(float("nan"), p)
 
-    def test_twilight_sensitivity(self):
-        p = plain_params(twilight_profile=((10000.0, 0.0), (24000.0, 1.0)))
-        assert twilight_sensitivity(5000, p) == 0.0
-        assert twilight_sensitivity(10000, p) == 0.0
-        assert twilight_sensitivity(17000, p) == pytest.approx(0.5)
-        assert twilight_sensitivity(24000, p) == 1.0
-        assert twilight_sensitivity(50000, p) == 1.0
-        assert twilight_sensitivity(17000, plain_params()) == 0.0
-        with pytest.raises(ValueError, match="^dt_since_avalanche_ps "):
-            twilight_sensitivity(float("nan"), p)
-
 
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
@@ -249,29 +235,6 @@ class TestInterpClampedArray:
         xs, tables = self.SHARED
         out = _interp_clamped_array(np.array([], dtype=np.float64), xs, *tables)
         assert [y.shape for y in out] == [(0,), (0,)]
-
-
-class TestBlankingFilter:
-    def test_simple_trace(self):
-        t = np.array([0, 10000, 30000, 53000, 77000], dtype=np.int64)
-        assert blanking_filter(t, 24000).tolist() == [0, 30000, 77000]
-
-    def test_non_retriggerable(self):
-        # 20k is suppressed but must not restart the hold-off: 40k passes.
-        t = np.array([0, 20000, 40000], dtype=np.int64)
-        assert blanking_filter(t, 24000).tolist() == [0, 40000]
-
-    def test_boundary_gap_passes(self):
-        t = np.array([0, 24000], dtype=np.int64)
-        assert blanking_filter(t, 24000).tolist() == [0, 24000]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            blanking_filter(np.array([5, 1], dtype=np.int64), 24000)
-        with pytest.raises(ValueError):
-            blanking_filter(np.array([1, 5], dtype=np.int64), 0)
-        with pytest.raises(ValueError, match=r"^t_b_ps must lie in \(0, 2\*\*58\) ps, got nan$"):
-            blanking_filter(np.array([1, 5], dtype=np.int64), float("nan"))
 
 
 class TestDetect:

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from conftest import as_json, inline_detector
 from spadsim import (
     available_presets,
     circuit_timing,
-    fit_preset_from_curves,
     preset,
 )
 from spadsim.presets import TAU_RECOVERY_PS
@@ -107,40 +105,3 @@ class TestCustom:
 def test_recovery_constant_pins_spcm_shift():
     # 855 * exp(-20 ns / tau) = 100 defines the shared relaxation constant.
     assert 855.0 * math.exp(-20_000.0 / TAU_RECOVERY_PS) == pytest.approx(100.0, rel=1e-12)
-
-
-class TestFitFromCurves:
-    def test_replaces_curves(self):
-        base = preset("spcm-aqrh").params
-        jit = [(30_000, 600.0), (60_000, 400.0), (120_000, 330.0)]
-        shf = [(30_000, 800.0), (120_000, 0.0)]
-        twi = [(10_000, 0.0), (20_000, 0.4), (29_100, 1.0)]
-        p = fit_preset_from_curves(base, jitter_points=jit, shift_points=shf, twilight_points=twi)
-        assert p.jitter_curve == ((30_000.0, 600.0), (60_000.0, 400.0), (120_000.0, 330.0))
-        assert p.shift_curve[-1][1] == 0.0
-        assert p.twilight_profile[0][1] == 0.0 and p.twilight_profile[-1][1] == 1.0
-
-    def test_isotonic_repair_warns(self):
-        base = preset("spcm-aqrh").params
-        twi = [(10_000, 0.0), (18_000, 0.6), (22_000, 0.5), (29_100, 1.0)]
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            p = fit_preset_from_curves(base, twilight_points=twi)
-        assert any("monoton" in str(x.message).lower() for x in w)
-        ys = [y for _, y in p.twilight_profile]
-        assert ys == sorted(ys)
-
-        # Three violators pool into their mean; the ends keep their pins.
-        twi = [(10_000, 0.0), (14_000, 0.6), (18_000, 0.5), (22_000, 0.4), (29_100, 1.0)]
-        with pytest.warns(UserWarning, match="not monotone"):
-            p = fit_preset_from_curves(base, twilight_points=twi)
-        assert [y for _, y in p.twilight_profile] == pytest.approx([0.0, 0.5, 0.5, 0.5, 1.0], abs=1e-15)
-
-    def test_bad_points_rejected(self):
-        base = preset("spcm-aqrh").params
-        with pytest.raises(ValueError):
-            fit_preset_from_curves(base, jitter_points=[(30_000, 500.0)])
-        with pytest.raises(ValueError):
-            fit_preset_from_curves(base, jitter_points=[(5, 1.0), (5, 2.0)])
-        with pytest.raises(ValueError):
-            fit_preset_from_curves(base, jitter_points=[(10, 5.0), (20, -1.0)])
