@@ -336,11 +336,12 @@ def distinguishability(ac: Histogram, period_ps: float) -> float:
         raise AnalysisError(
             f"period {period_ps} ps needs at least 2 bins, bin width is {ac.bin_width_ps} ps"
         )
-    counts = ac.counts.astype(np.float64)
-    if counts.max() <= 0:
+    counts = ac.counts
+    top = counts.max()
+    if top <= 0:
         raise AnalysisError("autocorrelation is empty")
-    above = np.nonzero(counts >= 0.2 * counts.max())[0]
-    min_lag_ps = float(ac.origin_ps + int(above[0]) * ac.bin_width_ps)
+    edge = int(np.argmax(counts >= 0.2 * top))  # the first bin reaching 20% of the top
+    min_lag_ps = float(ac.origin_ps + edge * ac.bin_width_ps)
     span_end = ac.origin_ps + ac.n_bins * ac.bin_width_ps
     # Periods m = m0, m0 + 1, ... while the valley lag (m + 0.5) * period
     # stays below the span end; the lag grows with m, so the kept m form a
@@ -356,8 +357,8 @@ def distinguishability(ac: Histogram, period_ps: float) -> float:
         )
     peaks = counts[((ms * period_ps - ac.origin_ps) // ac.bin_width_ps).astype(np.int64)]
     valleys = counts[((valley_lags - ac.origin_ps) // ac.bin_width_ps).astype(np.int64)]
-    p_mean = float(np.mean(peaks))
-    v_mean = float(np.mean(valleys))
+    p_mean = float(np.mean(peaks.astype(np.float64)))
+    v_mean = float(np.mean(valleys.astype(np.float64)))
     if p_mean + v_mean == 0.0:
         raise AnalysisError("peak and valley bins are all empty")
     return (p_mean - v_mean) / (p_mean + v_mean)

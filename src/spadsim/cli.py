@@ -21,7 +21,7 @@ from dataclasses import asdict
 
 from .analysis import AnalysisError
 from .config import CONFIG_VERSION, SCENARIOS, ConfigError, load_config, validate_config
-from .instruments import InstrumentError
+from .instruments import Histogram, InstrumentError
 from .presets import available_presets, preset
 
 __all__ = ["main"]
@@ -42,11 +42,15 @@ def _emit(lines) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    lines, texts = SCENARIOS[cfg["kind"]].run(cfg)
+    lines, contents = SCENARIOS[cfg["kind"]].run(cfg)
     _emit(lines)
     for key, path in cfg["outputs"].items():
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(texts[key])
+        content = contents[key]
+        if isinstance(content, Histogram):
+            content.write_csv(path)
+        else:
+            with open(path, "wb") as fh:
+                fh.write(content.encode("utf-8"))
     return 0
 
 

@@ -167,7 +167,8 @@ class Section:
 
 @dataclass(frozen=True)
 class Kind:
-    """A scenario kind; `run` maps its config to (stdout key/value pairs, {output: text})."""
+    """A scenario kind; `run` maps its config to (stdout key/value pairs, {output: content}),
+    each content a text or a Histogram, written as CSV (`Histogram.write_csv`)."""
 
     sections: tuple
     outputs: tuple
@@ -270,7 +271,7 @@ def _run_interarrival(cfg: dict):
     keys = ("n_pulses", "detected_rate_cps", "dead_time_ps", "p_afterpulse", "tau_trap_ps")
     lines = [(k, summary[k]) for k in keys if k in summary]
     lines += [(f"cause_{cause}", n) for cause, n in res.cause_counts.items()]
-    return lines, {"histogram_csv": res.histogram.to_csv(), "summary_json": _detector_json(summary)}
+    return lines, {"histogram_csv": res.histogram, "summary_json": _detector_json(summary)}
 
 
 def _run_pair_scan(cfg: dict):
@@ -304,16 +305,16 @@ def _run_autocorr(cfg: dict):
     res = run_autocorr(cfg["detector"], **_args(cfg, run_autocorr))
     summary = {"n_pulses": res.n_pulses, "detected_rate_cps": res.detected_rate_cps}
     summary["visibility"] = distinguishability(res.histogram, float(cfg["source"].period_ps))
-    texts = {"histogram_csv": res.histogram.to_csv(), "summary_json": _detector_json(summary)}
-    return list(summary.items()), texts
+    outputs = {"histogram_csv": res.histogram, "summary_json": _detector_json(summary)}
+    return list(summary.items()), outputs
 
 
 def _run_qkd(cfg: dict):
     args = _args(cfg, run_qkd_scenario)
     report = run_qkd_scenario(det_a=cfg["detector_a"], det_b=cfg["detector_b"], **args)
     summary = report.to_json_dict()
-    texts = {"report_json": _detector_json(summary), "crosscorr_csv": report.crosscorr.to_csv()}
-    return sorted(summary.items()), texts
+    outputs = {"report_json": _detector_json(summary), "crosscorr_csv": report.crosscorr}
+    return sorted(summary.items()), outputs
 
 
 def _run_keyrate(cfg: dict):

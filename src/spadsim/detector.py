@@ -314,29 +314,36 @@ _NEVER = 2**63 - 1
 
 
 def _trap_draws(draws: _Draws, params: DetectorParams, n: int) -> tuple[list, list, list]:
-    """Trap draws for every avalanche that a run over n stimuli can reach.
+    """Live trap draws for every avalanche that a run over n stimuli can reach.
 
-    Returns the avalanches with a nonzero Poisson(mu) trap count, then
-    _NEVER; where each one's delays start, then their end; and the trap
-    delays in filling order, clamped and rounded to the picosecond. A trap
-    that is not live releases inside a dead period, so every avalanche is a
+    A trap is live when its delay, clamped and rounded to the picosecond,
+    is at least tau_dead0_ps. Every dead period lasts that long, so any
+    other trap releases inside its own avalanche's dead period and is
+    discarded: it is drawn but never pushed. Returns the avalanches with a
+    live trap, then _NEVER; where each one's live delays start, then their
+    end; and the live delays in filling order. Every avalanche is a
     stimulus or a release of a live trap of an earlier one: once the counts
     cover M avalanches with n + live(M) <= M, no run reaches avalanche M.
     Each round covers M = n + live(M) of the last; with p < 1 (see
     AfterpulseModel) the rounds end, near M = n / (1 - p).
     """
     mu, tau = params.afterpulse.mu, params.afterpulse.tau_trap_ps
-    counts, delays = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    owners, delays = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     covered = live = 0
     while covered < n + live:
-        counts.append(draws.trap_counts.poisson(mu, n + live - covered))
-        d = np.minimum(draws.trap_delays.exponential(tau, counts[-1].sum()), _MAX_TRAP_DELAY)
-        delays.append(np.floor(d + 0.5).astype(np.int64))
+        k = draws.trap_counts.poisson(mu, n + live - covered)
+        d = np.minimum(draws.trap_delays.exponential(tau, k.sum()), _MAX_TRAP_DELAY)
+        d = np.floor(d + 0.5).astype(np.int64)
+        is_live = d >= params.tau_dead0_ps
+        # Traps are filled in avalanche order: a trap's avalanche is the
+        # number of avalanches whose traps end at or before it.
+        owner = np.searchsorted(np.cumsum(k), np.flatnonzero(is_live), side="right")
+        owners.append(covered + owner)
+        delays.append(d[is_live])
         covered = n + live
-        live += int(np.count_nonzero(delays[-1] >= params.tau_dead0_ps))
-    counts = np.concatenate(counts)
-    at = np.flatnonzero(counts)
-    starts = np.concatenate(([0], np.cumsum(counts[at])))
+        live += owner.size
+    at, starts = np.unique(np.concatenate(owners), return_index=True)
+    starts = np.append(starts, live)
     return at.tolist() + [_NEVER], starts.tolist(), np.concatenate(delays).tolist()
 
 
@@ -405,13 +412,14 @@ def _detect_kernel(
     armed. When the loop meets an armed stimulus followed by an uncontested
     one, it takes the avalanches up to the end of that uncontested run as
     one slice. The run stops before the first pending trap release, and at
-    the first avalanche that fills traps; that last avalanche takes the
-    scalar step, which pushes its traps' release times on the heap. Each
-    stimulus carries its source, the arrival index or -1 for a dark, and
-    the loop writes its outcome byte: 0 for no avalanche, 1 for an armed
-    one, 2 for a twilight one. Beside these it keeps only the dead_end each
-    twilight pulse is held to and the fired releases; after it, each column
-    is a gather over the stimuli that fired, with the releases merged in.
+    the first avalanche with a live trap (`_trap_draws`); that last
+    avalanche takes the scalar step, which pushes its live traps' release
+    times on the heap. Each stimulus carries its source, the arrival index
+    or -1 for a dark, and the loop writes its outcome byte: 0 for no
+    avalanche, 1 for an armed one, 2 for a twilight one. Beside these it
+    keeps only the dead_end each twilight pulse is held to and the fired
+    releases; after it, each column is a gather over the stimuli that
+    fired, with the releases merged in.
     Both merges (`_merge`) build one row mask for all their columns.
 
     The loop indexes, slices and bisects the stimuli through a memoryview
@@ -489,7 +497,7 @@ def _detect_kernel(
     held_ends: list[int] = []  # the dead_end each twilight pulse is held to
     afterpulse_times: list[int] = []  # the trap releases that fired
     releases = [_NEVER]  # min-heap of pending trap release times, and the end sentinel
-    fk = n_av = 0  # `next_fill` = fill_at[fk] is the next avalanche to fill traps
+    fk = n_av = 0  # `next_fill` = fill_at[fk] is the next avalanche with a live trap
     next_fill = fill_at[0]
 
     dead_start = -(2**62)  # avalanche instant of the current dead period
@@ -558,7 +566,7 @@ def _detect_kernel(
                 del av[:lo]
                 lo = 0
 
-        # Trap filling: every avalanche fills k ~ Poisson(mu) traps.
+        # Trap filling: every avalanche fills k ~ Poisson(mu) traps; the live ones wait.
         if n_av == next_fill:
             for d in delays[starts[fk] : starts[fk + 1]]:
                 heappush(releases, t + d)

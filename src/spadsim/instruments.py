@@ -67,25 +67,31 @@ class Histogram:
     def bin_centers(self) -> np.ndarray:
         return self.bin_starts.astype(np.float64) + 0.5 * self.bin_width_ps
 
-    def to_csv(self) -> str:
+    def write_csv(self, path) -> None:
+        """Write the CSV of the histogram to path: the header, one row
+        "bin_start_ps,count" per bin, then the underflow and overflow tally.
+
+        The rows go to the file a block at a time (`_int_rows`), the bin
+        starts of each block made as it is written, so the whole text is
+        never held. Counts that are not a signed integer array raise
+        TypeError before the file is opened.
+        """
         if self.counts.dtype.kind != "i":
             raise TypeError(f"counts must be a signed integer array, got {self.counts.dtype}")
-        head = "bin_start_ps,count\n"
-        tail = f"#underflow={self.underflow},#overflow={self.overflow}\n"
-        return head + _int_rows(self.bin_starts, self.counts).decode("ascii") + tail
+        w, o = self.bin_width_ps, self.origin_ps
+        rows = _int_rows(range(o, o + w * self.n_bins, w), self.counts)
+        with open(path, "wb") as fh:
+            fh.write(b"bin_start_ps,count\n")
+            fh.writelines(rows)
+            fh.write(f"#underflow={self.underflow},#overflow={self.overflow}\n".encode("ascii"))
 
 
 # Integers are printed in groups of 4 decimal digits, each group one uint32
 # cell of 4 ASCII bytes. Rows are built in blocks, so that every temporary
-# array stays in cache.
+# array stays in cache: writing a block of two columns takes under 1 MB.
 _GROUP = 10_000
 _GROUP_DIGITS = 4
-_BLOCK_ROWS = 1 << 14
-
-
-def _ascii_cell(text: bytes) -> np.uint32:
-    """text, at most 4 bytes, as one cell padded with NUL bytes."""
-    return np.frombuffer(text.ljust(_GROUP_DIGITS, b"\0"), dtype=np.uint32)[0]
+_BLOCK_ROWS = 1 << 13
 
 
 @functools.cache
@@ -108,21 +114,36 @@ def _digit_groups() -> np.ndarray:
     return table.view(np.uint32).ravel()
 
 
-def _int_layout(c: np.ndarray) -> tuple[int, bool]:
-    """The 4-digit groups that c's largest magnitude needs, and whether c holds a negative value."""
+def _int_layout(c) -> tuple[int, bool]:
+    """The 4-digit groups that the largest magnitude of column c needs, and
+    whether c holds a negative value; c is an int64 array or a range."""
+    if isinstance(c, range):  # its extremes are its ends
+        c = np.array([c[0], c[-1]] if c else [], dtype=np.int64)
     low, high = int(c.min(initial=0)), int(c.max(initial=0))
     return -(-len(str(max(-low, high))) // _GROUP_DIGITS), low < 0
 
 
-def _put_int(cells: np.ndarray, j: int, c: np.ndarray, width: int, signed: bool) -> int:
-    """Write the text of c into cells[:, j:], a sign cell if signed and then
-    width group cells; returns the next free column."""
+def _row_dtype(*layouts) -> np.dtype:
+    """The packed record of one row. Column c takes a 1-byte sign field
+    "-c" if its layout is signed, its group cells "c.0", "c.1", ... as
+    unaligned native uint32, and a 1-byte separator field "/c": "," after
+    every column but the last, "\n" after it."""
+    fields = []
+    for c, (width, signed) in enumerate(layouts):
+        if signed:
+            fields.append((f"-{c}", np.uint8))
+        fields += [(f"{c}.{g}", np.uint32) for g in range(width)]
+        fields.append((f"/{c}", np.uint8))
+    return np.dtype(fields)
+
+
+def _put_int(rows: np.ndarray, c: int, values: np.ndarray, width: int, signed: bool) -> None:
+    """Write the text of values into the fields of column c of the records rows."""
     if signed:
-        cells[:, j] = (c < 0) * _ascii_cell(b"-")
-        j += 1
+        rows[f"-{c}"] = (values < 0) * ord("-")
     groups = _digit_groups()
     # abs(-(2**63)) wraps to -(2**63), whose uint64 view is 2**63.
-    m = np.abs(c).view(np.uint64)
+    m = np.abs(values).view(np.uint64)
     # Every operand below is a uint64 array or a Python int, so the index
     # stays uint64 under the promotion rules of numpy 1.x and 2.x alike; a
     # numpy scalar here would make it float64 on numpy 1.x.
@@ -131,36 +152,34 @@ def _put_int(cells: np.ndarray, j: int, c: np.ndarray, width: int, signed: bool)
         q = m // 10 ** (_GROUP_DIGITS * (width - 1 - g))  # the digits down to group g
         printed = np.minimum(q, 1) if g < width - 1 else 1
         row = printed + printed_above  # 0 empty, 1 first, 2 later
-        cells[:, j + g] = groups[q - above * _GROUP + row * _GROUP]
+        index = q - above * _GROUP + row * _GROUP  # below 3 * _GROUP
+        rows[f"{c}.{g}"] = groups[index.view(np.int64)]  # an intp index skips a cast
         above, printed_above = q, printed
-    return j + width
 
 
-def _int_rows(a, b) -> bytearray:
-    """The rows "a,b\n" of two equal-length int64 columns, as ASCII bytes.
+def _int_rows(*columns):
+    """Yield the rows "a,b,...\n" of equal-length int64 columns as ASCII
+    bytes, one block of up to _BLOCK_ROWS rows at a time.
 
-    A value takes one cell per 4-digit group that its column's largest
-    magnitude needs, each gathered from `_digit_groups()`, and a sign cell
-    when its column holds a negative value; a "," or "\n" cell follows it.
-    One `bytes.translate` per block strips the NUL bytes that pad the
-    cells, which costs less than a boolean mask over the same bytes.
+    A column is an int64 array, or a range (the bin starts of a histogram)
+    whose values are made a block at a time. A value takes one cell per
+    4-digit group that its column's largest magnitude needs, each gathered
+    from `_digit_groups()`, and a sign byte when its column holds a
+    negative value; a "," or "\n" byte follows it. The fields of a row sit
+    packed in one record (`_row_dtype`), and one `bytes.translate` per
+    block strips the NUL bytes that pad the cells and signs.
     """
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    layout_a, layout_b = _int_layout(a), _int_layout(b)
-    n_cells = sum(layout_a) + sum(layout_b) + 2  # groups, signs, separators
-    comma, newline = _ascii_cell(b","), _ascii_cell(b"\n")
-    # Each block goes straight into one buffer: blocks kept alive until a
-    # final join were seen to fragment the heap and raise peak RSS.
-    text = bytearray()
-    for lo in range(0, a.shape[0], _BLOCK_ROWS):
-        block_a, block_b = a[lo : lo + _BLOCK_ROWS], b[lo : lo + _BLOCK_ROWS]
-        cells = np.empty((block_a.shape[0], n_cells), dtype=np.uint32)
-        j = _put_int(cells, 0, block_a, *layout_a)
-        cells[:, j] = comma
-        j = _put_int(cells, j + 1, block_b, *layout_b)
-        cells[:, j] = newline
-        text += cells.tobytes().translate(None, b"\0")
-    return text
+    layouts = [_int_layout(c) for c in columns]
+    dtype = _row_dtype(*layouts)
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [c[lo : lo + _BLOCK_ROWS] for c in columns]
+        rows = np.empty(len(block[0]), dtype=dtype)
+        for c, (values, layout) in enumerate(zip(block, layouts)):
+            if isinstance(values, range):
+                values = values.start + values.step * np.arange(len(values), dtype=np.int64)
+            _put_int(rows, c, np.asarray(values, dtype=np.int64), *layout)
+            rows[f"/{c}"] = ord("\n" if c == len(columns) - 1 else ",")
+        yield rows.tobytes().translate(None, b"\0")
 
 
 # The int64 time budget, in ps, as named domains. Each time, delay and
@@ -394,36 +413,15 @@ def coincidence(a, b, window_ps: int) -> Coincidences:
     return Coincidences(idx_a=ia[order], idx_b=ib[order])
 
 
-def _bin_batches(batches, n_bins: int, max_batch: int) -> np.ndarray:
-    """Counts of the bin indices in the arrays that `batches` yields.
-
-    Each array, at most max_batch long, is copied into one buffer of
-    n_bins + max_batch indices, and the buffer is binned by one `bincount`
-    once it holds n_bins. The binning therefore costs O(indices + bins)
-    however the indices are split, in O(bins + max_batch) memory.
-    """
-    counts = np.zeros(n_bins, dtype=np.int64)
-    held = np.empty(n_bins + max_batch, dtype=np.int64)
-    n_held = 0
-    for idx in batches:
-        held[n_held : n_held + idx.shape[0]] = idx
-        n_held += idx.shape[0]
-        if n_held >= n_bins:
-            counts += np.bincount(held[:n_held], minlength=n_bins)
-            n_held = 0
-    if n_held:
-        counts += np.bincount(held[:n_held], minlength=n_bins)
-    return counts
-
-
 def autocorrelation(pulses, max_lag_ps: int, bin_width_ps: int) -> Histogram:
     """Histogram of all forward pulse-time differences up to max_lag.
 
     The overflow tally holds the forward pairs whose difference fell beyond
     the last bin, so `total` is the full pair count n*(n-1)/2. One numpy
-    pass per index offset gathers the in-span pairs at that offset, and
-    `_bin_batches` bins them holding at most O(pulses + bins) indices at
-    once, however many pairs one lag window holds.
+    pass per index offset gathers the in-span pairs at that offset and
+    bins them into the counts in place with `np.add.at`, so at most one
+    pass's O(pulses) indices are held beside the counts, however many
+    pairs one lag window holds.
     """
     _check("bin_width_ps", "> 0", bin_width_ps)
     if max_lag_ps < bin_width_ps:
@@ -432,20 +430,17 @@ def autocorrelation(pulses, max_lag_ps: int, bin_width_ps: int) -> Histogram:
     t = _sorted_times(pulses, "pulses")
     n_bins = max_lag_ps // bin_width_ps
     span = bin_width_ps * n_bins
-
-    def offsets():
-        # `t` is sorted, so the smallest difference at offset k = j - i never
-        # decreases with k: the first offset with no difference inside the
-        # span ends the scan without missing a pair.
-        for k in range(1, t.shape[0]):
-            d = t[k:] - t[:-k]
-            d = d[d < span]
-            if d.size == 0:
-                return
-            yield d // bin_width_ps
-
+    counts = np.zeros(n_bins, dtype=np.int64)
+    # `t` is sorted, so the smallest difference at offset k = j - i never
+    # decreases with k: the first offset with no difference inside the
+    # span ends the scan without missing a pair.
+    for k in range(1, t.shape[0]):
+        d = t[k:] - t[:-k]
+        d = d[d < span]
+        if d.size == 0:
+            break
+        np.add.at(counts, np.floor_divide(d, bin_width_ps, out=d), 1)
     n = int(t.shape[0])
-    counts = _bin_batches(offsets(), n_bins, n)
     overflow = n * (n - 1) // 2 - int(counts.sum())
     return Histogram(
         bin_width_ps=bin_width_ps, origin_ps=0, counts=counts, underflow=0, overflow=overflow
@@ -457,13 +452,13 @@ def cross_correlation(a, b, span_ps: int, bin_width_ps: int) -> Histogram:
 
     span must be a whole number of bins. Pair differences outside the
     window go to underflow (below -span) and overflow (at or above +span).
-    One numpy pass per window member gathers the in-span pairs, and
-    `_bin_batches` bins them holding at most O(pulses + bins) indices at
-    once.
+    One numpy pass per window member gathers the in-span pairs and bins
+    them into the counts in place with `np.add.at`, holding at most one
+    pass's O(pulses) indices beside the counts.
     """
     _check_bins(bin_width_ps, span_ps)
     ta, tb = _sorted_times(a, "a"), _sorted_times(b, "b")
-    n_bins = 2 * (span_ps // bin_width_ps)
+    counts = np.zeros(2 * (span_ps // bin_width_ps), dtype=np.int64)
     # Each a_i's window of b is found by binary search. Pass k takes the
     # k-th member of every window that has one, so there are as many passes
     # as the longest window has members.
@@ -471,17 +466,13 @@ def cross_correlation(a, b, span_ps: int, bin_width_ps: int) -> Histogram:
     first = np.searchsorted(tb, lo, side="left")
     end = np.searchsorted(tb, ta + span_ps, side="left")
     under = int(first.sum())
-
-    def passes(lo, first, end):
-        while True:
-            live = first < end
-            if not live.any():
-                return
-            lo, first, end = lo[live], first[live], end[live]
-            yield (tb[first] - lo) // bin_width_ps
-            first = first + 1
-
-    counts = _bin_batches(passes(lo, first, end), n_bins, int(ta.shape[0]))
+    while True:
+        live = first < end
+        if not live.any():
+            break
+        lo, first, end = lo[live], first[live], end[live]
+        np.add.at(counts, (tb[first] - lo) // bin_width_ps, 1)
+        first += 1
     over = int(ta.shape[0]) * int(tb.shape[0]) - under - int(counts.sum())
     return Histogram(
         bin_width_ps=bin_width_ps,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,13 +56,11 @@ class TestHistogram:
         assert (h.counts.tolist(), h.underflow, h.overflow) == ([1], 0, 1)
         assert h.bin_starts.tolist() == [-(2**62) + 1]
 
-    def test_csv_layout(self):
+    def test_csv_layout(self, tmp_path):
         h = build_histogram(np.array([0, 1, 5000], dtype=np.int64), 1000, 2000)
-        lines = h.to_csv().strip().split("\n")
-        assert lines[0] == "bin_start_ps,count"
-        assert lines[1] == "0,2"
-        assert lines[2] == "1000,0"
-        assert lines[3] == "#underflow=0,#overflow=1"
+        h.write_csv(tmp_path / "h.csv")
+        lines = (tmp_path / "h.csv").read_bytes().split(b"\n")
+        assert lines == [b"bin_start_ps,count", b"0,2", b"1000,0", b"#underflow=0,#overflow=1", b""]
 
     @pytest.mark.parametrize(
         "counts",
@@ -69,27 +69,53 @@ class TestHistogram:
             np.array([7, 0, 12345678901, 3], dtype=np.int64),
         ],
     )
-    def test_csv_matches_row_by_row_text(self, counts):
+    def test_csv_matches_row_by_row_text(self, counts, tmp_path):
         h = Histogram(bin_width_ps=250, origin_ps=-500, counts=counts, underflow=4, overflow=9)
         rows = "".join(
             f"{s},{c}\n" for s, c in zip(h.bin_starts.tolist(), h.counts.tolist())
         )
-        assert h.to_csv() == f"bin_start_ps,count\n{rows}#underflow=4,#overflow=9\n"
+        h.write_csv(tmp_path / "h.csv")
+        text = f"bin_start_ps,count\n{rows}#underflow=4,#overflow=9\n"
+        assert (tmp_path / "h.csv").read_bytes() == text.encode("ascii")
 
-    def test_csv_rejects_non_integer_counts(self):
+    def test_csv_rejects_non_integer_counts(self, tmp_path):
         counts = np.array([0.5, 2.0, 1e-7], dtype=np.float64)
         h = Histogram(bin_width_ps=250, origin_ps=-500, counts=counts, underflow=4, overflow=9)
+        path = tmp_path / "h.csv"
         with pytest.raises(TypeError, match="float64"):
-            h.to_csv()
+            h.write_csv(path)
+        assert not path.exists()
+        path.write_bytes(b"kept")
+        with pytest.raises(TypeError, match="float64"):
+            h.write_csv(path)
+        assert path.read_bytes() == b"kept"
 
-    def test_csv_of_a_240000_bin_histogram(self):
+    @staticmethod
+    def _pulsed_autocorr_shape() -> Histogram:
         # The pulsed-autocorr shape: bin starts up to 11,999,950 need two
         # 4-digit groups, and the rows span many formatting blocks.
         counts = np.random.default_rng(3).poisson(1.5, 240_000).astype(np.int64)
         counts[::9973] = 12345678
-        h = Histogram(bin_width_ps=50, origin_ps=0, counts=counts, underflow=0, overflow=77)
-        rows = "".join(f"{s},{c}\n" for s, c in zip(h.bin_starts.tolist(), counts.tolist()))
-        assert h.to_csv() == f"bin_start_ps,count\n{rows}#underflow=0,#overflow=77\n"
+        return Histogram(bin_width_ps=50, origin_ps=0, counts=counts, underflow=0, overflow=77)
+
+    def test_csv_of_a_240000_bin_histogram(self, tmp_path):
+        h = self._pulsed_autocorr_shape()
+        rows = "".join(f"{s},{c}\n" for s, c in zip(h.bin_starts.tolist(), h.counts.tolist()))
+        h.write_csv(tmp_path / "h.csv")
+        text = f"bin_start_ps,count\n{rows}#underflow=0,#overflow=77\n"
+        assert (tmp_path / "h.csv").read_bytes() == text.encode("ascii")
+
+    def test_csv_write_holds_a_block_not_the_text(self, tmp_path):
+        # The text is about 3 MB; the rows go to the file a block at a time.
+        h = self._pulsed_autocorr_shape()
+        h.write_csv(tmp_path / "warm.csv")  # builds the cached digit table
+        tracemalloc.start()
+        try:
+            h.write_csv(tmp_path / "h.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
 
 class TestCoincidence:
@@ -198,6 +224,22 @@ class TestAutocorrelation:
             autocorrelation(np.array([0]), 2**60, 100)
         h = autocorrelation(np.array([-(2**62) + 1, 2**62 - 1]), 1000, 100)
         assert (h.total, h.overflow) == (1, 1)
+
+    def test_memory_is_the_counts_and_one_pass(self):
+        # The pulsed-autocorr shape: about 23,000 pulses at 1.28 Mcps, at
+        # least 8 ns apart, binned into 240,000 bins of 50 ps; about 30
+        # pulses share one 12 us lag window.
+        gaps = 8_000 + np.random.default_rng(8).exponential(773_000, 23_000).astype(np.int64)
+        t = np.cumsum(gaps)
+        tracemalloc.start()
+        try:
+            h = autocorrelation(t, 12_000_000, 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert h.total == t.size * (t.size - 1) // 2
+        bound = h.counts.nbytes + 2**20
+        assert peak < bound, f"traced peak {peak / 2**20:.2f} MB, bound {bound / 2**20:.2f} MB"
 
 
 class TestCrossCorrelation:

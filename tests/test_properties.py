@@ -1,10 +1,15 @@
 """Invariants that must hold for arbitrary inputs, checked with hypothesis."""
 
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spadsim import (
+    Histogram,
     KeyRateInputs,
     autocorrelation,
     build_histogram,
@@ -13,6 +18,7 @@ from spadsim import (
     poisson_times,
     secret_key_rate,
 )
+from spadsim import instruments
 from spadsim.detector import _blanking_keep
 from spadsim.instruments import _int_rows
 
@@ -229,14 +235,51 @@ def test_cross_correlation_matches_all_pairs(case):
 int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 
-@given(rows=st.lists(st.tuples(int64s, int64s), max_size=50))
-@example(rows=[(0, -1), (-1, 0)])
-@example(rows=[(10**k - 1, -(10**k)) for k in range(19)])
-@example(rows=[(-(10**k - 1), 10**k) for k in range(19)])
-@example(rows=[(2**63 - 1, -(2**63)), (-(2**63), 2**63 - 1)])  # np.abs(-(2**63)) wraps
-@example(rows=[])
-def test_int_rows_match_python_text(rows):
+@given(rows=st.lists(st.tuples(int64s, int64s), max_size=50), block=st.integers(1, 8))
+@example(rows=[(0, -1), (-1, 0)], block=1)
+@example(rows=[(10**k - 1, -(10**k)) for k in range(19)], block=4)
+@example(rows=[(-(10**k - 1), 10**k) for k in range(19)], block=4)
+@example(rows=[(2**63 - 1, -(2**63)), (-(2**63), 2**63 - 1)], block=1)  # np.abs(-(2**63)) wraps
+@example(rows=[], block=8)
+def test_int_rows_match_python_text(rows, block):
+    # With small blocks the rows stream in several blocks, as a long column's do.
     a = np.array([r[0] for r in rows], dtype=np.int64)
     b = np.array([r[1] for r in rows], dtype=np.int64)
-    text = _int_rows(a, b).decode("ascii")
+    with mock.patch.object(instruments, "_BLOCK_ROWS", block):
+        text = b"".join(_int_rows(a, b)).decode("ascii")
     assert text == "".join(f"{x},{y}\n" for x, y in rows)
+
+
+@st.composite
+def histograms(draw):
+    """A histogram whose bin starts all lie in int64, with int64 counts."""
+    counts = draw(st.lists(int64s, max_size=20))
+    steps = max(len(counts) - 1, 0)
+    width = draw(st.integers(1, min(2**63 - 1, (2**64 - 1) // max(steps, 1))))
+    origin = draw(st.integers(-(2**63), 2**63 - 1 - width * steps))
+    return Histogram(
+        bin_width_ps=width,
+        origin_ps=origin,
+        counts=np.array(counts, dtype=np.int64),
+        underflow=draw(st.integers(0, 2**63)),
+        overflow=draw(st.integers(0, 2**63)),
+    )
+
+
+@settings(deadline=None)
+@given(h=histograms(), block=st.integers(1, 8))
+# Bin starts from -(2**63), whose products with the width wrap in int64.
+@example(h=Histogram(2**62, -(2**63), np.array([-(2**63), 0, 5, 2**63 - 1]), 1, 2), block=3)
+# Bin starts across the 10**4 and 10**8 group edges, signs in both columns.
+@example(h=Histogram(1, 9_998, np.array([9_999, 10_000, -1, -10_000])), block=2)
+@example(h=Histogram(10**8, -(10**8), np.array([0, 10**8 - 1, 10**8])), block=1)
+def test_histogram_csv_matches_python_text(h, block):
+    starts = [h.origin_ps + i * h.bin_width_ps for i in range(h.n_bins)]
+    rows = "".join(f"{s},{c}\n" for s, c in zip(starts, h.counts.tolist()))
+    tally = f"#underflow={h.underflow},#overflow={h.overflow}\n"
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(instruments, "_BLOCK_ROWS", block):
+        path = os.path.join(tmp, "h.csv")
+        h.write_csv(path)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert written == f"bin_start_ps,count\n{rows}{tally}".encode("ascii")
