@@ -23,6 +23,7 @@ from .instruments import (
     Histogram,
     InstrumentError,
     _check,
+    _check_args,
     _check_fields,
     _int_times,
     build_histogram,
@@ -294,6 +295,7 @@ def shift_and_jitter_vs_dt(points, *, min_pairs: Annotated[int, ">= 1"] = 1000) 
     five populated bins, e.g. a jitter-free detector) the sample standard
     deviation is converted to FWHM instead.
     """
+    _check_args(shift_and_jitter_vs_dt, locals())
     dts = []
     shifts = []
     fwhms = []
@@ -332,6 +334,7 @@ def distinguishability(ac: Histogram, period_ps: float) -> float:
     dead-time notch, and returns (P - V)/(P + V). The notch edge is the
     left edge of the first bin reaching 20% of the histogram maximum.
     """
+    _check("period_ps", "> 0", period_ps)
     if period_ps < 2 * ac.bin_width_ps:
         raise AnalysisError(
             f"period {period_ps} ps needs at least 2 bins, bin width is {ac.bin_width_ps} ps"

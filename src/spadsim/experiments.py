@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .detector import Cause, DetectorParams, detect
 from .instruments import (
-    REACH, TIME, Histogram, _check, _check_fields, autocorrelation, build_histogram
+    REACH, TIME, Histogram, _check, _check_args, _check_fields, autocorrelation, build_histogram
 )
 from .rng import DETECTOR_SCAN_BASE, SCAN_BASE, make_generator
 from .sources import (
@@ -76,6 +76,7 @@ def run_interarrival(
     by the efficiency. With analyze=False only the histogram and rates are
     produced (for dark-only runs with no visible onset).
     """
+    _check_args(run_interarrival, locals())
     arrivals = cw_poisson_stream(source, make_generator(seed, "source"))
     rec = detect(arrivals, params, make_generator(seed, "detector"), source.duration_ps)
     intervals = np.diff(rec.out_times)
@@ -106,8 +107,8 @@ class PairScanPoint:
     whose first photon was detected; n_both those with both photons
     detected. A pulse is credited to the photon its arrival_index names, so
     darks and afterpulses never count. Arrays intervals/pair_idx/out2/cause2
-    are aligned per both-detected pair; intervals holds the second pulse's
-    output time minus the first's.
+    are aligned per both-detected pair, pair_idx ascending; intervals holds
+    the second pulse's output time minus the first's.
     """
 
     delta_t_ps: int
@@ -150,31 +151,28 @@ class PairScan:
 
 
 def _run_pair_point(i, cfg: PairScanConfig, params, seed) -> PairScanPoint:
+    """One spacing's point, read in arrival order: row_of maps each arrival to its pulse's
+    row, -1 for none, and a first-slot arrival's pair is both-detected when the next arrival,
+    exactly delta_t later, is its own second and both rows are set."""
     times, is_second = pulse_pair_sequence(cfg, make_generator(seed, SCAN_BASE + i))
     period = cfg.pair_period_ps
-    duration = cfg.n_pairs * period
-    rec = detect(times, params, make_generator(seed, DETECTOR_SCAN_BASE + i), duration)
-
-    hit = rec.arrival_index >= 0
-    second = np.zeros(len(rec), dtype=bool)
-    second[hit] = is_second[rec.arrival_index[hit]]
-    in1 = hit & ~second
-    in2 = hit & second
-    orig = rec.origin_times
-    pairs1 = orig[in1] // period
-    pairs2 = (orig[in2] - cfg.delta_t_ps) // period
-    common, ia, ib = np.intersect1d(pairs1, pairs2, assume_unique=True, return_indices=True)
-    out1 = rec.out_times[in1][ia]
-    out2 = rec.out_times[in2][ib]
+    rec = detect(times, params, make_generator(seed, DETECTOR_SCAN_BASE + i), cfg.n_pairs * period)
+    hit = np.flatnonzero(rec.arrival_index >= 0)
+    row_of = np.full(times.size, -1, dtype=np.int64)
+    row_of[rec.arrival_index[hit]] = hit
+    lit, first = row_of >= 0, ~is_second
+    both = np.flatnonzero(lit[:-1] & lit[1:] & first[:-1] & (np.diff(times) == cfg.delta_t_ps))
+    rows2 = row_of[both + 1]
+    out2 = rec.out_times[rows2]
     return PairScanPoint(
         delta_t_ps=cfg.delta_t_ps,
-        n_pairs=int(np.count_nonzero(~is_second)),
-        n_first=int(np.count_nonzero(in1)),
-        n_both=int(common.size),
-        intervals=out2 - out1,
-        pair_idx=common,
+        n_pairs=int(np.count_nonzero(first)),
+        n_first=int(np.count_nonzero(lit & first)),
+        n_both=int(both.size),
+        intervals=out2 - rec.out_times[row_of[both]],
+        pair_idx=times[both] // period,
         out2=out2,
-        cause2=rec.causes[in2][ib],
+        cause2=rec.causes[rows2],
     )
 
 
@@ -205,6 +203,7 @@ def run_autocorr(
     bin_width_ps: Annotated[int, "> 0"],
 ) -> AutocorrResult:
     """Pulsed illumination -> detector -> output autocorrelation."""
+    _check_args(run_autocorr, locals())
     arrivals = pulsed_train(source, make_generator(seed, "source"))
     rec = detect(arrivals, params, make_generator(seed, "detector"), source.duration_ps)
     h = autocorrelation(rec.out_times, max_lag_ps, bin_width_ps)

@@ -187,18 +187,15 @@ def pulse_pair_sequence(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic two-slot pattern: slots at i*P and i*P + delta_t.
 
-    Each slot independently holds a photon with probability `occupancy`.
-    Returns (times, is_second_slot) sorted by time.
+    Each slot independently holds a photon with probability `occupancy`, the
+    first slots drawn before the second. Slot 2i is pair i's first photon and
+    2i + 1 its second; as 0 < delta_t < P, slot order is time order, so the
+    occupied slots' (times, is_second_slot) come out sorted with no sort.
     """
-    base = np.arange(cfg.n_pairs, dtype=np.int64) * cfg.pair_period_ps
-    keep1 = _kept(rng, cfg.occupancy, cfg.n_pairs)
-    keep2 = _kept(rng, cfg.occupancy, cfg.n_pairs)
-    times = np.concatenate([base[keep1], base[keep2] + cfg.delta_t_ps])
-    flags = np.concatenate(
-        [np.zeros(int(keep1.sum()), dtype=bool), np.ones(int(keep2.sum()), dtype=bool)]
-    )
-    order = np.argsort(times, kind="stable")
-    return times[order], flags[order]
+    first, second = (_kept(rng, cfg.occupancy, cfg.n_pairs) for _ in range(2))
+    slot = np.flatnonzero(np.column_stack((first, second)))
+    odd = slot & 1
+    return (slot >> 1) * cfg.pair_period_ps + odd * cfg.delta_t_ps, odd.astype(bool)
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,12 @@ class TestShiftJitter:
         with pytest.raises(ValueError, match="^intervals must be int64 picoseconds"):
             shift_and_jitter_vs_dt([(1000, [1000.9] * 5)], min_pairs=1)
 
+    @pytest.mark.parametrize("min_pairs", [0, -5])
+    def test_min_pairs_below_one_is_refused(self, min_pairs):
+        # Checked on entry: below 1 an empty spacing would average no intervals.
+        with pytest.raises(ValueError, match=rf"^min_pairs must be >= 1, got {min_pairs}$"):
+            shift_and_jitter_vs_dt([(1000, np.empty(0, dtype=np.int64))], min_pairs=min_pairs)
+
     def test_small_points_are_nan(self):
         curve = shift_and_jitter_vs_dt([(40_000, np.array([40_100] * 10, dtype=np.int64))])
         assert np.isnan(curve.shifts[0]) and np.isnan(curve.fwhms[0])
@@ -206,6 +212,12 @@ class TestDistinguishability:
         h = Histogram(bin_width_ps=100, origin_ps=0, counts=np.zeros(500, dtype=np.int64))
         with pytest.raises(AnalysisError):
             distinguishability(h, 1000.0)
+
+    @pytest.mark.parametrize("period_ps", [float("nan"), float("inf"), 0.0, -1000.0])
+    def test_period_outside_its_domain_is_named(self, period_ps):
+        h = autocorrelation(np.arange(400, dtype=np.int64) * 1000, 50_000, 100)
+        with pytest.raises(ValueError, match=r"^period_ps must be "):
+            distinguishability(h, period_ps)
 
 
 def _distinguishability_loop(ac, period_ps):

@@ -45,6 +45,16 @@ PINNED_OUTPUTS = {
 }
 
 
+# The pair-scan and jitter-scan documents of
+# test_detector_summaries_carry_the_draw_contract, run at seed 2.
+PAIR_SOURCE = {"delta_ts_ps": [200_000], "pair_period_ps": 1_000_000, "n_pairs": 200}
+JITTER_SCAN_DOC = {
+    "detector": {"preset": "spcm-aqrh"},
+    "source": PAIR_SOURCE,
+    "instrument": {"min_pairs": 10},
+}
+
+
 def write_config(tmp_path, doc, name="run.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -243,15 +253,10 @@ class TestSimulate:
         assert lines[-1].startswith("#underflow=")
 
     def test_detector_summaries_carry_the_draw_contract(self, tmp_path, capsys):
-        pair_source = {"delta_ts_ps": [200_000], "pair_period_ps": 1_000_000, "n_pairs": 200}
         docs = {
             "interarrival": interarrival_doc(tmp_path),
-            "pair-scan": {"detector": {"preset": "spcm-aqrh"}, "source": pair_source},
-            "jitter-scan": {
-                "detector": {"preset": "spcm-aqrh"},
-                "source": pair_source,
-                "instrument": {"min_pairs": 10},
-            },
+            "pair-scan": {"detector": {"preset": "spcm-aqrh"}, "source": dict(PAIR_SOURCE)},
+            "jitter-scan": copy.deepcopy(JITTER_SCAN_DOC),
             "autocorr": {
                 "detector": {"preset": "spcm-aqrh"},
                 "source": {
@@ -281,6 +286,24 @@ class TestSimulate:
         assert digests == PINNED_OUTPUTS, (
             "the pulse stream moved for the same detectors and seed: "
             "bump DRAW_CONTRACT or find the regression"
+        )
+
+    def test_jitter_scan_points_are_pinned(self):
+        # The jitter-scan curve is left out of PINNED_OUTPUTS for its fit's
+        # last digits; the pair points behind it are integers and involve no
+        # BLAS, so they are pinned here: the counts per spacing, and one
+        # SHA-256 over every point's intervals, out2 and cause2 bytes.
+        doc = dict(copy.deepcopy(JITTER_SCAN_DOC), version=1, kind="jitter-scan", seed=2)
+        cfg = validate_config(doc)
+        points = spadsim.run_pair_scan(cfg["detector"], cfg["source"], cfg["seed"])
+        counts = [(p.delta_t_ps, p.n_pairs, p.n_first, p.n_both) for p in points]
+        assert counts == [(200_000, 200, 128, 84)]
+        digest = sha256()
+        for p in points:
+            for a in (p.intervals, p.out2, p.cause2):
+                digest.update(a.tobytes())
+        assert digest.hexdigest() == (
+            "1aa14d4df5959795c48960aec9694aec50f6bf83f24842b43932043e8ae64328"
         )
 
     def test_missing_points_are_json_null(self, tmp_path, capsys):

@@ -23,8 +23,10 @@ from spadsim import (
     PairScan,
     PairScanConfig,
     PulsedSourceConfig,
+    correlator_grids,
     load_config,
     preset,
+    shift_and_jitter_vs_dt,
     validate_config,
 )
 from spadsim import experiments
@@ -455,6 +457,30 @@ def test_function_owner_bounds_are_checked(kind, key, bad, good):
         validate_config(doc)
     doc["instrument"][key] = good
     assert validate_config(doc)[key] == good
+
+
+# Each function of OWNER_BOUNDS called from Python, with a kind's minimal
+# arguments. The jitter-scan spacing holds no intervals, so that min_pairs
+# below 1 would average none.
+OWNER_CALLS = {
+    "interarrival": lambda **kw: experiments.run_interarrival(
+        preset("spcm-aqrh").params, CwSourceConfig(50_000.0, 10**9), 7, **kw
+    ),
+    "autocorr": lambda **kw: experiments.run_autocorr(
+        preset("spcm-aqrh").params, PulsedSourceConfig(521, 0.01, 10**7), 7,
+        **{"max_lag_ps": 60_000, "bin_width_ps": 100, **kw},
+    ),
+    "jitter-scan": lambda **kw: shift_and_jitter_vs_dt([(1000, [])], **kw),
+    "qkd": lambda **kw: correlator_grids(FrameConfig(521), **kw),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,key,bad", [row[:3] for row in OWNER_BOUNDS] + [("jitter-scan", "min_pairs", -5)]
+)
+def test_function_owner_bounds_are_checked_on_entry(kind, key, bad):
+    with pytest.raises(ValueError, match=rf"^{key} must be "):
+        OWNER_CALLS[kind](**{key: bad})
 
 
 # Each grid a config sets up at 2**24 bins, the most it may ask for, and one

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from spadsim import (
     pulsed_train,
     run_pair_scan,
 )
-from spadsim.rng import FWHM_TO_SIGMA
+from spadsim.detector import detect
+from spadsim.experiments import PairScanPoint, _run_pair_point
+from spadsim.rng import DETECTOR_SCAN_BASE, FWHM_TO_SIGMA, SCAN_BASE
 
 SECOND_PS = 1_000_000_000_000
 
@@ -244,3 +247,78 @@ def test_pulsed_train_memory_scales_with_photons():
         tracemalloc.stop()
     assert 200 < t.size < 600
     assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def _sorted_pair_sequence(cfg, rng):
+    """Oracle: pulse_pair_sequence as the first slots, then the second ones, stably sorted."""
+    def kept():
+        if cfg.occupancy < 1:
+            return rng.random(cfg.n_pairs) < cfg.occupancy
+        return np.ones(cfg.n_pairs, dtype=bool)
+
+    base = np.arange(cfg.n_pairs, dtype=np.int64) * cfg.pair_period_ps
+    keep1, keep2 = kept(), kept()
+    times = np.concatenate([base[keep1], base[keep2] + cfg.delta_t_ps])
+    flags = np.concatenate(
+        [np.zeros(int(keep1.sum()), dtype=bool), np.ones(int(keep2.sum()), dtype=bool)]
+    )
+    order = np.argsort(times, kind="stable")
+    return times[order], flags[order]
+
+
+def _intersected_pair_point(i, cfg, params, seed):
+    """Oracle: a pair-scan point paired by intersecting the first and second pulses' pair ids."""
+    times, is_second = _sorted_pair_sequence(cfg, make_generator(seed, SCAN_BASE + i))
+    period = cfg.pair_period_ps
+    rec = detect(times, params, make_generator(seed, DETECTOR_SCAN_BASE + i), cfg.n_pairs * period)
+    hit = rec.arrival_index >= 0
+    second = np.zeros(len(rec), dtype=bool)
+    second[hit] = is_second[rec.arrival_index[hit]]
+    in1 = hit & ~second
+    in2 = hit & second
+    pairs1 = rec.origin_times[in1] // period
+    pairs2 = (rec.origin_times[in2] - cfg.delta_t_ps) // period
+    common, ia, ib = np.intersect1d(pairs1, pairs2, assume_unique=True, return_indices=True)
+    out1 = rec.out_times[in1][ia]
+    out2 = rec.out_times[in2][ib]
+    return PairScanPoint(
+        delta_t_ps=cfg.delta_t_ps,
+        n_pairs=int(np.count_nonzero(~is_second)),
+        n_first=int(np.count_nonzero(in1)),
+        n_both=int(common.size),
+        intervals=out2 - out1,
+        pair_idx=common,
+        out2=out2,
+        cause2=rec.causes[in2][ib],
+    )
+
+
+@pytest.mark.parametrize("name", ["spcm-aqrh", "custom-aq", "spd-050"])
+@pytest.mark.parametrize("occupancy", [1.0, 0.7, 0.2])
+def test_pair_points_match_intersect_oracle(name, occupancy):
+    # Spacings inside the quench, the twilight window and past the dead time,
+    # and at the edges 1 and P - 1. At P / 2 a second photon lies exactly
+    # delta_t before the next pair's first, so a gap of delta_t alone does not
+    # make a pair.
+    params = preset(name).params
+    period = 200_000
+    quench, dead = params.tau_quench_ps, params.tau_dead0_ps
+    spacings = [1, quench // 2, (quench + dead) // 2, dead + 3_000, period // 2, period - 1]
+    for seed in (1, 2):
+        for i, dt in enumerate(spacings):
+            cfg = PairScanConfig(dt, period, 300, occupancy)
+            rng, oracle_rng = make_generator(seed, i), make_generator(seed, i)
+            got, want = pulse_pair_sequence(cfg, rng), _sorted_pair_sequence(cfg, oracle_rng)
+            for g, w in zip(got, want):
+                assert_same_bytes(g, w)
+            # Both took the same draws: their next raw outputs agree.
+            raw = rng.bit_generator.random_raw(4)
+            assert np.array_equal(raw, oracle_rng.bit_generator.random_raw(4))
+            got = _run_pair_point(i, cfg, params, seed)
+            want = _intersected_pair_point(i, cfg, params, seed)
+            for f in dataclass_fields(PairScanPoint):
+                g, w = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(w, np.ndarray):
+                    assert_same_bytes(g, w)
+                else:
+                    assert type(g) is type(w) and g == w, (name, dt, f.name)
