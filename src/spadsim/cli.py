@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -79,7 +80,9 @@ def _cmd_keyrate(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and reused: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="spadsim", description="Single-photon detector simulator and analysis runner."
     )

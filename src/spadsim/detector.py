@@ -347,20 +347,14 @@ def _trap_draws(draws: _Draws, params: DetectorParams, n: int) -> tuple[list, li
     return at.tolist() + [_NEVER], starts.tolist(), np.concatenate(delays).tolist()
 
 
-# The kernel drops the avalanche times that the count has passed once there
-# are more than this many.
-_AV_TRIM = 4096
-
-# Uncontested runs per stimulus below which the loop reads the stimuli
-# through a memoryview instead of a list (see `_detect_kernel`). Measured:
-# 0.0017 on cw-interarrival, 0.035 on pulsed-autocorr and 0.166 on a
-# qkd-link arm, where a view was slower than the list.
-_VIEW_BELOW = 0.08
-
 # Avalanches per block of the output stage: each int64 column of a block
 # takes 64 KB, below glibc's initial 128 KB mmap threshold, so the block's
 # temporaries reuse heap memory instead of faulting in fresh pages.
 _EMIT_BLOCK = 8192
+
+# A `_fire_pattern` entry for a stimulus whose outcome after the previous
+# one needs the elongated dead time; the sentinel carries it too.
+_UNDECIDED = 2
 
 
 def _merge(major: np.ndarray, minor: np.ndarray, *columns, spare: int = 0) -> list[np.ndarray]:
@@ -382,6 +376,53 @@ def _merge(major: np.ndarray, minor: np.ndarray, *columns, spare: int = 0) -> li
         out[:size][from_major] = a
         out[:size][rows] = b
     return merged
+
+
+def _fire_pattern(
+    stimuli: np.ndarray, u_stim: np.ndarray, dark: np.ndarray, params: DetectorParams, horizon: int
+) -> tuple[bytearray, list[int]]:
+    """Whether each stimulus fires when the stimulus before it was the last avalanche.
+
+    `stimuli` are the kernel's sorted stimulus times, ending in the _NEVER
+    sentinel, with their keyed uniforms and dark flags. Returns the pattern,
+    one byte per stimulus and the sentinel, and the sorted breaks, ending
+    in the sentinel's index.
+
+    A stimulus less than `horizon` after the one before it is contested;
+    every other stimulus fires whatever came before it, and its entry is 1.
+    A contested stimulus at gap g fires as the state machine's trial at g
+    says: never in the quench phase, by its keyed uniform against the
+    profile in the twilight zone, and always from tau_dead0 on when there is
+    a profile, which ends at 1 by then. Without a profile, whether it fires
+    from tau_dead0 on depends on the elongated dead time: its entry is
+    _UNDECIDED. The sentinel's is _UNDECIDED too.
+
+    A break is a contested stimulus after one whose entry is 0, or an
+    _UNDECIDED one: there the pattern no longer knows the last avalanche.
+    """
+    n = stimuli.size - 1
+    pattern = bytearray(b"\x01") * (n + 1)
+    pattern[n] = _UNDECIDED
+    gap = np.diff(stimuli[:n])
+    contested = np.flatnonzero(gap < horizon) + 1
+    if not contested.size:
+        return pattern, [n]
+    gap = gap[contested - 1]
+    tau_dead = int(params.tau_dead0_ps)
+    fires = (gap >= tau_dead).view(np.uint8)
+    if params.twilight_profile:
+        trial = np.flatnonzero((gap >= params.tau_quench_ps) & (gap < tau_dead))
+        if trial.size:
+            _, (tw_x, tw_y), _, _ = params._tables
+            (prof,) = _interp_clamped_array(gap[trial].astype(np.float64), tw_x, tw_y)
+            at = contested[trial]
+            fires[trial] = u_stim[at] < np.where(dark[at], prof, float(params.efficiency) * prof)
+    else:
+        fires *= _UNDECIDED
+    entries = np.frombuffer(pattern, dtype=np.uint8)
+    entries[contested] = fires
+    breaks = contested[(entries[contested - 1] == 0) | (fires == _UNDECIDED)]
+    return pattern, breaks.tolist() + [n]
 
 
 def _detect_kernel(
@@ -406,36 +447,34 @@ def _detect_kernel(
     heap of release times; a release goes before a stimulus on the same
     picosecond.
 
-    No dead period outlasts `horizon`, the largest dead time the table can
-    give, so a stimulus at least `horizon` after the previous stimulus is
-    uncontested: when the previous one fired, this one finds the detector
-    armed. When the loop meets an armed stimulus followed by an uncontested
-    one, it takes the avalanches up to the end of that uncontested run as
-    one slice. The run stops before the first pending trap release, and at
-    the first avalanche with a live trap (`_trap_draws`); that last
-    avalanche takes the scalar step, which pushes its live traps' release
-    times on the heap. Each stimulus carries its source, the arrival index
-    or -1 for a dark, and the loop writes its outcome byte: 0 for no
-    avalanche, 1 for an armed one, 2 for a twilight one. Beside these it
-    keeps only the dead_end each twilight pulse is held to and the fired
-    releases; after it, each column is a gather over the stimuli that
-    fired, with the releases merged in.
-    Both merges (`_merge`) build one row mask for all their columns.
+    The loop decides only which stimuli and releases fire. Every dead
+    period lasts at least tau_dead0 and at most `horizon`, the largest dead
+    time the table gives, and a profile ends at 1 by tau_dead0. So a
+    stimulus at least tau_dead0 after the last avalanche fires when there
+    is a profile, armed or in twilight, and one at least `horizon` after it
+    fires anyway; a stimulus earlier than tau_dead0 fires only by the
+    twilight trial, which its gap and keyed uniform decide. The elongated
+    dead time matters in the loop only for a release in [tau_dead0,
+    horizon) after the last avalanche, or, without a profile, for a
+    stimulus there. For those few the loop counts the avalanches in the
+    window before the last one: the fired stimuli with two bisects on the
+    stimuli and a count of `fired`, and the fired releases with two
+    bisects on their list.
 
-    The loop indexes, slices and bisects the stimuli through a memoryview
-    when there are fewer than _VIEW_BELOW uncontested runs per stimulus,
-    and through a list otherwise. With few runs the loop visits few
-    stimuli, and the view turns only those into Python ints; with many it
-    visits most of them, and a list, converted once, reads faster.
+    `_fire_pattern` gives, for each stimulus, whether it fires when the
+    stimulus before it was the last avalanche. After a stimulus fires, the
+    loop walks the pattern forward: the stimuli up to the next break take
+    their pattern entries, which `fired` already holds, without a step of
+    their own. The walk stops before the first pending release. When it
+    passes the next avalanche with a live trap (`_trap_draws`), it pushes
+    that avalanche's release times on the heap there and cuts itself
+    before the first of them. `fired` ends holding each stimulus's outcome,
+    0 or 1; the loop reads the stimuli through one memoryview.
 
-    An elongated dead time is read at the count c of earlier avalanches
-    less than RATE_WINDOW_PS before the avalanche, as
-    `floor(effective_dead_time(c / RATE_WINDOW_PS * 1.0e12) + 0.5)`. Only
-    then does the loop keep the avalanche times: a run appends its members
-    with one `extend`, and a scalar step finds c with one `bisect_right`
-    from where the last one stopped and reads the dead length from a dict
-    keyed by c, filled from that expression the first time each count
-    occurs.
+    After the loop, each column is a gather over the stimuli that fired,
+    with the fired releases merged in (`_merge`, one row mask for all the
+    columns), and `_twilight_split` tells the twilight avalanches from the
+    armed ones and reads the ends the twilight pulses are held to.
 
     Draw contract 3 (`DRAW_CONTRACT`; the reference draws the same values
     one scalar at a time). Every purpose has its own substream:
@@ -463,12 +502,13 @@ def _detect_kernel(
     (_, dead_y), (tw_x, tw_y), _, _ = params._tables
     # Without a profile nothing triggers in twilight: the zone starts never.
     twilight_from = int(params.tau_quench_ps) if params.twilight_profile else _NEVER
-    const_dead = not params.dead_elongation
     tau_dead = int(params.tau_dead0_ps)
     # The longest dead period: floor(x + 0.5) never exceeds ceil(x).
     horizon = math.ceil(max(dead_y))
+    # A stimulus this far after the last avalanche, but less than `horizon`,
+    # fires iff the elongated dead time has ended; with a profile it fires anyway.
+    counted_until = tau_dead if params.twilight_profile else horizon
     window = RATE_WINDOW_PS
-    dead_len: dict[int, int] = {}  # the dead length at each avalanche count met so far
 
     # The photons that can trigger: twilight thresholds never exceed efficiency.
     kept = np.flatnonzero(u_photon < efficiency)
@@ -479,35 +519,28 @@ def _detect_kernel(
         arrivals[kept], darks, (u_photon[kept], u_dark), (kept, -1), spare=1
     )
     del kept
-    dark_flag = (source < 0).tobytes()
+    dark = source < 0
     n = source.size
-
-    # Stimulus m is contested when it comes less than `horizon` after
-    # stimulus m - 1 (never the sentinel). The contested ones cut the stream
-    # into uncontested runs; `run_ends` lists the end of each run of two or
-    # more stimuli.
-    edges = np.concatenate(([0], np.flatnonzero(np.diff(stimuli) < horizon) + 1, [n]))
-    run_ends = edges[1:][np.diff(edges) > 1].tolist()
-    run_ends.append(n)
-    del edges
+    # `fired` ends holding each stimulus's outcome, 0 or 1; until the loop
+    # reaches a stimulus, it holds the stimulus's pattern entry.
+    fired, breaks = _fire_pattern(stimuli, u_stim, dark, params, horizon)
     fill_at, starts, delays = _trap_draws(draws, params, n)
 
-    stim = memoryview(stimuli) if len(run_ends) < _VIEW_BELOW * n else stimuli.tolist()
-    fired = bytearray(n)  # each stimulus's outcome: 0 none, 1 armed avalanche, 2 twilight one
-    held_ends: list[int] = []  # the dead_end each twilight pulse is held to
+    stim, u, is_dark = memoryview(stimuli), memoryview(u_stim), memoryview(dark)
     afterpulse_times: list[int] = []  # the trap releases that fired
     releases = [_NEVER]  # min-heap of pending trap release times, and the end sentinel
     fk = n_av = 0  # `next_fill` = fill_at[fk] is the next avalanche with a live trap
     next_fill = fill_at[0]
+    dead_start = -(2**62)  # the last avalanche
 
-    dead_start = -(2**62)  # avalanche instant of the current dead period
-    dead_end = 0  # armed iff t >= dead_end
-    # With an elongated dead time: the avalanche times, of which those from
-    # av[lo] on may still fall in the window of the next avalanche.
-    av: list[int] = []
-    lo = 0
+    def counted_dead_end(p: int) -> int:
+        """The end of the dead period begun at dead_start, from the avalanches before stimulus p."""
+        lo = dead_start - window
+        c = fired.count(1, bisect_right(stim, lo, 0, p), bisect_left(stim, dead_start, 0, p))
+        c += bisect_left(afterpulse_times, dead_start) - bisect_right(afterpulse_times, lo)
+        return dead_start + math.floor(effective_dead_time(c / window * 1.0e12, params) + 0.5)
 
-    p = rk = 0  # next stimulus; index into run_ends
+    p = bk = 0  # next stimulus; index into breaks
     while True:
         t = stim[p]
         if releases[0] <= t:
@@ -515,57 +548,26 @@ def _detect_kernel(
             if t == _NEVER:
                 break
             # Releases fire when armed and are discarded otherwise.
-            if t < dead_end:
+            dt = t - dead_start
+            if dt < tau_dead or (dt < horizon and t < counted_dead_end(p)):
                 continue
             afterpulse_times.append(t)
-        elif t >= dead_end:
-            if stim[p + 1] - t >= horizon:
-                # Avalanches p .. last - 1 take a slice; `last` takes the scalar step.
-                while run_ends[rk] <= p:
-                    rk += 1
-                last = run_ends[rk] - 1
-                if releases[0] <= stim[last]:  # end before the first stimulus it precedes
-                    last = bisect_left(stim, releases[0], p + 1, last) - 1
-                if next_fill - n_av < last - p:
-                    last = p + next_fill - n_av
-                if last > p:
-                    n_av += last - p
-                    fired[p:last] = b"\x01" * (last - p)
-                    if not const_dead:
-                        av.extend(stim[p:last])
-                    p = last
-                    t = stim[p]
-            fired[p] = 1
-            p += 1
+            a = -1  # no walk: the next stimulus meets the release's dead period
         else:
             dt = t - dead_start
-            if dt < twilight_from:
-                p += 1
-                continue
-            prof = _interp_clamped(float(dt), tw_x, tw_y)
-            if u_stim[p] >= (prof if dark_flag[p] else efficiency * prof):
-                p += 1
-                continue
-            fired[p] = 2
-            held_ends.append(dead_end)
+            if dt >= tau_dead:
+                fire = dt >= counted_until or t >= counted_dead_end(p)
+            elif dt < twilight_from:
+                fire = False
+            else:
+                prof = _interp_clamped(float(dt), tw_x, tw_y)
+                fire = u[p] < (prof if is_dark[p] else efficiency * prof)
+            fired[p] = fire
             p += 1
-
-        # Avalanche bookkeeping: the dead-time length comes from the count
-        # of avalanches in the window before this one.
+            if not fire:
+                continue
+            a = p
         dead_start = t
-        if const_dead:
-            dead_end = t + tau_dead
-        else:
-            lo = bisect_right(av, t - window, lo)
-            c = len(av) - lo
-            if c not in dead_len:
-                dead_len[c] = math.floor(effective_dead_time(c / window * 1.0e12, params) + 0.5)
-            dead_end = t + dead_len[c]
-            av.append(t)
-            if lo > _AV_TRIM:
-                del av[:lo]
-                lo = 0
-
         # Trap filling: every avalanche fills k ~ Poisson(mu) traps; the live ones wait.
         if n_av == next_fill:
             for d in delays[starts[fk] : starts[fk + 1]]:
@@ -573,24 +575,95 @@ def _detect_kernel(
             fk += 1
             next_fill = fill_at[fk]
         n_av += 1
+        if a < 0:
+            continue
 
-    del stim, releases, fill_at, starts, delays, av
-    outcome = np.frombuffer(fired, dtype=np.uint8)
-    at = np.flatnonzero(outcome)
+        # The pattern walk: stimuli a .. q - 1 follow the pattern. It stops at
+        # the next break after a, and before the first pending release.
+        while breaks[bk] < a:
+            bk += 1
+        q = breaks[bk]
+        if q == a and fired[a] != _UNDECIDED:  # stimulus a - 1 fired: a is no break
+            bk += 1
+            q = breaks[bk]
+        r = releases[0]
+        if r <= stim[q - 1]:
+            q = a if r <= stim[a] else bisect_left(stim, r, a + 1, q)
+        # Avalanche next_fill is the (next_fill - n_av + 1)-th stimulus from a on
+        # whose entry is 1: j starts there as if none missed, and moves on by the misses.
+        while (j := a + next_fill - n_av) < q:
+            missing = fired.count(0, a, j + 1)
+            while missing and j < q:
+                j += missing
+                missing = fired.count(0, j + 1 - missing, j + 1)
+            if j >= q:
+                break
+            # The walk passes the live-trap fill: push the releases, cut before them.
+            t = stim[j]
+            for d in delays[starts[fk] : starts[fk + 1]]:
+                heappush(releases, t + d)
+            fk += 1
+            n_av = next_fill + 1
+            next_fill = fill_at[fk]
+            a = j + 1
+            r = releases[0]
+            if r <= stim[q - 1]:
+                q = a if r <= stim[a] else bisect_left(stim, r, a + 1, q)
+        n_av += fired.count(1, a, q)
+        # No two stimuli in a row of a walk fail to fire.
+        if q > p:
+            dead_start = stim[q - 1] if fired[q - 1] else stim[q - 2]
+            p = q
+
+    del stim, u, is_dark, releases, fill_at, starts, delays
+    at = np.flatnonzero(np.frombuffer(fired, dtype=np.uint8, count=n))
+    del fired
     times = stimuli[at]
     arrival_index = source[at]
-    del stimuli, u_stim, source
-    causes = np.full(at.size, int(Cause.PHOTON), dtype=np.int64)
+    del stimuli, u_stim, source, dark, at
+    causes = np.full(times.size, int(Cause.PHOTON), dtype=np.int64)
     causes[arrival_index < 0] = int(Cause.DARK)
-    causes[outcome[at] == 2] = int(Cause.TWILIGHT)
-    del at, outcome, fired
     released = np.array(afterpulse_times, dtype=np.int64)
     # No two avalanches share a picosecond: every dead period lasts >= 1 ps.
     times, causes, arrival_index = _merge(
         times, released, (causes, int(Cause.AFTERPULSE)), (arrival_index, -1)
     )
-    held = np.array(held_ends, dtype=np.int64)
+    held = _twilight_split(times, causes, params, horizon)
     return _emit_times(times, causes, held, params, draws.jitter), times, causes, arrival_index
+
+
+def _twilight_split(
+    times: np.ndarray, causes: np.ndarray, params: DetectorParams, horizon: int
+) -> np.ndarray:
+    """Mark the twilight avalanches among `times` in `causes`; return the ends they are held to.
+
+    Avalanche i is twilight when it comes before the end of the dead
+    period that avalanche i - 1 began; a release never does, as it fires
+    only when armed. That period lasts from tau_dead0 to `horizon`, so
+    after one `np.diff` only the gaps below `horizon` are read further.
+    Elongated, it lasts the dead length read at the count c of
+    avalanches less than RATE_WINDOW_PS before avalanche i - 1, as
+    `floor(effective_dead_time(c / RATE_WINDOW_PS * 1.0e12) + 0.5)`,
+    computed once per distinct count.
+    """
+    if not params.twilight_profile:
+        return np.zeros(0, dtype=np.int64)
+    gap = np.diff(times)
+    near = np.flatnonzero(gap < horizon)
+    dead = int(params.tau_dead0_ps)
+    if params.dead_elongation and near.size:
+        window = RATE_WINDOW_PS
+        counts = near - np.searchsorted(times, times[near] - window, side="right")
+        met = np.flatnonzero(np.bincount(counts))
+        lengths = np.zeros(met[-1] + 1, dtype=np.int64)
+        lengths[met] = [
+            math.floor(effective_dead_time(c / window * 1.0e12, params) + 0.5) for c in met.tolist()
+        ]
+        dead = lengths[counts]
+        held = gap[near] < dead
+        near, dead = near[held], dead[held]
+    causes[near + 1] = int(Cause.TWILIGHT)
+    return times[near] + dead
 
 
 def _emit_times(

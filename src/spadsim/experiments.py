@@ -23,7 +23,15 @@ from .analysis import (
 )
 from .detector import Cause, DetectorParams, detect
 from .instruments import (
-    REACH, TIME, Histogram, _check, _check_args, _check_fields, autocorrelation, build_histogram
+    DURATION,
+    REACH,
+    TIME,
+    Histogram,
+    _check,
+    _check_args,
+    _check_fields,
+    autocorrelation,
+    build_histogram,
 )
 from .rng import DETECTOR_SCAN_BASE, SCAN_BASE, make_generator
 from .sources import (
@@ -233,9 +241,9 @@ def run_visibility_sweep(
     periods_ps,
     seed: int,
     *,
-    photon_rate_cps: float,
-    duration_ps: int,
-    n_periods_lag: int = 120,
+    photon_rate_cps: Annotated[float, "(0, 1e12] cps"],
+    duration_ps: Annotated[int, DURATION],
+    n_periods_lag: Annotated[int, ">= 1"] = 120,
 ) -> list:
     """Distinguishability vs pulse period at fixed incident photon flux.
 
@@ -244,8 +252,9 @@ def run_visibility_sweep(
     statistics stay put and only the comb spacing changes. Returns
     (period_ps, visibility) tuples in input order. The lag span covers
     n_periods_lag pulse periods; long spans dilute the renewal ripple that
-    follows the dead-time notch.
+    follows the dead-time notch. The keyword arguments are checked on entry.
     """
+    _check_args(run_visibility_sweep, locals())
     return [
         _run_visibility_point(
             i, int(p), params, photon_rate_cps, int(duration_ps), seed, int(n_periods_lag)

@@ -2,10 +2,12 @@
 
 detect_reference() produces byte-identical output to detector.detect() from
 the same rng state. Where the production kernel walks one merged array of
-photons and darks, keeps only trap releases on a heap and takes runs of
-uncontested avalanches as slices, this version schedules every photon,
-dark count, trap release, and re-arm timer as a discrete event on its own
-priority queue and lets the queue order them, one event at a time.
+photons and darks, keeps only trap releases on a heap, follows a firing
+pattern computed before its loop through the stimuli it need not step, and
+tells twilight avalanches from armed ones after its loop, this version
+schedules every photon, dark count, trap release, and re-arm timer as a
+discrete event on its own priority queue and lets the queue order them,
+one event at a time.
 It exists as an executable statement of the detector semantics and as the
 oracle the kernel is tested against; it is not built for speed.
 

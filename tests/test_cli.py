@@ -413,12 +413,33 @@ class TestUsage:
         assert main([]) == 1
 
 
-def test_import_leaves_scipy_optimize_unloaded(tmp_path):
-    """The CLI is imported by its users, not by the package, and no run,
-    fit included, loads scipy."""
+def pythonpath_env() -> dict:
+    """The environment with this checkout's spadsim first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(spadsim.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_one_parser_serves_every_call_as_fresh_processes_do(tmp_path, capsys):
+    """`main` builds its parser once per process and reuses it: a bad
+    argument, then a run, a preset listing and the run again give the exit
+    codes and stdout that a fresh process gives for each."""
+    config = write_config(tmp_path, interarrival_doc(tmp_path))
+    env = pythonpath_env()
+    for argv in (["simulate"], ["simulate", config], ["preset", "list"], ["simulate", config]):
+        code = main(argv)
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "spadsim.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
+
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    """The CLI is imported by its users, not by the package, and no run,
+    fit included, loads scipy."""
+    env = pythonpath_env()
     interarrival = interarrival_doc(
         tmp_path, analyze=True, rate_cps=76_923.0, duration_ps=400_000_000_000
     )

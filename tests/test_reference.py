@@ -392,7 +392,9 @@ ELONGATED_RUNS_CASE = (
 
 # A photon every 60-140 ps and a dead time of 50 ps plus 1 ps per 200
 # avalanches counted: about 9k avalanches fall in each window, so the
-# kernel's avalanche list passes its trim of 4096 (`_AV_TRIM`).
+# kernel's post-loop count reads thousands of distinct counts, and its
+# in-loop count of releases landing in the elongated zone spans windows of
+# thousands of fired stimuli.
 PAST_CAP_ARRIVALS = np.cumsum(np.random.default_rng(23).integers(60, 141, size=25_000))
 PAST_CAP_CASE = (
     DetectorParams(
@@ -409,6 +411,68 @@ PAST_CAP_CASE = (
 )
 
 
+# Without a profile, a trap release that fires starts a dead period whose
+# length counts the avalanches before it, not itself; chained releases then
+# land within the elongated zone after it, where the count decides whether
+# they fire. 20 ps per avalanche counted: counting the release itself would
+# drop a release landing in its last 20 ps.
+SELF_COUNT_ARRIVALS = np.arange(0, 1_500_000, 10_000, dtype=np.int64)
+SELF_COUNT_CASE = (
+    DetectorParams(
+        efficiency=1.0,
+        tau_dead0_ps=2_000,
+        tau_quench_ps=1_000,
+        dead_elongation=((0.0, 0.0), (1.0e8, 2000.0)),
+        afterpulse=AfterpulseModel(mu=2.0, tau_trap_ps=2_000.0),
+    ),
+    SELF_COUNT_ARRIVALS,
+    1_500_000,
+    6,
+)
+
+# Photon pairs 3 ns apart every 25 ns: the second of a pair lands in the
+# quench phase, so a pattern walk passes a stimulus that does not fire
+# before each later one, and the live-trap fills it meets sit after them.
+PAIR_STARTS = np.arange(0, 2_000 * 25_000, 25_000)
+FILL_AFTER_MISSES_ARRIVALS = np.sort(np.concatenate([PAIR_STARTS, PAIR_STARTS + 3_000]))
+FILL_AFTER_MISSES_CASE = (
+    DetectorParams(
+        efficiency=1.0,
+        tau_dead0_ps=20_000,
+        tau_quench_ps=8_000,
+        twilight_profile=((8_000.0, 0.0), (20_000.0, 1.0)),
+        afterpulse=AfterpulseModel(mu=0.3, tau_trap_ps=30_000.0),
+    ),
+    FILL_AFTER_MISSES_ARRIVALS,
+    int(FILL_AFTER_MISSES_ARRIVALS[-1]) + 1,
+    1,
+)
+
+# Photons 3 or 4 ps apart with a 4 ps dead time: the 3 ps gaps are
+# contested and tried against the profile, and trap releases, on whole
+# picoseconds, land on the same picosecond as a photon inside a walk.
+WALK_TIE_ARRIVALS = np.cumsum(np.random.default_rng(31).integers(3, 5, size=5_000))
+WALK_RELEASE_TIE_CASE = (
+    DetectorParams(
+        efficiency=0.8,
+        tau_dead0_ps=4,
+        tau_quench_ps=1,
+        twilight_profile=((1.0, 0.0), (4.0, 1.0)),
+        afterpulse=AfterpulseModel(mu=0.5, tau_trap_ps=6.0),
+    ),
+    WALK_TIE_ARRIVALS,
+    int(WALK_TIE_ARRIVALS[-1]) + 1,
+    2,
+)
+
+# A photon every 1.5 ns, every one contested (H = 22 ns), and one every
+# 22 ns, none contested.
+ALL_CONTESTED_ARRIVALS = np.arange(0, 400_000, 1_500, dtype=np.int64)
+ALL_CONTESTED_CASE = (corner_params(0.9, 0.0), ALL_CONTESTED_ARRIVALS, 400_000, 11)
+NONE_CONTESTED_ARRIVALS = np.arange(0, 40_000_000, 22_000, dtype=np.int64)
+NONE_CONTESTED_CASE = (corner_params(0.9, 0.0), NONE_CONTESTED_ARRIVALS, 40_000_000, 12)
+
+
 def generated_and_fixed_cases(test):
     """Run `test` on generated cases and on every fixed case above."""
     for case in (
@@ -423,6 +487,11 @@ def generated_and_fixed_cases(test):
         RUN_RELEASE_TIE_CASE,
         ELONGATED_RUNS_CASE,
         PAST_CAP_CASE,
+        SELF_COUNT_CASE,
+        FILL_AFTER_MISSES_CASE,
+        WALK_RELEASE_TIE_CASE,
+        ALL_CONTESTED_CASE,
+        NONE_CONTESTED_CASE,
     ):
         test = example(case=case)(test)
     return settings(deadline=None, max_examples=150)(given(case=detector_cases())(test))
@@ -433,19 +502,23 @@ def test_kernel_matches_reference_on_generated_params(case):
     assert_kernel_matches_reference(case)
 
 
+def undecided_pattern(stimuli, u_stim, dark, params, horizon):
+    """A `_fire_pattern` that knows nothing: every stimulus is a break."""
+    n = stimuli.size - 1
+    return bytearray([detector._UNDECIDED]) * (n + 1), list(range(n + 1))
+
+
 @pytest.mark.parametrize(
     "name, value",
     [
         # Output times in blocks of 3 avalanches: every case crosses many blocks.
         pytest.param("_EMIT_BLOCK", 3, id="emit-blocks-of-3"),
-        # The loop reads the stimuli through a list, or through a view, whatever
-        # its runs per stimulus.
-        pytest.param("_VIEW_BELOW", 0.0, id="stimulus-list"),
-        pytest.param("_VIEW_BELOW", math.inf, id="stimulus-view"),
+        # No pattern walks: the loop decides every stimulus in its own step.
+        pytest.param("_fire_pattern", undecided_pattern, id="no-pattern-walks"),
     ],
 )
 @generated_and_fixed_cases
-def test_kernel_matches_reference_with_either_stimulus_path_and_small_blocks(case, name, value):
+def test_kernel_matches_reference_with_scalar_steps_or_small_blocks(case, name, value):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(detector, name, value)
         assert_kernel_matches_reference(case)
