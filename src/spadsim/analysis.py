@@ -159,7 +159,8 @@ def afterpulse_spectroscopy(
     2 ns past the dead time. Both fits weight each bin by 1/max(count, 1)
     and keep the amplitude non-negative; `_fit_decay` solves the amplitude
     in closed form and fits the decay rate 1/tau by `levenberg_marquardt`.
-    An excess that does not decay (best rate 0) fails the analysis.
+    An excess that does not decay (best rate 0), or has no positive
+    amplitude at the guessed lifetime, fails the analysis.
     p_afterpulse integrates the fitted excess and normalizes by the total
     event count.
     """
@@ -217,6 +218,8 @@ def afterpulse_spectroscopy(
         raise AnalysisError(f"excess fit failed: {exc}") from exc
     if rate == 0.0:
         raise AnalysisError("excess fit failed: the excess does not decay")
+    if b_fit == 0.0:
+        raise AnalysisError("excess fit failed: the excess has no positive amplitude")
     model = b_fit * np.exp(-(t_ex - tau_dead_ps) * rate)
     chi2 = float(np.sum(w_ex * (excess - model) ** 2))
     residual = chi2 / max(n_ex - 2, 1)

@@ -741,6 +741,9 @@ def calibrate_afterpulse_mu(p_target: float, tau_trap_ps: float, tau_dead_ps: fl
 
     Releases inside the dead period are discarded, so only the exp(-tau_dead/
     tau_trap) tail of each trap survives: mu = p_target * exp(tau_dead/tau_trap).
+    This equates the observed fraction with p, the mean number of live traps
+    per avalanche. The fraction of avalanches followed by an afterpulse is
+    exactly 1 - exp(-p), which p approximates when small (0.68% reads 0.678%).
     """
     _check("p_target", "[0, 1)", p_target)
     _check("tau_trap_ps", "> 0", tau_trap_ps)

@@ -18,12 +18,10 @@ import numpy as np
 from .analysis import (
     AfterpulseResult,
     afterpulse_spectroscopy,
-    distinguishability,
     estimate_dead_time,
 )
 from .detector import Cause, DetectorParams, detect
 from .instruments import (
-    DURATION,
     REACH,
     TIME,
     Histogram,
@@ -51,7 +49,6 @@ __all__ = [
     "run_interarrival",
     "run_pair_scan",
     "run_autocorr",
-    "run_visibility_sweep",
 ]
 
 
@@ -220,44 +217,3 @@ def run_autocorr(
         n_pulses=len(rec),
         detected_rate_cps=len(rec) / (source.duration_ps * 1e-12),
     )
-
-
-def _run_visibility_point(i, period, params, photon_rate_cps, duration, seed, n_periods_lag):
-    bw = max(int(period) // 8, 1)
-    cfg = PulsedSourceConfig(
-        period_ps=int(period),
-        mean_photons_per_pulse=photon_rate_cps * period * 1e-12,
-        duration_ps=duration,
-    )
-    arrivals = pulsed_train(cfg, make_generator(seed, SCAN_BASE + i))
-    rec = detect(arrivals, params, make_generator(seed, DETECTOR_SCAN_BASE + i), duration)
-    max_lag = (int(period) * n_periods_lag // bw) * bw + bw
-    h = autocorrelation(rec.out_times, max_lag, bw)
-    return int(period), distinguishability(h, float(period))
-
-
-def run_visibility_sweep(
-    params: DetectorParams,
-    periods_ps,
-    seed: int,
-    *,
-    photon_rate_cps: Annotated[float, "(0, 1e12] cps"],
-    duration_ps: Annotated[int, DURATION],
-    n_periods_lag: Annotated[int, ">= 1"] = 120,
-) -> list:
-    """Distinguishability vs pulse period at fixed incident photon flux.
-
-    Holding the photon rate fixed while the period shrinks re-clocks the
-    same optical power onto a finer comb, so the detector's timing-noise
-    statistics stay put and only the comb spacing changes. Returns
-    (period_ps, visibility) tuples in input order. The lag span covers
-    n_periods_lag pulse periods; long spans dilute the renewal ripple that
-    follows the dead-time notch. The keyword arguments are checked on entry.
-    """
-    _check_args(run_visibility_sweep, locals())
-    return [
-        _run_visibility_point(
-            i, int(p), params, photon_rate_cps, int(duration_ps), seed, int(n_periods_lag)
-        )
-        for i, p in enumerate(periods_ps)
-    ]

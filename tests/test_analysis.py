@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spadsim import (
     AnalysisError,
+    CwSourceConfig,
     Histogram,
     KeyRateInputs,
     afterpulse_spectroscopy,
@@ -14,6 +15,8 @@ from spadsim import (
     distinguishability,
     estimate_dead_time,
     heralding_efficiency,
+    preset,
+    run_interarrival,
     secret_key_rate,
     shift_and_jitter_vs_dt,
     twilight_curve,
@@ -94,6 +97,16 @@ class TestAfterpulseSpectroscopy:
         h = build_histogram(iv, 1000, 4_096_000)
         res = afterpulse_spectroscopy(h, 24_000.0)
         assert res.p_afterpulse < 0.002
+
+    @pytest.mark.parametrize("rate_cps", [2e6, 3e6])
+    def test_no_positive_excess_fails_instead_of_reading_zero(self, rate_cps):
+        # At these rates spcm-aqrh's twilight pulses fill the notch, so the
+        # dead time reads early and the excess past it has no positive
+        # amplitude at the guessed lifetime. That is no afterpulse reading,
+        # not an afterpulse probability of 0.
+        source = CwSourceConfig(rate_cps, 200_000_000_000)
+        with pytest.raises(AnalysisError, match="no positive amplitude"):
+            run_interarrival(preset("spcm-aqrh").params, source, 1)
 
     def test_noiseless_decay_is_recovered(self):
         t = 30_500.0 + 1000.0 * np.arange(150)

@@ -483,24 +483,6 @@ def test_function_owner_bounds_are_checked_on_entry(kind, key, bad):
         OWNER_CALLS[kind](**{key: bad})
 
 
-# run_visibility_sweep, which no config reaches, checks its keyword
-# arguments on entry: each one, a value it refuses and the message naming it.
-@pytest.mark.parametrize(
-    "key, bad, message",
-    [
-        ("photon_rate_cps", -1.0, r"^photon_rate_cps must lie in \(0, 1e12\] cps, got -1.0$"),
-        ("photon_rate_cps", 0.0, r"^photon_rate_cps must lie in \(0, 1e12\] cps, got 0.0$"),
-        ("n_periods_lag", -3, r"^n_periods_lag must be >= 1, got -3$"),
-        ("n_periods_lag", 0, r"^n_periods_lag must be >= 1, got 0$"),
-    ],
-    ids=["rate-below-0", "rate-0", "lag-below-0", "lag-0"],
-)
-def test_visibility_sweep_checks_its_arguments_on_entry(key, bad, message):
-    kwargs = {"photon_rate_cps": 2.0e6, "duration_ps": 10**8, "n_periods_lag": 30, key: bad}
-    with pytest.raises(ValueError, match=message):
-        experiments.run_visibility_sweep(preset("spcm-aqrh").params, (496,), 8, **kwargs)
-
-
 # Each grid a config sets up at 2**24 bins, the most it may ask for, and one
 # step past: the key, its value at the bound, the value past it and the bins
 # that asks for. The QKD spans round up to whole bins, and the

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import pathlib
 import re
@@ -53,6 +55,35 @@ def test_namespace_is_the_union_of_the_library_modules_all():
     assert {"detect", "run_qkd_scenario", "_backend"} <= used
     for name in used:
         assert hasattr(spadsim, name) or importlib.util.find_spec(f"spadsim.{name}"), name
+
+
+def loaded_names(tree):
+    """(name, owner) for each name that module `tree` loads, bare or as an attribute; the
+    owner is the top-level function the load lies in, or None. `__all__` holds strings,
+    which load no name."""
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+
+
+def test_every_public_function_has_a_caller():
+    # A public function must be used somewhere other than its own body: by
+    # the library, the benchmark or the README's Quick tour. Classes and
+    # constants are out of scope.
+    used = set()
+    for path in sorted((ROOT / "src" / "spadsim").glob("*.py")):
+        for name, owner in loaded_names(ast.parse(path.read_text())):
+            obj = getattr(spadsim, name, None)
+            if owner != name or getattr(obj, "__module__", None) != f"spadsim.{path.stem}":
+                used.add(name)
+    outside = [quick_tour()] + [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    used.update(name for text in outside for name, _ in loaded_names(ast.parse(text)))
+    functions = [name for name in spadsim.__all__ if inspect.isfunction(getattr(spadsim, name))]
+    assert [name for name in functions if name not in used] == []
 
 
 def test_readme_quick_tour_runs():

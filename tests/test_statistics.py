@@ -18,11 +18,22 @@ not from any spadsim helper or table, so a kernel that reads its twilight
 table wrongly fails them.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from spadsim import DetectorParams, detect, make_generator, poisson_times
+from spadsim import (
+    FWHM_TO_SIGMA,
+    AfterpulseModel,
+    Cause,
+    DetectorParams,
+    detect,
+    make_generator,
+    poisson_times,
+    preset,
+)
 
 SECOND_PS = 1_000_000_000_000
 BIN_PS = 1000
@@ -140,3 +151,70 @@ def test_survival_matches_the_step_law():
     want = [1.0, 1.0, 1.0, np.exp(-1e6 * 500_000e-12)]
     assert survival(t, p, 1e6) == pytest.approx(want, rel=1e-12)
     assert mean_gap(p, 1e6) == pytest.approx(20_000 + 1e6, rel=1e-9)
+
+
+def test_relaxed_pulses_follow_the_jitter_law():
+    # A pulse that is not held in twilight, and whose previous avalanche lies
+    # at least the last shift and jitter knots earlier, reads both curves at
+    # their relaxed ends: a shift of 0 and sigma = FWHM * FWHM_TO_SIGMA. So
+    # out - origin - base_delay is floor(N(0, sigma) + 0.5), which lies in
+    # [a, b) iff the normal lies in [a - 0.5, b - 0.5).
+    p = preset("spcm-aqrh").params
+    duration = SECOND_PS // 10
+    arrivals = poisson_times(make_generator(1, "source"), 2e6, duration)
+    rec = detect(arrivals, p, make_generator(1, "detector"), duration)
+    order = np.argsort(rec.origin_times)
+    origin, out, causes = rec.origin_times[order], rec.out_times[order], rec.causes[order]
+    relaxed = max(p.jitter_curve[-1][0], p.shift_curve[-1][0])
+    free = np.flatnonzero((np.diff(origin) >= relaxed) & (causes[1:] != Cause.TWILIGHT)) + 1
+    delay = out[free] - origin[free] - p.base_delay_ps
+    n = delay.size
+    assert n > 100_000
+
+    sigma = p.jitter_curve[-1][1] * FWHM_TO_SIGMA
+    width = 25
+    edges = np.arange(delay.min() // width * width, delay.max() + 2 * width, width)
+    observed = np.histogram(delay, edges)[0]
+    cdf = stats.norm.cdf((edges - 0.5) / sigma)
+    expected = n * np.diff(cdf)
+    expected[0] += n * cdf[0]  # the end bins take the tails
+    expected[-1] += n * (1.0 - cdf[-1])
+    obs, exp = pooled(observed, expected)
+    chi2 = float(np.sum((obs - exp) ** 2 / exp))
+    p_value = stats.chi2.sf(chi2, obs.size - 1)
+    assert p_value > 1e-3, f"chi2 {chi2:.1f} on {obs.size - 1} dof"
+
+
+@pytest.mark.parametrize("p_live", [0.02, 0.5])
+def test_darks_are_followed_by_an_afterpulse_by_the_trap_law(p_live):
+    # Darks alone, 500 us apart on average, with a 32 ns trap lifetime: each
+    # avalanche fills Poisson(mu) traps, and a trap is live, releasing after
+    # the dead time, with probability exp(-(tau_dead0 - 0.5) / tau_trap). So
+    # the live traps are Poisson(p) with p = mu * exp(-(tau_dead0 - 0.5) /
+    # tau_trap), and a dark's next avalanche is an afterpulse iff it has at
+    # least one: probability 1 - exp(-p), not p.
+    tau_dead, tau_trap = 20_000, 32_000.0
+    mu = p_live * math.exp((tau_dead - 0.5) / tau_trap)
+    params = DetectorParams(
+        efficiency=0.6,
+        tau_dead0_ps=tau_dead,
+        tau_quench_ps=5_000,
+        dark_rate_cps=2000.0,
+        afterpulse=AfterpulseModel(mu=mu, tau_trap_ps=tau_trap),
+    )
+    duration = 10 * SECOND_PS
+    rec = detect(np.zeros(0, dtype=np.int64), params, make_generator(1, "detector"), duration)
+    causes = rec.causes[np.argsort(rec.origin_times)]
+    followed = causes[1:][causes[:-1] == Cause.DARK] == Cause.AFTERPULSE
+    n, k = followed.size, int(np.count_nonzero(followed))
+    assert n > 15_000
+
+    def z_score(q):
+        return (k - n * q) / math.sqrt(n * q * (1.0 - q))
+
+    z = z_score(-math.expm1(-p_live))
+    assert abs(z) < 4, f"{k} of {n} darks followed by an afterpulse, z = {z:.2f}"
+    if p_live == 0.5:
+        # calibrate_afterpulse_mu equates the fraction with p; at p = 0.5
+        # the run tells the two laws apart.
+        assert z_score(p_live) < -4
