@@ -283,8 +283,10 @@ class ShiftJitterCurve:
         return buf.getvalue()
 
 
-# Bin width of the interval histogram behind each pair spacing's jitter fit.
+# Bin width of the interval histogram behind each pair spacing's jitter fit,
+# widened where the intervals would span more than _JITTER_FIT_MAX_BINS bins.
 _JITTER_FIT_BIN_PS = 25
+_JITTER_FIT_MAX_BINS = 4096
 
 
 def shift_and_jitter_vs_dt(points, *, min_pairs: Annotated[int, ">= 1"] = 1000) -> ShiftJitterCurve:
@@ -294,7 +296,8 @@ def shift_and_jitter_vs_dt(points, *, min_pairs: Annotated[int, ">= 1"] = 1000) 
     out-time differences of both-detected pairs, as int64 picoseconds (a
     ValueError names intervals otherwise). Points with fewer than
     min_pairs intervals are marked NaN. The FWHM comes from a Gaussian fit
-    of the interval histogram; if the fit window is degenerate (fewer than
+    of the interval histogram, in 25 ps bins widened where needed to keep
+    at most 4,096 of them; if the fit window is degenerate (fewer than
     five populated bins, e.g. a jitter-free detector) the sample standard
     deviation is converted to FWHM instead.
     """
@@ -316,8 +319,9 @@ def shift_and_jitter_vs_dt(points, *, min_pairs: Annotated[int, ">= 1"] = 1000) 
             continue
         lo = int(iv.min())
         hi = int(iv.max())
-        span = (hi - lo) // _JITTER_FIT_BIN_PS + 1
-        hist = build_histogram(iv, _JITTER_FIT_BIN_PS, span * _JITTER_FIT_BIN_PS, lo)
+        width = max(_JITTER_FIT_BIN_PS, -(-(hi - lo + 1) // _JITTER_FIT_MAX_BINS))
+        span = (hi - lo) // width + 1
+        hist = build_histogram(iv, width, span * width, lo)
         try:
             fwhms.append(gaussian_fit(hist).fwhm_ps)
         except InstrumentError:

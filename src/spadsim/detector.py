@@ -47,7 +47,7 @@ __all__ = [
 
 # Version of the random-draw contract (see `_detect_kernel`). Within one
 # contract a detector design and a seed give exactly one pulse stream.
-DRAW_CONTRACT = 3
+DRAW_CONTRACT = 4
 
 # Window of the output-rate estimator driving dead-time elongation: the rate
 # at an avalanche is the count of avalanches in the RATE_WINDOW_PS
@@ -173,8 +173,9 @@ class DetectorParams:
 
     Building the object checks the curves once and keeps the dead-time
     (rate to tau_dead0 plus the elongation), twilight, jitter and shift
-    tables as (xs, ys) float tuples in `_tables`, which is not a field. An
-    empty elongation or twilight curve gives the all-zero table.
+    tables as (xs, ys) float tuples in `_tables`, and the mean number of
+    live traps per avalanche in `_live` (see AfterpulseModel); neither is a
+    field. An empty elongation or twilight curve gives the all-zero table.
     """
 
     efficiency: Annotated[float, "[0, 1]"]
@@ -226,6 +227,7 @@ class DetectorParams:
         tables = ((rates, dead), (tw_x, tw_y), jitter, shift)
         tables = tuple((tuple(xs.tolist()), tuple(ys.tolist())) for xs, ys in tables)
         object.__setattr__(self, "_tables", tables)
+        object.__setattr__(self, "_live", live)
 
 
 @dataclass(frozen=True)
@@ -295,8 +297,8 @@ class _Draws(NamedTuple):
     dark_times: np.random.Generator  # the dark-count times
     dark_twilight: np.random.Generator  # one uniform per dark, keyed by dark index
     jitter: np.random.Generator  # one normal per unheld pulse, in avalanche order
-    trap_counts: np.random.Generator  # one Poisson(mu) count per avalanche
-    trap_delays: np.random.Generator  # one exponential(tau_trap) delay per trap
+    trap_counts: np.random.Generator  # per tree generation: a live-trap total, then their nodes
+    trap_delays: np.random.Generator  # one exponential(tau_trap) per live trap, in node order
 
 
 def _draw_streams(rng: np.random.Generator) -> _Draws:
@@ -313,38 +315,41 @@ def _draw_streams(rng: np.random.Generator) -> _Draws:
 _NEVER = 2**63 - 1
 
 
-def _trap_draws(draws: _Draws, params: DetectorParams, n: int) -> tuple[list, list, list]:
-    """Live trap draws for every avalanche that a run over n stimuli can reach.
+def _live_traps(draws: _Draws, params: DetectorParams, n: int) -> dict[int, list[tuple[int, int]]]:
+    """The live traps of a run over n stimuli, as a tree keyed by node.
 
     A trap is live when its delay, clamped and rounded to the picosecond,
-    is at least tau_dead0_ps. Every dead period lasts that long, so any
-    other trap releases inside its own avalanche's dead period and is
-    discarded: it is drawn but never pushed. Returns the avalanches with a
-    live trap, then _NEVER; where each one's live delays start, then their
-    end; and the live delays in filling order. Every avalanche is a
-    stimulus or a release of a live trap of an earlier one: once the counts
-    cover M avalanches with n + live(M) <= M, no run reaches avalanche M.
-    Each round covers M = n + live(M) of the last; with p < 1 (see
-    AfterpulseModel) the rounds end, near M = n / (1 - p).
+    is at least tau_dead0_ps; any other trap releases inside its own
+    avalanche's dead period. The roots, nodes 0 .. n - 1, are the photons
+    by arrival index, then the darks by dark index. Each live trap is a node
+    of the next generation, numbered on from the last node of its own.
+
+    Every node owns Poisson(p) live traps, p = `DetectorParams._live`: each
+    generation draws one Poisson(p * size) total and spreads it over its
+    nodes by uniform integers. Each live delay is tau_dead0 - 0.5 plus an
+    exponential(tau_trap), clamped at _MAX_TRAP_DELAY and rounded. By
+    Poisson thinning and the exponential's memorylessness these are the
+    live traps of Poisson(mu) traps with exponential(tau_trap) delays. With
+    p < 1 the generations end, after about n / (1 - p) nodes.
+
+    Returns {node: [(delay, child), ...]} for the nodes that own live
+    traps, in node order. A node's traps are filled only if it avalanches.
     """
-    mu, tau = params.afterpulse.mu, params.afterpulse.tau_trap_ps
-    owners, delays = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    covered = live = 0
-    while covered < n + live:
-        k = draws.trap_counts.poisson(mu, n + live - covered)
-        d = np.minimum(draws.trap_delays.exponential(tau, k.sum()), _MAX_TRAP_DELAY)
+    p, traps = params._live, {}
+    if p == 0.0:
+        return traps
+    outlive, tau = params.tau_dead0_ps - 0.5, params.afterpulse.tau_trap_ps
+    first, size = 0, n  # the generation's first node and its size
+    while size:
+        total = int(draws.trap_counts.poisson(p * size))
+        parents = np.sort(draws.trap_counts.integers(first, first + size, total))
+        d = np.minimum(outlive + draws.trap_delays.exponential(tau, total), _MAX_TRAP_DELAY)
         d = np.floor(d + 0.5).astype(np.int64)
-        is_live = d >= params.tau_dead0_ps
-        # Traps are filled in avalanche order: a trap's avalanche is the
-        # number of avalanches whose traps end at or before it.
-        owner = np.searchsorted(np.cumsum(k), np.flatnonzero(is_live), side="right")
-        owners.append(covered + owner)
-        delays.append(d[is_live])
-        covered = n + live
-        live += owner.size
-    at, starts = np.unique(np.concatenate(owners), return_index=True)
-    starts = np.append(starts, live)
-    return at.tolist() + [_NEVER], starts.tolist(), np.concatenate(delays).tolist()
+        first += size
+        for child, (v, delay) in enumerate(zip(parents.tolist(), d.tolist()), first):
+            traps.setdefault(v, []).append((delay, child))
+        size = total
+    return traps
 
 
 # Avalanches per block of the output stage: each int64 column of a block
@@ -380,7 +385,7 @@ def _merge(major: np.ndarray, minor: np.ndarray, *columns, spare: int = 0) -> li
 
 def _fire_pattern(
     stimuli: np.ndarray, u_stim: np.ndarray, dark: np.ndarray, params: DetectorParams, horizon: int
-) -> tuple[bytearray, list[int]]:
+) -> tuple[bytearray, np.ndarray]:
     """Whether each stimulus fires when the stimulus before it was the last avalanche.
 
     `stimuli` are the kernel's sorted stimulus times, ending in the _NEVER
@@ -406,7 +411,7 @@ def _fire_pattern(
     gap = np.diff(stimuli[:n])
     contested = np.flatnonzero(gap < horizon) + 1
     if not contested.size:
-        return pattern, [n]
+        return pattern, np.array([n])
     gap = gap[contested - 1]
     tau_dead = int(params.tau_dead0_ps)
     fires = (gap >= tau_dead).view(np.uint8)
@@ -422,7 +427,7 @@ def _fire_pattern(
     entries = np.frombuffer(pattern, dtype=np.uint8)
     entries[contested] = fires
     breaks = contested[(entries[contested - 1] == 0) | (fires == _UNDECIDED)]
-    return pattern, breaks.tolist() + [n]
+    return pattern, np.append(breaks, n)
 
 
 def _detect_kernel(
@@ -430,22 +435,24 @@ def _detect_kernel(
     u_photon: np.ndarray,
     darks: np.ndarray,
     u_dark: np.ndarray,
+    traps: dict[int, list[tuple[int, int]]],
     draws: _Draws,
     params: DetectorParams,
 ):
     """Actively-quenched SPAD state machine over one merged stimulus stream.
 
     `arrivals` are the photon times and `darks` the dark-count times, both
-    sorted, with their keyed uniforms `u_photon` and `u_dark`; `draws` are
-    the run's substreams and `params` the detector, whose tables it reads
-    as `params` built them. Returns the four int64 `PulseRecords` columns
-    in avalanche order.
+    sorted, with their keyed uniforms `u_photon` and `u_dark`; `traps` is
+    the run's live-trap tree (`_live_traps`), `draws` its substreams and
+    `params` the detector, whose tables it reads as `params` built them.
+    Returns the four int64 `PulseRecords` columns in avalanche order.
 
     The photons that can trigger and the darks are merged into one sorted
     stimulus array, darks before photons at equal times, which ends in one
-    _NEVER sentinel. Trap releases are generated internally and wait on a
-    heap of release times; a release goes before a stimulus on the same
-    picosecond.
+    _NEVER sentinel; each stimulus carries its tree node. Trap releases wait
+    on a heap of (time, node); a release goes before a stimulus on the same
+    picosecond, and releases on the same picosecond go in node order. A
+    stimulus or release that fires pushes its node's children.
 
     The loop decides only which stimuli and releases fire. Every dead
     period lasts at least tau_dead0 and at most `horizon`, the largest dead
@@ -465,38 +472,39 @@ def _detect_kernel(
     stimulus before it was the last avalanche. After a stimulus fires, the
     loop walks the pattern forward: the stimuli up to the next break take
     their pattern entries, which `fired` already holds, without a step of
-    their own. The walk stops before the first pending release. When it
-    passes the next avalanche with a live trap (`_trap_draws`), it pushes
-    that avalanche's release times on the heap there and cuts itself
-    before the first of them. `fired` ends holding each stimulus's outcome,
-    0 or 1; the loop reads the stimuli through one memoryview.
+    their own. The walk stops before the first pending release, and after
+    every stimulus that owns live traps (a break at owner + 1). So only a
+    walk's last stimulus can own traps, and the loop pushes them after the
+    walk if it fired. `fired` ends holding each stimulus's outcome, 0 or 1;
+    the loop reads the stimuli through one memoryview.
 
     After the loop, each column is a gather over the stimuli that fired,
     with the fired releases merged in (`_merge`, one row mask for all the
     columns), and `_twilight_split` tells the twilight avalanches from the
     armed ones and reads the ends the twilight pulses are held to.
 
-    Draw contract 3 (`DRAW_CONTRACT`; the reference draws the same values
-    one scalar at a time). Every purpose has its own substream:
+    Draw contract 4 (`DRAW_CONTRACT`; the reference draws the same values
+    one scalar at a time, but for the tree). Every purpose has its own
+    substream:
 
       photon uniforms      photon i triggers armed iff u_photon[i] < efficiency,
                            in twilight iff u_photon[i] < efficiency * profile
       dark times           the dark stream, drawn before the state machine runs
       dark uniforms        dark j triggers in twilight iff u_dark[j] < profile;
                            armed darks and trap releases always trigger
-      trap counts          one Poisson(mu) count per avalanche, in avalanche
-                           order, for more avalanches than the run reaches
-      trap delays          one exponential(tau_trap) delay per trap, in
-                           filling order, clamped at _MAX_TRAP_DELAY
+      trap counts          per generation of the live-trap tree, one Poisson
+                           total and its nodes (`_live_traps`)
+      trap delays          one exponential(tau_trap) excess per live trap, in
+                           node order
       jitter normals       one normal per unheld pulse, in avalanche order;
                            held twilight pulses take none
 
-    The trap draws come before the loop (`_trap_draws`) and the normals
-    after it: the loop itself draws nothing. Uniforms are keyed, so a
-    stimulus draws the same value whatever state it meets. The profile
-    never exceeds 1, so a photon with u >= efficiency can never trigger:
-    such photons are dropped before the loop. Output times never feed back
-    into the state machine and are computed after it (`_emit_times`).
+    The tree is drawn before the loop, keyed by node, and the normals after
+    it: the loop itself draws nothing. Uniforms are keyed, so a stimulus
+    draws the same value whatever state it meets. The profile never exceeds
+    1, so a photon with u >= efficiency can never trigger: such photons are
+    dropped before the loop. Output times never feed back into the state
+    machine and are computed after it (`_emit_times`).
     """
     efficiency = float(params.efficiency)
     (_, dead_y), (tw_x, tw_y), _, _ = params._tables
@@ -512,25 +520,26 @@ def _detect_kernel(
 
     # The photons that can trigger: twilight thresholds never exceed efficiency.
     kept = np.flatnonzero(u_photon < efficiency)
-    # Merge them with the darks; at equal times the darks go first. `source`
-    # is each stimulus's arrival index, or -1 for a dark. `stimuli` ends in
-    # the _NEVER sentinel.
-    stimuli, u_stim, source = _merge(
-        arrivals[kept], darks, (u_photon[kept], u_dark), (kept, -1), spare=1
+    # Merge them with the darks; at equal times the darks go first. `node`
+    # is each stimulus's tree node: its arrival index, or arrivals.size plus
+    # its dark index. `stimuli` ends in the _NEVER sentinel.
+    first_dark = arrivals.size
+    stimuli, u_stim, node = _merge(
+        arrivals[kept], darks, (u_photon[kept], u_dark),
+        (kept, np.arange(first_dark, first_dark + darks.size)), spare=1,
     )
     del kept
-    dark = source < 0
-    n = source.size
+    dark = node >= first_dark
+    n = node.size
     # `fired` ends holding each stimulus's outcome, 0 or 1; until the loop
     # reaches a stimulus, it holds the stimulus's pattern entry.
     fired, breaks = _fire_pattern(stimuli, u_stim, dark, params, horizon)
-    fill_at, starts, delays = _trap_draws(draws, params, n)
+    # A walk also breaks after every stimulus that owns live traps.
+    breaks = np.union1d(breaks, np.flatnonzero(np.isin(node, [*traps])) + 1).tolist()
 
-    stim, u, is_dark = memoryview(stimuli), memoryview(u_stim), memoryview(dark)
+    stim, u, is_dark, nodes = (memoryview(a) for a in (stimuli, u_stim, dark, node))
     afterpulse_times: list[int] = []  # the trap releases that fired
-    releases = [_NEVER]  # min-heap of pending trap release times, and the end sentinel
-    fk = n_av = 0  # `next_fill` = fill_at[fk] is the next avalanche with a live trap
-    next_fill = fill_at[0]
+    releases = [(_NEVER, -1)]  # min-heap of pending (release time, node), and the end sentinel
     dead_start = -(2**62)  # the last avalanche
 
     def counted_dead_end(p: int) -> int:
@@ -543,8 +552,8 @@ def _detect_kernel(
     p = bk = 0  # next stimulus; index into breaks
     while True:
         t = stim[p]
-        if releases[0] <= t:
-            t = heappop(releases)
+        if releases[0][0] <= t:
+            t, v = heappop(releases)
             if t == _NEVER:
                 break
             # Releases fire when armed and are discarded otherwise.
@@ -563,18 +572,14 @@ def _detect_kernel(
                 prof = _interp_clamped(float(dt), tw_x, tw_y)
                 fire = u[p] < (prof if is_dark[p] else efficiency * prof)
             fired[p] = fire
+            v = nodes[p]
             p += 1
             if not fire:
                 continue
             a = p
         dead_start = t
-        # Trap filling: every avalanche fills k ~ Poisson(mu) traps; the live ones wait.
-        if n_av == next_fill:
-            for d in delays[starts[fk] : starts[fk + 1]]:
-                heappush(releases, t + d)
-            fk += 1
-            next_fill = fill_at[fk]
-        n_av += 1
+        for d, child in traps.get(v, ()):
+            heappush(releases, (t + d, child))
         if a < 0:
             continue
 
@@ -586,43 +591,29 @@ def _detect_kernel(
         if q == a and fired[a] != _UNDECIDED:  # stimulus a - 1 fired: a is no break
             bk += 1
             q = breaks[bk]
-        r = releases[0]
+        r = releases[0][0]
         if r <= stim[q - 1]:
             q = a if r <= stim[a] else bisect_left(stim, r, a + 1, q)
-        # Avalanche next_fill is the (next_fill - n_av + 1)-th stimulus from a on
-        # whose entry is 1: j starts there as if none missed, and moves on by the misses.
-        while (j := a + next_fill - n_av) < q:
-            missing = fired.count(0, a, j + 1)
-            while missing and j < q:
-                j += missing
-                missing = fired.count(0, j + 1 - missing, j + 1)
-            if j >= q:
-                break
-            # The walk passes the live-trap fill: push the releases, cut before them.
-            t = stim[j]
-            for d in delays[starts[fk] : starts[fk + 1]]:
-                heappush(releases, t + d)
-            fk += 1
-            n_av = next_fill + 1
-            next_fill = fill_at[fk]
-            a = j + 1
-            r = releases[0]
-            if r <= stim[q - 1]:
-                q = a if r <= stim[a] else bisect_left(stim, r, a + 1, q)
-        n_av += fired.count(1, a, q)
-        # No two stimuli in a row of a walk fail to fire.
         if q > p:
-            dead_start = stim[q - 1] if fired[q - 1] else stim[q - 2]
+            # No two stimuli in a row of a walk fail to fire.
+            if fired[q - 1]:
+                dead_start = stim[q - 1]
+                for d, child in traps.get(nodes[q - 1], ()):
+                    heappush(releases, (dead_start + d, child))
+            else:
+                dead_start = stim[q - 2]
             p = q
 
-    del stim, u, is_dark, releases, fill_at, starts, delays
+    del stim, u, is_dark, nodes, releases
     at = np.flatnonzero(np.frombuffer(fired, dtype=np.uint8, count=n))
     del fired
     times = stimuli[at]
-    arrival_index = source[at]
-    del stimuli, u_stim, source, dark, at
+    arrival_index = node[at]
+    del stimuli, u_stim, node, dark, at
     causes = np.full(times.size, int(Cause.PHOTON), dtype=np.int64)
-    causes[arrival_index < 0] = int(Cause.DARK)
+    from_dark = arrival_index >= first_dark
+    causes[from_dark] = int(Cause.DARK)
+    arrival_index[from_dark] = -1
     released = np.array(afterpulse_times, dtype=np.int64)
     # No two avalanches share a picosecond: every dead period lasts >= 1 ps.
     times, causes, arrival_index = _merge(
@@ -799,15 +790,17 @@ def _blanking_keep(out_times: np.ndarray, t_b: int) -> np.ndarray:
 def _prepare_stimuli(arrivals, params: DetectorParams, rng: np.random.Generator, duration_ps: int):
     """Validate inputs and draw the keyed stimulus randomness.
 
-    Returns (arrivals, u_photon, darks, u_dark, draws): the photon times and
-    their uniforms, the dark times and theirs, and the substreams of `rng`
-    that the state machine draws from.
+    Returns (arrivals, u_photon, darks, u_dark, traps, draws): the photon
+    times and their uniforms, the dark times and theirs, the live-trap tree
+    over them (`_live_traps`), and the substreams of `rng`.
     """
     arrivals = _sorted_times(arrivals, "arrivals", TIME)
     draws = _draw_streams(rng)
     darks = poisson_times(draws.dark_times, params.dark_rate_cps, duration_ps)  # checks duration_ps
     u_photon = draws.photon.random(arrivals.size)
-    return arrivals, u_photon, darks, draws.dark_twilight.random(darks.size), draws
+    u_dark = draws.dark_twilight.random(darks.size)
+    traps = _live_traps(draws, params, arrivals.size + darks.size)
+    return arrivals, u_photon, darks, u_dark, traps, draws
 
 
 def _finalize_records(columns: tuple[np.ndarray, ...], params: DetectorParams) -> PulseRecords:

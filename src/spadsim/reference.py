@@ -11,17 +11,19 @@ one event at a time.
 It exists as an executable statement of the detector semantics and as the
 oracle the kernel is tested against; it is not built for speed.
 
-It follows draw contract 3 (`detector.DRAW_CONTRACT`) from the same
-substreams as the kernel (`detector._draw_streams`), but one scalar at a
-time and in the order the events happen:
+It follows draw contract 4 (`detector.DRAW_CONTRACT`) from the same
+substreams as the kernel (`detector._draw_streams`), and the same live-trap
+tree (`detector._live_traps`, drawn before either runs); it draws the rest
+one scalar at a time and in the order the events happen:
 
 - every photon meets its keyed uniform from one block, whatever the
   detector state; the kernel drops the photons with u >= efficiency before
   its loop, and this version keeps them all, so agreement shows that the
   thinning changes nothing;
 - a dark in the twilight zone meets its keyed uniform;
-- each avalanche draws one Poisson(mu) trap count, and each trap one
-  exponential(tau_trap) delay, clamped at `_MAX_TRAP_DELAY`;
+- each avalanche schedules the releases of its node's children in the
+  tree: a photon's node is its arrival index, a dark's the arrival count
+  plus its dark index, and a release's its own;
 - each unheld pulse draws one normal as it is emitted, and its output time
   is computed there and then; the kernel computes every output time after
   its loop in one numpy stage;
@@ -30,11 +32,12 @@ time and in the order the events happen:
   over the window; this version counts them with `bisect` on the list of
   every avalanche time.
 
-Events pop in (time, kind, insertion) order. At equal timestamps re-arm
-timers fire first, then trap releases, then dark counts, then photon
-arrivals (the kind codes below); this is the tie order the kernel
-follows. A photon's event carries its index into the
-caller's arrivals, which becomes the arrival_index of a pulse it triggers.
+Events pop in (time, kind, key) order. At equal timestamps re-arm timers
+fire first, then trap releases, then dark counts, then photon arrivals (the
+kind codes below), and events of one kind go in key order: a timer's
+generation, or the node of a release, dark or photon. This is the tie order
+the kernel follows. A photon's node is its index into the caller's
+arrivals, which becomes the arrival_index of a pulse it triggers.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ import numpy as np
 
 from .detector import (
     _HUGE_DT,
-    _MAX_TRAP_DELAY,
     RATE_WINDOW_PS,
     Cause,
     DetectorParams,
@@ -79,23 +81,22 @@ def _round_ps(x: float) -> int:
 class _DetectorState:
     """Mutable detector state driven by its own event queue.
 
-    Draws as draw contract 3 says, one scalar at a time; see the module
-    docstring and `detector._detect_kernel`. The armed flag is maintained by
+    Reads the live-trap tree and draws the rest as draw contract 4 says,
+    one scalar at a time; see the module docstring and
+    `detector._detect_kernel`. The armed flag is maintained by
     generation-tagged re-arm timers instead of timestamp comparison: a fresh
     avalanche invalidates any pending timer by bumping the generation.
     """
 
-    def __init__(self, params: DetectorParams, draws: _Draws, u_photon, u_dark):
+    def __init__(self, params: DetectorParams, draws: _Draws, u_photon, u_dark, traps):
         self.efficiency = float(params.efficiency)
         self.base_delay = int(params.base_delay_ps)
         self.tau_quench = int(params.tau_quench_ps)
-        self.ap_mu = float(params.afterpulse.mu)
-        self.ap_tau = float(params.afterpulse.tau_trap_ps)
         self.params = params
         _, self.twilight, self.jitter, self.shift = params._tables
         self.draws = draws
-        self.u_photon = u_photon.tolist()
-        self.u_dark = u_dark.tolist()
+        self.traps = traps
+        self.u = u_photon.tolist() + u_dark.tolist()  # keyed by node
         self.armed = True
         self.generation = 0
         self.dead_start = -(2**62)
@@ -106,44 +107,41 @@ class _DetectorState:
         self.causes: list[int] = []
         self.arrival_index: list[int] = []
         self.now = 0
-        # (time, kind, insertion, payload); the payload is a timer's
-        # generation, a photon's arrival index or a dark's index, and -1
-        # for a trap release.
-        self.queue: list[tuple[int, int, int, int]] = []
-        self.inserted = 0
+        # (time, kind, key); the key is a timer's generation, or the node of
+        # a photon, dark or trap release.
+        self.queue: list[tuple[int, int, int]] = []
 
-    def schedule(self, time: int, kind: int, payload: int = -1) -> None:
+    def schedule(self, time: int, kind: int, key: int) -> None:
         if time < self.now:
             raise RuntimeError(
                 f"cannot schedule event kind {kind} at t={time} ps: current time is {self.now} ps"
             )
-        heapq.heappush(self.queue, (time, kind, self.inserted, payload))
-        self.inserted += 1
+        heapq.heappush(self.queue, (time, kind, key))
 
     def run(self) -> None:
         """Process events until the queue is empty."""
         while self.queue:
-            time, kind, _, payload = heapq.heappop(self.queue)
+            time, kind, key = heapq.heappop(self.queue)
             self.now = time
             if kind == _KIND_TIMER:
-                if payload == self.generation:
+                if key == self.generation:
                     self.armed = True
                 continue
             if self.armed:
-                self._handle_armed(time, kind, payload)
+                self._handle_armed(time, kind, key)
             else:
-                self._handle_dead(time, kind, payload)
+                self._handle_dead(time, kind, key)
 
-    def _handle_armed(self, t: int, kind: int, payload: int) -> None:
+    def _handle_armed(self, t: int, kind: int, node: int) -> None:
         if kind == KIND_PHOTON:
-            if self.u_photon[payload] < self.efficiency:
-                self._avalanche(t, Cause.PHOTON, payload)
+            if self.u[node] < self.efficiency:
+                self._avalanche(t, Cause.PHOTON, node, node)
         elif kind == KIND_DARK:
-            self._avalanche(t, Cause.DARK, -1)
+            self._avalanche(t, Cause.DARK, node)
         else:
-            self._avalanche(t, Cause.AFTERPULSE, -1)
+            self._avalanche(t, Cause.AFTERPULSE, node)
 
-    def _handle_dead(self, t: int, kind: int, payload: int) -> None:
+    def _handle_dead(self, t: int, kind: int, node: int) -> None:
         dt = t - self.dead_start
         if dt < self.tau_quench or kind == KIND_TRAP_RELEASE:
             # Quench phase swallows everything; the twilight zone swallows
@@ -151,12 +149,12 @@ class _DetectorState:
             return
         prof = _interp_clamped(float(dt), *self.twilight)
         if kind == KIND_PHOTON:
-            if self.u_photon[payload] < self.efficiency * prof:
-                self._avalanche(t, Cause.TWILIGHT, payload, held=True)
-        elif self.u_dark[payload] < prof:
-            self._avalanche(t, Cause.TWILIGHT, -1, held=True)
+            if self.u[node] < self.efficiency * prof:
+                self._avalanche(t, Cause.TWILIGHT, node, node, held=True)
+        elif self.u[node] < prof:
+            self._avalanche(t, Cause.TWILIGHT, node, held=True)
 
-    def _avalanche(self, t: int, cause: Cause, src: int, held: bool = False) -> None:
+    def _avalanche(self, t: int, cause: Cause, node: int, src: int = -1, held: bool = False):
         if held:
             # Sensing is off during the dead period: the pulse appears when
             # the interrupted dead period would have ended, with no sampled
@@ -183,14 +181,9 @@ class _DetectorState:
         self.armed = False
         self.generation += 1
         self.schedule(self.dead_end, _KIND_TIMER, self.generation)
-
-        if self.ap_mu > 0.0:
-            k = self.draws.trap_counts.poisson(self.ap_mu)
-            for _ in range(k):
-                d = self.draws.trap_delays.exponential(self.ap_tau)
-                if d > _MAX_TRAP_DELAY:
-                    d = _MAX_TRAP_DELAY
-                self.schedule(t + _round_ps(d), KIND_TRAP_RELEASE)
+        # The avalanche fills its node's live traps.
+        for d, child in self.traps.get(node, ()):
+            self.schedule(t + d, KIND_TRAP_RELEASE, child)
 
 
 def detect_reference(
@@ -200,9 +193,11 @@ def detect_reference(
 
     Same contract and output as detector.detect(); see the module docstring.
     """
-    arrivals, u_photon, darks, u_dark, draws = _prepare_stimuli(arrivals, params, rng, duration_ps)
-    state = _DetectorState(params, draws, u_photon, u_dark)
-    for j, t in enumerate(darks.tolist()):
+    arrivals, u_photon, darks, u_dark, traps, draws = _prepare_stimuli(
+        arrivals, params, rng, duration_ps
+    )
+    state = _DetectorState(params, draws, u_photon, u_dark, traps)
+    for j, t in enumerate(darks.tolist(), arrivals.size):
         state.schedule(t, KIND_DARK, j)
     for idx, t in enumerate(arrivals.tolist()):
         state.schedule(t, KIND_PHOTON, idx)

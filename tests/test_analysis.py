@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,21 @@ class TestShiftJitter:
             iv = np.round(g.normal(200_000.0, 473.8 / 2.3548200450309493, 8450)).astype(np.int64)
             fwhms.append(shift_and_jitter_vs_dt([(200_000, iv)]).fwhms[0])
         assert np.all(np.abs(np.array(fwhms) - 473.8) <= 15.0), fwhms
+
+    def test_a_wide_jitter_is_fitted_in_bounded_memory(self):
+        # A 20 us FWHM spans about 2.6M bins of 25 ps; the fit bins it in
+        # 4,096 wider ones instead.
+        g = np.random.default_rng(12)
+        fwhm = 20_000_000.0
+        iv = np.round(g.normal(200_000_000.0, fwhm / 2.3548200450309493, 10_000)).astype(np.int64)
+        tracemalloc.start()
+        try:
+            curve = shift_and_jitter_vs_dt([(200_000_000, iv)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, peak
+        assert curve.fwhms[0] == pytest.approx(fwhm, rel=0.05)
 
     def test_fractional_intervals_are_refused(self):
         # Cast to int64, 1000.9 ps would read as 1000 ps: a shift of 0.

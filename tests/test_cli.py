@@ -21,26 +21,26 @@ from spadsim import KINDS, SCENARIOS, ConfigError, correlator_grids, preset, val
 from spadsim.cli import main
 
 # SHA-256 of every output of test_detector_summaries_carry_the_draw_contract's
-# documents at draw contract 3. jitter-scan is left out: its curve goes through
+# documents at draw contract 4. jitter-scan is left out: its curve goes through
 # a Gaussian fit, whose last digits can move with the numpy version and the
 # LAPACK/BLAS build behind its dot products.
 PINNED_OUTPUTS = {
     "interarrival": {
-        "histogram_csv": "d9e533585ba1d4f9f284d6c724c79c98cef4ad2254f32db68786ae8d7170cefc",
-        "summary_json": "69694e16fbdc377597366ba4a618db27a37543f68a6d06ef1c7c507e0b2b0088",
+        "histogram_csv": "80db9d9a8c08288f0adf6969fe29269fc489516dc7d8beb9645f8a2d00607e00",
+        "summary_json": "bd62703c6a309436b5039b1eaf29736e62a4096689a87c245e5538724aa953d3",
     },
     "pair-scan": {
         "curve_csv": "b6514ae2fe1638203f55117b5a992f8073578ff634593c0f3dc88b83922d751c",
         "points_csv": "3e00f2896fcd6d85665254472376cd225fc18c3bdce2aec54d0cdc4dbc43bc95",
-        "summary_json": "cb720c4927b60402e90cd447c5aa2be6adaf7c679d98de7e95a85431fc0f8e26",
+        "summary_json": "38dd2bbd1a388665d41019d65320023222346c206f8d5c0d491e24f1f1487589",
     },
     "autocorr": {
-        "histogram_csv": "f884897c3dda2ba1c6a72b7b890ad04fcb468dfb06bc221a1e6a9eb4a86b283f",
-        "summary_json": "2dc85e6108a9f3f18f30aa9f011f21b420e611377302a733dad03d7082b6847e",
+        "histogram_csv": "b67c5b6280e961afffa5932d384cf03995dda35e45acd27f876fa8fc8e73cd95",
+        "summary_json": "c9629e417e9be6e14f4eef50d5de9afe4cfd1c1ae04445565111d36a1d7cc75e",
     },
     "qkd": {
-        "report_json": "2913825a5d48ed8e6ea9da71e810d6a630476c3cbeabf9cea8ce147b93103e4a",
-        "crosscorr_csv": "d7a37f74e0d80b59bcfa1f67ff65fc3ecb25896d6f60677a442d80c240b91673",
+        "report_json": "dc632478dcb3b96d152580597418d0f2875b22e9ee442a4343ad0b27694e6186",
+        "crosscorr_csv": "68591738a0266944086d66f4f257c6db842405ad1195e8f3cd58b7e8acc11a94",
     },
 }
 
@@ -279,7 +279,7 @@ class TestSimulate:
             doc.update(version=1, kind=kind, seed=2, outputs={k: str(p) for k, p in outs.items()})
             assert main(["simulate", write_config(tmp_path, doc)]) == 0, kind
             summary = outs["report_json" if kind == "qkd" else "summary_json"]
-            assert json.loads(summary.read_text())["draw_contract"] == spadsim.DRAW_CONTRACT == 3
+            assert json.loads(summary.read_text())["draw_contract"] == spadsim.DRAW_CONTRACT == 4
             if kind in PINNED_OUTPUTS:
                 digests[kind] = {k: sha256(p.read_bytes()).hexdigest() for k, p in outs.items()}
         assert "draw_contract" not in capsys.readouterr().out
@@ -303,7 +303,7 @@ class TestSimulate:
             for a in (p.intervals, p.out2, p.cause2):
                 digest.update(a.tobytes())
         assert digest.hexdigest() == (
-            "1aa14d4df5959795c48960aec9694aec50f6bf83f24842b43932043e8ae64328"
+            "2e5055fa0a70babb52ca8728f62f96943f7f269c3448753bf9a5d993e81b1f72"
         )
 
     def test_missing_points_are_json_null(self, tmp_path, capsys):
@@ -575,8 +575,8 @@ def fuzzed_documents(draw):
 
 
 def stays_small(cfg) -> bool:
-    """Whether a validated config's run stays small: under 1e5 expected stimuli and
-    trap delays, 1e6 histogram bins and 1e7 correlator pairs, over-estimated."""
+    """Whether a validated config's run stays small: under 1e5 expected stimuli
+    and live traps, 1e6 histogram bins and 1e7 correlator pairs, over-estimated."""
     kind = cfg["kind"]
     if kind == "keyrate":
         return True
@@ -612,9 +612,8 @@ def stays_small(cfg) -> bool:
         live.append(ap.mu * math.exp(-outlive / ap.tau_trap_ps) if outlive <= 1e15 else 0.0)
     darks = sum(p.dark_rate_cps for p in dets) * duration * 1e-12
     stimuli = runs * (photons + darks) / (1.0 - max(live))
-    traps = stimuli * max(p.afterpulse.mu for p in dets)
     pairs = stimuli**2 * min(1.0, lag / duration)
-    return stimuli < 1e5 and traps < 1e5 and bins < 1e6 and pairs < 1e7
+    return stimuli < 1e5 and bins < 1e6 and pairs < 1e7
 
 
 def test_fuzz_documents_spell_out_every_field():

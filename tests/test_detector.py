@@ -412,3 +412,23 @@ class TestDetect:
         assert np.array_equal(a.out_times, b.out_times)
         assert np.array_equal(a.origin_times, b.origin_times)
         assert np.array_equal(a.causes, b.causes)
+
+    def test_a_huge_mu_with_few_live_traps_draws_only_those(self):
+        # mu = 1e12 traps per avalanche with a 1 ns lifetime and a 30 ns dead
+        # time leave 0.094 live traps per avalanche. Drawing every trap would
+        # ask for petabytes; the live ones are a few hundred.
+        p = plain_params(
+            efficiency=0.6,
+            tau_dead0_ps=30_000,
+            afterpulse=AfterpulseModel(mu=1e12, tau_trap_ps=1000.0),
+        )
+        arr = np.cumsum(np.random.default_rng(1).exponential(100_000.0, 2000)).astype(np.int64)
+        duration = int(arr[-1]) + 1
+        a = detect(arr, p, make_generator(3, "detector"), duration)
+        b = detect_reference(arr, p, make_generator(3, "detector"), duration)
+        assert np.count_nonzero(a.causes == Cause.AFTERPULSE) > 50
+        for x, y in zip(
+            (a.out_times, a.origin_times, a.causes, a.arrival_index),
+            (b.out_times, b.origin_times, b.causes, b.arrival_index),
+        ):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()

@@ -56,8 +56,8 @@ def records_equal(a, b) -> bool:
 
 
 # 0.9 live traps per avalanche on average, just under the limit of 1: an
-# afterpulse chain runs about ten avalanches long, and the kernel draws trap
-# counts for several times more avalanches than stimuli, over dozens of rounds.
+# afterpulse chain runs about ten avalanches long, and the live-trap tree
+# holds about nine times as many traps as stimuli, over dozens of generations.
 NEAR_CRITICAL = DetectorParams(
     efficiency=1.0,
     tau_dead0_ps=2_000,
@@ -432,7 +432,7 @@ SELF_COUNT_CASE = (
 
 # Photon pairs 3 ns apart every 25 ns: the second of a pair lands in the
 # quench phase, so a pattern walk passes a stimulus that does not fire
-# before each later one, and the live-trap fills it meets sit after them.
+# before each later one, and the live-trap owners it ends at sit after them.
 PAIR_STARTS = np.arange(0, 2_000 * 25_000, 25_000)
 FILL_AFTER_MISSES_ARRIVALS = np.sort(np.concatenate([PAIR_STARTS, PAIR_STARTS + 3_000]))
 FILL_AFTER_MISSES_CASE = (
@@ -446,6 +446,56 @@ FILL_AFTER_MISSES_CASE = (
     FILL_AFTER_MISSES_ARRIVALS,
     int(FILL_AFTER_MISSES_ARRIVALS[-1]) + 1,
     1,
+)
+
+# A pattern walk ends after every stimulus that owns live traps, and pushes
+# them if that stimulus fired. Photons 25 ns apart with a 20 ns dead time all
+# fire, and about two in five own live traps (0.5 on average): most walks end
+# at an owner whose pattern entry is 1.
+OWNER_FIRES_ARRIVALS = np.arange(0, 3_000 * 25_000, 25_000, dtype=np.int64)
+OWNER_FIRES_CASE = (
+    DetectorParams(
+        efficiency=1.0,
+        tau_dead0_ps=20_000,
+        tau_quench_ps=8_000,
+        afterpulse=AfterpulseModel(mu=0.5 * math.exp(19_999.5 / 100_000.0), tau_trap_ps=100_000.0),
+    ),
+    OWNER_FIRES_ARRIVALS,
+    int(OWNER_FIRES_ARRIVALS[-1]) + 1,
+    13,
+)
+
+# The pairs above with 0.5 live traps per photon: the second of a pair, in
+# the quench phase, has pattern entry 0, so a walk that ends at it pushes
+# nothing and leaves the dead period of the first of the pair.
+OWNER_MISSES_CASE = (
+    DetectorParams(
+        efficiency=1.0,
+        tau_dead0_ps=20_000,
+        tau_quench_ps=8_000,
+        twilight_profile=((8_000.0, 0.0), (20_000.0, 1.0)),
+        afterpulse=AfterpulseModel(mu=0.5 * math.exp(19_999.5 / 30_000.0), tau_trap_ps=30_000.0),
+    ),
+    FILL_AFTER_MISSES_ARRIVALS,
+    int(FILL_AFTER_MISSES_ARRIVALS[-1]) + 1,
+    14,
+)
+
+# Releases on the same picosecond fire in node order, whichever was pushed
+# first. With a 1 ps dead time, 0.9 live traps per avalanche and 1 ps trap
+# lifetimes, most delays are 1 or 2 ps: a release's child (a late node)
+# pushed at t and a photon's child (an early one) pushed at t + 1 often
+# land together, and only the one that fires fills its own traps.
+TWIN_RELEASE_CASE = (
+    DetectorParams(
+        efficiency=0.5,
+        tau_dead0_ps=1,
+        tau_quench_ps=1,
+        afterpulse=AfterpulseModel(mu=0.9 * math.exp(0.5), tau_trap_ps=1.0),
+    ),
+    np.arange(0, 20_001, dtype=np.int64),
+    20_001,
+    15,
 )
 
 # Photons 3 or 4 ps apart with a 4 ps dead time: the 3 ps gaps are
@@ -489,6 +539,9 @@ def generated_and_fixed_cases(test):
         PAST_CAP_CASE,
         SELF_COUNT_CASE,
         FILL_AFTER_MISSES_CASE,
+        OWNER_FIRES_CASE,
+        OWNER_MISSES_CASE,
+        TWIN_RELEASE_CASE,
         WALK_RELEASE_TIE_CASE,
         ALL_CONTESTED_CASE,
         NONE_CONTESTED_CASE,

@@ -16,9 +16,13 @@ gates a chi-square of the gaps in 1 ns bins, the mean gap, and the count of
 gaps that end in twilight. The tests build s from the knots with np.interp,
 not from any spadsim helper or table, so a kernel that reads its twilight
 table wrongly fails them.
+
+The live-trap tree that afterpulses are drawn from is held to its own laws
+at the end of the file.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from scipy import stats
 from spadsim import (
     FWHM_TO_SIGMA,
     AfterpulseModel,
+    BlankingConfig,
     Cause,
     DetectorParams,
     detect,
@@ -34,6 +39,7 @@ from spadsim import (
     poisson_times,
     preset,
 )
+from spadsim import detector
 
 SECOND_PS = 1_000_000_000_000
 BIN_PS = 1000
@@ -218,3 +224,102 @@ def test_darks_are_followed_by_an_afterpulse_by_the_trap_law(p_live):
         # calibrate_afterpulse_mu equates the fraction with p; at p = 0.5
         # the run tells the two laws apart.
         assert z_score(p_live) < -4
+
+
+# The live-trap tree (`detector._live_traps`). Every node owns Poisson(p)
+# live traps, p = mu * exp(-(tau_dead0 - 0.5) / tau_trap), and a live delay,
+# clamped and rounded, is tau_dead0 - 0.5 plus an exponential(tau_trap):
+# tau_dead0 + floor(E), so the excess over tau_dead0 is at least k with
+# probability exp(-k / tau_trap).
+
+
+def trap_params(p_live: float, tau_trap: float = 2_000.0, **kw) -> DetectorParams:
+    tau_dead = 20_000
+    mu = p_live * math.exp((tau_dead - 0.5) / tau_trap)
+    return DetectorParams(
+        efficiency=1.0,
+        tau_dead0_ps=tau_dead,
+        tau_quench_ps=5_000,
+        afterpulse=AfterpulseModel(mu=mu, tau_trap_ps=tau_trap),
+        **kw,
+    )
+
+
+def live_trap_tree(params: DetectorParams, n: int, seed: int = 1) -> dict:
+    draws = detector._draw_streams(make_generator(seed, "detector"))
+    return detector._live_traps(draws, params, n)
+
+
+def test_the_roots_own_poisson_many_live_traps():
+    n, p_live = 200_000, 0.05
+    tree = live_trap_tree(trap_params(p_live), n)
+    k = sum(len(children) for node, children in tree.items() if node < n)
+    z = (k - n * p_live) / math.sqrt(n * p_live)
+    assert abs(z) < 4, f"{k} live traps on {n} roots, z = {z:.2f}"
+
+
+def test_live_delays_follow_the_shifted_exponential():
+    params = trap_params(0.3)
+    tau_dead, tau_trap = params.tau_dead0_ps, params.afterpulse.tau_trap_ps
+    tree = live_trap_tree(params, 200_000)
+    delays = np.array([d for children in tree.values() for d, _ in children])
+    assert delays.size > 50_000
+    assert delays.min() >= tau_dead
+    excess = delays - tau_dead
+    # Thirty bins of about equal probability, on whole picoseconds.
+    edges = np.unique(np.floor(-tau_trap * np.log1p(-np.linspace(0.0, 1.0, 31)[:-1])))
+    observed = np.histogram(excess, np.append(edges, np.inf))[0]
+    survive = np.exp(-edges / tau_trap)
+    expected = delays.size * (survive - np.append(survive[1:], 0.0))
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    p_value = stats.chi2.sf(chi2, observed.size - 1)
+    assert p_value > 1e-3, f"chi2 {chi2:.1f} on {observed.size - 1} dof"
+
+
+def test_the_generations_end_near_criticality():
+    # At p = 0.9 each root heads 1 / (1 - p) = 10 nodes on average, with a
+    # variance of p / (1 - p)**3 = 900 in its count of traps.
+    n, p_live = 2_000, 0.9
+    tree = live_trap_tree(trap_params(p_live), n)
+    children = sorted(c for kids in tree.values() for _, c in kids)
+    assert children == list(range(n, n + len(children)))
+    assert all(node < c for node, kids in tree.items() for _, c in kids)
+    mean, sd = n * p_live / (1 - p_live), math.sqrt(n * p_live / (1 - p_live) ** 3)
+    z = (len(children) - mean) / sd
+    assert abs(z) < 4, f"{len(children)} live traps on {n} roots, z = {z:.2f}"
+
+
+@pytest.mark.parametrize(
+    "afterpulse, tau_dead",
+    [
+        (AfterpulseModel(mu=0.0), 20_000),
+        # Every delay is clamped at 1e15 ps, short of this dead time: a
+        # mean of 1000 traps per avalanche leaves none live.
+        (AfterpulseModel(mu=1_000.0, tau_trap_ps=1e17), 10**15 + 1),
+    ],
+)
+def test_no_live_traps_draws_nothing(afterpulse, tau_dead):
+    params = DetectorParams(
+        efficiency=1.0, tau_dead0_ps=tau_dead, tau_quench_ps=5_000, afterpulse=afterpulse
+    )
+    draws = detector._draw_streams(make_generator(1, "detector"))
+    assert detector._live_traps(draws, params, 10_000) == {}
+    fresh = detector._draw_streams(make_generator(1, "detector"))
+    for stream in ("trap_counts", "trap_delays"):
+        assert getattr(draws, stream).random() == getattr(fresh, stream).random()
+
+
+def test_the_tree_depends_only_on_the_live_trap_law():
+    base = trap_params(0.3)
+    other = replace(
+        base,
+        efficiency=0.4,
+        tau_quench_ps=8_000,
+        base_delay_ps=9_000,
+        dark_rate_cps=1e5,
+        dead_elongation=((0.0, 0.0), (30.0e6, 2000.0)),
+        twilight_profile=((8_000.0, 0.0), (20_000.0, 1.0)),
+        jitter_curve=((30_000.0, 600.0), (120_000.0, 335.0)),
+        blanking=BlankingConfig(t_b_ps=24_000),
+    )
+    assert live_trap_tree(base, 5_000) == live_trap_tree(other, 5_000)
